@@ -3,7 +3,9 @@
 Everything downstream works on ordered spectra: eigenvalues are kept in
 non-increasing order and contribution rates are eigenvalues divided by
 their total. Matrices are small (p of order tens), dense, and immutable
-once wrapped in a domain type.
+once wrapped in a domain type. Eigendecompositions come from LAPACK; they
+are made deterministic by a sign rule (each eigenvector's largest-magnitude
+entry is positive).
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "JACOBI_MAX_SWEEPS",
-    "JACOBI_REL_TOL",
     "LOSS_KINDS",
     "Spectrum",
     "ContributionRates",
@@ -25,12 +25,6 @@ __all__ = [
     "symmetric_eigendecompose",
     "eigh_descending_batch",
 ]
-
-#: Sweep cap for the cyclic Jacobi eigensolver.
-JACOBI_MAX_SWEEPS = 100
-
-#: Convergence: off-diagonal Frobenius norm below this times ||S||_F.
-JACOBI_REL_TOL = 1e-12
 
 LOSS_KINDS = ("entropy", "quadratic")
 
@@ -205,69 +199,17 @@ def contribution_rates(spectrum: Spectrum) -> ContributionRates:
     return ContributionRates(spectrum.values / spectrum.values.sum())
 
 
-def _offdiag_norms(matrices: np.ndarray) -> np.ndarray:
-    # Summing the squared entries directly avoids the cancellation a
-    # total-minus-diagonal formula hits once the matrix is nearly diagonal.
-    off = matrices.copy()
-    idx = np.arange(off.shape[1])
-    off[:, idx, idx] = 0.0
-    return np.sqrt(np.einsum("bij,bij->b", off, off))
-
-
-def _jacobi_sweep(a: np.ndarray, v: np.ndarray | None) -> None:
-    """One cyclic sweep of Givens rotations over every (i, j) pair, in place.
-
-    ``a`` has shape (batch, p, p); rotations are computed per batch lane.
-    """
-    p = a.shape[1]
-    for i in range(p - 1):
-        for j in range(i + 1, p):
-            apq = a[:, i, j]
-            nonzero = apq != 0.0
-            if not np.any(nonzero):
-                continue
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                tau = (a[:, j, j] - a[:, i, i]) / (2.0 * apq)
-                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t = np.where(nonzero & np.isfinite(t), t, 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            cc = c[:, None]
-            ss = s[:, None]
-
-            ri = a[:, i, :].copy()
-            rj = a[:, j, :].copy()
-            a[:, i, :] = cc * ri - ss * rj
-            a[:, j, :] = ss * ri + cc * rj
-            ci = a[:, :, i].copy()
-            cj = a[:, :, j].copy()
-            a[:, :, i] = cc * ci - ss * cj
-            a[:, :, j] = ss * ci + cc * cj
-            if v is not None:
-                vi = v[:, :, i].copy()
-                vj = v[:, :, j].copy()
-                v[:, :, i] = cc * vi - ss * vj
-                v[:, :, j] = ss * vi + cc * vj
-
-
 def eigh_descending_batch(
-    matrices: np.ndarray,
-    compute_vectors: bool = True,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-    rel_tol: float = JACOBI_REL_TOL,
+    matrices: np.ndarray, compute_vectors: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigendecompose a batch of symmetric matrices with cyclic Jacobi sweeps.
+    """Eigendecompose a batch of symmetric matrices with LAPACK.
 
     Parameters
     ----------
     matrices : ndarray, shape (batch, p, p)
         Symmetric inputs. Not modified.
     compute_vectors : bool
-        Skip eigenvector accumulation when only eigenvalues are needed.
-    max_sweeps, rel_tol : int, float
-        A matrix counts as converged once its off-diagonal Frobenius norm
-        drops below ``rel_tol`` times its full Frobenius norm; exceeding
-        ``max_sweeps`` sweeps raises.
+        Skip the eigenvectors when only eigenvalues are needed.
 
     Returns
     -------
@@ -277,30 +219,14 @@ def eigh_descending_batch(
         Columns ordered to match, each column's largest-magnitude entry
         made positive so output is deterministic.
     """
-    a = np.array(matrices, dtype=np.float64, copy=True)
+    a = np.asarray(matrices, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a (batch, p, p) stack, got shape {a.shape}")
-    batch, p = a.shape[0], a.shape[1]
-    targets = rel_tol * np.sqrt(np.einsum("bij,bij->b", a, a))
-    v = np.tile(np.eye(p), (batch, 1, 1)) if compute_vectors else None
-
-    for _ in range(max_sweeps):
-        if np.all(_offdiag_norms(a) <= targets):
-            break
-        _jacobi_sweep(a, v)
-    else:
-        if not np.all(_offdiag_norms(a) <= targets):
-            raise RuntimeError(
-                f"Jacobi eigensolver failed to converge within the {max_sweeps}-sweep cap"
-            )
-
-    w = np.einsum("bii->bi", a).copy()
-    order = np.argsort(-w, axis=1, kind="stable")
-    w = np.take_along_axis(w, order, axis=1)
     if not compute_vectors:
-        return w, None
+        return np.linalg.eigvalsh(a)[:, ::-1], None
 
-    v = np.take_along_axis(v, order[:, None, :], axis=2)
+    w, v = np.linalg.eigh(a)
+    w, v = w[:, ::-1], v[:, :, ::-1]
     pivot = np.argmax(np.abs(v), axis=1)
     pivot_vals = np.take_along_axis(v, pivot[:, None, :], axis=1)[:, 0, :]
     v = v * np.where(pivot_vals < 0.0, -1.0, 1.0)[:, None, :]
@@ -310,9 +236,10 @@ def eigh_descending_batch(
 def symmetric_eigendecompose(sample: ScatterSample) -> SampleDecomposition:
     """Spectral decomposition S = H diag(l) H' with descending eigenvalues.
 
-    Deterministic for a fixed input: the solver is cyclic Jacobi and each
-    eigenvector's largest-magnitude entry is made positive. Raises if the
-    matrix is not positive definite or the solver hits its sweep cap.
+    Deterministic for a fixed input: each eigenvector's largest-magnitude
+    entry is made positive, which fixes the sign LAPACK leaves free. Raises
+    if the matrix is not positive definite or the decomposition does not
+    reconstruct it.
     """
     s = sample.matrix
     w, v = eigh_descending_batch(s[None, :, :])

@@ -258,10 +258,9 @@ def _mean_se(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray
 
 def _batch_rates(s: np.ndarray, need_vectors: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     w, v = eigh_descending_batch(s, compute_vectors=need_vectors)
-    totals = w.sum(axis=1)
-    if np.any(totals <= 0.0):
-        raise RuntimeError("sampled scatter matrix with non-positive trace")
-    return w, w / totals[:, None], v
+    if np.any(w[:, -1] <= 0.0):
+        raise RuntimeError("sampled scatter matrix with a non-positive eigenvalue")
+    return w, w / w.sum(axis=1)[:, None], v
 
 
 def sample_rates(

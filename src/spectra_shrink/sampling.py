@@ -158,8 +158,8 @@ def _elliptical_chunk(
     gen = _generator(seed, _TAG_ELLIPTICAL, chunk_index)
     g = gen.standard_normal((CHUNK_SIZE, n, p))
     mix = gen.chisquare(float(nu), CHUNK_SIZE)
-    z = g * np.sqrt(values)[None, None, :]
-    m = z.transpose(0, 2, 1) @ z
+    g *= np.sqrt(values)
+    m = g.transpose(0, 2, 1) @ g
     m = 0.5 * (m + m.transpose(0, 2, 1))
     return m * (nu / mix)[:, None, None]
 

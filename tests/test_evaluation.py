@@ -16,13 +16,21 @@ from spectra_shrink import (
     estimate_bias,
     estimate_risk,
     family_weights,
+    plugin_covariance,
     quadratic_loss,
+    shrink_estimate,
     simulate_bias,
     simulate_stein_haff,
     stein_haff_G,
     symmetric_eigendecompose,
 )
-from spectra_shrink.evaluation import _batch_rates, _chunk_plan, _g_batch
+from spectra_shrink.evaluation import (
+    _batch_rates,
+    _chunk_plan,
+    _entropy_losses,
+    _g_batch,
+    _quadratic_losses,
+)
 from spectra_shrink.sampling import scatter_chunk
 
 
@@ -108,6 +116,38 @@ def test_g_batch_matches_scalar():
         scalar = stein_haff_G(dec, w, 15)
         batched = _g_batch(dec.eigenvalues[None], dec.rates[None], w.beta, 15)[0]
         assert abs(scalar - batched) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(4, 10), st.integers(0, 20))
+def test_batch_losses_match_scalar(seed, p, extra):
+    rng = np.random.default_rng(seed)
+    n = p + extra
+    tau = np.sort(rng.uniform(0.1, 10.0, p))[::-1]
+    tau /= tau.sum()
+    a = rng.standard_normal((8, n, p)) * np.sqrt(tau)
+    s = a.transpose(0, 2, 1) @ a
+    weights = [classical_weights(p, n), family_weights(p, n, 1)]
+    betas = np.stack([w.beta for w in weights])
+    _, d, v = _batch_rates(s, need_vectors=True)
+    entropy = _entropy_losses(d, v, betas, tau)
+    quadratic = _quadratic_losses(d, betas, tau)
+    truth = ContributionRates(tau)
+    for r in range(s.shape[0]):
+        dec = symmetric_eigendecompose(ScatterSample(s[r], dof=n))
+        for k, w in enumerate(weights):
+            est = shrink_estimate(dec, w)
+            scalar = entropy_loss(plugin_covariance(dec, est), np.diag(tau)).value
+            assert abs(entropy[k, r] - scalar) <= 1e-9 * max(1.0, scalar)
+            scalar = quadratic_loss(est, truth).value
+            assert abs(quadratic[k, r] - scalar) <= 1e-9 * max(1.0, scalar)
+
+
+def test_batch_rates_rejects_non_positive_eigenvalue():
+    # positive trace, negative eigenvalue: the trace alone would let it through
+    s = np.stack([np.eye(2), np.diag([1.0, -0.5])])
+    with pytest.raises(RuntimeError, match="non-positive eigenvalue"):
+        _batch_rates(s, need_vectors=False)
 
 
 def test_stein_haff_identity_monte_carlo():
