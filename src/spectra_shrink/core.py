@@ -5,7 +5,9 @@ non-increasing order and contribution rates are eigenvalues divided by
 their total. Matrices are small (p of order tens), dense, and immutable
 once wrapped in a domain type. Eigendecompositions come from LAPACK; they
 are made deterministic by a sign rule (each eigenvector's largest-magnitude
-entry is positive).
+entry is positive). Eigenvalue-only batches of 3 x 3 matrices use Smith's
+trigonometric closed form instead, where LAPACK's per-matrix overhead would
+dominate; rows near a repeated eigenvalue still go to LAPACK.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ __all__ = [
 LOSS_KINDS = ("entropy", "quadratic")
 
 _SYMMETRY_REL_TOL = 1e-10
+#: Rows of a 3x3 batch with 1 - |cos 3phi| below this have a near-repeated
+#: eigenvalue and are handed to LAPACK instead of the closed form.
+_CLOSED_FORM_MIN_GAP = 1e-4
+#: Angle offsets that put the closed-form roots in non-increasing order.
+_THIRDS_DESCENDING = np.array([0.0, 4.0 * np.pi / 3.0, 2.0 * np.pi / 3.0])
 
 
 def _readonly_vector(values, name: str) -> np.ndarray:
@@ -199,15 +206,54 @@ def contribution_rates(spectrum: Spectrum) -> ContributionRates:
     return ContributionRates(spectrum.values / spectrum.values.sum())
 
 
+def _eigvals_3x3_descending(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a (batch, 3, 3) symmetric stack, largest first.
+
+    Smith's trigonometric closed form (Commun. ACM 4:168, 1961), vectorised
+    over the batch and reading the lower triangle only. With B = A - qI,
+    q = tr A / 3 and r = sqrt(|B|_F^2 / 6), the eigenvalues are
+    q + 2r cos(phi + 2k pi / 3) for phi = arccos(det B / 2r^3) / 3. Taking
+    the offsets 0, 4pi/3, 2pi/3 in turn orders the cosines, so each row is
+    non-increasing even when r is at rounding level. Near a repeated
+    eigenvalue (|cos 3phi| close to 1) arccos amplifies rounding, so those
+    rows, and any row with a non-finite cos 3phi, go to LAPACK; every row
+    then agrees with ``eigvalsh`` to about 1e-14 max|w|.
+    """
+    a00, a11, a22 = a[:, 0, 0], a[:, 1, 1], a[:, 2, 2]
+    a10, a20, a21 = a[:, 1, 0], a[:, 2, 0], a[:, 2, 1]
+    q = (a00 + a11 + a22) / 3.0
+    b00, b11, b22 = a00 - q, a11 - q, a22 - q
+    offdiag = a10 * a10 + a20 * a20 + a21 * a21
+    r = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * offdiag) / 6.0)
+    det = (
+        b00 * (b11 * b22 - a21 * a21)
+        - a10 * (a10 * b22 - a21 * a20)
+        + a20 * (a10 * a21 - b11 * a20)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = det / (2.0 * r**3)
+    phi = np.arccos(np.clip(c, -1.0, 1.0)) / 3.0
+    w = q[:, None] + (2.0 * r)[:, None] * np.cos(phi[:, None] + _THIRDS_DESCENDING)
+    near = ~(np.abs(c) <= 1.0 - _CLOSED_FORM_MIN_GAP)
+    if near.any():
+        w[near] = np.linalg.eigvalsh(a[near])[:, ::-1]
+    return w
+
+
 def eigh_descending_batch(
     matrices: np.ndarray, compute_vectors: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigendecompose a batch of symmetric matrices with LAPACK.
+    """Eigendecompose a batch of symmetric matrices.
+
+    LAPACK does the work, except for eigenvalue-only 3 x 3 stacks: those use
+    the vectorised closed form of ``_eigvals_3x3_descending``, which hands
+    rows near a repeated eigenvalue back to LAPACK. Either way each row's
+    result depends only on that row, never on the rest of the batch.
 
     Parameters
     ----------
     matrices : ndarray, shape (batch, p, p)
-        Symmetric inputs. Not modified.
+        Symmetric inputs; only the lower triangle is read. Not modified.
     compute_vectors : bool
         Skip the eigenvectors when only eigenvalues are needed.
 
@@ -223,6 +269,8 @@ def eigh_descending_batch(
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a (batch, p, p) stack, got shape {a.shape}")
     if not compute_vectors:
+        if a.shape[1] == 3:
+            return _eigvals_3x3_descending(a), None
         return np.linalg.eigvalsh(a)[:, ::-1], None
 
     w, v = np.linalg.eigh(a)

@@ -138,8 +138,9 @@ def _build_wishart(chi2: np.ndarray, normals: np.ndarray, values: np.ndarray) ->
     il, jl = np.tril_indices(p, -1)
     a[:, il, jl] = normals
     b = np.sqrt(values)[None, :, None] * a
-    m = b @ b.transpose(0, 2, 1)
-    return 0.5 * (m + m.transpose(0, 2, 1))
+    # X @ X' comes out exactly symmetric, here and for the t law below
+    # (test_sampled_scatter_is_symmetric_pd pins it), so nothing symmetrises.
+    return b @ b.transpose(0, 2, 1)
 
 
 def _wishart_chunk(values: np.ndarray, n: int, seed: int, chunk_index: int) -> np.ndarray:
@@ -160,8 +161,8 @@ def _elliptical_chunk(
     mix = gen.chisquare(float(nu), CHUNK_SIZE)
     g *= np.sqrt(values)
     m = g.transpose(0, 2, 1) @ g
-    m = 0.5 * (m + m.transpose(0, 2, 1))
-    return m * (nu / mix)[:, None, None]
+    m *= (nu / mix)[:, None, None]
+    return m
 
 
 def scatter_chunk(
@@ -213,9 +214,7 @@ def sample_elliptical_t(spectrum: Spectrum, n: int, nu: int, cfg: SamplerConfig)
     g = gen.standard_normal((CHUNK_SIZE, int(n), spectrum.p))
     mix = gen.chisquare(float(nu), CHUNK_SIZE)
     z = g[row] * np.sqrt(spectrum.values)[None, :]
-    m = z.T @ z
-    m = 0.5 * (m + m.T) * (nu / mix[row])
-    return ScatterSample(matrix=m, dof=int(n))
+    return ScatterSample(matrix=(z.T @ z) * (nu / mix[row]), dof=int(n))
 
 
 def rescue_scatter(
@@ -236,8 +235,7 @@ def rescue_scatter(
     g = gen.standard_normal((int(n), p))
     mix = gen.chisquare(float(nu))
     z = g * np.sqrt(spectrum.values)[None, :]
-    m = z.T @ z
-    return 0.5 * (m + m.T) * (nu / mix)
+    return (z.T @ z) * (nu / mix)
 
 
 def map_chunks(worker, n_chunks: int, jobs: int = 1) -> list:

@@ -138,16 +138,18 @@ def test_round_trip_orthogonality_and_rates():
 
 def test_matches_lapack_eigenvalues():
     rng = np.random.default_rng(11)
-    mats = np.stack([_random_psd(rng, 8) for _ in range(64)])
-    w, v = eigh_descending_batch(mats)
-    assert np.all(np.diff(w, axis=1) <= 0)
-    pivot = np.argmax(np.abs(v), axis=1)
-    assert np.all(np.take_along_axis(v, pivot[:, None, :], axis=1) > 0)
-    recon = np.einsum("bik,bk,bjk->bij", v, w, v)
-    np.testing.assert_allclose(recon, mats, rtol=0, atol=1e-10 * np.abs(mats).max())
-    w_only, none = eigh_descending_batch(mats, compute_vectors=False)
-    assert none is None
-    np.testing.assert_allclose(w_only, w, rtol=1e-12, atol=0)
+    for p in (8, 3):
+        mats = np.stack([_random_psd(rng, p) for _ in range(64)])
+        w, v = eigh_descending_batch(mats)
+        assert np.all(np.diff(w, axis=1) <= 0)
+        pivot = np.argmax(np.abs(v), axis=1)
+        assert np.all(np.take_along_axis(v, pivot[:, None, :], axis=1) > 0)
+        recon = np.einsum("bik,bk,bjk->bij", v, w, v)
+        np.testing.assert_allclose(recon, mats, rtol=0, atol=1e-10 * np.abs(mats).max())
+        # at p=3 the eigenvalue-only path is the closed form, not LAPACK
+        w_only, none = eigh_descending_batch(mats, compute_vectors=False)
+        assert none is None
+        np.testing.assert_allclose(w_only, w, rtol=1e-12, atol=0)
 
 
 def test_deterministic_and_sign_canonical():
@@ -161,17 +163,52 @@ def test_deterministic_and_sign_canonical():
         assert col[np.argmax(np.abs(col))] > 0
 
 
+def _rotated(rng, values):
+    q = np.linalg.qr(rng.standard_normal((len(values), len(values))))[0]
+    a = (q * np.asarray(values, dtype=np.float64)) @ q.T
+    return 0.5 * (a + a.T)
+
+
+@pytest.mark.parametrize("p", [3, 10])
 @pytest.mark.parametrize("compute_vectors", [True, False])
-def test_batch_rows_match_single_matrix_calls(compute_vectors):
+def test_batch_rows_match_single_matrix_calls(compute_vectors, p):
     # per-row results must not depend on the batch they were decomposed in
     rng = np.random.default_rng(5)
-    mats = np.stack([_random_psd(rng, 10) for _ in range(32)])
+    mats = [_random_psd(rng, p) for _ in range(32)]
+    if p == 3:
+        # repeated eigenvalues: rows the closed form hands to LAPACK
+        degenerate = [2.5 * np.eye(3), _rotated(rng, (2.0, 1.0, 1.0)), _rotated(rng, (2.0, 2.0, 1.0))]
+        mats[3:3] = degenerate
+    mats = np.stack(mats)
     w, v = eigh_descending_batch(mats, compute_vectors)
     for k in range(mats.shape[0]):
         wk, vk = eigh_descending_batch(mats[k : k + 1], compute_vectors)
         assert np.array_equal(w[k], wk[0])
         if compute_vectors:
             assert np.array_equal(v[k], vk[0])
+    if p == 3 and not compute_vectors:
+        assert np.array_equal(w[3:6], np.linalg.eigvalsh(mats[3:6])[:, ::-1])
+
+
+@settings(max_examples=300)
+@given(
+    log_top=st.floats(-6.0, 6.0),
+    log_cond=st.floats(0.0, 14.0),
+    log_gap=st.floats(-16.0, 0.0),
+    gap_at_top=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_3x3_eigenvalues_match_lapack(log_top, log_cond, log_gap, gap_at_top, seed):
+    # rotated spectra with relative gaps down to 1e-16 and condition numbers up to 1e14
+    top = 10.0**log_top
+    bottom = top * 10.0**-log_cond
+    gap = 10.0**log_gap * (top - bottom)
+    middle = top - gap if gap_at_top else bottom + gap
+    a = _rotated(np.random.default_rng(seed), (top, middle, bottom))
+    w, _ = eigh_descending_batch(a[None], compute_vectors=False)
+    assert np.all(np.diff(w[0]) <= 0)
+    ref = np.linalg.eigvalsh(a)[::-1]
+    assert np.abs(w[0] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_rejects_non_positive_definite():

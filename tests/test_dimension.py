@@ -16,7 +16,7 @@ from spectra_shrink import (
     relative_criterion,
 )
 from spectra_shrink.cases import spiked_case
-from spectra_shrink.dimension import DimensionHistogram
+from spectra_shrink.dimension import DimensionHistogram, _decisions
 
 
 def test_decide_cumulative_examples():
@@ -71,6 +71,27 @@ def test_cumulative_monotone_in_cutoff(rates, t1, t2):
     r = ContributionRates(rates)
     lo, hi = sorted((t1, t2))
     assert decide_cumulative(r, lo) <= decide_cumulative(r, hi)
+
+
+@settings(max_examples=100)
+@given(
+    rows=st.integers(2, 10).flatmap(
+        lambda p: st.lists(
+            st.lists(st.floats(1e-6, 1.0), min_size=p, max_size=p), min_size=1, max_size=16
+        )
+    ),
+    t_star=st.floats(0.05, 0.95),
+    normalize_relative=st.booleans(),
+)
+def test_batch_decisions_match_scalar_decide(rows, t_star, normalize_relative):
+    rates = np.array(rows)
+    for criterion in (cumulative_criterion(t_star), relative_criterion()):
+        dims = _decisions(rates, criterion, normalize_relative)
+        for row, dim in zip(rates, dims):
+            r = ContributionRates(row)
+            if normalize_relative and criterion.kind == "relative":
+                r = r.normalized()
+            assert dim == decide(r, criterion).chosen_dim
 
 
 def test_relative_scale_sensitivity():

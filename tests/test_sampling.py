@@ -109,9 +109,10 @@ def test_wishart_first_moment():
     assert dev < 3.0 * np.sqrt(2.0 / (n * reps))
 
 
-def test_sampled_scatter_is_symmetric_pd():
+@pytest.mark.parametrize("distribution", ["wishart", "t:5"])
+def test_sampled_scatter_is_symmetric_pd(distribution):
     spec = Spectrum((2.0, 1.0, 0.5, 0.25))
-    s = scatter_chunk(spec, 6, "wishart", seed=11, chunk_index=0)[:200]
+    s = scatter_chunk(spec, 6, distribution, seed=11, chunk_index=0)[:200]
     assert np.array_equal(s, s.transpose(0, 2, 1))
     assert np.linalg.eigvalsh(s).min() > 0
 
