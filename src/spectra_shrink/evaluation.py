@@ -256,6 +256,23 @@ def _mean_se(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray
     return mean, se
 
 
+def _merge_moments(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error from per-chunk (count, mean, M2), merged in order.
+
+    M2 is the sum of squared deviations from the chunk mean. Chunks are
+    combined left to right with the pairwise update of Chan, Golub & LeVeque
+    (1979), so the result depends on the chunk plan but not on the workers.
+    """
+    count, mean, m2 = parts[0]
+    for rows, chunk_mean, chunk_m2 in parts[1:]:
+        merged = count + rows
+        delta = chunk_mean - mean
+        mean = mean + delta * (rows / merged)
+        m2 = m2 + chunk_m2 + delta * delta * (count * rows / merged)
+        count = merged
+    return mean, np.sqrt(m2 / (count - 1)) / sqrt(count)
+
+
 def _batch_rates(s: np.ndarray, need_vectors: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     w, v = eigh_descending_batch(s, compute_vectors=need_vectors)
     if np.any(w[:, -1] <= 0.0):
@@ -303,17 +320,14 @@ def simulate_bias(
     Wishart sampling) is subtracted per draw. The mean is unchanged but its
     standard error drops by roughly the factor the expansion remainder needs
     to be resolved at large n. Wishart only: the zero-mean property is the
-    Wishart first-moment identity.
+    Wishart first-moment identity. Each chunk is reduced to its (count,
+    mean, M2) before the chunks are merged, so memory does not grow with
+    ``replicates``.
     """
     if replicates < 100:
         raise ValueError("bias simulation needs at least 100 replicates")
-    if not control_variate:
-        d = sample_rates(spectrum, n, distribution, replicates, seed, jobs)
-        mean, se = _mean_se(d, axis=0)
-        return BiasSimulation(mean_rates=mean, std_errors=se, replicates=replicates)
-
     kind, _ = sampling.parse_distribution(distribution)
-    if kind != "wishart":
+    if control_variate and kind != "wishart":
         raise ValueError("the control-variate estimator requires Wishart sampling")
     lam = spectrum.values
     total = lam.sum()
@@ -321,15 +335,16 @@ def simulate_bias(
     def worker(args):
         chunk, rows = args
         s = sampling.scatter_chunk(spectrum, n, distribution, seed, chunk)[:rows]
-        _, d, _ = _batch_rates(s, need_vectors=False)
-        delta = np.einsum("rii->ri", s) / n - lam[None, :]
-        linear = delta / total - lam[None, :] * delta.sum(axis=1)[:, None] / total**2
-        return d - linear
+        _, z, _ = _batch_rates(s, need_vectors=False)
+        if control_variate:
+            delta = np.einsum("rii->ri", s) / n - lam[None, :]
+            z = z - (delta / total - lam[None, :] * delta.sum(axis=1)[:, None] / total**2)
+        mean = z.mean(axis=0)
+        return rows, mean, ((z - mean) ** 2).sum(axis=0)
 
     plan = _chunk_plan(replicates)
     parts = sampling.map_chunks(lambda c: worker(plan[c]), len(plan), jobs)
-    z = np.concatenate(parts, axis=0)
-    mean, se = _mean_se(z, axis=0)
+    mean, se = _merge_moments(parts)
     return BiasSimulation(mean_rates=mean, std_errors=se, replicates=replicates)
 
 

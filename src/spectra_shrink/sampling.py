@@ -4,11 +4,12 @@ Draws are organized in fixed-size chunks keyed by (seed, distribution,
 chunk index) through a Philox counter-based generator, so the draw for
 replicate k depends only on the seed and k - never on how many replicates
 are requested, the evaluation order, or the worker count. The Wishart
-route builds S directly from a Bartlett factor; the elliptical-t route
-materializes the n x p data matrix and shares a single chi-square mixing
-variable across the whole matrix, which is what makes the matrix law
-elliptically contoured rather than a stack of independent heavy-tailed
-rows.
+route builds S directly from a Bartlett factor, entry by entry at p = 3
+and by a batched matmul otherwise. The elliptical-t route materializes
+the n x p data matrix, a block of rows of the chunk at a time, and shares
+a single chi-square mixing variable across the whole matrix, which is
+what makes the matrix law elliptically contoured rather than a stack of
+independent heavy-tailed rows.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ __all__ = [
 #: Replicates per stream chunk. Part of the stream contract: changing it
 #: changes which variates replicate k receives.
 CHUNK_SIZE = 4096
+
+#: Rows of an elliptical-t chunk whose normals are held at once; divides
+#: CHUNK_SIZE. Bounds the chunk's temporaries without changing its draws.
+_ELLIPTICAL_BLOCK = 512
 
 _TAG_WISHART = 0
 _TAG_ELLIPTICAL = 1
@@ -130,14 +135,35 @@ def _generator(seed: int, tag: int, counter: int) -> np.random.Generator:
 
 
 def _build_wishart(chi2: np.ndarray, normals: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Assemble S = L A A' L' from Bartlett variates, one matrix per row."""
+    """Assemble S = B B' from Bartlett variates, B = L A, one matrix per row.
+
+    The scale L = diag(sqrt(values)) is applied to the compact diagonal
+    sqrt(chi2) and to the strictly-lower normals before they are placed. At
+    p = 3 the six entries of S are then formed elementwise from the six
+    factor entries, which avoids a per-matrix BLAS call for 3x3 products;
+    these sums can differ from BLAS by an ulp. Other sizes scatter the
+    factor into a zeroed (rows, p, p) array and use a batched matmul.
+    """
     rows, p = chi2.shape
-    a = np.zeros((rows, p, p))
-    idx = np.arange(p)
-    a[:, idx, idx] = np.sqrt(chi2)
+    scale = np.sqrt(values)
     il, jl = np.tril_indices(p, -1)
-    a[:, il, jl] = normals
-    b = np.sqrt(values)[None, :, None] * a
+    diag = np.sqrt(chi2) * scale
+    lower = normals * scale[il]
+    if p == 3:
+        b00, b11, b22 = diag.T
+        b10, b20, b21 = lower.T
+        s = np.empty((rows, 3, 3))
+        s[:, 0, 0] = b00 * b00
+        s[:, 1, 0] = s[:, 0, 1] = b10 * b00
+        s[:, 1, 1] = b10 * b10 + b11 * b11
+        s[:, 2, 0] = s[:, 0, 2] = b20 * b00
+        s[:, 2, 1] = s[:, 1, 2] = b20 * b10 + b21 * b11
+        s[:, 2, 2] = b20 * b20 + b21 * b21 + b22 * b22
+        return s
+    b = np.zeros((rows, p, p))
+    flat = b.reshape(rows, p * p)
+    flat[:, np.arange(p) * (p + 1)] = diag
+    flat[:, il * p + jl] = lower
     # X @ X' comes out exactly symmetric, here and for the t law below
     # (test_sampled_scatter_is_symmetric_pd pins it), so nothing symmetrises.
     return b @ b.transpose(0, 2, 1)
@@ -155,12 +181,19 @@ def _wishart_chunk(values: np.ndarray, n: int, seed: int, chunk_index: int) -> n
 def _elliptical_chunk(
     values: np.ndarray, n: int, nu: int, seed: int, chunk_index: int
 ) -> np.ndarray:
+    # Normals are drawn in row blocks into one reused buffer. Consecutive
+    # standard_normal calls continue the same stream, so the chunk is the
+    # same as from one (CHUNK_SIZE, n, p) draw, without holding all of it.
     p = values.size
     gen = _generator(seed, _TAG_ELLIPTICAL, chunk_index)
-    g = gen.standard_normal((CHUNK_SIZE, n, p))
+    scale = np.sqrt(values)
+    g = np.empty((_ELLIPTICAL_BLOCK, n, p))
+    m = np.empty((CHUNK_SIZE, p, p))
+    for start in range(0, CHUNK_SIZE, _ELLIPTICAL_BLOCK):
+        gen.standard_normal(out=g)
+        g *= scale
+        np.matmul(g.transpose(0, 2, 1), g, out=m[start : start + _ELLIPTICAL_BLOCK])
     mix = gen.chisquare(float(nu), CHUNK_SIZE)
-    g *= np.sqrt(values)
-    m = g.transpose(0, 2, 1) @ g
     m *= (nu / mix)[:, None, None]
     return m
 

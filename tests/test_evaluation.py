@@ -18,6 +18,7 @@ from spectra_shrink import (
     family_weights,
     plugin_covariance,
     quadratic_loss,
+    sample_rates,
     shrink_estimate,
     simulate_bias,
     simulate_stein_haff,
@@ -289,6 +290,23 @@ def test_jobs_do_not_change_results():
     four = simulate_bias(spec, 12, "wishart", 9000, seed=19, jobs=4)
     assert np.array_equal(one.mean_rates, four.mean_rates)
     assert np.array_equal(one.std_errors, four.std_errors)
+    # the control-variate branch at p=3, with a partial last chunk
+    spec = Spectrum((0.5, 0.3, 0.2))
+    one = simulate_bias(spec, 50, "wishart", 3 * 4096 + 77, seed=19, jobs=1, control_variate=True)
+    four = simulate_bias(spec, 50, "wishart", 3 * 4096 + 77, seed=19, jobs=4, control_variate=True)
+    assert np.array_equal(one.mean_rates, four.mean_rates)
+    assert np.array_equal(one.std_errors, four.std_errors)
+
+
+@pytest.mark.parametrize("replicates", [1000, 4096, 2 * 4096 + 123])
+def test_streamed_bias_moments_match_concatenated_rates(replicates):
+    # one partial chunk, one full chunk, and a partial last chunk
+    spec = Spectrum((0.4, 0.3, 0.2, 0.1))
+    d = sample_rates(spec, 12, "wishart", replicates, seed=31)
+    sim = simulate_bias(spec, 12, "wishart", replicates, seed=31)
+    np.testing.assert_allclose(sim.mean_rates, d.mean(axis=0), rtol=1e-12, atol=0)
+    se = d.std(axis=0, ddof=1) / np.sqrt(replicates)
+    np.testing.assert_allclose(sim.std_errors, se, rtol=1e-12, atol=0)
 
 
 def test_control_variate_agrees_and_tightens():

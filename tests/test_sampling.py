@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from spectra_shrink import (
@@ -12,7 +14,14 @@ from spectra_shrink import (
     spiked_spectrum,
 )
 from spectra_shrink.evaluation import sample_rates
-from spectra_shrink.sampling import CHUNK_SIZE, _build_wishart, rescue_scatter, scatter_chunk
+from spectra_shrink.sampling import (
+    CHUNK_SIZE,
+    _TAG_ELLIPTICAL,
+    _build_wishart,
+    _generator,
+    rescue_scatter,
+    scatter_chunk,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +116,64 @@ def test_wishart_first_moment():
     assert dev < 0.02
     # MC-noise-based bound: entrywise SE is at most sqrt(2/(n reps)) * max lambda
     assert dev < 3.0 * np.sqrt(2.0 / (n * reps))
+
+
+def _bartlett_variates(seed, p, n, rows):
+    rng = np.random.default_rng(seed)
+    chi2 = rng.chisquare(n - np.arange(p, dtype=np.float64), size=(rows, p))
+    normals = rng.standard_normal((rows, p * (p - 1) // 2))
+    return chi2, normals
+
+
+def _bartlett_reference(chi2, normals, values):
+    """B B' through a zero-filled factor B = diag(sqrt(values)) A and a matmul."""
+    rows, p = chi2.shape
+    a = np.zeros((rows, p, p))
+    idx = np.arange(p)
+    a[:, idx, idx] = np.sqrt(chi2)
+    il, jl = np.tril_indices(p, -1)
+    a[:, il, jl] = normals
+    b = np.sqrt(values)[None, :, None] * a
+    return b @ b.transpose(0, 2, 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 400),
+    log_values=st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3),
+)
+def test_3x3_bartlett_product_matches_matmul(seed, n, log_values):
+    values = 10.0 ** np.array(log_values)
+    chi2, normals = _bartlett_variates(seed, 3, n, 256)
+    s = _build_wishart(chi2, normals, values)
+    assert np.array_equal(s, s.transpose(0, 2, 1))
+    ref = _bartlett_reference(chi2, normals, values)
+    err = np.abs(s - ref).max(axis=(1, 2))
+    assert np.all(err <= 1e-15 * np.abs(ref).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("p", [2, 10, 20])
+def test_bartlett_product_is_bit_identical_to_matmul(p):
+    chi2, normals = _bartlett_variates(p, p, 2 * p, 512)
+    values = np.linspace(3.0, 0.2, p)
+    assert np.array_equal(
+        _build_wishart(chi2, normals, values), _bartlett_reference(chi2, normals, values)
+    )
+
+
+@pytest.mark.parametrize("p, n", [(3, 3), (10, 100), (20, 40)])
+def test_elliptical_chunk_matches_one_shot_draw(p, n):
+    # The sampler draws its normals in row blocks; the stream contract is
+    # one (CHUNK_SIZE, n, p) draw followed by the mixing draw.
+    spec = Spectrum(np.linspace(1.0, 0.1, p))
+    gen = _generator(13, _TAG_ELLIPTICAL, 2)
+    g = gen.standard_normal((CHUNK_SIZE, n, p))
+    mix = gen.chisquare(5.0, CHUNK_SIZE)
+    g *= np.sqrt(spec.values)
+    ref = g.transpose(0, 2, 1) @ g
+    ref *= (5 / mix)[:, None, None]
+    assert np.array_equal(scatter_chunk(spec, n, "t:5", seed=13, chunk_index=2), ref)
 
 
 @pytest.mark.parametrize("distribution", ["wishart", "t:5"])
