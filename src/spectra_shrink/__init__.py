@@ -49,8 +49,6 @@ from .evaluation import (
     compare_risks,
     entropy_loss,
     entropy_risk_difference_bound,
-    estimate_bias,
-    estimate_risk,
     invariance_check,
     quadratic_loss,
     sample_rates,
@@ -104,9 +102,7 @@ __all__ = [
     "stein_haff_G",
     "entropy_risk_difference_bound",
     "bias_expansion",
-    "estimate_risk",
     "compare_risks",
-    "estimate_bias",
     "simulate_bias",
     "simulate_stein_haff",
     "sample_rates",

@@ -505,9 +505,11 @@ def _cmd_weights(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be positive, got {args.jobs}")
     from .acceptance import run_acceptance
 
-    results = run_acceptance(jobs=args.jobs or 1)
+    results = run_acceptance(jobs=args.jobs)
     failures = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from . import sampling
 from .core import (
@@ -35,9 +34,7 @@ __all__ = [
     "stein_haff_G",
     "entropy_risk_difference_bound",
     "bias_expansion",
-    "estimate_risk",
     "compare_risks",
-    "estimate_bias",
     "simulate_bias",
     "simulate_stein_haff",
     "sample_rates",
@@ -348,18 +345,6 @@ def simulate_bias(
     return BiasSimulation(mean_rates=mean, std_errors=se, replicates=replicates)
 
 
-def estimate_bias(
-    spectrum: Spectrum,
-    n: int,
-    distribution: str,
-    replicates: int,
-    seed: int,
-    jobs: int = 1,
-) -> np.ndarray:
-    """Monte Carlo mean of the sample contribution rates per coordinate."""
-    return simulate_bias(spectrum, n, distribution, replicates, seed, jobs).mean_rates
-
-
 def _entropy_losses(
     d: np.ndarray, v: np.ndarray, betas: np.ndarray, tau: np.ndarray
 ) -> np.ndarray:
@@ -433,26 +418,6 @@ def compare_risks(
         std_errors=ses,
         diff_means=diff_means,
         diff_std_errors=diff_ses,
-        replicates=replicates,
-        loss_kind=loss_kind,
-    )
-
-
-def estimate_risk(
-    spectrum: Spectrum,
-    n: int,
-    weights: ShrinkageWeights,
-    loss_kind: str,
-    distribution: str,
-    replicates: int,
-    seed: int,
-    jobs: int = 1,
-) -> RiskEstimate:
-    """Monte Carlo risk of one estimator under the chosen loss."""
-    cmp = compare_risks(spectrum, n, [weights], loss_kind, distribution, replicates, seed, jobs)
-    return RiskEstimate(
-        mean_loss=float(cmp.mean_losses[0]),
-        std_error=float(cmp.std_errors[0]),
         replicates=replicates,
         loss_kind=loss_kind,
     )
@@ -566,6 +531,10 @@ def invariance_check(
     rate distribution is the same for every member of the elliptical family,
     so equality should be accepted coordinate by coordinate.
     """
+    # Imported here: scipy.stats takes about a second to load, and no other
+    # engine or command needs it.
+    from scipy.stats import ks_2samp
+
     d_wishart = sample_rates(spectrum, n, "wishart", replicates, seed, jobs)
     d_elliptical = sample_rates(spectrum, n, f"t:{int(nu)}", replicates, seed, jobs)
     stats = np.empty(spectrum.p)

@@ -244,9 +244,14 @@ def sample_elliptical_t(spectrum: Spectrum, n: int, nu: int, cfg: SamplerConfig)
         raise ValueError(f"elliptical t needs nu >= 3 for a finite scatter mean, got {nu!r}")
     chunk, row = divmod(cfg.replicate_index, CHUNK_SIZE)
     gen = _generator(cfg.seed, _TAG_ELLIPTICAL, chunk)
-    g = gen.standard_normal((CHUNK_SIZE, int(n), spectrum.p))
+    # The mixing draws follow the whole chunk's normals in the stream, so
+    # every block is drawn, as in _elliptical_chunk, but only one row kept.
+    g = np.empty((_ELLIPTICAL_BLOCK, int(n), spectrum.p))
+    for start in range(0, CHUNK_SIZE, _ELLIPTICAL_BLOCK):
+        gen.standard_normal(out=g)
+        if start <= row < start + _ELLIPTICAL_BLOCK:
+            z = g[row - start] * np.sqrt(spectrum.values)[None, :]
     mix = gen.chisquare(float(nu), CHUNK_SIZE)
-    z = g[row] * np.sqrt(spectrum.values)[None, :]
     return ScatterSample(matrix=(z.T @ z) * (nu / mix[row]), dof=int(n))
 
 

@@ -1,9 +1,14 @@
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spectra_shrink import __version__
+import spectra_shrink
+from spectra_shrink import __version__, acceptance
 from spectra_shrink.cases import (
     SPIKED_CASES,
     TABLE1_SPECTRA,
@@ -185,6 +190,23 @@ def test_invalid_specs_exit_2(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_invalid_jobs(jobs, monkeypatch, capsys):
+    ran = []
+
+    def criterion(jobs):
+        ran.append(jobs)
+        return acceptance.CriterionResult(name="stub", passed=True)
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (criterion,))
+    assert main(["verify", "--jobs", jobs]) == 2
+    assert "jobs must be positive" in capsys.readouterr().err
+    assert ran == []
+    # the same stub does run once the worker count is valid
+    assert main(["verify", "--jobs", "2"]) == 0
+    assert ran == [2]
+
+
 def test_io_failure_exits_3(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
     code = main(["bias", "--spectrum", "0.6,0.4", "--n", "12", "--reps", "200",
@@ -245,3 +267,50 @@ def test_experiment_spec_validates_before_sampling():
     spec = ExperimentSpec(kind="bias", spectrum=(0.6, 0.4), n=30, replicates=10)
     with pytest.raises(ValueError, match="replicates"):
         spec.validate()
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+# ---------------------------------------------------------------------------
+
+# Runs in a fresh interpreter: after each step it records whether
+# scipy.stats (about a second to import) has been loaded.
+_COLD_START = """
+import json, sys
+sys.path.insert(0, {src!r})
+import spectra_shrink, spectra_shrink.cli as cli
+out = {out!r}
+steps = [
+    ("import", None),
+    ("weights", ["weights", "--p", "10", "--n", "30", "--q", "1"]),
+    ("bias", ["bias", "--spectrum", "0.5,0.3,0.2", "--n", "30", "--reps", "200"]),
+    ("risk", ["risk", "--spectrum", "table2:1", "--reps", "200"]),
+    ("dimension", ["dimension", "--case", "1", "--reps", "200"]),
+    ("stein-haff", ["stein-haff", "--spectrum", "table2:5", "--reps", "200"]),
+    ("invariance", ["invariance", "--spectrum", "0.4,0.3,0.2,0.1", "--n", "15", "--reps", "200"]),
+]
+loaded = {{}}
+for name, argv in steps:
+    if argv is not None:
+        extra = [] if name == "weights" else ["--out", out]
+        assert cli.main(argv + extra) == 0, name
+    loaded[name] = "scipy.stats" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_cold_start_loads_scipy_stats_only_for_invariance(tmp_path):
+    src = Path(spectra_shrink.__file__).resolve().parents[1]
+    code = _COLD_START.format(src=str(src), out=str(tmp_path / "out.csv"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {
+        "import": False,
+        "weights": False,
+        "bias": False,
+        "risk": False,
+        "dimension": False,
+        "stein-haff": False,
+        "invariance": True,
+    }

@@ -13,8 +13,6 @@ from spectra_shrink import (
     compare_risks,
     entropy_loss,
     entropy_risk_difference_bound,
-    estimate_bias,
-    estimate_risk,
     family_weights,
     plugin_covariance,
     quadratic_loss,
@@ -239,7 +237,7 @@ def test_bias_expansion_rejects_multiplicity():
 def test_bias_expansion_matches_monte_carlo():
     spec = Spectrum((0.5, 0.3, 0.2))
     n = 200
-    means = estimate_bias(spec, n, "wishart", 100000, seed=43)
+    means = simulate_bias(spec, n, "wishart", 100000, seed=43).mean_rates
     assert np.abs(means - bias_expansion(spec, n)).max() < 1e-3
 
 
@@ -248,15 +246,15 @@ def test_bias_expansion_matches_monte_carlo():
 # ---------------------------------------------------------------------------
 
 
-def test_estimate_risk_matches_compare_risks_pairing():
+def test_single_estimator_risk_matches_paired_row():
     spec = Spectrum((0.14,) * 5 + (0.06,) * 5)
     w0 = classical_weights(10, 30)
     w1 = family_weights(10, 30, 1)
     cmp = compare_risks(spec, 30, [w0, w1], "quadratic", "wishart", 500, seed=3)
-    solo0 = estimate_risk(spec, 30, w0, "quadratic", "wishart", 500, seed=3)
-    solo1 = estimate_risk(spec, 30, w1, "quadratic", "wishart", 500, seed=3)
-    assert solo0.mean_loss == cmp.mean_losses[0]
-    assert solo1.mean_loss == cmp.mean_losses[1]
+    solo0 = compare_risks(spec, 30, [w0], "quadratic", "wishart", 500, seed=3)
+    solo1 = compare_risks(spec, 30, [w1], "quadratic", "wishart", 500, seed=3)
+    assert solo0.mean_losses[0] == cmp.mean_losses[0]
+    assert solo1.mean_losses[0] == cmp.mean_losses[1]
     assert cmp.replicates == 500
 
 
@@ -273,10 +271,10 @@ def test_replicate_floor_enforced():
     with pytest.raises(ValueError, match="100"):
         simulate_bias(spec, 10, "wishart", 99, seed=0)
     with pytest.raises(ValueError, match="100"):
-        estimate_risk(
+        compare_risks(
             Spectrum((0.1,) * 10),
             30,
-            classical_weights(10, 30),
+            [classical_weights(10, 30)],
             "quadratic",
             "wishart",
             99,
@@ -322,5 +320,5 @@ def test_control_variate_agrees_and_tightens():
 
 def test_mean_bias_direction_for_top_rate():
     # ordering forces the expected top rate above 1/2 for equal eigenvalues
-    means = estimate_bias(Spectrum((0.5, 0.5)), 20, "wishart", 20000, seed=47)
+    means = simulate_bias(Spectrum((0.5, 0.5)), 20, "wishart", 20000, seed=47).mean_rates
     assert means[0] > 0.5

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,35 @@ def test_elliptical_chunk_matches_one_shot_draw(p, n):
     ref = g.transpose(0, 2, 1) @ g
     ref *= (5 / mix)[:, None, None]
     assert np.array_equal(scatter_chunk(spec, n, "t:5", seed=13, chunk_index=2), ref)
+
+
+@pytest.mark.parametrize("replicate", [0, 1500, 4095, 4096 + 7])
+def test_single_elliptical_draw_matches_one_shot_draw(replicate):
+    # One draw walks its chunk's normals block by block; the stream contract
+    # is one (CHUNK_SIZE, n, p) draw followed by the mixing draw.
+    spec = Spectrum((0.4, 0.3, 0.2, 0.1))
+    n = 12
+    chunk, row = divmod(replicate, CHUNK_SIZE)
+    gen = _generator(21, _TAG_ELLIPTICAL, chunk)
+    g = gen.standard_normal((CHUNK_SIZE, n, spec.p))
+    mix = gen.chisquare(5.0, CHUNK_SIZE)
+    z = g[row] * np.sqrt(spec.values)[None, :]
+    ref = (z.T @ z) * (5 / mix[row])
+    draw = sample_elliptical_t(spec, n, 5, SamplerConfig(seed=21, replicate_index=replicate))
+    assert np.array_equal(draw.matrix, ref)
+
+
+def test_single_elliptical_draw_memory_is_bounded():
+    spec = Spectrum(np.linspace(1.0, 0.1, 10))
+    cfg = SamplerConfig(seed=5, replicate_index=100)
+    tracemalloc.start()
+    try:
+        sample_elliptical_t(spec, 100, 5, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a whole chunk of normals at n=100, p=10 would be ~33 MB
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("distribution", ["wishart", "t:5"])
