@@ -25,7 +25,7 @@ from .dimension import (
     decide,
     decide_cumulative,
     decide_relative,
-    dimension_experiment,
+    dimension_experiment_for_spectrum,
     relative_criterion,
 )
 from .estimators import (
@@ -43,7 +43,6 @@ from .evaluation import (
     BiasSimulation,
     InvarianceReport,
     RiskComparison,
-    RiskEstimate,
     SteinHaffCheck,
     bias_expansion,
     compare_risks,
@@ -92,7 +91,6 @@ __all__ = [
     "spiked_spectrum",
     "sample_wishart",
     "sample_elliptical_t",
-    "RiskEstimate",
     "RiskComparison",
     "BiasSimulation",
     "SteinHaffCheck",
@@ -115,5 +113,5 @@ __all__ = [
     "decide",
     "decide_cumulative",
     "decide_relative",
-    "dimension_experiment",
+    "dimension_experiment_for_spectrum",
 ]

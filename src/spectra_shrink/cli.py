@@ -39,7 +39,7 @@ from .evaluation import (
 )
 from .sampling import parse_distribution, spiked_spectrum
 
-__all__ = ["ExperimentSpec", "builtin_cases", "run", "main"]
+__all__ = ["ExperimentSpec", "run", "main"]
 
 SEED_ENV_VAR = "SPECTRA_SHRINK_SEED"
 
@@ -102,19 +102,6 @@ class ExperimentSpec:
                 raise ValueError("risk runs compare the q=1 and q=2 estimators and need p >= 6")
             if self.kind == "stein-haff" and p >= 4 and not 1 <= self.q <= p / 2 - 1:
                 raise ValueError(f"q must satisfy 1 <= q <= p/2 - 1 = {p / 2 - 1:g}, got {self.q}")
-
-
-def builtin_cases() -> list[ExperimentSpec]:
-    """Named specs for every tabulated spectrum: bias rows, risk rows, spiked cases."""
-    specs: list[ExperimentSpec] = []
-    for k, values in enumerate(cases.TABLE1_SPECTRA, start=1):
-        specs.append(ExperimentSpec(kind="bias", name=f"table1-row{k}", spectrum=values, n=30))
-    for k, values in enumerate(cases.TABLE2_SPECTRA, start=1):
-        specs.append(ExperimentSpec(kind="risk", name=f"table2-row{k}", spectrum=values, n=30))
-    for k in range(1, len(cases.SPIKED_CASES) + 1):
-        for n in (30, 100):
-            specs.append(ExperimentSpec(kind="dimension", name=f"case{k}-n{n}", case=k, n=n))
-    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +267,6 @@ def _run_stein_haff(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
         "se_g",
         "diff",
         "se_diff",
-        "redraws",
     ]
     rows = [
         [
@@ -291,7 +277,6 @@ def _run_stein_haff(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
             c.g_std_error,
             c.diff_mean,
             c.diff_std_error,
-            c.redraw_count,
         ]
         for label, c in zip(labels, checks)
     ]

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sampling
 from .core import ContributionRates, Spectrum
 from .estimators import ShrinkageWeights
-from .evaluation import _batch_rates, _chunk_plan
+from .evaluation import _run_chunks, _stack_betas
 
 __all__ = [
     "DimensionCriterion",
@@ -26,7 +25,7 @@ __all__ = [
     "decide_cumulative",
     "decide_relative",
     "decide",
-    "dimension_experiment",
+    "dimension_experiment_for_spectrum",
 ]
 
 
@@ -150,38 +149,6 @@ def _estimator_label(weights: ShrinkageWeights) -> str:
     return "classical" if np.all(weights.beta == 1.0) else "custom"
 
 
-def dimension_experiment(
-    model: sampling.SpikedModel,
-    n: int,
-    estimators: list[ShrinkageWeights],
-    criteria: list[DimensionCriterion],
-    replicates: int,
-    seed: int,
-    distribution: str = "wishart",
-    jobs: int = 1,
-    normalize_for_criterion2: bool = False,
-) -> list[DimensionHistogram]:
-    """Histogram the decided dimension for every (criterion, estimator) pair.
-
-    The population spectrum comes from the spiked model; the true dimension
-    of each histogram is the criterion applied to the population rates.
-    Shrunk estimates are compared against 1/p as they are unless
-    ``normalize_for_criterion2`` asks for rescaling first.
-    """
-    spectrum = sampling.spiked_spectrum(model)
-    return dimension_experiment_for_spectrum(
-        spectrum,
-        n,
-        estimators,
-        criteria,
-        replicates,
-        seed,
-        distribution=distribution,
-        jobs=jobs,
-        normalize_for_criterion2=normalize_for_criterion2,
-    )
-
-
 def dimension_experiment_for_spectrum(
     spectrum: Spectrum,
     n: int,
@@ -193,23 +160,23 @@ def dimension_experiment_for_spectrum(
     jobs: int = 1,
     normalize_for_criterion2: bool = False,
 ) -> list[DimensionHistogram]:
-    """Same experiment for an explicit population spectrum."""
+    """Histogram the decided dimension for every (criterion, estimator) pair.
+
+    The true dimension of each histogram is the criterion applied to the
+    population rates of ``spectrum``; for a spiked model pass
+    ``sampling.spiked_spectrum(model)``. Shrunk estimates are compared
+    against 1/p as they are unless ``normalize_for_criterion2`` asks for
+    rescaling first.
+    """
     if replicates < 100:
         raise ValueError("the dimension experiment needs at least 100 replicates")
     if not estimators or not criteria:
         raise ValueError("need at least one estimator and one criterion")
     p = spectrum.p
-    for w in estimators:
-        if w.p != p:
-            raise ValueError(f"weight length {w.p} does not match dimension {p}")
-    sampling.parse_distribution(distribution)
-    betas = np.stack([w.beta for w in estimators])
+    betas = _stack_betas(estimators, p)
     population = spectrum.values / spectrum.values.sum()
 
-    def worker(args):
-        chunk, rows = args
-        s = sampling.scatter_chunk(spectrum, n, distribution, seed, chunk)[:rows]
-        _, d, _ = _batch_rates(s, need_vectors=False)
+    def stat(s, l, d, v):
         counts = np.zeros((len(criteria), len(estimators), p + 1), dtype=np.int64)
         for e, beta in enumerate(betas):
             est = beta[None, :] * d
@@ -218,8 +185,7 @@ def dimension_experiment_for_spectrum(
                 counts[c, e] = np.bincount(dims, minlength=p + 1)
         return counts
 
-    plan = _chunk_plan(replicates)
-    parts = sampling.map_chunks(lambda c: worker(plan[c]), len(plan), jobs)
+    parts = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, False, stat)
     totals = np.sum(parts, axis=0)
 
     out = []

@@ -1,9 +1,11 @@
 """Loss functions, risk functionals, and the Monte Carlo engines.
 
-The engines consume scatter draws chunk by chunk (see sampling) and reduce
-per-replicate statistics in a fixed order, so results are identical for
-any worker count. All estimators are always evaluated on the same draws:
-risk comparisons are paired by construction.
+Every engine runs through one chunked runner: sample a chunk of scatter
+draws (see sampling), decompose it, and reduce it to moments, counts or
+rates. Chunk results are combined in chunk order, so results are identical
+for any worker count, and the moment engines keep no per-replicate arrays.
+All estimators are always evaluated on the same draws: risk comparisons
+are paired by construction.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .core import (
 from .estimators import ShrinkageWeights
 
 __all__ = [
-    "RiskEstimate",
     "RiskComparison",
     "BiasSimulation",
     "SteinHaffCheck",
@@ -44,18 +45,6 @@ __all__ = [
 #: Sample-eigenvalue gap (relative to their sum) below which the
 #: eigenvalue-difference denominators are considered degenerate.
 EIGENGAP_REL_TOL = 1e-12
-
-_MAX_RESCUE_ATTEMPTS = 100
-
-
-@dataclass(frozen=True)
-class RiskEstimate:
-    """Monte Carlo mean loss with its standard error."""
-
-    mean_loss: float
-    std_error: float
-    replicates: int
-    loss_kind: str
 
 
 @dataclass(frozen=True)
@@ -93,7 +82,6 @@ class SteinHaffCheck:
     g_std_error: float
     diff_mean: float
     diff_std_error: float
-    redraw_count: int
     replicates: int
 
 
@@ -247,10 +235,53 @@ def _chunk_plan(replicates: int) -> list[tuple[int, int]]:
     return plan
 
 
-def _mean_se(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    mean = values.mean(axis=axis)
-    se = values.std(axis=axis, ddof=1) / sqrt(values.shape[axis])
-    return mean, se
+def _batch_rates(s: np.ndarray, need_vectors: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    w, v = eigh_descending_batch(s, compute_vectors=need_vectors)
+    if np.any(w[:, -1] <= 0.0):
+        raise RuntimeError("sampled scatter matrix with a non-positive eigenvalue")
+    return w, w / w.sum(axis=1)[:, None], v
+
+
+def _stack_betas(weights_list: list[ShrinkageWeights], p: int) -> np.ndarray:
+    """Weight vectors as rows, each checked against the dimension p."""
+    for w in weights_list:
+        if w.p != p:
+            raise ValueError(f"weight length {w.p} does not match dimension {p}")
+    return np.stack([w.beta for w in weights_list])
+
+
+def _run_chunks(
+    spectrum: Spectrum,
+    n: int,
+    distribution: str,
+    replicates: int,
+    seed: int,
+    jobs: int,
+    need_vectors: bool,
+    stat,
+) -> list:
+    """Reduce the first ``replicates`` draws chunk by chunk, results in chunk order.
+
+    Each chunk is sampled, decomposed into eigenvalues l, rates d and (with
+    ``need_vectors``) eigenvectors v, and reduced by ``stat(s, l, d, v)``;
+    only the reductions are kept. Every engine runs through here.
+    """
+    sampling.parse_distribution(distribution)
+    plan = _chunk_plan(replicates)
+
+    def worker(c):
+        chunk, rows = plan[c]
+        s = sampling.scatter_chunk(spectrum, n, distribution, seed, chunk)[:rows]
+        l, d, v = _batch_rates(s, need_vectors)
+        return stat(s, l, d, v)
+
+    return sampling.map_chunks(worker, len(plan), jobs)
+
+
+def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, mean, M2) over axis 0 of a rows-first array."""
+    mean = values.mean(axis=0)
+    return values.shape[0], mean, ((values - mean) ** 2).sum(axis=0)
 
 
 def _merge_moments(parts: list) -> tuple[np.ndarray, np.ndarray]:
@@ -270,13 +301,6 @@ def _merge_moments(parts: list) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(m2 / (count - 1)) / sqrt(count)
 
 
-def _batch_rates(s: np.ndarray, need_vectors: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    w, v = eigh_descending_batch(s, compute_vectors=need_vectors)
-    if np.any(w[:, -1] <= 0.0):
-        raise RuntimeError("sampled scatter matrix with a non-positive eigenvalue")
-    return w, w / w.sum(axis=1)[:, None], v
-
-
 def sample_rates(
     spectrum: Spectrum,
     n: int,
@@ -288,16 +312,9 @@ def sample_rates(
     """Sample contribution-rate vectors, shape (replicates, p)."""
     if replicates < 1:
         raise ValueError("replicates must be positive")
-    sampling.parse_distribution(distribution)
-
-    def worker(args):
-        chunk, rows = args
-        s = sampling.scatter_chunk(spectrum, n, distribution, seed, chunk)[:rows]
-        _, d, _ = _batch_rates(s, need_vectors=False)
-        return d
-
-    plan = _chunk_plan(replicates)
-    parts = sampling.map_chunks(lambda c: worker(plan[c]), len(plan), jobs)
+    parts = _run_chunks(
+        spectrum, n, distribution, replicates, seed, jobs, False, lambda s, l, d, v: d
+    )
     return np.concatenate(parts, axis=0)
 
 
@@ -317,9 +334,7 @@ def simulate_bias(
     Wishart sampling) is subtracted per draw. The mean is unchanged but its
     standard error drops by roughly the factor the expansion remainder needs
     to be resolved at large n. Wishart only: the zero-mean property is the
-    Wishart first-moment identity. Each chunk is reduced to its (count,
-    mean, M2) before the chunks are merged, so memory does not grow with
-    ``replicates``.
+    Wishart first-moment identity.
     """
     if replicates < 100:
         raise ValueError("bias simulation needs at least 100 replicates")
@@ -329,18 +344,13 @@ def simulate_bias(
     lam = spectrum.values
     total = lam.sum()
 
-    def worker(args):
-        chunk, rows = args
-        s = sampling.scatter_chunk(spectrum, n, distribution, seed, chunk)[:rows]
-        _, z, _ = _batch_rates(s, need_vectors=False)
+    def stat(s, l, z, v):
         if control_variate:
             delta = np.einsum("rii->ri", s) / n - lam[None, :]
             z = z - (delta / total - lam[None, :] * delta.sum(axis=1)[:, None] / total**2)
-        mean = z.mean(axis=0)
-        return rows, mean, ((z - mean) ** 2).sum(axis=0)
+        return _moments(z)
 
-    plan = _chunk_plan(replicates)
-    parts = sampling.map_chunks(lambda c: worker(plan[c]), len(plan), jobs)
+    parts = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, False, stat)
     mean, se = _merge_moments(parts)
     return BiasSimulation(mean_rates=mean, std_errors=se, replicates=replicates)
 
@@ -378,7 +388,8 @@ def compare_risks(
     The truth is the spectrum normalized to unit trace; entropy losses are
     evaluated on the plug-in covariance estimates, quadratic losses on the
     weighted rates directly. The first weights act as the baseline for the
-    paired difference statistics.
+    paired difference statistics, whose moments are streamed alongside the
+    losses' own: a difference's SE cannot be recovered from the row moments.
     """
     if loss_kind not in ("entropy", "quadratic"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -386,38 +397,25 @@ def compare_risks(
         raise ValueError("risk estimation needs at least 100 replicates")
     if not weights_list:
         raise ValueError("need at least one weight vector")
-    p = spectrum.p
-    for w in weights_list:
-        if w.p != p:
-            raise ValueError(f"weight length {w.p} does not match dimension {p}")
-    sampling.parse_distribution(distribution)
-    betas = np.stack([w.beta for w in weights_list])
+    betas = _stack_betas(weights_list, spectrum.p)
+    k = len(weights_list)
     tau = spectrum.values / spectrum.values.sum()
     need_vectors = loss_kind == "entropy"
 
-    def worker(args):
-        chunk, rows = args
-        s = sampling.scatter_chunk(spectrum, n, distribution, seed, chunk)[:rows]
-        _, d, v = _batch_rates(s, need_vectors)
-        if loss_kind == "entropy":
-            return _entropy_losses(d, v, betas, tau)
-        return _quadratic_losses(d, betas, tau)
+    def stat(s, l, d, v):
+        if need_vectors:
+            losses = _entropy_losses(d, v, betas, tau)
+        else:
+            losses = _quadratic_losses(d, betas, tau)
+        return _moments(np.concatenate([losses, losses[1:] - losses[0]]).T)
 
-    plan = _chunk_plan(replicates)
-    parts = sampling.map_chunks(lambda c: worker(plan[c]), len(plan), jobs)
-    losses = np.concatenate(parts, axis=1)
-    means, ses = _mean_se(losses, axis=1)
-    diffs = losses[1:] - losses[0]
-    if diffs.size:
-        diff_means, diff_ses = _mean_se(diffs, axis=1)
-    else:
-        diff_means = np.empty(0)
-        diff_ses = np.empty(0)
+    parts = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, need_vectors, stat)
+    means, ses = _merge_moments(parts)
     return RiskComparison(
-        mean_losses=means,
-        std_errors=ses,
-        diff_means=diff_means,
-        diff_std_errors=diff_ses,
+        mean_losses=means[:k],
+        std_errors=ses[:k],
+        diff_means=means[k:],
+        diff_std_errors=ses[k:],
         replicates=replicates,
         loss_kind=loss_kind,
     )
@@ -445,75 +443,43 @@ def simulate_stein_haff(
     replicates: int,
     seed: int,
     jobs: int = 1,
-    gap_rel_tol: float = EIGENGAP_REL_TOL,
 ) -> list[SteinHaffCheck]:
     """Check E[tr(estimate Sigma^-1)] = E[G] empirically under Wishart draws.
 
-    Draws whose sample eigenvalue gaps fall below ``gap_rel_tol`` (relative
-    to the eigenvalue sum) are replaced from a dedicated rescue stream; the
-    count of replacements is reported. One check per weight vector, all on
-    the same draws.
+    One check per weight vector, all on the same draws. A draw with tied
+    sample eigenvalues, where G is not finite, raises RuntimeError.
     """
     if replicates < 100:
         raise ValueError("the identity check needs at least 100 replicates")
-    p = spectrum.p
-    for w in weights_list:
-        if w.p != p:
-            raise ValueError(f"weight length {w.p} does not match dimension {p}")
+    betas = _stack_betas(weights_list, spectrum.p)
     tau = spectrum.values / spectrum.values.sum()
-    betas = np.stack([w.beta for w in weights_list])
+    k = len(weights_list)
 
-    def worker(args):
-        chunk, rows = args
-        s = sampling.scatter_chunk(spectrum, n, "wishart", seed, chunk)[:rows]
-        redraws = 0
-        l, d, v = _batch_rates(s, need_vectors=True)
-        gaps = (l[:, :-1] - l[:, 1:]).min(axis=1) / l.sum(axis=1)
-        for row in np.nonzero(gaps < gap_rel_tol)[0]:
-            replicate = chunk * sampling.CHUNK_SIZE + int(row)
-            for attempt in range(_MAX_RESCUE_ATTEMPTS):
-                s[row] = sampling.rescue_scatter(spectrum, n, "wishart", seed, replicate, attempt)
-                lr, dr, vr = _batch_rates(s[row : row + 1], need_vectors=True)
-                redraws += 1
-                gap = (lr[0, :-1] - lr[0, 1:]).min() / lr[0].sum()
-                if gap >= gap_rel_tol:
-                    l[row], d[row], v[row] = lr[0], dr[0], vr[0]
-                    break
-            else:
-                raise RuntimeError(
-                    f"failed to draw a gap-separated scatter matrix for replicate {replicate} "
-                    f"within {_MAX_RESCUE_ATTEMPTS} attempts"
-                )
+    def stat(s, l, d, v):
         phi = betas[:, None, :] * d[None, :, :]
         diag = np.einsum("rjk,wrk->wrj", v * v, phi)
         trace = np.einsum("wrj,j->wr", diag, 1.0 / tau)
         g = np.stack([_g_batch(l, d, beta, n) for beta in betas])
-        return trace, g, redraws
-
-    plan = _chunk_plan(replicates)
-    parts = sampling.map_chunks(lambda c: worker(plan[c]), len(plan), jobs)
-    trace = np.concatenate([t for t, _, _ in parts], axis=1)
-    g = np.concatenate([gg for _, gg, _ in parts], axis=1)
-    redraws = sum(r for _, _, r in parts)
-
-    checks = []
-    for k in range(len(weights_list)):
-        t_mean, t_se = _mean_se(trace[k])
-        g_mean, g_se = _mean_se(g[k])
-        diff_mean, diff_se = _mean_se(trace[k] - g[k])
-        checks.append(
-            SteinHaffCheck(
-                mean_trace=float(t_mean),
-                trace_std_error=float(t_se),
-                mean_g=float(g_mean),
-                g_std_error=float(g_se),
-                diff_mean=float(diff_mean),
-                diff_std_error=float(diff_se),
-                redraw_count=redraws,
-                replicates=replicates,
+        if not np.all(np.isfinite(g)):
+            raise RuntimeError(
+                "sampled scatter matrix with tied eigenvalues; the G functional is not finite"
             )
+        return _moments(np.concatenate([trace, g, trace - g]).T)
+
+    parts = _run_chunks(spectrum, n, "wishart", replicates, seed, jobs, True, stat)
+    means, ses = _merge_moments(parts)
+    return [
+        SteinHaffCheck(
+            mean_trace=float(means[j]),
+            trace_std_error=float(ses[j]),
+            mean_g=float(means[k + j]),
+            g_std_error=float(ses[k + j]),
+            diff_mean=float(means[2 * k + j]),
+            diff_std_error=float(ses[2 * k + j]),
+            replicates=replicates,
         )
-    return checks
+        for j in range(k)
+    ]
 
 
 def invariance_check(

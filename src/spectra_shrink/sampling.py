@@ -43,7 +43,6 @@ _ELLIPTICAL_BLOCK = 512
 
 _TAG_WISHART = 0
 _TAG_ELLIPTICAL = 1
-_TAG_RESCUE = 2
 
 _MAX_SEED = 2**64
 _MAX_COUNTER = 2**62
@@ -107,7 +106,6 @@ class SamplerConfig:
 
     seed: int
     replicate_index: int = 0
-    distribution: str = "wishart"
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < _MAX_SEED:
@@ -115,7 +113,6 @@ class SamplerConfig:
         rep = self.replicate_index
         if not isinstance(rep, (int, np.integer)) or not 0 <= rep < _MAX_COUNTER:
             raise ValueError(f"replicate index must be an integer in [0, 2^62), got {rep!r}")
-        parse_distribution(self.distribution)
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "replicate_index", int(rep))
 
@@ -253,27 +250,6 @@ def sample_elliptical_t(spectrum: Spectrum, n: int, nu: int, cfg: SamplerConfig)
             z = g[row - start] * np.sqrt(spectrum.values)[None, :]
     mix = gen.chisquare(float(nu), CHUNK_SIZE)
     return ScatterSample(matrix=(z.T @ z) * (nu / mix[row]), dof=int(n))
-
-
-def rescue_scatter(
-    spectrum: Spectrum, n: int, distribution: str, seed: int, replicate: int, attempt: int
-) -> np.ndarray:
-    """Replacement draw for a rejected replicate, on a dedicated stream.
-
-    Keyed by (seed, replicate, attempt) so redraws stay order-independent.
-    """
-    kind, nu = parse_distribution(distribution)
-    p = spectrum.p
-    gen = _generator(seed, _TAG_RESCUE, replicate * 256 + attempt)
-    if kind == "wishart":
-        df = n - np.arange(p, dtype=np.float64)
-        chi2 = gen.chisquare(df, size=(1, p))
-        normals = gen.standard_normal((1, p * (p - 1) // 2))
-        return _build_wishart(chi2, normals, spectrum.values)[0]
-    g = gen.standard_normal((int(n), p))
-    mix = gen.chisquare(float(nu))
-    z = g * np.sqrt(spectrum.values)[None, :]
-    return (z.T @ z) * (nu / mix)
 
 
 def map_chunks(worker, n_chunks: int, jobs: int = 1) -> list:

@@ -16,7 +16,7 @@ from spectra_shrink.cases import (
     named_spectrum,
     spiked_case,
 )
-from spectra_shrink.cli import ExperimentSpec, builtin_cases, main
+from spectra_shrink.cli import ExperimentSpec, main
 from spectra_shrink.sampling import spiked_spectrum
 
 
@@ -33,10 +33,6 @@ def test_builtin_tables_shapes():
     assert len(TABLE1_SPECTRA) == 11
     assert len(TABLE2_SPECTRA) == 18
     assert len(SPIKED_CASES) == 10
-    specs = builtin_cases()
-    assert len(specs) == 11 + 18 + 20
-    names = {s.name for s in specs}
-    assert {"table1-row5", "table2-row18", "case7-n100"} <= names
 
 
 def test_builtin_case_values():
@@ -51,6 +47,13 @@ def test_builtin_case_values():
     # every spiked case keeps the tabulated total variance
     for case in SPIKED_CASES:
         assert spiked_spectrum(case).values.sum() == pytest.approx(100.0)
+
+
+def test_readme_quick_start_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = _read(readme).split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def test_named_spectrum_resolution():

@@ -23,6 +23,7 @@ from spectra_shrink import (
     stein_haff_G,
     symmetric_eigendecompose,
 )
+from spectra_shrink import sampling
 from spectra_shrink.evaluation import (
     _batch_rates,
     _chunk_plan,
@@ -30,7 +31,7 @@ from spectra_shrink.evaluation import (
     _g_batch,
     _quadratic_losses,
 )
-from spectra_shrink.sampling import scatter_chunk
+from spectra_shrink.sampling import CHUNK_SIZE, scatter_chunk
 
 
 # ---------------------------------------------------------------------------
@@ -154,22 +155,15 @@ def test_stein_haff_identity_monte_carlo():
     checks = simulate_stein_haff(spec, 10, [classical_weights(3, 10)], 20000, seed=31)
     c = checks[0]
     assert abs(c.diff_mean) <= 3.0 * c.diff_std_error
-    assert c.redraw_count == 0
     assert c.replicates == 20000
 
 
-def test_stein_haff_redraw_guard():
-    spec = Spectrum((0.5, 0.3, 0.2))
-    loose = simulate_stein_haff(
-        spec, 10, [classical_weights(3, 10)], 2000, seed=31, gap_rel_tol=0.02
-    )[0]
-    assert loose.redraw_count > 0
-    again = simulate_stein_haff(
-        spec, 10, [classical_weights(3, 10)], 2000, seed=31, gap_rel_tol=0.02
-    )[0]
-    assert again.diff_mean == loose.diff_mean and again.redraw_count == loose.redraw_count
-    with pytest.raises(RuntimeError, match="gap-separated"):
-        simulate_stein_haff(spec, 10, [classical_weights(3, 10)], 200, seed=31, gap_rel_tol=10.0)
+def test_stein_haff_raises_on_tied_eigenvalues(monkeypatch):
+    # G has a 1 / (l_i - l_j) pair term, so a tie leaves it non-finite
+    tied = np.repeat(np.diag([2.0, 1.0, 1.0])[None], CHUNK_SIZE, axis=0)
+    monkeypatch.setattr(sampling, "scatter_chunk", lambda *args: tied.copy())
+    with pytest.raises(RuntimeError, match="tied eigenvalues"):
+        simulate_stein_haff(Spectrum((0.5, 0.3, 0.2)), 10, [classical_weights(3, 10)], 100, seed=0)
 
 
 def test_pathwise_risk_difference_bound():
@@ -294,17 +288,75 @@ def test_jobs_do_not_change_results():
     four = simulate_bias(spec, 50, "wishart", 3 * 4096 + 77, seed=19, jobs=4, control_variate=True)
     assert np.array_equal(one.mean_rates, four.mean_rates)
     assert np.array_equal(one.std_errors, four.std_errors)
-
-
-@pytest.mark.parametrize("replicates", [1000, 4096, 2 * 4096 + 123])
-def test_streamed_bias_moments_match_concatenated_rates(replicates):
-    # one partial chunk, one full chunk, and a partial last chunk
+    # paired entropy risks and the trace identity, with a partial last chunk
     spec = Spectrum((0.4, 0.3, 0.2, 0.1))
-    d = sample_rates(spec, 12, "wishart", replicates, seed=31)
-    sim = simulate_bias(spec, 12, "wishart", replicates, seed=31)
-    np.testing.assert_allclose(sim.mean_rates, d.mean(axis=0), rtol=1e-12, atol=0)
-    se = d.std(axis=0, ddof=1) / np.sqrt(replicates)
-    np.testing.assert_allclose(sim.std_errors, se, rtol=1e-12, atol=0)
+    w = [classical_weights(4, 12), family_weights(4, 12, 1)]
+    one = compare_risks(spec, 12, w, "entropy", "wishart", 3 * 4096 + 77, seed=19, jobs=1)
+    four = compare_risks(spec, 12, w, "entropy", "wishart", 3 * 4096 + 77, seed=19, jobs=4)
+    for name in ("mean_losses", "std_errors", "diff_means", "diff_std_errors"):
+        assert np.array_equal(getattr(one, name), getattr(four, name))
+    one = simulate_stein_haff(spec, 12, w, 3 * 4096 + 77, seed=19, jobs=1)
+    four = simulate_stein_haff(spec, 12, w, 3 * 4096 + 77, seed=19, jobs=4)
+    assert one == four
+
+
+def _streamed_and_per_replicate(engine, replicates):
+    """An engine's streamed (means, SEs) and the per-replicate values it reduces.
+
+    The values, shape (replicates, k), are rebuilt here from scatter_chunk:
+    the loss rows and the paired differences for compare_risks, and the
+    trace, G and trace - G for each weight vector for simulate_stein_haff.
+    """
+    spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
+    if engine == "bias":
+        sim = simulate_bias(spec, n, "wishart", replicates, seed=seed)
+        return sim.mean_rates, sim.std_errors, sample_rates(spec, n, "wishart", replicates, seed)
+    weights = [classical_weights(4, n), family_weights(4, n, 1)]
+    betas = np.stack([w.beta for w in weights])
+    tau = spec.values / spec.values.sum()
+    columns = []
+    for chunk, rows in _chunk_plan(replicates):
+        l, d, v = _batch_rates(scatter_chunk(spec, n, "wishart", seed, chunk)[:rows], True)
+        if engine == "stein-haff":
+            estimates = np.einsum("rij,wrj,rkj->wrik", v, betas[:, None, :] * d, v)
+            trace = np.einsum("wrii,i->wr", estimates, 1.0 / tau)
+            g = np.stack([_g_batch(l, d, beta, n) for beta in betas])
+            columns.append(np.concatenate([trace, g, trace - g]))
+        else:
+            if engine == "entropy":
+                losses = _entropy_losses(d, v, betas, tau)
+            else:
+                losses = _quadratic_losses(d, betas, tau)
+            columns.append(np.concatenate([losses, losses[1:] - losses[0]]))
+    values = np.concatenate(columns, axis=1).T
+    if engine == "stein-haff":
+        checks = simulate_stein_haff(spec, n, weights, replicates, seed=seed)
+        fields = ("mean_trace", "mean_g", "diff_mean"), ("trace_std_error", "g_std_error", "diff_std_error")
+        means, ses = ([getattr(c, f) for f in group for c in checks] for group in fields)
+        return np.array(means), np.array(ses), values
+    cmp = compare_risks(spec, n, weights, engine, "wishart", replicates, seed=seed)
+    means = np.concatenate([cmp.mean_losses, cmp.diff_means])
+    return means, np.concatenate([cmp.std_errors, cmp.diff_std_errors]), values
+
+
+_STREAM_REPS = [1000, 4096, 2 * 4096 + 123]
+
+
+@pytest.mark.parametrize(
+    "engine, replicates",
+    [pytest.param("bias", r, id=str(r)) for r in _STREAM_REPS]
+    + [
+        pytest.param(engine, r, id=f"{engine}-{r}")
+        for engine in ("quadratic", "entropy", "stein-haff")
+        for r in _STREAM_REPS
+    ],
+)
+def test_streamed_bias_moments_match_concatenated_rates(engine, replicates):
+    # one partial chunk, one full chunk, and a partial last chunk, per engine
+    means, ses, values = _streamed_and_per_replicate(engine, replicates)
+    np.testing.assert_allclose(means, values.mean(axis=0), rtol=1e-12, atol=0)
+    se = values.std(axis=0, ddof=1) / np.sqrt(replicates)
+    np.testing.assert_allclose(ses, se, rtol=1e-12, atol=0)
 
 
 def test_control_variate_agrees_and_tightens():
