@@ -331,9 +331,9 @@ def _streamed_and_per_replicate(engine, replicates):
     values = np.concatenate(columns, axis=1).T
     if engine == "stein-haff":
         checks = simulate_stein_haff(spec, n, weights, replicates, seed=seed)
-        fields = ("mean_trace", "mean_g", "diff_mean"), ("trace_std_error", "g_std_error", "diff_std_error")
-        means, ses = ([getattr(c, f) for f in group for c in checks] for group in fields)
-        return np.array(means), np.array(ses), values
+        means = [(c.mean_trace, c.mean_g, c.diff_mean) for c in checks]
+        ses = [(c.trace_std_error, c.g_std_error, c.diff_std_error) for c in checks]
+        return np.array(means).T.ravel(), np.array(ses).T.ravel(), values
     cmp = compare_risks(spec, n, weights, engine, "wishart", replicates, seed=seed)
     means = np.concatenate([cmp.mean_losses, cmp.diff_means])
     return means, np.concatenate([cmp.std_errors, cmp.diff_std_errors]), values
