@@ -5,7 +5,10 @@ in pairs that share a seed and run back to back, base first in odd pairs and
 change first in even ones, so that a drift in machine speed hits both sides
 alike. Optionally also runs
 ``perfbench/reference.py`` (the timed acceptance suite and README examples)
-once on each side. Writes one JSON document. Usage (stdlib only):
+once on each side. Before the first pair, both checkouts' ``src`` and
+``perfbench`` are byte-compiled afresh with the running interpreter, so that
+neither side starts faster for holding a bytecode cache the other lacks.
+Writes one JSON document. Usage (stdlib only):
 
     python3 bench/pairs.py --base PARENT_DIR --change . \\
         --runs bias-cv-p3=10 --runs entropy-risk-p10=1 --traced bias-cv-p3=1 \\
@@ -33,6 +36,11 @@ BETTER = {"reps_per_s": "higher", "time_to_se_s": "lower", "setup_s": "lower",
 def run_stdout(checkout: Path, argv: list[str]) -> str:
     return subprocess.run([sys.executable, *argv], cwd=checkout, capture_output=True,
                           text=True, check=True).stdout
+
+
+def fresh_bytecode(checkout: Path) -> None:
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "-f", "src", "perfbench"],
+                   cwd=checkout, check=True)
 
 
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -82,6 +90,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
+    for path in sides.values():
+        fresh_bytecode(path)
 
     doc = {"seconds": args.seconds, "workloads": {}, "traced": {}}
     for key, trace, specs in (("workloads", 0, args.runs), ("traced", 1, args.traced)):

@@ -19,12 +19,9 @@ from .core import (
 )
 from .dimension import (
     DimensionCriterion,
-    DimensionDecision,
     DimensionHistogram,
     cumulative_criterion,
     decide,
-    decide_cumulative,
-    decide_relative,
     dimension_experiment_for_spectrum,
     relative_criterion,
 )
@@ -56,11 +53,9 @@ from .evaluation import (
     stein_haff_G,
 )
 from .sampling import (
-    SamplerConfig,
     SpikedModel,
     parse_distribution,
-    sample_elliptical_t,
-    sample_wishart,
+    scatter_chunk,
     spiked_spectrum,
 )
 
@@ -86,11 +81,9 @@ __all__ = [
     "check_conditions",
     "condition2_family_bound",
     "SpikedModel",
-    "SamplerConfig",
     "parse_distribution",
     "spiked_spectrum",
-    "sample_wishart",
-    "sample_elliptical_t",
+    "scatter_chunk",
     "RiskComparison",
     "BiasSimulation",
     "SteinHaffCheck",
@@ -106,12 +99,9 @@ __all__ = [
     "sample_rates",
     "invariance_check",
     "DimensionCriterion",
-    "DimensionDecision",
     "DimensionHistogram",
     "cumulative_criterion",
     "relative_criterion",
     "decide",
-    "decide_cumulative",
-    "decide_relative",
     "dimension_experiment_for_spectrum",
 ]

@@ -18,7 +18,6 @@ __all__ = [
     "table2_spectrum",
     "spiked_case",
     "named_spectrum",
-    "spectrum_names",
 ]
 
 #: Bias-study spectra (11 rows).
@@ -94,15 +93,6 @@ def spiked_case(case: int) -> SpikedModel:
     if not 1 <= case <= len(SPIKED_CASES):
         raise ValueError(f"spiked cases run 1..{len(SPIKED_CASES)}, got {case}")
     return SPIKED_CASES[case - 1]
-
-
-def spectrum_names() -> list[str]:
-    return (
-        ["uniform10"]
-        + [f"table1:{k}" for k in range(1, len(TABLE1_SPECTRA) + 1)]
-        + [f"table2:{k}" for k in range(1, len(TABLE2_SPECTRA) + 1)]
-        + [f"case:{k}" for k in range(1, len(SPIKED_CASES) + 1)]
-    )
 
 
 def named_spectrum(name: str) -> Spectrum:

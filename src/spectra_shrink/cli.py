@@ -7,7 +7,7 @@ trailing ``# seed=..., reps=..., version=...`` comment; given the same
 spec and seed the bytes are identical at any ``--jobs`` level.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid spec,
-3 I/O failure.
+3 I/O failure, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import csv
 import io
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class ExperimentSpec:
     table2: bool = False
     out: str | None = None
     jobs: int = 1
-    name: str = ""
 
     def resolve_spectrum(self) -> Spectrum:
         if self.kind == "risk" and self.table2:
@@ -102,6 +101,9 @@ class ExperimentSpec:
                 raise ValueError("risk runs compare the q=1 and q=2 estimators and need p >= 6")
             if self.kind == "stein-haff" and p >= 4 and not 1 <= self.q <= p / 2 - 1:
                 raise ValueError(f"q must satisfy 1 <= q <= p/2 - 1 = {p / 2 - 1:g}, got {self.q}")
+
+
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentSpec)}
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +324,13 @@ def _parse_spectrum(text: str) -> tuple[float, ...]:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, default=None, help="degrees of freedom (default 30)")
-    sub.add_argument("--reps", type=int, default=None, help="Monte Carlo replicates (default 10000)")
-    sub.add_argument("--seed", type=int, default=None, help=f"stream seed (default ${SEED_ENV_VAR} or 0)")
-    sub.add_argument("--dist", default=None, help="sampling law: wishart or t:<nu> (default wishart)")
+    d = _DEFAULTS
+    sub.add_argument("--n", type=int, help=f"degrees of freedom (default {d['n']})")
+    sub.add_argument("--reps", type=int, help=f"Monte Carlo replicates (default {d['replicates']})")
+    sub.add_argument("--seed", type=int, help=f"stream seed (default ${SEED_ENV_VAR} or {d['seed']})")
+    sub.add_argument("--dist", help=f"sampling law: wishart or t:<nu> (default {d['distribution']})")
     sub.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    sub.add_argument("--jobs", type=int, default=None, help="worker threads (default 1)")
+    sub.add_argument("--jobs", type=int, help=f"worker threads (default {d['jobs']})")
     sub.add_argument("--config", default=None, help="key=value file; flags override its entries")
 
 
@@ -351,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("dimension", help="histogram of the decided dimension over replicates")
     sub.add_argument("--spectrum", default=None, help="comma list or named builtin")
     sub.add_argument("--case", type=int, default=None, help="spiked case number 1-10")
-    sub.add_argument("--tstar", type=float, default=None, help="cumulative cut-off (default 0.8)")
+    sub.add_argument("--tstar", type=float, help=f"cumulative cut-off (default {_DEFAULTS['t_star']})")
     sub.add_argument(
         "--normalize-for-criterion2",
         action="store_true",
@@ -362,12 +365,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("invariance", help="KS comparison of rates from Wishart vs elliptical-t")
     sub.add_argument("--spectrum", default=None, help="comma list or named builtin")
-    sub.add_argument("--nu", type=int, default=None, help="t degrees of freedom (default 5)")
+    sub.add_argument("--nu", type=int, help=f"t degrees of freedom (default {_DEFAULTS['nu']})")
     _add_common(sub)
 
     sub = subs.add_parser("stein-haff", help="empirical check of the trace identity")
     sub.add_argument("--spectrum", default=None, help="comma list or named builtin")
-    sub.add_argument("--q", type=int, default=None, help="family index for the shrunk row (default 1)")
+    sub.add_argument("--q", type=int, help=f"family index for the shrunk row (default {_DEFAULTS['q']})")
     _add_common(sub)
 
     sub = subs.add_parser("weights", help="print a family weight vector and its condition report")
@@ -427,42 +430,35 @@ def _merge_config(args: argparse.Namespace, entries: dict[str, str]) -> None:
                 raise ValueError(f"bad config value for {key}: {raw!r}") from None
 
 
-def _resolve_seed(value: int | None) -> int:
+def _resolve_seed(value: int | None) -> int | None:
     if value is not None:
         return value
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"${SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return 0
+    if env is None:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"${SEED_ENV_VAR} must be an integer, got {env!r}") from None
+
+
+#: Arguments whose ExperimentSpec field has another name.
+_FIELD_NAMES = {"reps": "replicates", "dist": "distribution", "tstar": "t_star"}
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    def pick(key, default):
-        value = getattr(args, key, None)
-        return default if value is None else value
-
-    spectrum = None
-    if getattr(args, "spectrum", None):
-        spectrum = _parse_spectrum(args.spectrum)
-    return ExperimentSpec(
-        kind=args.command,
-        spectrum=spectrum,
-        case=getattr(args, "case", None),
-        n=pick("n", 30),
-        replicates=pick("reps", 10000),
-        seed=_resolve_seed(args.seed),
-        distribution=pick("dist", "wishart"),
-        q=pick("q", 1),
-        nu=pick("nu", 5),
-        t_star=pick("tstar", 0.8),
-        normalize_criterion2=bool(getattr(args, "normalize_criterion2", False)),
-        table2=bool(getattr(args, "table2", False)),
-        out=args.out,
-        jobs=pick("jobs", 1),
-    )
+    """Pass the spec only the values given; ExperimentSpec holds the defaults."""
+    given = {}
+    for key, value in vars(args).items():
+        if key not in ("command", "config", "seed") and value is not None and value is not False:
+            given[_FIELD_NAMES.get(key, key)] = value
+    spectrum = given.pop("spectrum", "")
+    if spectrum:
+        given["spectrum"] = _parse_spectrum(spectrum)
+    seed = _resolve_seed(args.seed)
+    if seed is not None:
+        given["seed"] = seed
+    return ExperimentSpec(kind=args.command, **given)
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
@@ -524,6 +520,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

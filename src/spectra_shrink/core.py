@@ -82,10 +82,6 @@ class Spectrum:
     def p(self) -> int:
         return int(self.values.size)
 
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
-
 
 @dataclass(frozen=True)
 class ContributionRates:
@@ -108,10 +104,6 @@ class ContributionRates:
     @property
     def p(self) -> int:
         return int(self.rates.size)
-
-    def normalized(self) -> "ContributionRates":
-        """Rescale so the rates sum to one (reporting convenience)."""
-        return ContributionRates(self.rates / self.rates.sum())
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,9 @@ from .evaluation import _run_chunks, _stack_betas
 
 __all__ = [
     "DimensionCriterion",
-    "DimensionDecision",
     "DimensionHistogram",
     "cumulative_criterion",
     "relative_criterion",
-    "decide_cumulative",
-    "decide_relative",
     "decide",
     "dimension_experiment_for_spectrum",
 ]
@@ -59,18 +56,6 @@ def relative_criterion() -> DimensionCriterion:
 
 
 @dataclass(frozen=True)
-class DimensionDecision:
-    """A criterion together with the dimension it chose."""
-
-    criterion: DimensionCriterion
-    chosen_dim: int
-
-    def __post_init__(self) -> None:
-        if self.chosen_dim < 0:
-            raise ValueError("chosen dimension cannot be negative")
-
-
-@dataclass(frozen=True)
 class DimensionHistogram:
     """Counts of decided dimensions 1..p, plus a bin for zero decisions.
 
@@ -95,32 +80,16 @@ class DimensionHistogram:
         object.__setattr__(self, "counts", counts)
 
 
-def decide_cumulative(rates: ContributionRates, t_star: float) -> int:
-    """Smallest m whose leading rates sum to at least the cut-off.
+def decide(rates: ContributionRates, criterion: DimensionCriterion) -> int:
+    """The dimension ``criterion`` chooses for one vector of rates.
 
-    Returns p when even the full sum stays below the cut-off, which can
-    happen for shrunk (non-normalized) estimates.
+    Cumulative: the smallest m whose leading rates sum to at least the
+    cut-off, or p when even the full sum stays below it, which can happen
+    for shrunk (non-normalized) estimates. Relative: the number of rates
+    strictly exceeding the uniform level 1/p; zero (a degenerate decision)
+    is possible only when no rate clears it, e.g. exactly uniform rates.
     """
-    if not 0.0 < t_star < 1.0:
-        raise ValueError(f"t* must lie in (0, 1), got {t_star!r}")
-    return int(_cumulative_batch(rates.rates[None, :], t_star)[0])
-
-
-def decide_relative(rates: ContributionRates) -> int:
-    """Number of rates strictly exceeding the uniform level 1/p.
-
-    Zero (a degenerate decision) is possible only when no rate clears the
-    threshold, e.g. exactly uniform rates.
-    """
-    return int(_relative_batch(rates.rates[None, :])[0])
-
-
-def decide(rates: ContributionRates, criterion: DimensionCriterion) -> DimensionDecision:
-    if criterion.kind == "cumulative":
-        dim = decide_cumulative(rates, criterion.t_star)
-    else:
-        dim = decide_relative(rates)
-    return DimensionDecision(criterion=criterion, chosen_dim=dim)
+    return int(_decisions(rates.rates[None, :], criterion, False)[0])
 
 
 def _cumulative_batch(rates: np.ndarray, t_star: float) -> np.ndarray:
@@ -190,7 +159,7 @@ def dimension_experiment_for_spectrum(
 
     out = []
     for c, criterion in enumerate(criteria):
-        true_dim = int(_decisions(population[None, :], criterion, False)[0])
+        true_dim = decide(ContributionRates(population), criterion)
         for e, weights in enumerate(estimators):
             out.append(
                 DimensionHistogram(

@@ -19,16 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScatterSample, Spectrum
+from .core import Spectrum
 
 __all__ = [
     "CHUNK_SIZE",
     "SpikedModel",
-    "SamplerConfig",
     "parse_distribution",
     "spiked_spectrum",
-    "sample_wishart",
-    "sample_elliptical_t",
     "scatter_chunk",
     "map_chunks",
 ]
@@ -100,23 +97,6 @@ class SpikedModel:
         object.__setattr__(self, "noise_variance", float(self.noise_variance))
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Identifies one draw: (seed, replicate_index) pins the variates."""
-
-    seed: int
-    replicate_index: int = 0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < _MAX_SEED:
-            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        rep = self.replicate_index
-        if not isinstance(rep, (int, np.integer)) or not 0 <= rep < _MAX_COUNTER:
-            raise ValueError(f"replicate index must be an integer in [0, 2^62), got {rep!r}")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "replicate_index", int(rep))
-
-
 def spiked_spectrum(model: SpikedModel) -> Spectrum:
     """Eigenvalues of the factor model: spikes plus noise, then flat noise."""
     values = np.full(model.dimension, model.noise_variance)
@@ -125,6 +105,8 @@ def spiked_spectrum(model: SpikedModel) -> Spectrum:
 
 
 def _generator(seed: int, tag: int, counter: int) -> np.random.Generator:
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < _MAX_SEED:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if not 0 <= counter < _MAX_COUNTER:
         raise ValueError(f"stream counter out of range: {counter}")
     key = (int(seed) << 64) | (tag << 62) | int(counter)
@@ -200,7 +182,9 @@ def scatter_chunk(
 ) -> np.ndarray:
     """One full chunk of scatter matrices, shape (CHUNK_SIZE, p, p).
 
-    Replicate k lives at row k % CHUNK_SIZE of chunk k // CHUNK_SIZE.
+    Replicate k lives at row k % CHUNK_SIZE of chunk k // CHUNK_SIZE. Both
+    laws have scale diag(spectrum); a Wishart draw has E[S] = n diag(spectrum),
+    and an elliptical-t draw has the same law of contribution rates.
     """
     if not isinstance(n, (int, np.integer)) or n < spectrum.p:
         raise ValueError(f"degrees of freedom must satisfy n >= p, got n={n!r}, p={spectrum.p}")
@@ -208,48 +192,6 @@ def scatter_chunk(
     if kind == "wishart":
         return _wishart_chunk(spectrum.values, int(n), seed, chunk_index)
     return _elliptical_chunk(spectrum.values, int(n), nu, seed, chunk_index)
-
-
-def sample_wishart(spectrum: Spectrum, n: int, cfg: SamplerConfig) -> ScatterSample:
-    """Draw one Wishart scatter matrix with scale diag(spectrum) via Bartlett.
-
-    E[S] = n diag(spectrum). The draw is a pure function of
-    (cfg.seed, cfg.replicate_index).
-    """
-    if not isinstance(n, (int, np.integer)) or n < spectrum.p:
-        raise ValueError(f"degrees of freedom must satisfy n >= p, got n={n!r}, p={spectrum.p}")
-    p = spectrum.p
-    chunk, row = divmod(cfg.replicate_index, CHUNK_SIZE)
-    gen = _generator(cfg.seed, _TAG_WISHART, chunk)
-    df = n - np.arange(p, dtype=np.float64)
-    chi2 = gen.chisquare(df, size=(CHUNK_SIZE, p))
-    normals = gen.standard_normal((CHUNK_SIZE, p * (p - 1) // 2))
-    s = _build_wishart(chi2[row : row + 1], normals[row : row + 1], spectrum.values)
-    return ScatterSample(matrix=s[0], dof=int(n))
-
-
-def sample_elliptical_t(spectrum: Spectrum, n: int, nu: int, cfg: SamplerConfig) -> ScatterSample:
-    """Draw one elliptically contoured scatter matrix from the t family.
-
-    The whole n x p data matrix shares one chi-square(nu) mixing variable,
-    then S = Z'Z. The contribution rates of S are distributed exactly as in
-    the Wishart case.
-    """
-    if not isinstance(n, (int, np.integer)) or n < spectrum.p:
-        raise ValueError(f"degrees of freedom must satisfy n >= p, got n={n!r}, p={spectrum.p}")
-    if not isinstance(nu, (int, np.integer)) or nu < 3:
-        raise ValueError(f"elliptical t needs nu >= 3 for a finite scatter mean, got {nu!r}")
-    chunk, row = divmod(cfg.replicate_index, CHUNK_SIZE)
-    gen = _generator(cfg.seed, _TAG_ELLIPTICAL, chunk)
-    # The mixing draws follow the whole chunk's normals in the stream, so
-    # every block is drawn, as in _elliptical_chunk, but only one row kept.
-    g = np.empty((_ELLIPTICAL_BLOCK, int(n), spectrum.p))
-    for start in range(0, CHUNK_SIZE, _ELLIPTICAL_BLOCK):
-        gen.standard_normal(out=g)
-        if start <= row < start + _ELLIPTICAL_BLOCK:
-            z = g[row - start] * np.sqrt(spectrum.values)[None, :]
-    mix = gen.chisquare(float(nu), CHUNK_SIZE)
-    return ScatterSample(matrix=(z.T @ z) * (nu / mix[row]), dof=int(n))
 
 
 def map_chunks(worker, n_chunks: int, jobs: int = 1) -> list:

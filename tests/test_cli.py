@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import spectra_shrink
-from spectra_shrink import __version__, acceptance
+from spectra_shrink import __version__, acceptance, sampling
 from spectra_shrink.cases import (
     SPIKED_CASES,
     TABLE1_SPECTRA,
@@ -54,6 +56,16 @@ def test_readme_quick_start_runs():
     section = _read(readme).split("## Library quick start", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_all_exports_resolve():
+    modules = [spectra_shrink] + [
+        importlib.import_module(f"spectra_shrink.{info.name}")
+        for info in pkgutil.iter_modules(spectra_shrink.__path__)
+    ]
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
 
 
 def test_named_spectrum_resolution():
@@ -216,6 +228,17 @@ def test_io_failure_exits_3(tmp_path, capsys):
                  "--seed", "0", "--out", str(missing_dir)])
     assert code == 3
     assert "i/o error:" in capsys.readouterr().err
+
+
+def test_engine_runtime_error_exits_4(monkeypatch, capsys):
+    # a tied sample eigenvalue leaves the Stein-Haff G non-finite
+    tied = np.repeat(np.diag([2.0, 1.0, 1.0])[None], sampling.CHUNK_SIZE, axis=0)
+    monkeypatch.setattr(sampling, "scatter_chunk", lambda *args: tied.copy())
+    code = main(["stein-haff", "--spectrum", "0.5,0.3,0.2", "--n", "10", "--reps", "200"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tied eigenvalues" in err
+    assert "Traceback" not in err
 
 
 def test_stdout_output(capsys):

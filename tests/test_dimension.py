@@ -9,8 +9,6 @@ from spectra_shrink import (
     classical_weights,
     cumulative_criterion,
     decide,
-    decide_cumulative,
-    decide_relative,
     dimension_experiment_for_spectrum,
     family_weights,
     relative_criterion,
@@ -22,35 +20,34 @@ from spectra_shrink.sampling import spiked_spectrum
 
 def test_decide_cumulative_examples():
     case1 = ContributionRates((0.19,) * 5 + (0.01,) * 5)
-    assert decide_cumulative(case1, 0.8) == 5
+    assert decide(case1, cumulative_criterion(0.8)) == 5
     case5 = ContributionRates((0.91,) + (0.01,) * 9)
-    assert decide_cumulative(case5, 0.8) == 1
+    assert decide(case5, cumulative_criterion(0.8)) == 1
     # the comparison is inclusive at the boundary
-    assert decide_cumulative(ContributionRates((0.5, 0.5)), 0.5) == 1
+    assert decide(ContributionRates((0.5, 0.5)), cumulative_criterion(0.5)) == 1
 
 
 def test_decide_cumulative_underflow_returns_p():
     shrunk = ContributionRates((0.3, 0.2, 0.1))  # sums to 0.6 < t*
-    assert decide_cumulative(shrunk, 0.8) == 3
+    assert decide(shrunk, cumulative_criterion(0.8)) == 3
 
 
 def test_decide_cumulative_validates_cutoff():
     with pytest.raises(ValueError):
-        decide_cumulative(ContributionRates((0.5, 0.5)), 1.0)
+        decide(ContributionRates((0.5, 0.5)), cumulative_criterion(1.0))
 
 
 def test_decide_relative_examples():
-    assert decide_relative(ContributionRates((0.19,) * 5 + (0.01,) * 5)) == 5
+    assert decide(ContributionRates((0.19,) * 5 + (0.01,) * 5), relative_criterion()) == 5
     # strictly-greater comparison: exactly uniform rates choose nothing
-    assert decide_relative(ContributionRates((0.1,) * 10)) == 0
-    assert decide_relative(ContributionRates((0.81, 0.11) + (0.01,) * 8)) == 2
+    assert decide(ContributionRates((0.1,) * 10), relative_criterion()) == 0
+    assert decide(ContributionRates((0.81, 0.11) + (0.01,) * 8), relative_criterion()) == 2
 
 
 def test_decide_wrapper():
     rates = ContributionRates((0.6, 0.3, 0.1))
-    decision = decide(rates, cumulative_criterion(0.8))
-    assert decision.chosen_dim == 2
-    assert decide(rates, relative_criterion()).chosen_dim == 1
+    assert decide(rates, cumulative_criterion(0.8)) == 2
+    assert decide(rates, relative_criterion()) == 1
 
 
 def test_criterion_validation():
@@ -71,7 +68,7 @@ def test_criterion_validation():
 def test_cumulative_monotone_in_cutoff(rates, t1, t2):
     r = ContributionRates(rates)
     lo, hi = sorted((t1, t2))
-    assert decide_cumulative(r, lo) <= decide_cumulative(r, hi)
+    assert decide(r, cumulative_criterion(lo)) <= decide(r, cumulative_criterion(hi))
 
 
 @settings(max_examples=100)
@@ -89,16 +86,24 @@ def test_batch_decisions_match_scalar_decide(rows, t_star, normalize_relative):
     for criterion in (cumulative_criterion(t_star), relative_criterion()):
         dims = _decisions(rates, criterion, normalize_relative)
         for row, dim in zip(rates, dims):
-            r = ContributionRates(row)
-            if normalize_relative and criterion.kind == "relative":
-                r = r.normalized()
-            assert dim == decide(r, criterion).chosen_dim
+            if criterion.kind == "cumulative":
+                total, expected = 0.0, len(row)
+                for m, x in enumerate(row, start=1):
+                    total += x
+                    if total >= t_star:
+                        expected = m
+                        break
+            else:
+                if normalize_relative:
+                    row = row / row.sum()  # numpy's sum, to round as _decisions does
+                expected = sum(x > 1.0 / len(row) for x in row)
+            assert dim == expected
 
 
 def test_relative_scale_sensitivity():
     rates = (0.30, 0.25, 0.2, 0.15, 0.10)
-    base = decide_relative(ContributionRates(rates))
-    doubled = decide_relative(ContributionRates(tuple(2 * x for x in rates)))
+    base = decide(ContributionRates(rates), relative_criterion())
+    doubled = decide(ContributionRates(tuple(2 * x for x in rates)), relative_criterion())
     assert base == 2 and doubled == 4  # scaling moves decisions unless renormalized
 
 

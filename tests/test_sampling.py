@@ -7,21 +7,20 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from spectra_shrink import (
-    SamplerConfig,
     SpikedModel,
     Spectrum,
     parse_distribution,
-    sample_elliptical_t,
-    sample_wishart,
+    scatter_chunk,
+    simulate_bias,
     spiked_spectrum,
 )
 from spectra_shrink.evaluation import sample_rates
 from spectra_shrink.sampling import (
+    _ELLIPTICAL_BLOCK,
     CHUNK_SIZE,
     _TAG_ELLIPTICAL,
     _build_wishart,
     _generator,
-    scatter_chunk,
 )
 
 
@@ -48,11 +47,20 @@ def test_spiked_model_validation():
         SpikedModel(factor_count=1, spikes=(1.0,), noise_variance=0.0, dimension=5)
 
 
-def test_sampler_config_validation():
-    SamplerConfig(seed=0)
-    SamplerConfig(seed=2**64 - 1, replicate_index=2**62 - 1)
-    with pytest.raises(ValueError):
-        SamplerConfig(seed=-1)
+def test_stream_key_validation():
+    spec = Spectrum((1.0, 0.5))
+    seed_message = r"seed must be an integer in \[0, 2\^64\)"
+    for distribution in ("wishart", "t:5"):
+        scatter_chunk(spec, 3, distribution, seed=2**64 - 1, chunk_index=2**62 - 1)
+        for seed in (-1, 2**64, 1.5):
+            with pytest.raises(ValueError, match=seed_message):
+                scatter_chunk(spec, 3, distribution, seed=seed, chunk_index=0)
+        for chunk_index in (-1, 2**62):
+            with pytest.raises(ValueError):
+                scatter_chunk(spec, 3, distribution, seed=0, chunk_index=chunk_index)
+    # the engines reach the same check: a float seed is not truncated
+    with pytest.raises(ValueError, match=seed_message):
+        simulate_bias(spec, 3, "wishart", 100, seed=1.5)
     with pytest.raises(ValueError):
         parse_distribution("t:2")
     with pytest.raises(ValueError):
@@ -67,32 +75,18 @@ def test_sampler_config_validation():
 
 def test_wishart_rejects_small_n():
     with pytest.raises(ValueError, match="n >= p"):
-        sample_wishart(Spectrum((2.0, 1.0, 0.5)), 2, SamplerConfig(seed=0))
+        scatter_chunk(Spectrum((2.0, 1.0, 0.5)), 2, "wishart", seed=0, chunk_index=0)
 
 
-def test_wishart_draw_is_deterministic():
-    spec = Spectrum((4.0, 1.0))
-    cfg = SamplerConfig(seed=42, replicate_index=12345)
-    s1 = sample_wishart(spec, 10, cfg)
-    s2 = sample_wishart(spec, 10, cfg)
-    assert np.array_equal(s1.matrix, s2.matrix)
-    assert s1.dof == 10
-    other = sample_wishart(spec, 10, SamplerConfig(seed=42, replicate_index=12346))
-    assert not np.array_equal(s1.matrix, other.matrix)
-
-
-def test_single_draws_match_batch_rows_in_any_order():
-    spec = Spectrum((0.5, 0.3, 0.2))
-    batch = scatter_chunk(spec, 12, "wishart", seed=7, chunk_index=0)
-    order = np.random.default_rng(1).permutation(20)
-    for r in order:
-        single = sample_wishart(spec, 12, SamplerConfig(seed=7, replicate_index=int(r)))
-        assert np.array_equal(single.matrix, batch[r])
-    # replicates beyond one chunk land in later chunks
-    r = CHUNK_SIZE + 3
-    batch1 = scatter_chunk(spec, 12, "wishart", seed=7, chunk_index=1)
-    single = sample_wishart(spec, 12, SamplerConfig(seed=7, replicate_index=r))
-    assert np.array_equal(single.matrix, batch1[3])
+@pytest.mark.parametrize("distribution", ["wishart", "t:5"])
+def test_chunk_is_deterministic(distribution):
+    spec = Spectrum((0.4, 0.3, 0.2, 0.1))
+    first = scatter_chunk(spec, 12, distribution, seed=42, chunk_index=3)
+    again = scatter_chunk(spec, 12, distribution, seed=42, chunk_index=3)
+    assert first.shape == (CHUNK_SIZE, 4, 4)
+    assert first.tobytes() == again.tobytes()
+    later = scatter_chunk(spec, 12, distribution, seed=42, chunk_index=4)
+    assert not np.any(np.all(first == later, axis=(1, 2)))
 
 
 def test_scalar_wishart_is_chi_square():
@@ -177,33 +171,18 @@ def test_elliptical_chunk_matches_one_shot_draw(p, n):
     assert np.array_equal(scatter_chunk(spec, n, "t:5", seed=13, chunk_index=2), ref)
 
 
-@pytest.mark.parametrize("replicate", [0, 1500, 4095, 4096 + 7])
-def test_single_elliptical_draw_matches_one_shot_draw(replicate):
-    # One draw walks its chunk's normals block by block; the stream contract
-    # is one (CHUNK_SIZE, n, p) draw followed by the mixing draw.
-    spec = Spectrum((0.4, 0.3, 0.2, 0.1))
-    n = 12
-    chunk, row = divmod(replicate, CHUNK_SIZE)
-    gen = _generator(21, _TAG_ELLIPTICAL, chunk)
-    g = gen.standard_normal((CHUNK_SIZE, n, spec.p))
-    mix = gen.chisquare(5.0, CHUNK_SIZE)
-    z = g[row] * np.sqrt(spec.values)[None, :]
-    ref = (z.T @ z) * (5 / mix[row])
-    draw = sample_elliptical_t(spec, n, 5, SamplerConfig(seed=21, replicate_index=replicate))
-    assert np.array_equal(draw.matrix, ref)
-
-
-def test_single_elliptical_draw_memory_is_bounded():
+@pytest.mark.parametrize("n", [100, 400])
+def test_elliptical_chunk_memory_is_bounded(n):
+    # Normals are held one _ELLIPTICAL_BLOCK of rows at a time; a one-shot
+    # (CHUNK_SIZE, n, p) draw would hold 31 MiB at n=100 and 125 MiB at n=400.
     spec = Spectrum(np.linspace(1.0, 0.1, 10))
-    cfg = SamplerConfig(seed=5, replicate_index=100)
     tracemalloc.start()
     try:
-        sample_elliptical_t(spec, 100, 5, cfg)
+        out = scatter_chunk(spec, n, "t:5", seed=5, chunk_index=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a whole chunk of normals at n=100, p=10 would be ~33 MB
-    assert peak < 8 * 2**20
+    assert peak < out.nbytes + 2 * _ELLIPTICAL_BLOCK * n * spec.p * 8
 
 
 @pytest.mark.parametrize("distribution", ["wishart", "t:5"])
@@ -222,16 +201,7 @@ def test_sampled_scatter_is_symmetric_pd(distribution):
 def test_elliptical_rejects_small_nu():
     spec = Spectrum((1.0, 0.5))
     with pytest.raises(ValueError, match="nu >= 3"):
-        sample_elliptical_t(spec, 10, 2, SamplerConfig(seed=0))
-
-
-def test_elliptical_draw_deterministic_and_symmetric():
-    spec = Spectrum((0.4, 0.3, 0.2, 0.1))
-    cfg = SamplerConfig(seed=8, replicate_index=77)
-    s1 = sample_elliptical_t(spec, 12, 5, cfg)
-    s2 = sample_elliptical_t(spec, 12, 5, cfg)
-    assert np.array_equal(s1.matrix, s2.matrix)
-    assert np.linalg.eigvalsh(s1.matrix).min() > 0
+        scatter_chunk(spec, 10, "t:2", seed=0, chunk_index=0)
 
 
 def test_elliptical_rates_sum_to_one_per_draw():
@@ -253,6 +223,6 @@ def test_large_nu_matches_wishart_rates():
 
 def test_wishart_and_elliptical_streams_differ():
     spec = Spectrum((1.0, 0.5))
-    w = sample_wishart(spec, 10, SamplerConfig(seed=3, replicate_index=0))
-    t = sample_elliptical_t(spec, 10, 5, SamplerConfig(seed=3, replicate_index=0))
-    assert not np.array_equal(w.matrix, t.matrix)
+    w = scatter_chunk(spec, 10, "wishart", seed=3, chunk_index=0)
+    t = scatter_chunk(spec, 10, "t:5", seed=3, chunk_index=0)
+    assert not np.array_equal(w[0], t[0])
