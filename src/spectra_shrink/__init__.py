@@ -52,12 +52,7 @@ from .evaluation import (
     simulate_stein_haff,
     stein_haff_G,
 )
-from .sampling import (
-    SpikedModel,
-    parse_distribution,
-    scatter_chunk,
-    spiked_spectrum,
-)
+from .sampling import parse_distribution, scatter_chunk
 
 __version__ = "0.1.0"
 
@@ -80,9 +75,7 @@ __all__ = [
     "plugin_covariance",
     "check_conditions",
     "condition2_family_bound",
-    "SpikedModel",
     "parse_distribution",
-    "spiked_spectrum",
     "scatter_chunk",
     "RiskComparison",
     "BiasSimulation",

@@ -27,7 +27,6 @@ from .estimators import (
     family_weights,
 )
 from .evaluation import bias_expansion, compare_risks, invariance_check, simulate_bias, simulate_stein_haff
-from .sampling import spiked_spectrum
 
 __all__ = ["CriterionResult", "run_acceptance", "CRITERIA"]
 
@@ -193,8 +192,7 @@ def criterion_7_bias_expansion(jobs: int = 1) -> CriterionResult:
 def _histograms(case: int, n: int, jobs: int, seed: int):
     w = [classical_weights(10, n), family_weights(10, n, 1), family_weights(10, n, 2)]
     crits = [cumulative_criterion(0.8), relative_criterion()]
-    spectrum = spiked_spectrum(cases.spiked_case(case))
-    hists = dimension_experiment_for_spectrum(spectrum, n, w, crits, 10000, seed, jobs=jobs)
+    hists = dimension_experiment_for_spectrum(cases.spiked_case(case), n, w, crits, 10000, seed, jobs=jobs)
     by_key = {}
     for h in hists:
         crit = "C1" if h.criterion.kind == "cumulative" else "C2"

@@ -8,7 +8,6 @@ since contribution rates only depend on the spectrum up to scale.
 from __future__ import annotations
 
 from .core import Spectrum
-from .sampling import SpikedModel
 
 __all__ = [
     "TABLE1_SPECTRA",
@@ -53,24 +52,23 @@ TABLE2_SPECTRA: tuple[tuple[float, ...], ...] = tuple(
     ]
 )
 
-#: Spiked covariance cases 1-10: (factor count, spikes), noise variance one,
+#: Spiked covariance cases 1-10: the factor spikes over noise variance one,
 #: dimension ten. Population eigenvalues are spike + 1 over ones.
-_SPIKED_DEFS: tuple[tuple[int, tuple[float, ...]], ...] = (
-    (5, (18.0,) * 5),
-    (4, (22.5,) * 4),
-    (3, (30.0,) * 3),
-    (2, (45.0,) * 2),
-    (1, (90.0,)),
-    (5, (26.0, 22.0, 18.0, 14.0, 10.0)),
-    (5, (31.0, 24.5, 18.0, 11.5, 5.0)),
-    (4, (36.0, 27.0, 18.0, 9.0)),
-    (3, (45.0, 30.0, 15.0)),
-    (2, (80.0, 10.0)),
+_SPIKES: tuple[tuple[float, ...], ...] = (
+    (18.0,) * 5,
+    (22.5,) * 4,
+    (30.0,) * 3,
+    (45.0,) * 2,
+    (90.0,),
+    (26.0, 22.0, 18.0, 14.0, 10.0),
+    (31.0, 24.5, 18.0, 11.5, 5.0),
+    (36.0, 27.0, 18.0, 9.0),
+    (45.0, 30.0, 15.0),
+    (80.0, 10.0),
 )
 
-SPIKED_CASES: tuple[SpikedModel, ...] = tuple(
-    SpikedModel(factor_count=m, spikes=spikes, noise_variance=1.0, dimension=10)
-    for m, spikes in _SPIKED_DEFS
+SPIKED_CASES: tuple[Spectrum, ...] = tuple(
+    Spectrum(tuple(1.0 + s for s in spikes) + (1.0,) * (10 - len(spikes))) for spikes in _SPIKES
 )
 
 
@@ -88,8 +86,8 @@ def table2_spectrum(row: int) -> Spectrum:
     return Spectrum(TABLE2_SPECTRA[row - 1])
 
 
-def spiked_case(case: int) -> SpikedModel:
-    """Spiked covariance case by 1-based number."""
+def spiked_case(case: int) -> Spectrum:
+    """Population spectrum of a spiked covariance case by 1-based number."""
     if not 1 <= case <= len(SPIKED_CASES):
         raise ValueError(f"spiked cases run 1..{len(SPIKED_CASES)}, got {case}")
     return SPIKED_CASES[case - 1]
@@ -115,7 +113,5 @@ def named_spectrum(name: str) -> Spectrum:
             case = int(name[5:])
         except ValueError:
             raise ValueError(f"malformed spectrum name {name!r}") from None
-        from .sampling import spiked_spectrum
-
-        return spiked_spectrum(spiked_case(case))
+        return spiked_case(case)
     raise ValueError(f"unknown spectrum name {name!r}")

@@ -132,15 +132,12 @@ def dimension_experiment_for_spectrum(
     """Histogram the decided dimension for every (criterion, estimator) pair.
 
     The true dimension of each histogram is the criterion applied to the
-    population rates of ``spectrum``; for a spiked model pass
-    ``sampling.spiked_spectrum(model)``. Shrunk estimates are compared
-    against 1/p as they are unless ``normalize_for_criterion2`` asks for
-    rescaling first.
+    population rates of ``spectrum``; for a spiked case pass
+    ``cases.spiked_case(k)``. Shrunk estimates are compared against 1/p as
+    they are unless ``normalize_for_criterion2`` asks for rescaling first.
     """
-    if replicates < 100:
-        raise ValueError("the dimension experiment needs at least 100 replicates")
-    if not estimators or not criteria:
-        raise ValueError("need at least one estimator and one criterion")
+    if not criteria:
+        raise ValueError("need at least one criterion")
     p = spectrum.p
     betas = _stack_betas(estimators, p)
     population = spectrum.values / spectrum.values.sum()

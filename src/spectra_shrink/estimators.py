@@ -38,14 +38,13 @@ class ShrinkageWeights:
 
     ``q`` is set when the vector comes from the shrinkage family, in which
     case the family pattern (non-decreasing, at most one below/above unity
-    around the split index ``m``) is enforced. ``dof`` records the degrees
-    of freedom the weights were built for.
+    around the split index ``m = p // 2``) is enforced. ``dof`` records the
+    degrees of freedom the weights were built for.
     """
 
     beta: np.ndarray
     dof: int
     q: int | None = None
-    m: int | None = None
 
     def __post_init__(self) -> None:
         beta = _readonly_vector(self.beta, "weights")
@@ -55,19 +54,21 @@ class ShrinkageWeights:
             raise ValueError("weights must be strictly positive")
         if not isinstance(self.dof, (int, np.integer)) or self.dof < 1:
             raise ValueError(f"dof must be a positive integer, got {self.dof!r}")
-        m = self.m if self.m is not None else beta.size // 2
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "dof", int(self.dof))
         if self.q is not None:
             if np.any(np.diff(beta) < 0.0):
                 raise ValueError("family weights must be non-decreasing")
-            if np.any(beta[:m] > 1.0) or np.any(beta[m:] < 1.0):
+            if np.any(beta[: self.m] > 1.0) or np.any(beta[self.m :] < 1.0):
                 raise ValueError("family weights must straddle unity at the split index")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "dof", int(self.dof))
-        object.__setattr__(self, "m", int(m))
 
     @property
     def p(self) -> int:
         return int(self.beta.size)
+
+    @property
+    def m(self) -> int:
+        return self.p // 2
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def family_weights(p: int, n: int, q: int) -> ShrinkageWeights:
     beta = np.ones(p)
     beta[: m - q] = n / lower_denoms
     beta[p - m + q :] = n / upper_denoms
-    return ShrinkageWeights(beta=beta, dof=int(n), q=int(q), m=m)
+    return ShrinkageWeights(beta=beta, dof=int(n), q=int(q))
 
 
 def classical_estimate(decomp: SampleDecomposition) -> ContributionRates:

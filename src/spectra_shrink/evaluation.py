@@ -244,6 +244,8 @@ def _batch_rates(s: np.ndarray, need_vectors: bool) -> tuple[np.ndarray, np.ndar
 
 def _stack_betas(weights_list: list[ShrinkageWeights], p: int) -> np.ndarray:
     """Weight vectors as rows, each checked against the dimension p."""
+    if not weights_list:
+        raise ValueError("need at least one weight vector")
     for w in weights_list:
         if w.p != p:
             raise ValueError(f"weight length {w.p} does not match dimension {p}")
@@ -264,8 +266,11 @@ def _run_chunks(
 
     Each chunk is sampled, decomposed into eigenvalues l, rates d and (with
     ``need_vectors``) eigenvectors v, and reduced by ``stat(s, l, d, v)``;
-    only the reductions are kept. Every engine runs through here.
+    only the reductions are kept. Every engine runs through here, so the
+    replicate floor is checked here, before the first draw.
     """
+    if replicates < 100:
+        raise ValueError(f"replicates must be at least 100, got {replicates}")
     sampling.parse_distribution(distribution)
     plan = _chunk_plan(replicates)
 
@@ -310,8 +315,6 @@ def sample_rates(
     jobs: int = 1,
 ) -> np.ndarray:
     """Sample contribution-rate vectors, shape (replicates, p)."""
-    if replicates < 1:
-        raise ValueError("replicates must be positive")
     parts = _run_chunks(
         spectrum, n, distribution, replicates, seed, jobs, False, lambda s, l, d, v: d
     )
@@ -336,8 +339,6 @@ def simulate_bias(
     to be resolved at large n. Wishart only: the zero-mean property is the
     Wishart first-moment identity.
     """
-    if replicates < 100:
-        raise ValueError("bias simulation needs at least 100 replicates")
     kind, _ = sampling.parse_distribution(distribution)
     if control_variate and kind != "wishart":
         raise ValueError("the control-variate estimator requires Wishart sampling")
@@ -393,10 +394,6 @@ def compare_risks(
     """
     if loss_kind not in ("entropy", "quadratic"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
-    if replicates < 100:
-        raise ValueError("risk estimation needs at least 100 replicates")
-    if not weights_list:
-        raise ValueError("need at least one weight vector")
     betas = _stack_betas(weights_list, spectrum.p)
     k = len(weights_list)
     tau = spectrum.values / spectrum.values.sum()
@@ -449,8 +446,6 @@ def simulate_stein_haff(
     One check per weight vector, all on the same draws. A draw with tied
     sample eigenvalues, where G is not finite, raises RuntimeError.
     """
-    if replicates < 100:
-        raise ValueError("the identity check needs at least 100 replicates")
     betas = _stack_betas(weights_list, spectrum.p)
     tau = spectrum.values / spectrum.values.sum()
     k = len(weights_list)
@@ -497,12 +492,14 @@ def invariance_check(
     rate distribution is the same for every member of the elliptical family,
     so equality should be accepted coordinate by coordinate.
     """
-    # Imported here: scipy.stats takes about a second to load, and no other
-    # engine or command needs it.
+    elliptical = f"t:{nu}"
+    sampling.parse_distribution(elliptical)  # refuse a bad nu before any draw
+    d_wishart = sample_rates(spectrum, n, "wishart", replicates, seed, jobs)
+    d_elliptical = sample_rates(spectrum, n, elliptical, replicates, seed, jobs)
+    # Imported here, after every input has been checked: scipy.stats takes
+    # about a second to load, and no other engine or command needs it.
     from scipy.stats import ks_2samp
 
-    d_wishart = sample_rates(spectrum, n, "wishart", replicates, seed, jobs)
-    d_elliptical = sample_rates(spectrum, n, f"t:{int(nu)}", replicates, seed, jobs)
     stats = np.empty(spectrum.p)
     pvals = np.empty(spectrum.p)
     for i in range(spectrum.p):

@@ -15,7 +15,6 @@ independent heavy-tailed rows.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +22,7 @@ from .core import Spectrum
 
 __all__ = [
     "CHUNK_SIZE",
-    "SpikedModel",
     "parse_distribution",
-    "spiked_spectrum",
     "scatter_chunk",
     "map_chunks",
 ]
@@ -63,45 +60,6 @@ def parse_distribution(distribution: str) -> tuple[str, int | None]:
             raise ValueError(f"elliptical t needs nu >= 3, got {nu}")
         return "elliptical_t", nu
     raise ValueError(f"unknown distribution {distribution!r}; expected 'wishart' or 't:<nu>'")
-
-
-@dataclass(frozen=True)
-class SpikedModel:
-    """Population spectrum with elevated factor eigenvalues over flat noise."""
-
-    factor_count: int
-    spikes: tuple[float, ...]
-    noise_variance: float
-    dimension: int
-
-    def __post_init__(self) -> None:
-        m, p = self.factor_count, self.dimension
-        if not isinstance(m, (int, np.integer)) or m < 0:
-            raise ValueError(f"factor count must be a non-negative integer, got {m!r}")
-        if not isinstance(p, (int, np.integer)) or p < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {p!r}")
-        if m >= p:
-            raise ValueError(f"factor count {m} must be smaller than dimension {p}")
-        spikes = tuple(float(x) for x in self.spikes)
-        if len(spikes) != m:
-            raise ValueError(f"expected {m} spikes, got {len(spikes)}")
-        if any(x <= 0.0 for x in spikes):
-            raise ValueError("spikes must be strictly positive")
-        if any(a < b for a, b in zip(spikes, spikes[1:])):
-            raise ValueError("spikes must be sorted in non-increasing order")
-        if self.noise_variance <= 0.0:
-            raise ValueError("noise variance must be strictly positive")
-        object.__setattr__(self, "factor_count", int(m))
-        object.__setattr__(self, "dimension", int(p))
-        object.__setattr__(self, "spikes", spikes)
-        object.__setattr__(self, "noise_variance", float(self.noise_variance))
-
-
-def spiked_spectrum(model: SpikedModel) -> Spectrum:
-    """Eigenvalues of the factor model: spikes plus noise, then flat noise."""
-    values = np.full(model.dimension, model.noise_variance)
-    values[: model.factor_count] += np.asarray(model.spikes)
-    return Spectrum(values)
 
 
 def _generator(seed: int, tag: int, counter: int) -> np.random.Generator:
@@ -201,7 +159,9 @@ def map_chunks(worker, n_chunks: int, jobs: int = 1) -> list:
     collected in chunk order, so reductions downstream are independent of
     the worker count.
     """
-    if jobs <= 1 or n_chunks <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
+    if jobs == 1 or n_chunks <= 1:
         return [worker(i) for i in range(n_chunks)]
     with ThreadPoolExecutor(max_workers=min(jobs, n_chunks)) as pool:
         return list(pool.map(worker, range(n_chunks)))

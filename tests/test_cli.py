@@ -19,7 +19,6 @@ from spectra_shrink.cases import (
     spiked_case,
 )
 from spectra_shrink.cli import ExperimentSpec, main
-from spectra_shrink.sampling import spiked_spectrum
 
 
 def _read(path):
@@ -38,17 +37,13 @@ def test_builtin_tables_shapes():
 
 
 def test_builtin_case_values():
-    np.testing.assert_allclose(
-        spiked_spectrum(spiked_case(1)).values, [19.0] * 5 + [1.0] * 5
-    )
-    np.testing.assert_allclose(
-        spiked_spectrum(spiked_case(7)).values, [32.0, 25.5, 19.0, 12.5, 6.0] + [1.0] * 5
-    )
+    np.testing.assert_allclose(spiked_case(1).values, [19.0] * 5 + [1.0] * 5)
+    np.testing.assert_allclose(spiked_case(7).values, [32.0, 25.5, 19.0, 12.5, 6.0] + [1.0] * 5)
     np.testing.assert_allclose(TABLE1_SPECTRA[4], [0.18] * 5 + [0.02] * 5)
     np.testing.assert_allclose(TABLE2_SPECTRA[0], [0.10] * 10)
     # every spiked case keeps the tabulated total variance
     for case in SPIKED_CASES:
-        assert spiked_spectrum(case).values.sum() == pytest.approx(100.0)
+        assert case.values.sum() == pytest.approx(100.0)
 
 
 def test_readme_quick_start_runs():
@@ -185,9 +180,9 @@ def test_repeat_runs_are_byte_identical(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
+_INVALID_ARGVS = [
+    argv + ["--seed", "0"]
+    for argv in [
         ["bias", "--spectrum", "uniform10", "--n", "30", "--reps", "50"],
         ["bias", "--spectrum", "uniform10", "--n", "5"],
         ["bias", "--spectrum", "nonsense"],
@@ -198,11 +193,31 @@ def test_repeat_runs_are_byte_identical(tmp_path):
         ["invariance", "--spectrum", "uniform10", "--nu", "2"],
         ["bias", "--spectrum", "uniform10", "--dist", "t:1"],
         ["stein-haff", "--spectrum", "uniform10", "--q", "9"],
-    ],
-)
+        ["bias", "--spectrum", "uniform10", "--jobs", "0"],
+        ["bias", "--spectrum", "0.5"],
+        ["risk", "--table2", "--n", "5"],
+    ]
+] + [["bias", "--spectrum", "0.5,0.3,0.2", "--seed", "-1"]]
+
+
+@pytest.mark.parametrize("argv", _INVALID_ARGVS)
 def test_invalid_specs_exit_2(argv, capsys):
-    assert main(argv + ["--seed", "0"]) == 2
+    assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _no_stream(*args, **kwargs):
+    raise AssertionError("a Philox stream was created")
+
+
+@pytest.mark.parametrize("argv", _INVALID_ARGVS)
+def test_invalid_specs_create_no_stream(argv, monkeypatch):
+    # each input is refused by the function that uses it, before its first draw
+    monkeypatch.setattr(np.random, "Philox", _no_stream)
+    assert main(argv) == 2
+    # a valid spec does reach the patched stream
+    with pytest.raises(AssertionError, match="Philox"):
+        main(["bias", "--spectrum", "0.6,0.4", "--n", "12", "--reps", "100", "--seed", "0"])
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -15,7 +15,6 @@ from spectra_shrink import (
 )
 from spectra_shrink.cases import spiked_case
 from spectra_shrink.dimension import DimensionHistogram, _decisions
-from spectra_shrink.sampling import spiked_spectrum
 
 
 def test_decide_cumulative_examples():
@@ -111,7 +110,7 @@ def test_experiment_case1_directions():
     # classical underestimates the dimension; the q=1 weights recover it
     w = [classical_weights(10, 30), family_weights(10, 30, 1)]
     crits = [cumulative_criterion(0.8), relative_criterion()]
-    spectrum = spiked_spectrum(spiked_case(1))
+    spectrum = spiked_case(1)
     hists = dimension_experiment_for_spectrum(spectrum, 30, w, crits, 1000, seed=51)
     assert len(hists) == 4
     by_key = {(h.criterion.kind, h.estimator_label): h for h in hists}
@@ -128,7 +127,7 @@ def test_experiment_case1_directions():
 def test_experiment_case10_relative_truth():
     # population rates (0.81, 0.11, 0.01 x 8): two rates exceed 1/p
     hists = dimension_experiment_for_spectrum(
-        spiked_spectrum(spiked_case(10)),
+        spiked_case(10),
         30,
         [classical_weights(10, 30)],
         [relative_criterion()],
@@ -140,7 +139,7 @@ def test_experiment_case10_relative_truth():
 
 def test_experiment_normalize_flag_runs():
     hists = dimension_experiment_for_spectrum(
-        spiked_spectrum(spiked_case(5)),
+        spiked_case(5),
         30,
         [family_weights(10, 30, 1)],
         [relative_criterion()],
@@ -154,7 +153,7 @@ def test_experiment_normalize_flag_runs():
 def test_experiment_determinism_across_jobs():
     w = [classical_weights(10, 30)]
     crits = [cumulative_criterion(0.8)]
-    spectrum = spiked_spectrum(spiked_case(2))
+    spectrum = spiked_case(2)
     h1 = dimension_experiment_for_spectrum(spectrum, 30, w, crits, 5000, seed=57, jobs=1)
     h4 = dimension_experiment_for_spectrum(spectrum, 30, w, crits, 5000, seed=57, jobs=4)
     assert np.array_equal(h1[0].counts, h4[0].counts)

@@ -59,7 +59,7 @@ def test_weights_type_validation():
     with pytest.raises(ValueError):
         ShrinkageWeights(beta=np.array([1.0, -0.5]), dof=10)
     with pytest.raises(ValueError):
-        ShrinkageWeights(beta=np.array([1.2, 0.8]), dof=10, q=1, m=1)  # decreasing family
+        ShrinkageWeights(beta=np.array([1.2, 0.8]), dof=10, q=1)  # decreasing family
 
 
 # ---------------------------------------------------------------------------

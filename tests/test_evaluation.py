@@ -11,11 +11,14 @@ from spectra_shrink import (
     bias_expansion,
     classical_weights,
     compare_risks,
+    dimension_experiment_for_spectrum,
     entropy_loss,
     entropy_risk_difference_bound,
     family_weights,
+    invariance_check,
     plugin_covariance,
     quadratic_loss,
+    relative_criterion,
     sample_rates,
     shrink_estimate,
     simulate_bias,
@@ -274,6 +277,39 @@ def test_replicate_floor_enforced():
             99,
             seed=0,
         )
+    with pytest.raises(ValueError, match="100"):
+        sample_rates(spec, 10, "wishart", 99, seed=0)
+    with pytest.raises(ValueError, match="100"):
+        simulate_stein_haff(spec, 10, [classical_weights(2, 10)], 99, seed=0)
+    with pytest.raises(ValueError, match="100"):
+        dimension_experiment_for_spectrum(
+            spec, 10, [classical_weights(2, 10)], [relative_criterion()], 99, seed=0
+        )
+
+
+def _no_draw(*args):
+    raise AssertionError("a chunk was sampled")
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_engines_reject_invalid_jobs(jobs, monkeypatch):
+    monkeypatch.setattr(sampling, "scatter_chunk", _no_draw)
+    with pytest.raises(ValueError, match=f"jobs must be positive, got {jobs}"):
+        simulate_bias(Spectrum((0.5, 0.5)), 10, "wishart", 100, seed=0, jobs=jobs)
+
+
+def test_invariance_rejects_nu_before_sampling(monkeypatch):
+    monkeypatch.setattr(sampling, "scatter_chunk", _no_draw)
+    with pytest.raises(ValueError, match="nu >= 3, got 2"):
+        invariance_check(Spectrum((0.5, 0.3, 0.2)), 10, 2, 200_000, seed=0)
+    # a fractional nu is refused, not truncated
+    with pytest.raises(ValueError, match="malformed"):
+        invariance_check(Spectrum((0.5, 0.3, 0.2)), 10, 3.9, 200_000, seed=0)
+
+
+def test_stacking_needs_a_weight_vector():
+    with pytest.raises(ValueError, match="at least one weight vector"):
+        simulate_stein_haff(Spectrum((0.5, 0.3, 0.2)), 10, [], 100, seed=0)
 
 
 def test_jobs_do_not_change_results():

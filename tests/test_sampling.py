@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from spectra_shrink import (
-    SpikedModel,
     Spectrum,
     parse_distribution,
     scatter_chunk,
     simulate_bias,
-    spiked_spectrum,
 )
 from spectra_shrink.evaluation import sample_rates
 from spectra_shrink.sampling import (
@@ -22,29 +20,6 @@ from spectra_shrink.sampling import (
     _build_wishart,
     _generator,
 )
-
-
-# ---------------------------------------------------------------------------
-# spiked model
-# ---------------------------------------------------------------------------
-
-
-def test_spiked_spectrum_examples():
-    m5 = SpikedModel(factor_count=5, spikes=(18.0,) * 5, noise_variance=1.0, dimension=10)
-    np.testing.assert_allclose(spiked_spectrum(m5).values, [19.0] * 5 + [1.0] * 5)
-    m1 = SpikedModel(factor_count=1, spikes=(90.0,), noise_variance=1.0, dimension=10)
-    np.testing.assert_allclose(spiked_spectrum(m1).values, [91.0] + [1.0] * 9)
-    flat = SpikedModel(factor_count=0, spikes=(), noise_variance=2.0, dimension=4)
-    np.testing.assert_allclose(spiked_spectrum(flat).values, [2.0] * 4)
-
-
-def test_spiked_model_validation():
-    with pytest.raises(ValueError):
-        SpikedModel(factor_count=4, spikes=(1.0,) * 4, noise_variance=1.0, dimension=4)
-    with pytest.raises(ValueError):
-        SpikedModel(factor_count=2, spikes=(1.0, 2.0), noise_variance=1.0, dimension=5)
-    with pytest.raises(ValueError):
-        SpikedModel(factor_count=1, spikes=(1.0,), noise_variance=0.0, dimension=5)
 
 
 def test_stream_key_validation():
