@@ -38,6 +38,16 @@ _CLOSED_FORM_MIN_GAP = 1e-4
 _THIRDS_DESCENDING = np.array([0.0, 4.0 * np.pi / 3.0, 2.0 * np.pi / 3.0])
 
 
+def _check_dof(n, p: int) -> None:
+    """Refuse degrees of freedom that are not an integer n >= p.
+
+    The sampler and the shrinkage weights both call this, so the rule has
+    one wording whichever of them refuses the input first.
+    """
+    if not isinstance(n, (int, np.integer)) or n < p:
+        raise ValueError(f"degrees of freedom must satisfy n >= p, got n={n!r}, p={p}")
+
+
 def _readonly_vector(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=True)
     if arr.ndim != 1:
@@ -225,7 +235,12 @@ def _eigvals_3x3_descending(a: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         c = det / (2.0 * r**3)
     phi = np.arccos(np.clip(c, -1.0, 1.0)) / 3.0
-    w = q[:, None] + (2.0 * r)[:, None] * np.cos(phi[:, None] + _THIRDS_DESCENDING)
+    # Column-major, one root per column: each step runs over a whole
+    # contiguous column instead of a length-3 row per matrix.
+    w = np.empty((a.shape[0], 3), order="F")
+    two_r = 2.0 * r
+    for k, offset in enumerate(_THIRDS_DESCENDING):
+        w[:, k] = q + two_r * np.cos(phi + offset)
     near = ~(np.abs(c) <= 1.0 - _CLOSED_FORM_MIN_GAP)
     if near.any():
         w[near] = np.linalg.eigvalsh(a[near])[:, ::-1]
@@ -252,7 +267,9 @@ def eigh_descending_batch(
     Returns
     -------
     eigenvalues : ndarray, shape (batch, p)
-        Sorted non-increasing per matrix.
+        Sorted non-increasing per matrix. The eigenvalue-only 3 x 3 result
+        is column-major (Fortran-ordered), so that per-root column
+        arithmetic downstream runs over contiguous memory.
     eigenvectors : ndarray or None
         Columns ordered to match, each column's largest-magnitude entry
         made positive so output is deterministic.

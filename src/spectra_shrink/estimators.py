@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContributionRates, SampleDecomposition, _readonly_vector
+from .core import ContributionRates, SampleDecomposition, _check_dof, _readonly_vector
 
 __all__ = [
     "CONDITION_TOL",
@@ -107,8 +107,7 @@ def family_weights(p: int, n: int, q: int) -> ShrinkageWeights:
     """
     if not isinstance(p, (int, np.integer)) or p < 4:
         raise ValueError(f"family weights need p >= 4, got {p!r}")
-    if not isinstance(n, (int, np.integer)) or n < p:
-        raise ValueError(f"family weights need n >= p, got n={n!r}, p={p}")
+    _check_dof(n, p)
     if not isinstance(q, (int, np.integer)) or not 1 <= q <= p / 2 - 1:
         raise ValueError(f"q must satisfy 1 <= q <= p/2 - 1 = {p / 2 - 1:g}, got {q!r}")
     m = p // 2

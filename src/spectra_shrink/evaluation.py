@@ -284,9 +284,13 @@ def _run_chunks(
 
 
 def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(count, mean, M2) over axis 0 of a rows-first array."""
-    mean = values.mean(axis=0)
-    return values.shape[0], mean, ((values - mean) ** 2).sum(axis=0)
+    """(count, mean, M2) along axis 1 of a columns-first (k, rows) array.
+
+    Each statistic's replicates form one row; a contiguous row is reduced
+    pairwise in one inner loop instead of k elements at a time per replicate.
+    """
+    mean = values.mean(axis=1)
+    return values.shape[1], mean, ((values - mean[:, None]) ** 2).sum(axis=1)
 
 
 def _merge_moments(parts: list) -> tuple[np.ndarray, np.ndarray]:
@@ -345,10 +349,13 @@ def simulate_bias(
     lam = spectrum.values
     total = lam.sum()
 
-    def stat(s, l, z, v):
+    def stat(s, l, d, v):
+        # Columns-first (p, rows): at p = 3 the rates are column-major, so
+        # d.T is contiguous, and the diagonal is gathered into rows too.
+        z = d.T
         if control_variate:
-            delta = np.einsum("rii->ri", s) / n - lam[None, :]
-            z = z - (delta / total - lam[None, :] * delta.sum(axis=1)[:, None] / total**2)
+            delta = np.stack([s[:, i, i] for i in range(lam.size)]) / n - lam[:, None]
+            z = z - (delta / total - lam[:, None] * delta.sum(axis=0) / total**2)
         return _moments(z)
 
     parts = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, False, stat)
@@ -404,7 +411,7 @@ def compare_risks(
             losses = _entropy_losses(d, v, betas, tau)
         else:
             losses = _quadratic_losses(d, betas, tau)
-        return _moments(np.concatenate([losses, losses[1:] - losses[0]]).T)
+        return _moments(np.concatenate([losses, losses[1:] - losses[0]]))
 
     parts = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, need_vectors, stat)
     means, ses = _merge_moments(parts)
@@ -459,7 +466,7 @@ def simulate_stein_haff(
             raise RuntimeError(
                 "sampled scatter matrix with tied eigenvalues; the G functional is not finite"
             )
-        return _moments(np.concatenate([trace, g, trace - g]).T)
+        return _moments(np.concatenate([trace, g, trace - g]))
 
     parts = _run_chunks(spectrum, n, "wishart", replicates, seed, jobs, True, stat)
     means, ses = _merge_moments(parts)

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .core import Spectrum
+from .core import Spectrum, _check_dof
 
 __all__ = [
     "CHUNK_SIZE",
@@ -84,11 +84,12 @@ def _build_wishart(chi2: np.ndarray, normals: np.ndarray, values: np.ndarray) ->
     rows, p = chi2.shape
     scale = np.sqrt(values)
     il, jl = np.tril_indices(p, -1)
-    diag = np.sqrt(chi2) * scale
-    lower = normals * scale[il]
     if p == 3:
-        b00, b11, b22 = diag.T
-        b10, b20, b21 = lower.T
+        # Scaled column by column: a (rows, 3) * (3,) broadcast would run
+        # numpy's inner loop once per matrix, over three elements.
+        root = np.sqrt(chi2)
+        b00, b11, b22 = (root[:, k] * scale[k] for k in range(3))
+        b10, b20, b21 = (normals[:, k] * scale[i] for k, i in enumerate(il))
         s = np.empty((rows, 3, 3))
         s[:, 0, 0] = b00 * b00
         s[:, 1, 0] = s[:, 0, 1] = b10 * b00
@@ -97,6 +98,8 @@ def _build_wishart(chi2: np.ndarray, normals: np.ndarray, values: np.ndarray) ->
         s[:, 2, 1] = s[:, 1, 2] = b20 * b10 + b21 * b11
         s[:, 2, 2] = b20 * b20 + b21 * b21 + b22 * b22
         return s
+    diag = np.sqrt(chi2) * scale
+    lower = normals * scale[il]
     b = np.zeros((rows, p, p))
     flat = b.reshape(rows, p * p)
     flat[:, np.arange(p) * (p + 1)] = diag
@@ -144,8 +147,7 @@ def scatter_chunk(
     laws have scale diag(spectrum); a Wishart draw has E[S] = n diag(spectrum),
     and an elliptical-t draw has the same law of contribution rates.
     """
-    if not isinstance(n, (int, np.integer)) or n < spectrum.p:
-        raise ValueError(f"degrees of freedom must satisfy n >= p, got n={n!r}, p={spectrum.p}")
+    _check_dof(n, spectrum.p)
     kind, nu = parse_distribution(distribution)
     if kind == "wishart":
         return _wishart_chunk(spectrum.values, int(n), seed, chunk_index)

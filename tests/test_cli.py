@@ -206,6 +206,15 @@ def test_invalid_specs_exit_2(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_n_below_p_has_one_message(capsys):
+    # the sampler and the family weights share one n >= p rule and message
+    errors = []
+    for command in ("bias", "risk", "dimension", "stein-haff"):
+        assert main([command, "--spectrum", "uniform10", "--n", "5", "--seed", "0"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: degrees of freedom must satisfy n >= p, got n=5, p=10\n"] * 4
+
+
 def _no_stream(*args, **kwargs):
     raise AssertionError("a Philox stream was created")
 

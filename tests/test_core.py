@@ -188,6 +188,16 @@ def test_batch_rows_match_single_matrix_calls(compute_vectors, p):
             assert np.array_equal(v[k], vk[0])
     if p == 3 and not compute_vectors:
         assert np.array_equal(w[3:6], np.linalg.eigvalsh(mats[3:6])[:, ::-1])
+        # the closed form reads its input through strides and returns a
+        # column-major result: a slice, a strided view or a Fortran-ordered
+        # copy of the stack gives the same bits per row
+        assert w.flags.f_contiguous
+        for view, expected in [
+            (mats[:20], w[:20]),
+            (mats[::2], w[::2]),
+            (np.asfortranarray(mats), w),
+        ]:
+            assert np.array_equal(eigh_descending_batch(view, False)[0], expected)
 
 
 @settings(max_examples=300)

@@ -340,13 +340,29 @@ def _streamed_and_per_replicate(engine, replicates):
     """An engine's streamed (means, SEs) and the per-replicate values it reduces.
 
     The values, shape (replicates, k), are rebuilt here from scatter_chunk:
-    the loss rows and the paired differences for compare_risks, and the
-    trace, G and trace - G for each weight vector for simulate_stein_haff.
+    the sample rates for simulate_bias, less the first-order fluctuation
+    (diag S / n - lambda) / T - lambda sum(diag S / n - lambda) / T^2 with
+    the control variate; the loss rows and the paired differences for
+    compare_risks; and the trace, G and trace - G for each weight vector for
+    simulate_stein_haff. The "bias-p3" engines run (0.5, 0.3, 0.2) through
+    the 3 x 3 closed form.
     """
     spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
-    if engine == "bias":
-        sim = simulate_bias(spec, n, "wishart", replicates, seed=seed)
-        return sim.mean_rates, sim.std_errors, sample_rates(spec, n, "wishart", replicates, seed)
+    if engine.startswith("bias"):
+        if engine != "bias":
+            spec = Spectrum((0.5, 0.3, 0.2))
+        control_variate = engine == "bias-p3-cv"
+        sim = simulate_bias(spec, n, "wishart", replicates, seed=seed, control_variate=control_variate)
+        values = sample_rates(spec, n, "wishart", replicates, seed)
+        if control_variate:
+            lam, total = spec.values, spec.values.sum()
+            diag = np.concatenate([
+                np.diagonal(scatter_chunk(spec, n, "wishart", seed, chunk)[:rows], axis1=1, axis2=2)
+                for chunk, rows in _chunk_plan(replicates)
+            ])
+            delta = diag / n - lam
+            values = values - (delta / total - np.outer(delta.sum(axis=1), lam) / total**2)
+        return sim.mean_rates, sim.std_errors, values
     weights = [classical_weights(4, n), family_weights(4, n, 1)]
     betas = np.stack([w.beta for w in weights])
     tau = spec.values / spec.values.sum()
@@ -383,7 +399,7 @@ _STREAM_REPS = [1000, 4096, 2 * 4096 + 123]
     [pytest.param("bias", r, id=str(r)) for r in _STREAM_REPS]
     + [
         pytest.param(engine, r, id=f"{engine}-{r}")
-        for engine in ("quadratic", "entropy", "stein-haff")
+        for engine in ("bias-p3", "bias-p3-cv", "quadratic", "entropy", "stein-haff")
         for r in _STREAM_REPS
     ],
 )
