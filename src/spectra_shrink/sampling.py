@@ -5,11 +5,12 @@ chunk index) through a Philox counter-based generator, so the draw for
 replicate k depends only on the seed and k - never on how many replicates
 are requested, the evaluation order, or the worker count. The Wishart
 route builds S directly from a Bartlett factor, entry by entry at p = 3
-and by a batched matmul otherwise. The elliptical-t route materializes
-the n x p data matrix, a block of rows of the chunk at a time, and shares
-a single chi-square mixing variable across the whole matrix, which is
-what makes the matrix law elliptically contoured rather than a stack of
-independent heavy-tailed rows.
+and by a batched matmul otherwise; the p = 3 stack is entries-first, each
+S_ij one contiguous column across the chunk. The elliptical-t route
+materializes the n x p data matrix, a block of rows of the chunk at a
+time, and shares a single chi-square mixing variable across the whole
+matrix, which is what makes the matrix law elliptically contoured rather
+than a stack of independent heavy-tailed rows.
 """
 
 from __future__ import annotations
@@ -90,7 +91,9 @@ def _build_wishart(chi2: np.ndarray, normals: np.ndarray, values: np.ndarray) ->
         root = np.sqrt(chi2)
         b00, b11, b22 = (root[:, k] * scale[k] for k in range(3))
         b10, b20, b21 = (normals[:, k] * scale[i] for k, i in enumerate(il))
-        s = np.empty((rows, 3, 3))
+        # Entries-first, so that each write here and each read downstream
+        # (closed form, control variate) runs over a contiguous column.
+        s = np.empty((3, 3, rows)).transpose(2, 0, 1)
         s[:, 0, 0] = b00 * b00
         s[:, 1, 0] = s[:, 0, 1] = b10 * b00
         s[:, 1, 1] = b10 * b10 + b11 * b11
@@ -145,7 +148,10 @@ def scatter_chunk(
 
     Replicate k lives at row k % CHUNK_SIZE of chunk k // CHUNK_SIZE. Both
     laws have scale diag(spectrum); a Wishart draw has E[S] = n diag(spectrum),
-    and an elliptical-t draw has the same law of contribution rates.
+    and an elliptical-t draw has the same law of contribution rates. A
+    Wishart chunk at p = 3 is entries-first (strides (8, 24 * CHUNK_SIZE,
+    8 * CHUNK_SIZE)), so each entry s[:, i, j] is one contiguous column;
+    every other chunk is C-ordered.
     """
     _check_dof(n, spectrum.p)
     kind, nu = parse_distribution(distribution)

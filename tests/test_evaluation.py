@@ -336,16 +336,41 @@ def test_jobs_do_not_change_results():
     assert one == four
 
 
+def _expansion_terms(spec, n, seed, replicates):
+    """Per-replicate rates and the first- and second-order terms of their expansion.
+
+    Rebuilt from scatter_chunk with E = S/n - Lambda, t = tr E and T the
+    spectrum total: the first-order term is E_ii/T - lambda_i t/T^2, and the
+    second-order term is Q_i/T - (t/T) times it, with Q_i the sum over
+    j != i of E_ij^2 / (lambda_i - lambda_j). All three are (replicates, p).
+    """
+    lam, total = spec.values, spec.values.sum()
+    e = np.concatenate([
+        scatter_chunk(spec, n, "wishart", seed, chunk)[:rows]
+        for chunk, rows in _chunk_plan(replicates)
+    ]) / n - np.diag(lam)
+    diag = np.diagonal(e, axis1=1, axis2=2)
+    t = diag.sum(axis=1)
+    first = diag / total - np.outer(t, lam) / total**2
+    q = np.zeros_like(first)
+    for i in range(lam.size):
+        for j in range(lam.size):
+            if j != i:
+                q[:, i] += e[:, i, j] ** 2 / (lam[i] - lam[j])
+    second = q / total - first * (t / total)[:, None]
+    return sample_rates(spec, n, "wishart", replicates, seed), first, second
+
+
 def _streamed_and_per_replicate(engine, replicates):
     """An engine's streamed (means, SEs) and the per-replicate values it reduces.
 
     The values, shape (replicates, k), are rebuilt here from scatter_chunk:
-    the sample rates for simulate_bias, less the first-order fluctuation
-    (diag S / n - lambda) / T - lambda sum(diag S / n - lambda) / T^2 with
-    the control variate; the loss rows and the paired differences for
-    compare_risks; and the trace, G and trace - G for each weight vector for
-    simulate_stein_haff. The "bias-p3" engines run (0.5, 0.3, 0.2) through
-    the 3 x 3 closed form.
+    the sample rates for simulate_bias, less the first- and second-order
+    terms of their expansion plus the second-order term's exact mean
+    (bias_expansion - lambda / T) with the control variate; the loss rows
+    and the paired differences for compare_risks; and the trace, G and
+    trace - G for each weight vector for simulate_stein_haff. The "bias-p3"
+    engines run (0.5, 0.3, 0.2) through the 3 x 3 closed form.
     """
     spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
     if engine.startswith("bias"):
@@ -353,15 +378,12 @@ def _streamed_and_per_replicate(engine, replicates):
             spec = Spectrum((0.5, 0.3, 0.2))
         control_variate = engine == "bias-p3-cv"
         sim = simulate_bias(spec, n, "wishart", replicates, seed=seed, control_variate=control_variate)
-        values = sample_rates(spec, n, "wishart", replicates, seed)
         if control_variate:
-            lam, total = spec.values, spec.values.sum()
-            diag = np.concatenate([
-                np.diagonal(scatter_chunk(spec, n, "wishart", seed, chunk)[:rows], axis1=1, axis2=2)
-                for chunk, rows in _chunk_plan(replicates)
-            ])
-            delta = diag / n - lam
-            values = values - (delta / total - np.outer(delta.sum(axis=1), lam) / total**2)
+            d, first, second = _expansion_terms(spec, n, seed, replicates)
+            offset = bias_expansion(spec, n) - spec.values / spec.values.sum()
+            values = d - first - second + offset
+        else:
+            values = sample_rates(spec, n, "wishart", replicates, seed)
         return sim.mean_rates, sim.std_errors, values
     weights = [classical_weights(4, n), family_weights(4, n, 1)]
     betas = np.stack([w.beta for w in weights])
@@ -420,6 +442,35 @@ def test_control_variate_agrees_and_tightens():
     assert np.all(cv.std_errors < plain.std_errors)
     with pytest.raises(ValueError, match="Wishart"):
         simulate_bias(spec, 100, "t:5", 1000, seed=1, control_variate=True)
+
+
+def test_second_order_cv_tightens_first_order():
+    # subtracting the second-order term too cuts the SE well below what the
+    # first-order control variate alone reaches, and moves the mean by noise
+    spec, n, seed, replicates = Spectrum((0.5, 0.3, 0.2)), 400, 37, 3 * 4096
+    d, first, _ = _expansion_terms(spec, n, seed, replicates)
+    first_order = d - first
+    first_mean = first_order.mean(axis=0)
+    first_se = first_order.std(axis=0, ddof=1) / np.sqrt(replicates)
+    cv = simulate_bias(spec, n, "wishart", replicates, seed=seed, control_variate=True)
+    assert np.all(cv.std_errors < 0.5 * first_se)
+    combined = np.sqrt(first_se**2 + cv.std_errors**2)
+    assert np.all(np.abs(cv.mean_rates - first_mean) < 4 * combined)
+
+
+def test_control_variate_refuses_tied_spectrum_before_sampling(monkeypatch):
+    # the pair terms divide by lambda_i - lambda_j; bias_expansion refuses
+    # the spectrum before the first stream is created
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a Philox stream was created")
+
+    monkeypatch.setattr(np.random, "Philox", no_stream)
+    for values in ((0.5, 0.25, 0.25), (0.4, 0.4 * (1 - 1e-14), 0.2)):
+        with pytest.raises(ValueError, match="repeated values"):
+            simulate_bias(Spectrum(values), 50, "wishart", 1000, seed=0, control_variate=True)
+    # without the control variate a tied spectrum is sampled as usual
+    with pytest.raises(AssertionError, match="Philox"):
+        simulate_bias(Spectrum((0.5, 0.25, 0.25)), 50, "wishart", 1000, seed=0)
 
 
 def test_mean_bias_direction_for_top_rate():

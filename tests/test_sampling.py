@@ -8,6 +8,7 @@ from scipy.stats import ks_2samp
 
 from spectra_shrink import (
     Spectrum,
+    eigh_descending_batch,
     parse_distribution,
     scatter_chunk,
     simulate_bias,
@@ -130,6 +131,21 @@ def test_bartlett_product_is_bit_identical_to_matmul(p):
     assert np.array_equal(
         _build_wishart(chi2, normals, values), _bartlett_reference(chi2, normals, values)
     )
+
+
+@pytest.mark.parametrize("n", [3, 200])
+def test_3x3_wishart_chunk_is_entries_first(n):
+    # each entry's column is contiguous; the shape, the values and every
+    # decomposition of them are those of a C-ordered stack
+    chunk = scatter_chunk(Spectrum((0.5, 0.3, 0.2)), n, "wishart", seed=n, chunk_index=0)
+    assert chunk.shape == (CHUNK_SIZE, 3, 3)
+    assert chunk.strides[0] == chunk.itemsize == 8
+    dense = np.ascontiguousarray(chunk)
+    for compute_vectors in (False, True):
+        w, v = eigh_descending_batch(chunk, compute_vectors)
+        w_dense, v_dense = eigh_descending_batch(dense, compute_vectors)
+        assert np.array_equal(w, w_dense)
+        assert (v is None and v_dense is None) or np.array_equal(v, v_dense)
 
 
 @pytest.mark.parametrize("p, n", [(3, 3), (10, 100), (20, 40)])
