@@ -76,13 +76,11 @@ class ExperimentSpec:
     def validate(self) -> None:
         """Check the CLI's own policy; each library call checks its own inputs.
 
-        Seed, jobs, distribution, t*, nu, n >= p and q are refused by the
-        library function that uses them, before its first draw.
+        Seed, jobs, replicates, distribution, t*, nu, n >= p and q are
+        refused by the library function that uses them, before its first draw.
         """
         if self.kind not in _EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.replicates < 100:
-            raise ValueError(f"replicates must be at least 100, got {self.replicates}")
         if self.kind == "risk" and self.table2:
             return  # every tabulated risk spectrum has p = 10
         p = self.resolve_spectrum().p

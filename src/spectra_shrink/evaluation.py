@@ -21,6 +21,7 @@ from .core import (
     LossValue,
     SampleDecomposition,
     Spectrum,
+    _check_dof,
     eigh_descending_batch,
 )
 from .estimators import ShrinkageWeights
@@ -194,18 +195,17 @@ def bias_expansion(truth: Spectrum, n: int) -> np.ndarray:
     E(d_i) is the population rate plus n^-1 times
     2 lambda_i (sum lambda_j^2) / T^3 - 2 lambda_i^2 / T^2
     + (lambda_i / T) sum_{j != i} lambda_j / (lambda_i - lambda_j),
-    with T the spectrum total. Requires all eigenvalues distinct.
+    with T the spectrum total. Requires all eigenvalues distinct and, as
+    the sampler does, an integer n >= p.
     """
+    _check_dof(n, truth.p)
     lam = truth.values
-    p = lam.size
     gaps = lam[:-1] - lam[1:]
     if gaps.min() < 1e-12 * lam[0]:
         raise ValueError(
             "bias expansion requires eigenvalues with no multiplicity; "
             "received a spectrum with (nearly) repeated values"
         )
-    if n < 1:
-        raise ValueError("n must be positive")
     total = lam.sum()
     sumsq = np.sum(lam**2)
     diff = lam[:, None] - lam[None, :]
@@ -369,12 +369,12 @@ def simulate_bias(
         ]
 
     def stat(s, l, d, v):
-        # Columns-first (p, rows): at p = 3 the rates are column-major, so
-        # d.T is contiguous.
+        # Columns-first (p, rows): at p = 3 the closed-form eigenvalues, and
+        # so the rates, are column-major, and d.T is contiguous.
         if not control_variate:
             return _moments(d.T)
-        # One coordinate at a time, in place on (rows,) vectors; at p = 3
-        # every s[:, i, j] is a contiguous column of the entries-first stack.
+        # One coordinate at a time, in place on (rows,) vectors; every
+        # s[:, i, j] is a contiguous column of the entries-first stack.
         # With a = tr S / (nT) = 1 + t/T the first-order part of z_i is
         # L_i (1 - t/T) = (S_ii - n lambda_i a) w, where w = (2 - a) / (nT).
         a = s[:, 0, 0].copy()

@@ -4,13 +4,13 @@ Draws are organized in fixed-size chunks keyed by (seed, distribution,
 chunk index) through a Philox counter-based generator, so the draw for
 replicate k depends only on the seed and k - never on how many replicates
 are requested, the evaluation order, or the worker count. The Wishart
-route builds S directly from a Bartlett factor, entry by entry at p = 3
-and by a batched matmul otherwise; the p = 3 stack is entries-first, each
-S_ij one contiguous column across the chunk. The elliptical-t route
-materializes the n x p data matrix, a block of rows of the chunk at a
-time, and shares a single chi-square mixing variable across the whole
-matrix, which is what makes the matrix law elliptically contoured rather
-than a stack of independent heavy-tailed rows.
+route builds S directly from a Bartlett factor, entry by entry at every p,
+into an entries-first stack: each S_ij is one contiguous column across the
+chunk. The elliptical-t route materializes the n x p data matrix, a block
+of rows of the chunk at a time, and shares a single chi-square mixing
+variable across the whole matrix, which is what makes the matrix law
+elliptically contoured rather than a stack of independent heavy-tailed
+rows.
 """
 
 from __future__ import annotations
@@ -76,40 +76,30 @@ def _build_wishart(chi2: np.ndarray, normals: np.ndarray, values: np.ndarray) ->
     """Assemble S = B B' from Bartlett variates, B = L A, one matrix per row.
 
     The scale L = diag(sqrt(values)) is applied to the compact diagonal
-    sqrt(chi2) and to the strictly-lower normals before they are placed. At
-    p = 3 the six entries of S are then formed elementwise from the six
-    factor entries, which avoids a per-matrix BLAS call for 3x3 products;
-    these sums can differ from BLAS by an ulp. Other sizes scatter the
-    factor into a zeroed (rows, p, p) array and use a batched matmul.
+    sqrt(chi2) and to the strictly-lower normals, giving each entry of B
+    as one (rows,) column. Each entry S_ij = sum_{k <= j} B_ik B_jk, i >= j,
+    is then summed in ascending k, written once into an entries-first stack
+    and copied to (j, i), so S is exactly symmetric. The sums can differ
+    from a BLAS matmul by an ulp.
     """
     rows, p = chi2.shape
     scale = np.sqrt(values)
-    il, jl = np.tril_indices(p, -1)
-    if p == 3:
-        # Scaled column by column: a (rows, 3) * (3,) broadcast would run
-        # numpy's inner loop once per matrix, over three elements.
-        root = np.sqrt(chi2)
-        b00, b11, b22 = (root[:, k] * scale[k] for k in range(3))
-        b10, b20, b21 = (normals[:, k] * scale[i] for k, i in enumerate(il))
-        # Entries-first, so that each write here and each read downstream
-        # (closed form, control variate) runs over a contiguous column.
-        s = np.empty((3, 3, rows)).transpose(2, 0, 1)
-        s[:, 0, 0] = b00 * b00
-        s[:, 1, 0] = s[:, 0, 1] = b10 * b00
-        s[:, 1, 1] = b10 * b10 + b11 * b11
-        s[:, 2, 0] = s[:, 0, 2] = b20 * b00
-        s[:, 2, 1] = s[:, 1, 2] = b20 * b10 + b21 * b11
-        s[:, 2, 2] = b20 * b20 + b21 * b21 + b22 * b22
-        return s
-    diag = np.sqrt(chi2) * scale
-    lower = normals * scale[il]
-    b = np.zeros((rows, p, p))
-    flat = b.reshape(rows, p * p)
-    flat[:, np.arange(p) * (p + 1)] = diag
-    flat[:, il * p + jl] = lower
-    # X @ X' comes out exactly symmetric, here and for the t law below
-    # (test_sampled_scatter_is_symmetric_pd pins it), so nothing symmetrises.
-    return b @ b.transpose(0, 2, 1)
+    root = np.sqrt(chi2)
+    # b[i][k] is entry (i, k) of B as one (rows,) column: row i takes the
+    # next i normals (tril_indices order) and ends with the diagonal.
+    lower = iter(normals.T)
+    b = [
+        [next(lower) * scale[i] for _ in range(i)] + [root[:, i] * scale[i]]
+        for i in range(p)
+    ]
+    s = np.empty((p, p, rows)).transpose(2, 0, 1)
+    for i in range(p):
+        for j in range(i + 1):
+            entry = b[i][0] * b[j][0]
+            for k in range(1, j + 1):
+                entry += b[i][k] * b[j][k]
+            s[:, i, j] = s[:, j, i] = entry
+    return s
 
 
 def _wishart_chunk(values: np.ndarray, n: int, seed: int, chunk_index: int) -> np.ndarray:
@@ -127,6 +117,8 @@ def _elliptical_chunk(
     # Normals are drawn in row blocks into one reused buffer. Consecutive
     # standard_normal calls continue the same stream, so the chunk is the
     # same as from one (CHUNK_SIZE, n, p) draw, without holding all of it.
+    # X' X comes out exactly symmetric (test_sampled_scatter_is_symmetric_pd
+    # pins it), so nothing symmetrises.
     p = values.size
     gen = _generator(seed, _TAG_ELLIPTICAL, chunk_index)
     scale = np.sqrt(values)
@@ -148,10 +140,10 @@ def scatter_chunk(
 
     Replicate k lives at row k % CHUNK_SIZE of chunk k // CHUNK_SIZE. Both
     laws have scale diag(spectrum); a Wishart draw has E[S] = n diag(spectrum),
-    and an elliptical-t draw has the same law of contribution rates. A
-    Wishart chunk at p = 3 is entries-first (strides (8, 24 * CHUNK_SIZE,
-    8 * CHUNK_SIZE)), so each entry s[:, i, j] is one contiguous column;
-    every other chunk is C-ordered.
+    and an elliptical-t draw has the same law of contribution rates. Every
+    Wishart chunk is entries-first (strides (8, 8 p CHUNK_SIZE,
+    8 CHUNK_SIZE)), so each entry s[:, i, j] is one contiguous column; an
+    elliptical-t chunk is C-ordered.
     """
     _check_dof(n, spectrum.p)
     kind, nu = parse_distribution(distribution)

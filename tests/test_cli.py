@@ -18,7 +18,7 @@ from spectra_shrink.cases import (
     named_spectrum,
     spiked_case,
 )
-from spectra_shrink.cli import ExperimentSpec, main
+from spectra_shrink.cli import ExperimentSpec, main, run
 
 
 def _read(path):
@@ -310,13 +310,16 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert "# seed=3," in _read(out2)
 
 
-def test_experiment_spec_validates_before_sampling():
+def test_experiment_spec_validates_before_sampling(monkeypatch):
     spec = ExperimentSpec(kind="risk", spectrum=(0.5, 0.3, 0.2), n=30)
     with pytest.raises(ValueError, match="p >= 6"):
         spec.validate()
+    # the replicate floor belongs to the engines, which refuse before a draw
     spec = ExperimentSpec(kind="bias", spectrum=(0.6, 0.4), n=30, replicates=10)
-    with pytest.raises(ValueError, match="replicates"):
-        spec.validate()
+    spec.validate()
+    monkeypatch.setattr(np.random, "Philox", _no_stream)
+    with pytest.raises(ValueError, match="replicates must be at least 100, got 10"):
+        run(spec)
 
 
 # ---------------------------------------------------------------------------

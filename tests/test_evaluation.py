@@ -291,6 +291,10 @@ def _no_draw(*args):
     raise AssertionError("a chunk was sampled")
 
 
+def _no_stream(*args, **kwargs):
+    raise AssertionError("a Philox stream was created")
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_engines_reject_invalid_jobs(jobs, monkeypatch):
     monkeypatch.setattr(sampling, "scatter_chunk", _no_draw)
@@ -461,16 +465,26 @@ def test_second_order_cv_tightens_first_order():
 def test_control_variate_refuses_tied_spectrum_before_sampling(monkeypatch):
     # the pair terms divide by lambda_i - lambda_j; bias_expansion refuses
     # the spectrum before the first stream is created
-    def no_stream(*args, **kwargs):
-        raise AssertionError("a Philox stream was created")
-
-    monkeypatch.setattr(np.random, "Philox", no_stream)
+    monkeypatch.setattr(np.random, "Philox", _no_stream)
     for values in ((0.5, 0.25, 0.25), (0.4, 0.4 * (1 - 1e-14), 0.2)):
         with pytest.raises(ValueError, match="repeated values"):
             simulate_bias(Spectrum(values), 50, "wishart", 1000, seed=0, control_variate=True)
     # without the control variate a tied spectrum is sampled as usual
     with pytest.raises(AssertionError, match="Philox"):
         simulate_bias(Spectrum((0.5, 0.25, 0.25)), 50, "wishart", 1000, seed=0)
+
+
+@pytest.mark.parametrize("control_variate", [False, True])
+def test_bias_refuses_small_n_before_sampling(control_variate, monkeypatch):
+    # bias_expansion and the sampler share one n >= p rule and message
+    monkeypatch.setattr(np.random, "Philox", _no_stream)
+    for n in (0, 2):
+        message = f"^degrees of freedom must satisfy n >= p, got n={n}, p=3$"
+        with pytest.raises(ValueError, match=message):
+            simulate_bias(
+                Spectrum((0.5, 0.3, 0.2)), n, "wishart", 1000, seed=0,
+                control_variate=control_variate,
+            )
 
 
 def test_mean_bias_direction_for_top_rate():

@@ -19,6 +19,8 @@ GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = {
     "bias-wishart": ["bias", "--spectrum", "table1:6", "--n", "30", "--reps", "5000",
                      "--seed", "42"],
+    "bias-p3-wishart": ["bias", "--spectrum", "0.5,0.3,0.2", "--n", "200", "--reps", "5000",
+                        "--seed", "42"],
     "bias-t5": ["bias", "--spectrum", "0.5,0.3,0.2", "--n", "20", "--dist", "t:5",
                 "--reps", "5000", "--seed", "42"],
     "risk-p10": ["risk", "--spectrum", "table2:1", "--n", "30", "--reps", "5000", "--seed", "7"],

@@ -111,12 +111,13 @@ def _bartlett_reference(chi2, normals, values):
 @settings(max_examples=50, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(3, 400),
-    log_values=st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3),
+    p=st.sampled_from([2, 3, 5, 10, 20]),
+    extra_dof=st.integers(0, 397),
+    log_values=st.lists(st.floats(-6.0, 6.0), min_size=20, max_size=20),
 )
-def test_3x3_bartlett_product_matches_matmul(seed, n, log_values):
-    values = 10.0 ** np.array(log_values)
-    chi2, normals = _bartlett_variates(seed, 3, n, 256)
+def test_bartlett_product_matches_matmul(seed, p, extra_dof, log_values):
+    values = 10.0 ** np.array(log_values[:p])
+    chi2, normals = _bartlett_variates(seed, p, p + extra_dof, 256)
     s = _build_wishart(chi2, normals, values)
     assert np.array_equal(s, s.transpose(0, 2, 1))
     ref = _bartlett_reference(chi2, normals, values)
@@ -124,21 +125,13 @@ def test_3x3_bartlett_product_matches_matmul(seed, n, log_values):
     assert np.all(err <= 1e-15 * np.abs(ref).max(axis=(1, 2)))
 
 
-@pytest.mark.parametrize("p", [2, 10, 20])
-def test_bartlett_product_is_bit_identical_to_matmul(p):
-    chi2, normals = _bartlett_variates(p, p, 2 * p, 512)
-    values = np.linspace(3.0, 0.2, p)
-    assert np.array_equal(
-        _build_wishart(chi2, normals, values), _bartlett_reference(chi2, normals, values)
-    )
-
-
-@pytest.mark.parametrize("n", [3, 200])
-def test_3x3_wishart_chunk_is_entries_first(n):
+@pytest.mark.parametrize("p, n", [(3, 3), (3, 200), (10, 10), (10, 200)])
+def test_wishart_chunk_is_entries_first(p, n):
     # each entry's column is contiguous; the shape, the values and every
     # decomposition of them are those of a C-ordered stack
-    chunk = scatter_chunk(Spectrum((0.5, 0.3, 0.2)), n, "wishart", seed=n, chunk_index=0)
-    assert chunk.shape == (CHUNK_SIZE, 3, 3)
+    spec = Spectrum(np.linspace(0.5, 0.05, p))
+    chunk = scatter_chunk(spec, n, "wishart", seed=n, chunk_index=0)
+    assert chunk.shape == (CHUNK_SIZE, p, p)
     assert chunk.strides[0] == chunk.itemsize == 8
     dense = np.ascontiguousarray(chunk)
     for compute_vectors in (False, True):
