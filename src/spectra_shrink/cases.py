@@ -101,17 +101,13 @@ def named_spectrum(name: str) -> Spectrum:
     """
     if name == "uniform10":
         return Spectrum((0.1,) * 10)
-    for prefix, resolver in (("table1:", table1_spectrum), ("table2:", table2_spectrum)):
+    for prefix, resolver in (
+        ("table1:", table1_spectrum), ("table2:", table2_spectrum), ("case:", spiked_case)
+    ):
         if name.startswith(prefix):
             try:
-                row = int(name[len(prefix) :])
+                index = int(name[len(prefix) :])
             except ValueError:
                 raise ValueError(f"malformed spectrum name {name!r}") from None
-            return resolver(row)
-    if name.startswith("case:"):
-        try:
-            case = int(name[5:])
-        except ValueError:
-            raise ValueError(f"malformed spectrum name {name!r}") from None
-        return spiked_case(case)
+            return resolver(index)
     raise ValueError(f"unknown spectrum name {name!r}")

@@ -403,17 +403,20 @@ def simulate_bias(
     return BiasSimulation(mean_rates=mean, std_errors=se, replicates=replicates)
 
 
-def _entropy_losses(
-    d: np.ndarray, v: np.ndarray, betas: np.ndarray, tau: np.ndarray
-) -> np.ndarray:
+def _plugin_traces(d: np.ndarray, v: np.ndarray, betas: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """tr(V diag(beta d) V' diag(tau)^-1) per weight vector, shape (n_weights, rows).
+
+    u_rk = sum_j v_rjk^2 / tau_j is formed once and shared by every weight vector.
+    """
+    u = (1.0 / tau) @ (v * v)
+    return betas @ (d * u).T
+
+
+def _entropy_losses(d: np.ndarray, v: np.ndarray, betas: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Entropy losses of plug-in estimates, shape (n_weights, rows)."""
-    p = tau.size
-    phi = betas[:, None, :] * d[None, :, :]
-    v2 = v * v
-    diag = np.einsum("rjk,wrk->wrj", v2, phi)
-    trace = np.einsum("wrj,j->wr", diag, 1.0 / tau)
-    logdet = np.log(phi).sum(axis=2) - np.log(tau).sum()
-    return trace - logdet - p
+    # V is orthogonal, so log det(estimate truth^-1) = sum log beta + sum log d - sum log tau.
+    logdet = np.log(betas).sum(axis=1)[:, None] + np.log(d).sum(axis=1) - np.log(tau).sum()
+    return _plugin_traces(d, v, betas, tau) - logdet - tau.size
 
 
 def _quadratic_losses(d: np.ndarray, betas: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -465,19 +468,19 @@ def compare_risks(
     )
 
 
-def _g_batch(l: np.ndarray, d: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized Stein-Haff functional over rows of eigenvalues."""
-    rows, p = l.shape
-    li = l[:, :, None]
-    lj = l[:, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = lj / (li - lj)
-    bi = beta[:, None] - beta[None, :]
+def _g_batch(l: np.ndarray, d: np.ndarray, betas: np.ndarray, n: int) -> np.ndarray:
+    """Stein-Haff functional for each weight vector, shape (n_weights, rows).
+
+    The fractions l_j / (l_i - l_j) are formed once, on the pairs i < j; a
+    row with tied eigenvalues comes out non-finite, without a warning.
+    """
+    p = l.shape[1]
     iu, ju = np.triu_indices(p, 1)
-    pair = np.einsum("rk,k->r", frac[:, iu, ju], bi[iu, ju])
-    i = np.arange(1, p + 1)
-    linear = ((n + p + 1.0 - 2 * i)[None, :] - 2.0 * d) @ beta
-    return (2.0 * pair + linear) / l.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = l[:, ju] / (l[:, iu] - l[:, ju])
+        pair = (betas[:, iu] - betas[:, ju]) @ frac.T
+        linear = betas @ (n + p - 1.0 - 2 * np.arange(p) - 2.0 * d).T
+        return (2.0 * pair + linear) / l.sum(axis=1)
 
 
 def simulate_stein_haff(
@@ -490,18 +493,17 @@ def simulate_stein_haff(
 ) -> list[SteinHaffCheck]:
     """Check E[tr(estimate Sigma^-1)] = E[G] empirically under Wishart draws.
 
-    One check per weight vector, all on the same draws. A draw with tied
-    sample eigenvalues, where G is not finite, raises RuntimeError.
+    One check per weight vector, all on the same draws: each chunk's traces
+    and G values are formed for every weight vector at once. A draw with
+    tied sample eigenvalues, where G is not finite, raises RuntimeError.
     """
     betas = _stack_betas(weights_list, spectrum.p)
     tau = spectrum.values / spectrum.values.sum()
     k = len(weights_list)
 
     def stat(s, l, d, v):
-        phi = betas[:, None, :] * d[None, :, :]
-        diag = np.einsum("rjk,wrk->wrj", v * v, phi)
-        trace = np.einsum("wrj,j->wr", diag, 1.0 / tau)
-        g = np.stack([_g_batch(l, d, beta, n) for beta in betas])
+        trace = _plugin_traces(d, v, betas, tau)
+        g = _g_batch(l, d, betas, n)
         if not np.all(np.isfinite(g)):
             raise RuntimeError(
                 "sampled scatter matrix with tied eigenvalues; the G functional is not finite"

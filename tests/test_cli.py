@@ -71,6 +71,10 @@ def test_named_spectrum_resolution():
         named_spectrum("table1:0")
     with pytest.raises(ValueError):
         named_spectrum("mystery")
+    with pytest.raises(ValueError, match=r"^malformed spectrum name 'case:x'$"):
+        named_spectrum("case:x")
+    with pytest.raises(ValueError, match=r"^spiked cases run 1\.\.10, got 11$"):
+        named_spectrum("case:11")
 
 
 # ---------------------------------------------------------------------------

@@ -110,15 +110,25 @@ def test_g_rejects_coincident_eigenvalues():
         stein_haff_G(dec, classical_weights(2, 5), 5)
 
 
+def _zigzag_weights(p, n):
+    """Positive weights that are not monotone: 0.8, 1.0, 1.2, 0.8, ..."""
+    return ShrinkageWeights(beta=0.8 + 0.2 * (np.arange(p) % 3), dof=n)
+
+
 def test_g_batch_matches_scalar():
     rng = np.random.default_rng(23)
-    w = family_weights(6, 15, 1)
+    weights = [classical_weights(6, 15), family_weights(6, 15, 1), _zigzag_weights(6, 15)]
+    decs = []
     for _ in range(10):
         a = rng.standard_normal((15, 6))
-        dec = symmetric_eigendecompose(ScatterSample(a.T @ a, dof=15))
-        scalar = stein_haff_G(dec, w, 15)
-        batched = _g_batch(dec.eigenvalues[None], dec.rates[None], w.beta, 15)[0]
-        assert abs(scalar - batched) < 1e-12
+        decs.append(symmetric_eigendecompose(ScatterSample(a.T @ a, dof=15)))
+    l = np.stack([dec.eigenvalues for dec in decs])
+    d = np.stack([dec.rates for dec in decs])
+    batched = _g_batch(l, d, np.stack([w.beta for w in weights]), 15)
+    assert batched.shape == (3, 10)
+    for k, w in enumerate(weights):
+        for r, dec in enumerate(decs):
+            assert abs(stein_haff_G(dec, w, 15) - batched[k, r]) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -130,7 +140,7 @@ def test_batch_losses_match_scalar(seed, p, extra):
     tau /= tau.sum()
     a = rng.standard_normal((8, n, p)) * np.sqrt(tau)
     s = a.transpose(0, 2, 1) @ a
-    weights = [classical_weights(p, n), family_weights(p, n, 1)]
+    weights = [classical_weights(p, n), family_weights(p, n, 1), _zigzag_weights(p, n)]
     betas = np.stack([w.beta for w in weights])
     _, d, v = _batch_rates(s, need_vectors=True)
     entropy = _entropy_losses(d, v, betas, tau)
@@ -173,12 +183,14 @@ def test_pathwise_risk_difference_bound():
     # the dominance proof makes this quantity non-positive draw by draw
     spec = Spectrum((0.1,) * 10)
     w1 = family_weights(10, 30, 1)
+    betas = np.stack([w1.beta, np.ones(10)])
     log_beta = np.sum(np.log(w1.beta))
     worst = -np.inf
     for chunk, rows in _chunk_plan(10000):
         s = scatter_chunk(spec, 30, "wishart", seed=37, chunk_index=chunk)[:rows]
         l, d, _ = _batch_rates(s, need_vectors=False)
-        bound = _g_batch(l, d, w1.beta, 30) - _g_batch(l, d, np.ones(10), 30) - log_beta
+        g = _g_batch(l, d, betas, 30)
+        bound = g[0] - g[1] - log_beta
         worst = max(worst, bound.max())
     assert worst <= 1e-10
 
@@ -398,7 +410,7 @@ def _streamed_and_per_replicate(engine, replicates):
         if engine == "stein-haff":
             estimates = np.einsum("rij,wrj,rkj->wrik", v, betas[:, None, :] * d, v)
             trace = np.einsum("wrii,i->wr", estimates, 1.0 / tau)
-            g = np.stack([_g_batch(l, d, beta, n) for beta in betas])
+            g = _g_batch(l, d, betas, n)
             columns.append(np.concatenate([trace, g, trace - g]))
         else:
             if engine == "entropy":

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -123,6 +124,26 @@ def test_bartlett_product_matches_matmul(seed, p, extra_dof, log_values):
     ref = _bartlett_reference(chi2, normals, values)
     err = np.abs(s - ref).max(axis=(1, 2))
     assert np.all(err <= 1e-15 * np.abs(ref).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "p, digest",
+    [
+        (3, "8ae7ed153d5bb70f6b0c77b4b808446b21ca9f772d147f71c86d13c7755b44d6"),
+        (10, "7b1e4443b297de29e6e590f243b6e524d14d8d2fc5645513a095d55f1f02db72"),
+    ],
+)
+def test_bartlett_product_bits_are_pinned(p, digest):
+    # Part of the stream contract: a reordered sum moves an ulp, which the
+    # golden CSVs' six printed digits do not see. The inputs are uniform
+    # doubles, exact on every platform, and only sqrt, * and + touch them.
+    u = np.random.Generator(np.random.Philox(key=p)).random
+    chi2 = 1.0 + 400.0 * u((64, p))
+    normals = 2.0 * u((64, p * (p - 1) // 2)) - 1.0
+    values = 0.5 + u(p)
+    s = _build_wishart(chi2, normals, values)
+    data = np.ascontiguousarray(s, dtype="<f8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 @pytest.mark.parametrize("p, n", [(3, 3), (3, 200), (10, 10), (10, 200)])
