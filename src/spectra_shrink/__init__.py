@@ -9,11 +9,8 @@ and exercise them.
 
 from .core import (
     ContributionRates,
-    LossValue,
     SampleDecomposition,
-    ScatterSample,
     Spectrum,
-    contribution_rates,
     eigh_descending_batch,
     symmetric_eigendecompose,
 )
@@ -29,7 +26,6 @@ from .estimators import (
     ConditionReport,
     ShrinkageWeights,
     check_conditions,
-    classical_estimate,
     classical_weights,
     condition2_family_bound,
     family_weights,
@@ -60,17 +56,13 @@ __all__ = [
     "__version__",
     "Spectrum",
     "ContributionRates",
-    "ScatterSample",
     "SampleDecomposition",
-    "LossValue",
-    "contribution_rates",
     "symmetric_eigendecompose",
     "eigh_descending_batch",
     "ShrinkageWeights",
     "ConditionReport",
     "classical_weights",
     "family_weights",
-    "classical_estimate",
     "shrink_estimate",
     "plugin_covariance",
     "check_conditions",

@@ -81,6 +81,8 @@ class ExperimentSpec:
         """
         if self.kind not in _EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if (self.spectrum is not None) + (self.case is not None) + self.table2 > 1:
+            raise ValueError("give one spectrum source: --spectrum, --case or --table2")
         if self.kind == "risk" and self.table2:
             return  # every tabulated risk spectrum has p = 10
         p = self.resolve_spectrum().p
@@ -368,6 +370,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_bool(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(text)
+
+
 _CONFIG_COERCE = {
     "n": int,
     "reps": int,
@@ -380,8 +391,8 @@ _CONFIG_COERCE = {
     "spectrum": str,
     "dist": str,
     "out": str,
-    "table2": lambda s: s.lower() in ("1", "true", "yes"),
-    "normalize_criterion2": lambda s: s.lower() in ("1", "true", "yes"),
+    "table2": _config_bool,
+    "normalize_criterion2": _config_bool,
 }
 
 

@@ -17,18 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LOSS_KINDS",
     "Spectrum",
     "ContributionRates",
-    "ScatterSample",
     "SampleDecomposition",
-    "LossValue",
-    "contribution_rates",
     "symmetric_eigendecompose",
     "eigh_descending_batch",
 ]
-
-LOSS_KINDS = ("entropy", "quadratic")
 
 _SYMMETRY_REL_TOL = 1e-10
 #: Rows of a 3x3 batch with 1 - |cos 3phi| below this have a near-repeated
@@ -117,35 +111,6 @@ class ContributionRates:
 
 
 @dataclass(frozen=True)
-class ScatterSample:
-    """A p x p symmetric scatter matrix together with its degrees of freedom."""
-
-    matrix: np.ndarray
-    dof: int
-
-    def __post_init__(self) -> None:
-        mat = _readonly_matrix(self.matrix, "scatter matrix")
-        if mat.shape[0] < 2:
-            raise ValueError("scatter matrix must be at least 2 x 2")
-        scale = float(np.abs(mat).max())
-        asym = float(np.abs(mat - mat.T).max())
-        if asym > _SYMMETRY_REL_TOL * max(scale, 1e-300):
-            raise ValueError(
-                "scatter matrix is not symmetric: max |S - S'| = "
-                f"{asym:.3e} exceeds {_SYMMETRY_REL_TOL:.0e} * max|S| = "
-                f"{_SYMMETRY_REL_TOL * scale:.3e}"
-            )
-        if not isinstance(self.dof, (int, np.integer)) or self.dof < 1:
-            raise ValueError(f"degrees of freedom must be a positive integer, got {self.dof!r}")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "dof", int(self.dof))
-
-    @property
-    def p(self) -> int:
-        return int(self.matrix.shape[0])
-
-
-@dataclass(frozen=True)
 class SampleDecomposition:
     """Spectral decomposition of a scatter matrix.
 
@@ -182,30 +147,6 @@ class SampleDecomposition:
     @property
     def p(self) -> int:
         return int(self.eigenvalues.size)
-
-
-@dataclass(frozen=True)
-class LossValue:
-    """A non-negative loss together with the loss family it came from."""
-
-    value: float
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {self.kind!r}")
-        if not np.isfinite(self.value) or self.value < 0.0:
-            raise ValueError(f"loss value must be finite and non-negative, got {self.value!r}")
-        object.__setattr__(self, "value", float(self.value))
-
-
-def contribution_rates(spectrum: Spectrum) -> ContributionRates:
-    """Divide each eigenvalue by the spectrum total.
-
-    The result sums to one and inherits the non-increasing order of the
-    input.
-    """
-    return ContributionRates(spectrum.values / spectrum.values.sum())
 
 
 def _eigvals_3x3_descending(a: np.ndarray) -> np.ndarray:
@@ -290,15 +231,25 @@ def eigh_descending_batch(
     return w, v
 
 
-def symmetric_eigendecompose(sample: ScatterSample) -> SampleDecomposition:
+def symmetric_eigendecompose(matrix: np.ndarray) -> SampleDecomposition:
     """Spectral decomposition S = H diag(l) H' with descending eigenvalues.
 
     Deterministic for a fixed input: each eigenvector's largest-magnitude
     entry is made positive, which fixes the sign LAPACK leaves free. Raises
-    if the matrix is not positive definite or the decomposition does not
-    reconstruct it.
+    if the matrix is not a finite, symmetric p x p array with p >= 2, is not
+    positive definite, or the decomposition does not reconstruct it.
     """
-    s = sample.matrix
+    s = _readonly_matrix(matrix, "scatter matrix")
+    if s.shape[0] < 2:
+        raise ValueError("scatter matrix must be at least 2 x 2")
+    scale = float(np.abs(s).max())
+    asym = float(np.abs(s - s.T).max())
+    if asym > _SYMMETRY_REL_TOL * max(scale, 1e-300):
+        raise ValueError(
+            "scatter matrix is not symmetric: max |S - S'| = "
+            f"{asym:.3e} exceeds {_SYMMETRY_REL_TOL:.0e} * max|S| = "
+            f"{_SYMMETRY_REL_TOL * scale:.3e}"
+        )
     w, v = eigh_descending_batch(s[None, :, :])
     l, h = w[0], v[0]
     if np.any(l <= 0.0):

@@ -1,10 +1,11 @@
 """Contribution-rate estimators and the shrinkage weight family.
 
-The classical estimator uses the sample rates directly. The shrinkage
-family deflates the leading rates and inflates the trailing ones through
-a weight vector indexed by an integer q; the condition checker verifies
-the three inequalities under which the shrunk plug-in covariance
-dominates the classical one under entropy loss.
+The classical estimator is the sample rates themselves,
+``SampleDecomposition.rates``. The shrinkage family deflates the leading
+rates and inflates the trailing ones through a weight vector indexed by an
+integer q; the condition checker verifies the three inequalities under
+which the shrunk plug-in covariance dominates the classical one under
+entropy loss.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "ConditionReport",
     "classical_weights",
     "family_weights",
-    "classical_estimate",
     "shrink_estimate",
     "plugin_covariance",
     "check_conditions",
@@ -118,11 +118,6 @@ def family_weights(p: int, n: int, q: int) -> ShrinkageWeights:
     beta[: m - q] = n / lower_denoms
     beta[p - m + q :] = n / upper_denoms
     return ShrinkageWeights(beta=beta, dof=int(n), q=int(q))
-
-
-def classical_estimate(decomp: SampleDecomposition) -> ContributionRates:
-    """The sample contribution rates, used directly as estimates."""
-    return ContributionRates(decomp.rates)
 
 
 def shrink_estimate(

@@ -18,7 +18,6 @@ import numpy as np
 from . import sampling
 from .core import (
     ContributionRates,
-    LossValue,
     SampleDecomposition,
     Spectrum,
     _check_dof,
@@ -61,7 +60,6 @@ class RiskComparison:
     diff_means: np.ndarray
     diff_std_errors: np.ndarray
     replicates: int
-    loss_kind: str
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,7 @@ class InvarianceReport:
         return bool(np.all(self.p_values > self.alpha))
 
 
-def entropy_loss(estimate: np.ndarray, truth: np.ndarray) -> LossValue:
+def entropy_loss(estimate: np.ndarray, truth: np.ndarray) -> float:
     """tr(estimate truth^-1) - log det(estimate truth^-1) - p.
 
     Zero exactly when the estimate equals the truth; both matrices must be
@@ -111,6 +109,8 @@ def entropy_loss(estimate: np.ndarray, truth: np.ndarray) -> LossValue:
     tru = np.asarray(truth, dtype=np.float64)
     if est.shape != tru.shape or est.ndim != 2 or est.shape[0] != est.shape[1]:
         raise ValueError(f"matrices must be square and same shape, got {est.shape} vs {tru.shape}")
+    if not (np.all(np.isfinite(est)) and np.all(np.isfinite(tru))):
+        raise ValueError("matrices must contain only finite values")
     p = est.shape[0]
     try:
         np.linalg.cholesky(tru)
@@ -130,17 +130,16 @@ def entropy_loss(estimate: np.ndarray, truth: np.ndarray) -> LossValue:
         if value < -1e-10:
             raise ValueError(f"entropy loss evaluated negative ({value:.3e})")
         value = 0.0
-    return LossValue(value=value, kind="entropy")
+    return float(value)
 
 
-def quadratic_loss(estimate: ContributionRates, truth: ContributionRates) -> LossValue:
+def quadratic_loss(estimate: ContributionRates, truth: ContributionRates) -> float:
     """Sum of squared relative errors of the estimated rates."""
     if estimate.p != truth.p:
         raise ValueError(f"length mismatch: {estimate.p} vs {truth.p}")
     if np.any(truth.rates <= 0.0):
         raise ValueError("truth rates must be strictly positive")
-    value = float(np.sum((1.0 - estimate.rates / truth.rates) ** 2))
-    return LossValue(value=value, kind="quadratic")
+    return float(np.sum((1.0 - estimate.rates / truth.rates) ** 2))
 
 
 def _check_eigengaps(l: np.ndarray, total: float) -> None:
@@ -269,6 +268,8 @@ def _run_chunks(
     only the reductions are kept. Every engine runs through here, so the
     replicate floor is checked here, before the first draw.
     """
+    if not isinstance(replicates, (int, np.integer)):
+        raise ValueError(f"replicates must be an integer, got {replicates!r}")
     if replicates < 100:
         raise ValueError(f"replicates must be at least 100, got {replicates}")
     sampling.parse_distribution(distribution)
@@ -464,7 +465,6 @@ def compare_risks(
         diff_means=means[k:],
         diff_std_errors=ses[k:],
         replicates=replicates,
-        loss_kind=loss_kind,
     )
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import spectra_shrink
-from spectra_shrink import __version__, acceptance, sampling
+from spectra_shrink import __version__, acceptance, cli, sampling
 from spectra_shrink.cases import (
     SPIKED_CASES,
     TABLE1_SPECTRA,
@@ -61,6 +61,48 @@ def test_all_exports_resolve():
     for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+def test_public_names_are_pinned():
+    # every added or removed public name shows up in this list's diff
+    assert sorted(spectra_shrink.__all__) == [
+        "BiasSimulation",
+        "ConditionReport",
+        "ContributionRates",
+        "DimensionCriterion",
+        "DimensionHistogram",
+        "InvarianceReport",
+        "RiskComparison",
+        "SampleDecomposition",
+        "ShrinkageWeights",
+        "Spectrum",
+        "SteinHaffCheck",
+        "__version__",
+        "bias_expansion",
+        "check_conditions",
+        "classical_weights",
+        "compare_risks",
+        "condition2_family_bound",
+        "cumulative_criterion",
+        "decide",
+        "dimension_experiment_for_spectrum",
+        "eigh_descending_batch",
+        "entropy_loss",
+        "entropy_risk_difference_bound",
+        "family_weights",
+        "invariance_check",
+        "parse_distribution",
+        "plugin_covariance",
+        "quadratic_loss",
+        "relative_criterion",
+        "sample_rates",
+        "scatter_chunk",
+        "shrink_estimate",
+        "simulate_bias",
+        "simulate_stein_haff",
+        "stein_haff_G",
+        "symmetric_eigendecompose",
+    ]
 
 
 def test_named_spectrum_resolution():
@@ -200,6 +242,8 @@ _INVALID_ARGVS = [
         ["bias", "--spectrum", "uniform10", "--jobs", "0"],
         ["bias", "--spectrum", "0.5"],
         ["risk", "--table2", "--n", "5"],
+        ["dimension", "--case", "1", "--spectrum", "0.5,0.3,0.2"],
+        ["risk", "--table2", "--spectrum", "0.5,0.3,0.2"],
     ]
 ] + [["bias", "--spectrum", "0.5,0.3,0.2", "--seed", "-1"]]
 
@@ -299,6 +343,23 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n", encoding="utf-8")
     assert main(["bias", "--spectrum", "0.6,0.4", "--config", str(cfg)]) == 2
+    # a misspelt boolean is refused, not read as false
+    cfg.write_text("table2 = ture\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["risk", "--config", str(cfg), "--reps", "200"]) == 2
+    assert capsys.readouterr().err == "error: bad config value for table2: 'ture'\n"
+
+
+@pytest.mark.parametrize(
+    "raw, value",
+    [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)],
+)
+def test_config_booleans(tmp_path, raw, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"normalize_criterion2 = {raw}\n", encoding="utf-8")
+    args = cli._build_parser().parse_args(["dimension", "--case", "1"])
+    cli._merge_config(args, cli._load_config(str(cfg)))
+    assert args.normalize_criterion2 is value
 
 
 def test_env_seed_fallback(tmp_path, monkeypatch):

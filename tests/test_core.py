@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from spectra_shrink import (
     ContributionRates,
     SampleDecomposition,
-    ScatterSample,
     Spectrum,
-    contribution_rates,
     eigh_descending_batch,
     symmetric_eigendecompose,
 )
@@ -48,46 +46,16 @@ def test_rates_validation():
 
 def test_scatter_sample_rejects_asymmetry():
     with pytest.raises(ValueError, match="not symmetric"):
-        ScatterSample(np.array([[1.0, 0.5], [0.4999, 1.0]]), dof=5)
+        symmetric_eigendecompose(np.array([[1.0, 0.5], [0.4999, 1.0]]))
     # tiny asymmetry within tolerance is accepted
     m = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
-    ScatterSample(m, dof=5)
-    with pytest.raises(ValueError):
-        ScatterSample(np.eye(2), dof=0)
-    with pytest.raises(ValueError):
-        ScatterSample(np.ones((2, 3)), dof=5)
-
-
-# ---------------------------------------------------------------------------
-# contribution rates
-# ---------------------------------------------------------------------------
-
-
-def test_contribution_rates_examples():
-    case1 = Spectrum((19.0,) * 5 + (1.0,) * 5)
-    np.testing.assert_allclose(contribution_rates(case1).rates, [0.19] * 5 + [0.01] * 5)
-    np.testing.assert_allclose(contribution_rates(Spectrum((1.0, 1.0))).rates, [0.5, 0.5])
-    np.testing.assert_allclose(contribution_rates(Spectrum((3.0, 1.0))).rates, [0.75, 0.25])
-
-
-@given(
-    values=st.lists(st.floats(0.01, 1e6), min_size=2, max_size=12),
-    scale=st.floats(1e-6, 1e6),
-)
-def test_contribution_rates_scale_invariant(values, scale):
-    base = Spectrum(sorted(values, reverse=True))
-    scaled = Spectrum(base.values * scale)
-    np.testing.assert_allclose(
-        contribution_rates(base).rates, contribution_rates(scaled).rates, atol=1e-14, rtol=0
-    )
-
-
-def test_contribution_rates_sum_to_one():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        values = np.sort(rng.uniform(0.1, 10.0, size=rng.integers(2, 15)))[::-1]
-        rates = contribution_rates(Spectrum(values)).rates
-        assert abs(rates.sum() - 1.0) <= 1e-12
+    symmetric_eigendecompose(m)
+    with pytest.raises(ValueError, match="square"):
+        symmetric_eigendecompose(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="at least 2 x 2"):
+        symmetric_eigendecompose(np.eye(1))
+    with pytest.raises(ValueError, match="finite"):
+        symmetric_eigendecompose(np.diag([1.0, np.nan]))
 
 
 # ---------------------------------------------------------------------------
@@ -96,21 +64,21 @@ def test_contribution_rates_sum_to_one():
 
 
 def test_eigendecompose_diagonal():
-    dec = symmetric_eigendecompose(ScatterSample(np.diag([4.0, 1.0]), dof=10))
+    dec = symmetric_eigendecompose(np.diag([4.0, 1.0]))
     np.testing.assert_allclose(dec.eigenvalues, [4.0, 1.0])
     np.testing.assert_allclose(dec.rates, [0.8, 0.2])
     np.testing.assert_allclose(dec.eigenvectors, np.eye(2))
 
 
 def test_eigendecompose_identity():
-    dec = symmetric_eigendecompose(ScatterSample(np.eye(3), dof=10))
+    dec = symmetric_eigendecompose(np.eye(3))
     np.testing.assert_allclose(dec.eigenvalues, [1.0, 1.0, 1.0])
     np.testing.assert_allclose(dec.rates, [1 / 3] * 3)
 
 
 def test_eigendecompose_2x2_hand_solved():
     # characteristic polynomial of [[2,1],[1,2]]: roots 3 and 1
-    dec = symmetric_eigendecompose(ScatterSample(np.array([[2.0, 1.0], [1.0, 2.0]]), dof=10))
+    dec = symmetric_eigendecompose(np.array([[2.0, 1.0], [1.0, 2.0]]))
     np.testing.assert_allclose(dec.eigenvalues, [3.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(dec.rates, [0.75, 0.25], atol=1e-12)
     r = 1 / np.sqrt(2)
@@ -128,7 +96,7 @@ def test_round_trip_orthogonality_and_rates():
     for _ in range(40):
         p = int(rng.integers(2, 21))
         s = _random_psd(rng, p)
-        dec = symmetric_eigendecompose(ScatterSample(s, dof=p + 5))
+        dec = symmetric_eigendecompose(s)
         h, l = dec.eigenvectors, dec.eigenvalues
         assert np.linalg.norm((h * l) @ h.T - s) / np.linalg.norm(s) < 1e-8
         assert np.abs(h.T @ h - np.eye(p)).max() < 1e-8
@@ -155,8 +123,8 @@ def test_matches_lapack_eigenvalues():
 def test_deterministic_and_sign_canonical():
     rng = np.random.default_rng(3)
     s = _random_psd(rng, 6)
-    d1 = symmetric_eigendecompose(ScatterSample(s, dof=10))
-    d2 = symmetric_eigendecompose(ScatterSample(s, dof=10))
+    d1 = symmetric_eigendecompose(s)
+    d2 = symmetric_eigendecompose(s)
     assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
     assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
     for col in d1.eigenvectors.T:
@@ -223,7 +191,7 @@ def test_3x3_eigenvalues_match_lapack(log_top, log_cond, log_gap, gap_at_top, se
 
 def test_rejects_non_positive_definite():
     with pytest.raises(ValueError, match="positive definite"):
-        symmetric_eigendecompose(ScatterSample(np.diag([1.0, -2.0]), dof=5))
+        symmetric_eigendecompose(np.diag([1.0, -2.0]))
 
 
 def test_batch_shape_validation():
@@ -251,6 +219,6 @@ def test_decomposition_type_invariants():
 def test_round_trip_property(seed, p):
     rng = np.random.default_rng(seed)
     s = _random_psd(rng, p)
-    dec = symmetric_eigendecompose(ScatterSample(s, dof=p + 2))
+    dec = symmetric_eigendecompose(s)
     h, l = dec.eigenvectors, dec.eigenvalues
     assert np.linalg.norm((h * l) @ h.T - s) / np.linalg.norm(s) < 1e-8

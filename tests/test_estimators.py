@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from spectra_shrink import (
     ContributionRates,
-    ScatterSample,
     ShrinkageWeights,
     check_conditions,
-    classical_estimate,
     classical_weights,
     condition2_family_bound,
     family_weights,
@@ -16,10 +14,6 @@ from spectra_shrink import (
     shrink_estimate,
     symmetric_eigendecompose,
 )
-
-
-def _decomp_from_diag(values, dof=20):
-    return symmetric_eigendecompose(ScatterSample(np.diag(values), dof=dof))
 
 
 # ---------------------------------------------------------------------------
@@ -69,29 +63,27 @@ def test_weights_type_validation():
 
 def test_classical_estimate_examples():
     np.testing.assert_allclose(
-        classical_estimate(_decomp_from_diag([2.0, 1.0, 1.0])).rates, [0.5, 0.25, 0.25]
+        symmetric_eigendecompose(np.diag([2.0, 1.0, 1.0])).rates, [0.5, 0.25, 0.25]
     )
-    np.testing.assert_allclose(
-        classical_estimate(_decomp_from_diag([1.0] * 10)).rates, [0.1] * 10
-    )
+    np.testing.assert_allclose(symmetric_eigendecompose(np.eye(10)).rates, [0.1] * 10)
 
 
 def test_shrink_with_unit_weights_is_classical():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((12, 6))
-    dec = symmetric_eigendecompose(ScatterSample(a.T @ a, dof=12))
+    dec = symmetric_eigendecompose(a.T @ a)
     ones = classical_weights(6, 12)
-    assert np.array_equal(shrink_estimate(dec, ones).rates, classical_estimate(dec).rates)
+    assert np.array_equal(shrink_estimate(dec, ones).rates, dec.rates)
 
 
 def test_shrink_componentwise_product():
-    dec = _decomp_from_diag([0.5, 0.3, 0.2])
+    dec = symmetric_eigendecompose(np.diag([0.5, 0.3, 0.2]))
     w = ShrinkageWeights(beta=np.array([0.9, 1.0, 1.1]), dof=20)
     np.testing.assert_allclose(shrink_estimate(dec, w).rates, [0.45, 0.3, 0.22], atol=1e-15)
 
 
 def test_shrink_q1_uniform_rates():
-    dec = _decomp_from_diag([1.0] * 10, dof=30)
+    dec = symmetric_eigendecompose(np.eye(10))
     est = shrink_estimate(dec, family_weights(10, 30, 1))
     expected = [
         0.0810810810,
@@ -114,7 +106,7 @@ def test_shrink_q1_uniform_rates():
 
 
 def test_shrink_length_mismatch():
-    dec = _decomp_from_diag([2.0, 1.0])
+    dec = symmetric_eigendecompose(np.diag([2.0, 1.0]))
     with pytest.raises(ValueError, match="length"):
         shrink_estimate(dec, family_weights(10, 30, 1))
 
@@ -125,7 +117,7 @@ def test_shrink_length_mismatch():
 
 
 def test_plugin_identity_rotation():
-    dec = _decomp_from_diag([4.0, 1.0])
+    dec = symmetric_eigendecompose(np.diag([4.0, 1.0]))
     out = plugin_covariance(dec, ContributionRates((0.8, 0.2)))
     np.testing.assert_allclose(out, np.diag([0.8, 0.2]), atol=1e-15)
 
@@ -134,15 +126,15 @@ def test_plugin_with_sample_rates_is_normalized_scatter():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((15, 5))
     s = a.T @ a
-    dec = symmetric_eigendecompose(ScatterSample(s, dof=15))
-    out = plugin_covariance(dec, classical_estimate(dec))
+    dec = symmetric_eigendecompose(s)
+    out = plugin_covariance(dec, ContributionRates(dec.rates))
     np.testing.assert_allclose(out, s / np.trace(s), atol=1e-12)
 
 
 def test_plugin_trace_and_eigenvalues():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((20, 7))
-    dec = symmetric_eigendecompose(ScatterSample(a.T @ a, dof=20))
+    dec = symmetric_eigendecompose(a.T @ a)
     est = shrink_estimate(dec, family_weights(7, 20, 1))
     out = plugin_covariance(dec, est)
     assert abs(np.trace(out) - est.rates.sum()) <= 1e-12

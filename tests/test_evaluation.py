@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from spectra_shrink import (
     ContributionRates,
-    ScatterSample,
     ShrinkageWeights,
     Spectrum,
     bias_expansion,
@@ -44,21 +43,21 @@ from spectra_shrink.sampling import CHUNK_SIZE, scatter_chunk
 
 def test_entropy_loss_zero_at_truth():
     m = np.array([[2.0, 0.3], [0.3, 1.0]])
-    assert entropy_loss(m, m).value == 0.0
+    assert entropy_loss(m, m) == 0.0
 
 
 def test_entropy_loss_hand_value():
     est = np.diag([np.e, 1.0])
     loss = entropy_loss(est, np.eye(2))
-    assert abs(loss.value - (np.e - 2.0)) < 1e-12
-    assert loss.kind == "entropy"
+    assert abs(loss - (np.e - 2.0)) < 1e-12
+    assert isinstance(loss, float)
 
 
 def test_entropy_loss_scalar_reduction():
     for c in (0.5, 2.0, 3.7):
         loss = entropy_loss(c * np.eye(4), np.eye(4))
-        assert abs(loss.value - 4 * (c - np.log(c) - 1.0)) < 1e-12
-        assert loss.value > 0
+        assert abs(loss - 4 * (c - np.log(c) - 1.0)) < 1e-12
+        assert loss > 0
 
 
 def test_entropy_loss_rejects_singular_truth():
@@ -66,17 +65,19 @@ def test_entropy_loss_rejects_singular_truth():
         entropy_loss(np.eye(2), np.diag([1.0, 0.0]))
     with pytest.raises(ValueError, match="positive definite"):
         entropy_loss(np.diag([1.0, -1.0]), np.eye(2))
+    with pytest.raises(ValueError, match="finite"):
+        entropy_loss(np.diag([1.0, np.nan]), np.eye(2))
 
 
 def test_quadratic_loss_examples():
     truth = ContributionRates((0.5, 0.5))
-    assert quadratic_loss(truth, truth).value == 0.0
+    assert quadratic_loss(truth, truth) == 0.0
     loss = quadratic_loss(ContributionRates((0.4, 0.6)), truth)
-    assert abs(loss.value - 0.08) < 1e-14
+    assert abs(loss - 0.08) < 1e-14
     # no scale invariance: doubling the estimate follows the plain formula
     est = ContributionRates((0.8, 1.2))
     expected = (1 - 0.8 / 0.5) ** 2 + (1 - 1.2 / 0.5) ** 2
-    assert abs(quadratic_loss(est, truth).value - expected) < 1e-12
+    assert abs(quadratic_loss(est, truth) - expected) < 1e-12
 
 
 def test_loss_positivity_random_inputs():
@@ -84,13 +85,13 @@ def test_loss_positivity_random_inputs():
     for _ in range(10000):
         t = rng.uniform(0.05, 1.0, 3)
         e = rng.uniform(0.05, 1.0, 3)
-        assert quadratic_loss(ContributionRates(e), ContributionRates(t)).value >= 0.0
+        assert quadratic_loss(ContributionRates(e), ContributionRates(t)) >= 0.0
     for _ in range(2000):
         a = rng.standard_normal((3, 3))
         est = a @ a.T + 0.05 * np.eye(3)
         b = rng.standard_normal((3, 3))
         tru = b @ b.T + 0.05 * np.eye(3)
-        assert entropy_loss(est, tru).value >= 0.0
+        assert entropy_loss(est, tru) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +100,13 @@ def test_loss_positivity_random_inputs():
 
 
 def test_g_hand_value():
-    dec = symmetric_eigendecompose(ScatterSample(np.diag([3.0, 1.0]), dof=5))
+    dec = symmetric_eigendecompose(np.diag([3.0, 1.0]))
     ones = classical_weights(2, 5)
     assert abs(stein_haff_G(dec, ones, 5) - 2.0) < 1e-14
 
 
 def test_g_rejects_coincident_eigenvalues():
-    dec = symmetric_eigendecompose(ScatterSample(np.eye(2), dof=5))
+    dec = symmetric_eigendecompose(np.eye(2))
     with pytest.raises(ValueError, match="coincident"):
         stein_haff_G(dec, classical_weights(2, 5), 5)
 
@@ -121,7 +122,7 @@ def test_g_batch_matches_scalar():
     decs = []
     for _ in range(10):
         a = rng.standard_normal((15, 6))
-        decs.append(symmetric_eigendecompose(ScatterSample(a.T @ a, dof=15)))
+        decs.append(symmetric_eigendecompose(a.T @ a))
     l = np.stack([dec.eigenvalues for dec in decs])
     d = np.stack([dec.rates for dec in decs])
     batched = _g_batch(l, d, np.stack([w.beta for w in weights]), 15)
@@ -147,12 +148,12 @@ def test_batch_losses_match_scalar(seed, p, extra):
     quadratic = _quadratic_losses(d, betas, tau)
     truth = ContributionRates(tau)
     for r in range(s.shape[0]):
-        dec = symmetric_eigendecompose(ScatterSample(s[r], dof=n))
+        dec = symmetric_eigendecompose(s[r])
         for k, w in enumerate(weights):
             est = shrink_estimate(dec, w)
-            scalar = entropy_loss(plugin_covariance(dec, est), np.diag(tau)).value
+            scalar = entropy_loss(plugin_covariance(dec, est), np.diag(tau))
             assert abs(entropy[k, r] - scalar) <= 1e-9 * max(1.0, scalar)
-            scalar = quadratic_loss(est, truth).value
+            scalar = quadratic_loss(est, truth)
             assert abs(quadratic[k, r] - scalar) <= 1e-9 * max(1.0, scalar)
 
 
@@ -198,7 +199,7 @@ def test_pathwise_risk_difference_bound():
 def test_risk_difference_bound_single_sample():
     rng = np.random.default_rng(41)
     a = rng.standard_normal((30, 10))
-    dec = symmetric_eigendecompose(ScatterSample(a.T @ a, dof=30))
+    dec = symmetric_eigendecompose(a.T @ a)
     w1 = family_weights(10, 30, 1)
     assert entropy_risk_difference_bound(dec, w1, 30) <= 0.0
 
@@ -276,27 +277,29 @@ def test_compare_risks_entropy_runs_and_dominates():
 
 
 def test_replicate_floor_enforced():
+    # the floor, and an integer count, are refused by every engine before a draw
     spec = Spectrum((0.5, 0.5))
-    with pytest.raises(ValueError, match="100"):
-        simulate_bias(spec, 10, "wishart", 99, seed=0)
-    with pytest.raises(ValueError, match="100"):
-        compare_risks(
-            Spectrum((0.1,) * 10),
-            30,
-            [classical_weights(10, 30)],
-            "quadratic",
-            "wishart",
-            99,
-            seed=0,
-        )
-    with pytest.raises(ValueError, match="100"):
-        sample_rates(spec, 10, "wishart", 99, seed=0)
-    with pytest.raises(ValueError, match="100"):
-        simulate_stein_haff(spec, 10, [classical_weights(2, 10)], 99, seed=0)
-    with pytest.raises(ValueError, match="100"):
-        dimension_experiment_for_spectrum(
-            spec, 10, [classical_weights(2, 10)], [relative_criterion()], 99, seed=0
-        )
+    for reps, message in ((99, "at least 100, got 99"), (1000.0, "an integer, got 1000.0")):
+        with pytest.raises(ValueError, match=message):
+            simulate_bias(spec, 10, "wishart", reps, seed=0)
+        with pytest.raises(ValueError, match=message):
+            compare_risks(
+                Spectrum((0.1,) * 10),
+                30,
+                [classical_weights(10, 30)],
+                "quadratic",
+                "wishart",
+                reps,
+                seed=0,
+            )
+        with pytest.raises(ValueError, match=message):
+            sample_rates(spec, 10, "wishart", reps, seed=0)
+        with pytest.raises(ValueError, match=message):
+            simulate_stein_haff(spec, 10, [classical_weights(2, 10)], reps, seed=0)
+        with pytest.raises(ValueError, match=message):
+            dimension_experiment_for_spectrum(
+                spec, 10, [classical_weights(2, 10)], [relative_criterion()], reps, seed=0
+            )
 
 
 def _no_draw(*args):
