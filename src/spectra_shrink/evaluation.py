@@ -46,6 +46,10 @@ __all__ = [
 #: eigenvalue-difference denominators are considered degenerate.
 EIGENGAP_REL_TOL = 1e-12
 
+#: Largest relative gap between a sampled matrix's eigenvalue sum and its
+#: trace that the batched engines accept; a correct solve leaves ~1e-15.
+_TRACE_REL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class RiskComparison:
@@ -235,10 +239,28 @@ def _chunk_plan(replicates: int) -> list[tuple[int, int]]:
 
 
 def _batch_rates(s: np.ndarray, need_vectors: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Eigenvalues, rates and (optionally) eigenvectors of a chunk, checked row by row.
+
+    A non-positive eigenvalue raises, and so does an eigenvalue sum that
+    departs from tr S by more than ``_TRACE_REL_TOL`` relative: the sum is
+    formed for the rates anyway, and the trace is a sum of p columns, so the
+    solver's output is checked at a cost of p vector additions.
+    """
     w, v = eigh_descending_batch(s, compute_vectors=need_vectors)
     if np.any(w[:, -1] <= 0.0):
         raise RuntimeError("sampled scatter matrix with a non-positive eigenvalue")
-    return w, w / w.sum(axis=1)[:, None], v
+    total = w.sum(axis=1)
+    trace = s[:, 0, 0].copy()
+    for i in range(1, s.shape[1]):
+        trace += s[:, i, i]
+    gap = np.abs(total - trace)
+    if not np.all(gap <= _TRACE_REL_TOL * trace):
+        worst = float(np.max(gap / trace))
+        raise RuntimeError(
+            f"eigenvalue sum departs from the trace by {worst:.1e} relative "
+            f"(tolerance {_TRACE_REL_TOL:.0e}); the batched eigensolver failed"
+        )
+    return w, w / total[:, None], v
 
 
 def _stack_betas(weights_list: list[ShrinkageWeights], p: int) -> np.ndarray:
@@ -294,21 +316,54 @@ def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     return values.shape[1], mean, ((values - mean[:, None]) ** 2).sum(axis=1)
 
 
-def _merge_moments(parts: list) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error from per-chunk (count, mean, M2), merged in order.
+def _comoments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, mean, M) along axis 1 of a (k, rows) array; M is the centred (k, k) cross-product."""
+    mean = values.mean(axis=1)
+    centred = values - mean[:, None]
+    return values.shape[1], mean, centred @ centred.T
 
-    M2 is the sum of squared deviations from the chunk mean. Chunks are
-    combined left to right with the pairwise update of Chan, Golub & LeVeque
-    (1979), so the result depends on the chunk plan but not on the workers.
+
+def _merge(parts: list, square) -> tuple[int, np.ndarray, np.ndarray]:
+    """Per-chunk (count, mean, M2) merged left to right.
+
+    M2 holds the sums of squared deviations from the chunk mean, or their
+    cross-products when ``square`` is an outer product. Chunks are combined
+    with the pairwise update of Chan, Golub & LeVeque (1979), so the result
+    depends on the chunk plan but not on the workers.
     """
     count, mean, m2 = parts[0]
     for rows, chunk_mean, chunk_m2 in parts[1:]:
         merged = count + rows
         delta = chunk_mean - mean
         mean = mean + delta * (rows / merged)
-        m2 = m2 + chunk_m2 + delta * delta * (count * rows / merged)
+        m2 = m2 + chunk_m2 + square(delta) * (count * rows / merged)
         count = merged
+    return count, mean, m2
+
+
+def _merge_moments(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error from per-chunk (count, mean, M2), merged in order."""
+    count, mean, m2 = _merge(parts, lambda delta: delta * delta)
     return mean, np.sqrt(m2 / (count - 1)) / sqrt(count)
+
+
+def _cross_fitted(folds: list, n_controls: int) -> tuple[np.ndarray, np.ndarray]:
+    """Control-variate means and SEs from two folds' merged (count, mean, M).
+
+    The first ``n_controls`` rows are controls with mean exactly zero, the
+    rest the outputs y. Fold f's outputs are corrected with the other
+    fold's least-squares coefficients b = M_cc^-1 M_cy, z = y - b'c, so no
+    draw is corrected with a fit it took part in and the mean stays
+    unbiased. z's fold mean and M2 follow from the co-moments alone, and
+    the two folds are merged as two chunks of z.
+    """
+    c, y = slice(0, n_controls), slice(n_controls, None)
+    fits = [np.linalg.solve(m[c, c], m[c, y]) for _, _, m in folds]
+    corrected = []
+    for (count, mean, m), b in zip(folds, fits[::-1]):
+        m2 = np.diagonal(m)[y] - 2.0 * (b * m[c, y]).sum(axis=0) + (b * (m[c, c] @ b)).sum(axis=0)
+        corrected.append((count, mean[y] - b.T @ mean[c], m2))
+    return _merge_moments(corrected)
 
 
 def sample_rates(
@@ -349,8 +404,10 @@ def simulate_bias(
     estimate stays unbiased and only the third-order remainder is left in
     each draw's fluctuation, so the gain grows with n: at p = 3 the
     per-replicate variance falls about 2x below the first-order control
-    variate's at n = 100, 4.6x at n = 200 and 10x at n = 400, but not at all
-    at n = 30. Wishart only, with distinct population eigenvalues: a (nearly)
+    variate's at n = 100, 4.6x at n = 200 and 10x at n = 400. At n = 30 it
+    is about 7 % worse than first order (worst coordinate 2.46e-3 against
+    2.30e-3 at (0.5, 0.3, 0.2)), because the remainder is not small there.
+    Wishart only, with distinct population eigenvalues: a (nearly)
     repeated one is refused by ``bias_expansion`` before any draw.
     """
     kind, _ = sampling.parse_distribution(distribution)
@@ -425,6 +482,28 @@ def _quadratic_losses(d: np.ndarray, betas: np.ndarray, tau: np.ndarray) -> np.n
     return ((1.0 - est / tau[None, None, :]) ** 2).sum(axis=2)
 
 
+def _wishart_controls(s: np.ndarray, lam: np.ndarray, n: int, out: np.ndarray) -> None:
+    """Write the p(p+3)/2 functions of S with mean exactly zero under Wishart(n, diag(lam)).
+
+    Rows of ``out``: S_kk/(n lam_k) - 1, then S_ij^2/(n lam_i lam_j) - 1 for
+    i < j, then (S_kk/(n lam_k) - 1)^2 - 2/n. S must be an entries-first
+    stack, as the Wishart sampler builds it. The rows are written in place:
+    fresh chunk-sized temporaries here cost more than the arithmetic.
+    """
+    p = lam.size
+    t = s.transpose(1, 2, 0)  # each t[i, j] is one contiguous (rows,) column
+    k = np.arange(p)
+    iu, ju = np.triu_indices(p, 1)
+    diag, pair, square = out[:p], out[p : p + iu.size], out[p + iu.size :]
+    np.multiply(t[k, k], (1.0 / (n * lam))[:, None], out=diag)
+    diag -= 1.0
+    np.square(t[iu, ju], out=pair)
+    pair *= (1.0 / (n * lam[iu] * lam[ju]))[:, None]
+    pair -= 1.0
+    np.multiply(diag, diag, out=square)
+    square -= 2.0 / n
+
+
 def compare_risks(
     spectrum: Spectrum,
     n: int,
@@ -442,23 +521,59 @@ def compare_risks(
     weighted rates directly. The first weights act as the baseline for the
     paired difference statistics, whose moments are streamed alongside the
     losses' own: a difference's SE cannot be recovered from the row moments.
+
+    Entropy losses under Wishart sampling are reported with control variates.
+    The sampler's scale is diag(lambda), lambda = ``spectrum.values``, so the
+    p(p+3)/2 controls S_kk/(n lambda_k) - 1, S_ij^2/(n lambda_i lambda_j) - 1
+    (i < j) and (S_kk/(n lambda_k) - 1)^2 - 2/n have mean exactly zero. Each
+    loss and paired difference is regressed on them with coefficients
+    cross-fitted on two folds, even and odd replicate index: each fold is
+    corrected with the other fold's coefficients, so the means stay
+    unbiased. The folds' co-moments are streamed per chunk and merged in
+    chunk order. When either fold has fewer than 10 rows per fitted
+    coefficient (the controls and an intercept: 660 rows, i.e. 1,320
+    replicates, at p = 10), the plain estimator is returned instead, as it
+    is for quadratic losses and for elliptical sampling, where the controls'
+    means are not exact.
     """
     if loss_kind not in ("entropy", "quadratic"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     betas = _stack_betas(weights_list, spectrum.p)
     k = len(weights_list)
-    tau = spectrum.values / spectrum.values.sum()
+    lam = spectrum.values
+    tau = lam / lam.sum()
     need_vectors = loss_kind == "entropy"
+    kind, _ = sampling.parse_distribution(distribution)
+    n_controls = spectrum.p * (spectrum.p + 3) // 2
+    # The odd fold, replicates // 2 rows, is the smaller one.
+    use_controls = (
+        need_vectors and kind == "wishart" and replicates // 2 >= 10 * (n_controls + 1)
+    )
 
     def stat(s, l, d, v):
         if need_vectors:
             losses = _entropy_losses(d, v, betas, tau)
         else:
             losses = _quadratic_losses(d, betas, tau)
-        return _moments(np.concatenate([losses, losses[1:] - losses[0]]))
+        if not use_controls:
+            return _moments(np.concatenate([losses, losses[1:] - losses[0]]))
+        x = np.empty((n_controls + 2 * k - 1, s.shape[0]))
+        _wishart_controls(s, lam, n, x[:n_controls])
+        x[n_controls : n_controls + k] = losses
+        np.subtract(losses[1:], losses[0], out=x[n_controls + k :])
+        # CHUNK_SIZE is even, so a row's parity within its chunk is the
+        # parity of its replicate index.
+        return _comoments(x[:, 0::2]), _comoments(x[:, 1::2])
 
     parts = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, need_vectors, stat)
-    means, ses = _merge_moments(parts)
+    if use_controls:
+        folds = [
+            _merge([chunk[f] for chunk in parts], lambda delta: np.multiply.outer(delta, delta))
+            for f in (0, 1)
+        ]
+        means, ses = _cross_fitted(folds, n_controls)
+    else:
+        means, ses = _merge_moments(parts)
     return RiskComparison(
         mean_losses=means[:k],
         std_errors=ses[:k],

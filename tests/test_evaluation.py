@@ -25,7 +25,8 @@ from spectra_shrink import (
     stein_haff_G,
     symmetric_eigendecompose,
 )
-from spectra_shrink import sampling
+from spectra_shrink import evaluation, sampling
+from spectra_shrink.cli import main
 from spectra_shrink.evaluation import (
     _batch_rates,
     _chunk_plan,
@@ -162,6 +163,29 @@ def test_batch_rates_rejects_non_positive_eigenvalue():
     s = np.stack([np.eye(2), np.diag([1.0, -0.5])])
     with pytest.raises(RuntimeError, match="non-positive eigenvalue"):
         _batch_rates(s, need_vectors=False)
+
+
+@pytest.mark.parametrize("p, need_vectors", [(3, False), (4, True)])
+def test_batch_rates_checks_eigenvalue_sum_against_trace(p, need_vectors, monkeypatch):
+    # p = 3 without vectors runs the closed form, p = 4 with vectors LAPACK
+    spec = Spectrum(np.linspace(1.0, 0.5, p))
+    s = scatter_chunk(spec, 20, "wishart", seed=3, chunk_index=0)[:200]
+    _batch_rates(s, need_vectors)  # the unperturbed solve passes
+    solve = evaluation.eigh_descending_batch
+
+    def perturbed(a, compute_vectors=True):
+        w, v = solve(a, compute_vectors)
+        w = w.copy()
+        w[7, 0] *= 1.0 + 1e-9
+        return w, v
+
+    monkeypatch.setattr(evaluation, "eigh_descending_batch", perturbed)
+    with pytest.raises(RuntimeError, match="eigenvalue sum departs from the trace"):
+        _batch_rates(s, need_vectors)
+    # the CLI reports it as a numerical failure
+    monkeypatch.setattr(sampling, "scatter_chunk", lambda *args: s.copy())
+    argv = ["bias", "--spectrum", ",".join(map(str, spec.values)), "--n", "20", "--reps", "200"]
+    assert main(argv) == 4
 
 
 def test_stein_haff_identity_monte_carlo():
@@ -380,6 +404,32 @@ def _expansion_terms(spec, n, seed, replicates):
     return sample_rates(spec, n, "wishart", replicates, seed), first, second
 
 
+def _cross_fitted(spec, n, seed, replicates, y):
+    """Per-replicate outputs y, shape (replicates, k), less their control-variate fit.
+
+    The controls are rebuilt from scatter_chunk: S_kk/(n lambda_k) - 1,
+    S_ij^2/(n lambda_i lambda_j) - 1 for i < j and (S_kk/(n lambda_k) - 1)^2
+    - 2/n. Each replicate-parity fold is corrected with the slopes of a
+    least-squares fit, with an intercept, on the other fold.
+    """
+    lam = spec.values
+    s = np.concatenate([
+        scatter_chunk(spec, n, "wishart", seed, chunk)[:rows]
+        for chunk, rows in _chunk_plan(replicates)
+    ])
+    diag = np.diagonal(s, axis1=1, axis2=2) / (n * lam) - 1.0
+    iu, ju = np.triu_indices(lam.size, 1)
+    pair = s[:, iu, ju] ** 2 / (n * np.outer(lam, lam)[iu, ju]) - 1.0
+    controls = np.hstack([diag, pair, diag**2 - 2.0 / n])
+    z = np.empty_like(y)
+    even, odd = slice(0, None, 2), slice(1, None, 2)
+    for fit, corrected in ((odd, even), (even, odd)):
+        design = np.column_stack([np.ones(len(y[fit])), controls[fit]])
+        slopes = np.linalg.lstsq(design, y[fit], rcond=None)[0][1:]
+        z[corrected] = y[corrected] - controls[corrected] @ slopes
+    return z
+
+
 def _streamed_and_per_replicate(engine, replicates):
     """An engine's streamed (means, SEs) and the per-replicate values it reduces.
 
@@ -387,7 +437,8 @@ def _streamed_and_per_replicate(engine, replicates):
     the sample rates for simulate_bias, less the first- and second-order
     terms of their expansion plus the second-order term's exact mean
     (bias_expansion - lambda / T) with the control variate; the loss rows
-    and the paired differences for compare_risks; and the trace, G and
+    and the paired differences for compare_risks, less their cross-fitted
+    control-variate fit for the entropy loss; and the trace, G and
     trace - G for each weight vector for simulate_stein_haff. The "bias-p3"
     engines run (0.5, 0.3, 0.2) through the 3 x 3 closed form.
     """
@@ -422,6 +473,10 @@ def _streamed_and_per_replicate(engine, replicates):
                 losses = _quadratic_losses(d, betas, tau)
             columns.append(np.concatenate([losses, losses[1:] - losses[0]]))
     values = np.concatenate(columns, axis=1).T
+    if engine == "entropy":
+        # p = 4 has 15 fitted coefficients, so every replicate count here is
+        # above the 150-rows-a-fold floor
+        values = _cross_fitted(spec, n, seed, replicates, values)
     if engine == "stein-haff":
         checks = simulate_stein_haff(spec, n, weights, replicates, seed=seed)
         means = [(c.mean_trace, c.mean_g, c.diff_mean) for c in checks]
@@ -450,6 +505,66 @@ def test_streamed_bias_moments_match_concatenated_rates(engine, replicates):
     np.testing.assert_allclose(means, values.mean(axis=0), rtol=1e-12, atol=0)
     se = values.std(axis=0, ddof=1) / np.sqrt(replicates)
     np.testing.assert_allclose(ses, se, rtol=1e-12, atol=0)
+
+
+def _plain_entropy_moments(spec, n, distribution, seed, replicates, weights):
+    """Plain means and SEs of the entropy losses and paired differences.
+
+    Rebuilt from scatter_chunk, as the mean and SD of the per-replicate values.
+    """
+    betas = np.stack([w.beta for w in weights])
+    tau = spec.values / spec.values.sum()
+    columns = []
+    for chunk, rows in _chunk_plan(replicates):
+        _, d, v = _batch_rates(scatter_chunk(spec, n, distribution, seed, chunk)[:rows], True)
+        losses = _entropy_losses(d, v, betas, tau)
+        columns.append(np.concatenate([losses, losses[1:] - losses[0]]))
+    values = np.concatenate(columns, axis=1)
+    return values.mean(axis=1), values.std(axis=1, ddof=1) / np.sqrt(replicates)
+
+
+def _risk_moments(cmp):
+    means = np.concatenate([cmp.mean_losses, cmp.diff_means])
+    return means, np.concatenate([cmp.std_errors, cmp.diff_std_errors])
+
+
+def test_entropy_control_variates_need_ten_rows_per_coefficient():
+    # p = 4: 14 controls and an intercept, so 150 rows in each parity fold;
+    # 299 replicates leave the odd fold with 149
+    spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
+    w = [classical_weights(4, n), family_weights(4, n, 1)]
+    plain_means, plain_ses = _plain_entropy_moments(spec, n, "wishart", seed, 299, w)
+    means, ses = _risk_moments(compare_risks(spec, n, w, "entropy", "wishart", 299, seed=seed))
+    np.testing.assert_allclose(means, plain_means, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(ses, plain_ses, rtol=1e-12, atol=0)
+    plain_means, plain_ses = _plain_entropy_moments(spec, n, "wishart", seed, 300, w)
+    means, ses = _risk_moments(compare_risks(spec, n, w, "entropy", "wishart", 300, seed=seed))
+    assert np.all(ses < 0.9 * plain_ses)
+    assert np.all(np.abs(means - plain_means) < 4 * np.hypot(ses, plain_ses))
+
+
+def test_elliptical_entropy_risk_keeps_the_plain_estimator():
+    # the controls' means are exact only under Wishart sampling
+    spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
+    w = [classical_weights(4, n), family_weights(4, n, 1)]
+    plain_means, plain_ses = _plain_entropy_moments(spec, n, "t:5", seed, 4096 + 123, w)
+    means, ses = _risk_moments(compare_risks(spec, n, w, "entropy", "t:5", 4096 + 123, seed=seed))
+    np.testing.assert_allclose(means, plain_means, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(ses, plain_ses, rtol=1e-12, atol=0)
+
+
+def test_entropy_control_variate_se_is_calibrated():
+    # the spread of the cross-fitted means over seeds matches the reported SE
+    spec, n = Spectrum((0.4, 0.3, 0.2, 0.1)), 12
+    w = [classical_weights(4, n), family_weights(4, n, 1)]
+    runs = [
+        _risk_moments(compare_risks(spec, n, w, "entropy", "wishart", 2000, seed=s))
+        for s in range(60)
+    ]
+    means = np.array([m for m, _ in runs])
+    ses = np.array([se for _, se in runs])
+    ratio = means.std(axis=0, ddof=1) / ses.mean(axis=0)
+    assert np.all(np.abs(ratio - 1.0) < 0.25), ratio
 
 
 def test_control_variate_agrees_and_tightens():
