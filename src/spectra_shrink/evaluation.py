@@ -241,21 +241,23 @@ def _chunk_plan(replicates: int) -> list[tuple[int, int]]:
 def _batch_rates(s: np.ndarray, need_vectors: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Eigenvalues, rates and (optionally) eigenvectors of a chunk, checked row by row.
 
-    A non-positive eigenvalue raises, and so does an eigenvalue sum that
-    departs from tr S by more than ``_TRACE_REL_TOL`` relative: the sum is
-    formed for the rates anyway, and the trace is a sum of p columns, so the
-    solver's output is checked at a cost of p vector additions.
+    A non-positive eigenvalue raises, and so does a row whose eigenvalue
+    sum departs from tr S by more than ``_TRACE_REL_TOL`` of that sum: the
+    sum is formed for the rates anyway, and the trace is a sum of p
+    contiguous diagonal columns, so the solver's output is checked at the
+    cost of a few vector operations.
     """
     w, v = eigh_descending_batch(s, compute_vectors=need_vectors)
     if np.any(w[:, -1] <= 0.0):
         raise RuntimeError("sampled scatter matrix with a non-positive eigenvalue")
     total = w.sum(axis=1)
-    trace = s[:, 0, 0].copy()
+    gap = total - s[:, 0, 0]
     for i in range(1, s.shape[1]):
-        trace += s[:, i, i]
-    gap = np.abs(total - trace)
-    if not np.all(gap <= _TRACE_REL_TOL * trace):
-        worst = float(np.max(gap / trace))
+        gap -= s[:, i, i]
+    np.abs(gap, out=gap)
+    gap /= total
+    worst = gap.max()
+    if not worst <= _TRACE_REL_TOL:  # also catches a NaN
         raise RuntimeError(
             f"eigenvalue sum departs from the trace by {worst:.1e} relative "
             f"(tolerance {_TRACE_REL_TOL:.0e}); the batched eigensolver failed"

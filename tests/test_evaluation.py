@@ -528,29 +528,28 @@ def _risk_moments(cmp):
     return means, np.concatenate([cmp.std_errors, cmp.diff_std_errors])
 
 
-def test_entropy_control_variates_need_ten_rows_per_coefficient():
-    # p = 4: 14 controls and an intercept, so 150 rows in each parity fold;
-    # 299 replicates leave the odd fold with 149
+@pytest.mark.parametrize("distribution, replicates", [("wishart", 299), ("t:5", 4096 + 123)])
+def test_entropy_risk_keeps_the_plain_estimator(distribution, replicates):
+    # below the floor of 10 rows a fold per fitted coefficient (p = 4: 14
+    # controls and an intercept, 150 rows; 299 replicates leave the odd fold
+    # 149), and under the elliptical law, where the controls' means are not exact
     spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
     w = [classical_weights(4, n), family_weights(4, n, 1)]
-    plain_means, plain_ses = _plain_entropy_moments(spec, n, "wishart", seed, 299, w)
-    means, ses = _risk_moments(compare_risks(spec, n, w, "entropy", "wishart", 299, seed=seed))
+    plain_means, plain_ses = _plain_entropy_moments(spec, n, distribution, seed, replicates, w)
+    cmp = compare_risks(spec, n, w, "entropy", distribution, replicates, seed=seed)
+    means, ses = _risk_moments(cmp)
     np.testing.assert_allclose(means, plain_means, rtol=1e-12, atol=0)
     np.testing.assert_allclose(ses, plain_ses, rtol=1e-12, atol=0)
+
+
+def test_entropy_control_variates_start_at_the_floor():
+    # 300 replicates give both folds the 150 rows that p = 4 needs
+    spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
+    w = [classical_weights(4, n), family_weights(4, n, 1)]
     plain_means, plain_ses = _plain_entropy_moments(spec, n, "wishart", seed, 300, w)
     means, ses = _risk_moments(compare_risks(spec, n, w, "entropy", "wishart", 300, seed=seed))
     assert np.all(ses < 0.9 * plain_ses)
     assert np.all(np.abs(means - plain_means) < 4 * np.hypot(ses, plain_ses))
-
-
-def test_elliptical_entropy_risk_keeps_the_plain_estimator():
-    # the controls' means are exact only under Wishart sampling
-    spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
-    w = [classical_weights(4, n), family_weights(4, n, 1)]
-    plain_means, plain_ses = _plain_entropy_moments(spec, n, "t:5", seed, 4096 + 123, w)
-    means, ses = _risk_moments(compare_risks(spec, n, w, "entropy", "t:5", 4096 + 123, seed=seed))
-    np.testing.assert_allclose(means, plain_means, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(ses, plain_ses, rtol=1e-12, atol=0)
 
 
 def test_entropy_control_variate_se_is_calibrated():
