@@ -319,10 +319,17 @@ def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _comoments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(count, mean, M) along axis 1 of a (k, rows) array; M is the centred (k, k) cross-product."""
+    """(count, mean, M) along axis 1 of a (k, rows) array; M is the centred (k, k) cross-product.
+
+    No rows (the odd fold of a one-row last chunk) give a zero mean and M,
+    which the merge leaves without effect.
+    """
+    k, rows = values.shape
+    if not rows:
+        return 0, np.zeros(k), np.zeros((k, k))
     mean = values.mean(axis=1)
     centred = values - mean[:, None]
-    return values.shape[1], mean, centred @ centred.T
+    return rows, mean, centred @ centred.T
 
 
 def _merge(parts: list, square) -> tuple[int, np.ndarray, np.ndarray]:
@@ -357,9 +364,13 @@ def _cross_fitted(folds: list, n_controls: int) -> tuple[np.ndarray, np.ndarray]
     fold's least-squares coefficients b = M_cc^-1 M_cy, z = y - b'c, so no
     draw is corrected with a fit it took part in and the mean stays
     unbiased. z's fold mean and M2 follow from the co-moments alone, and
-    the two folds are merged as two chunks of z.
+    the two folds are merged as two chunks of z. When either fold has fewer
+    than 10 rows per fitted coefficient (the controls and an intercept),
+    y's own moments are merged instead: the plain estimator.
     """
     c, y = slice(0, n_controls), slice(n_controls, None)
+    if min(count for count, _, _ in folds) < 10 * (n_controls + 1):
+        return _merge_moments([(count, mean[y], np.diagonal(m)[y]) for count, mean, m in folds])
     fits = [np.linalg.solve(m[c, c], m[c, y]) for _, _, m in folds]
     corrected = []
     for (count, mean, m), b in zip(folds, fits[::-1]):
@@ -545,12 +556,8 @@ def compare_risks(
     lam = spectrum.values
     tau = lam / lam.sum()
     need_vectors = loss_kind == "entropy"
-    kind, _ = sampling.parse_distribution(distribution)
+    use_controls = need_vectors and sampling.parse_distribution(distribution)[0] == "wishart"
     n_controls = spectrum.p * (spectrum.p + 3) // 2
-    # The odd fold, replicates // 2 rows, is the smaller one.
-    use_controls = (
-        need_vectors and kind == "wishart" and replicates // 2 >= 10 * (n_controls + 1)
-    )
 
     def stat(s, l, d, v):
         if need_vectors:

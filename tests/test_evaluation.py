@@ -487,7 +487,7 @@ def _streamed_and_per_replicate(engine, replicates):
     return means, np.concatenate([cmp.std_errors, cmp.diff_std_errors]), values
 
 
-_STREAM_REPS = [1000, 4096, 2 * 4096 + 123]
+_STREAM_REPS = [1000, 4096, 4096 + 1, 2 * 4096 + 123]
 
 
 @pytest.mark.parametrize(
@@ -500,7 +500,8 @@ _STREAM_REPS = [1000, 4096, 2 * 4096 + 123]
     ],
 )
 def test_streamed_bias_moments_match_concatenated_rates(engine, replicates):
-    # one partial chunk, one full chunk, and a partial last chunk, per engine
+    # one partial chunk, one full chunk, a one-row last chunk (its odd
+    # replicate-parity fold is empty) and a partial last chunk, per engine
     means, ses, values = _streamed_and_per_replicate(engine, replicates)
     np.testing.assert_allclose(means, values.mean(axis=0), rtol=1e-12, atol=0)
     se = values.std(axis=0, ddof=1) / np.sqrt(replicates)
