@@ -10,7 +10,9 @@ are paired by construction.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import reduce
 from math import sqrt
 
 import numpy as np
@@ -245,18 +247,19 @@ def _batch_rates(s: np.ndarray, need_vectors: bool) -> tuple[np.ndarray, np.ndar
     sum departs from tr S by more than ``_TRACE_REL_TOL`` of that sum: the
     sum is formed for the rates anyway, and the trace is a sum of p
     contiguous diagonal columns, so the solver's output is checked at the
-    cost of a few vector operations.
+    cost of a few vector operations. The gap is read off
+    |sum w - tr S| / sum w = |1 - tr S / sum w| from the extremes of the
+    ratio, which spares a pass over the rows.
     """
     w, v = eigh_descending_batch(s, compute_vectors=need_vectors)
     if np.any(w[:, -1] <= 0.0):
         raise RuntimeError("sampled scatter matrix with a non-positive eigenvalue")
     total = w.sum(axis=1)
-    gap = total - s[:, 0, 0]
+    ratio = s[:, 0, 0].copy()
     for i in range(1, s.shape[1]):
-        gap -= s[:, i, i]
-    np.abs(gap, out=gap)
-    gap /= total
-    worst = gap.max()
+        ratio += s[:, i, i]
+    ratio /= total
+    worst = max(ratio.max() - 1.0, 1.0 - ratio.min())
     if not worst <= _TRACE_REL_TOL:  # also catches a NaN
         raise RuntimeError(
             f"eigenvalue sum departs from the trace by {worst:.1e} relative "
@@ -275,6 +278,14 @@ def _stack_betas(weights_list: list[ShrinkageWeights], p: int) -> np.ndarray:
     return np.stack([w.beta for w in weights_list])
 
 
+def _check_replicates(replicates) -> None:
+    """Refuse a non-integer replicate count or one below 100."""
+    if not isinstance(replicates, (int, np.integer)):
+        raise ValueError(f"replicates must be an integer, got {replicates!r}")
+    if replicates < 100:
+        raise ValueError(f"replicates must be at least 100, got {replicates}")
+
+
 def _run_chunks(
     spectrum: Spectrum,
     n: int,
@@ -284,28 +295,44 @@ def _run_chunks(
     jobs: int,
     need_vectors: bool,
     stat,
-) -> list:
+    fold=None,
+):
     """Reduce the first ``replicates`` draws chunk by chunk, results in chunk order.
 
     Each chunk is sampled, decomposed into eigenvalues l, rates d and (with
     ``need_vectors``) eigenvectors v, and reduced by ``stat(s, l, d, v)``;
     only the reductions are kept. Every engine runs through here, so the
     replicate floor is checked here, before the first draw.
+
+    With ``fold`` the reductions are not listed: each is folded into one
+    running result, ``result = fold(result, part)``, as soon as every
+    earlier chunk's has been, and that result is returned. What is held then
+    does not grow with the number of chunks, and the order of the folds,
+    hence the result, does not depend on the workers.
     """
-    if not isinstance(replicates, (int, np.integer)):
-        raise ValueError(f"replicates must be an integer, got {replicates!r}")
-    if replicates < 100:
-        raise ValueError(f"replicates must be at least 100, got {replicates}")
+    _check_replicates(replicates)
     sampling.parse_distribution(distribution)
     plan = _chunk_plan(replicates)
+    lock, pending = threading.Lock(), {}
+    next_chunk, result = 0, None
 
     def worker(c):
+        nonlocal next_chunk, result
         chunk, rows = plan[c]
         s = sampling.scatter_chunk(spectrum, n, distribution, seed, chunk)[:rows]
         l, d, v = _batch_rates(s, need_vectors)
-        return stat(s, l, d, v)
+        part = stat(s, l, d, v)
+        if fold is None:
+            return part
+        with lock:
+            pending[c] = part
+            while next_chunk in pending:
+                part = pending.pop(next_chunk)
+                result = part if next_chunk == 0 else fold(result, part)
+                next_chunk += 1
 
-    return sampling.map_chunks(worker, len(plan), jobs)
+    parts = sampling.map_chunks(worker, len(plan), jobs)
+    return parts if fold is None else result
 
 
 def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -319,40 +346,46 @@ def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _comoments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(count, mean, M) along axis 1 of a (k, rows) array; M is the centred (k, k) cross-product.
+    """(count, mean, M) along axis 1 of a (k, rows) array, centred in place.
 
-    No rows (the odd fold of a one-row last chunk) give a zero mean and M,
-    which the merge leaves without effect.
+    M is the centred (k, k) cross-product. No rows (the odd fold of a
+    one-row last chunk) give a zero mean and M, which a merge leaves
+    without effect.
     """
     k, rows = values.shape
     if not rows:
         return 0, np.zeros(k), np.zeros((k, k))
     mean = values.mean(axis=1)
-    centred = values - mean[:, None]
-    return rows, mean, centred @ centred.T
+    values -= mean[:, None]
+    return rows, mean, values @ values.T
 
 
-def _merge(parts: list, square) -> tuple[int, np.ndarray, np.ndarray]:
-    """Per-chunk (count, mean, M2) merged left to right.
+def _combine(a: tuple, b: tuple, square=np.square) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, mean, M2) of chunk a followed by chunk b.
 
     M2 holds the sums of squared deviations from the chunk mean, or their
-    cross-products when ``square`` is an outer product. Chunks are combined
-    with the pairwise update of Chan, Golub & LeVeque (1979), so the result
-    depends on the chunk plan but not on the workers.
+    cross-products when ``square`` is an outer product. This is the pairwise
+    update of Chan, Golub & LeVeque (1979); applied left to right over the
+    chunks, the result depends on the chunk plan but not on the workers.
     """
-    count, mean, m2 = parts[0]
-    for rows, chunk_mean, chunk_m2 in parts[1:]:
-        merged = count + rows
-        delta = chunk_mean - mean
-        mean = mean + delta * (rows / merged)
-        m2 = m2 + chunk_m2 + square(delta) * (count * rows / merged)
-        count = merged
-    return count, mean, m2
+    count, mean, m2 = a
+    rows, chunk_mean, chunk_m2 = b
+    merged = count + rows
+    delta = chunk_mean - mean
+    return (
+        merged,
+        mean + delta * (rows / merged),
+        m2 + chunk_m2 + square(delta) * (count * rows / merged),
+    )
+
+
+def _outer_square(delta: np.ndarray) -> np.ndarray:
+    return np.multiply.outer(delta, delta)
 
 
 def _merge_moments(parts: list) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error from per-chunk (count, mean, M2), merged in order."""
-    count, mean, m2 = _merge(parts, lambda delta: delta * delta)
+    count, mean, m2 = reduce(_combine, parts)
     return mean, np.sqrt(m2 / (count - 1)) / sqrt(count)
 
 
@@ -364,13 +397,9 @@ def _cross_fitted(folds: list, n_controls: int) -> tuple[np.ndarray, np.ndarray]
     fold's least-squares coefficients b = M_cc^-1 M_cy, z = y - b'c, so no
     draw is corrected with a fit it took part in and the mean stays
     unbiased. z's fold mean and M2 follow from the co-moments alone, and
-    the two folds are merged as two chunks of z. When either fold has fewer
-    than 10 rows per fitted coefficient (the controls and an intercept),
-    y's own moments are merged instead: the plain estimator.
+    the two folds are merged as two chunks of z.
     """
     c, y = slice(0, n_controls), slice(n_controls, None)
-    if min(count for count, _, _ in folds) < 10 * (n_controls + 1):
-        return _merge_moments([(count, mean[y], np.diagonal(m)[y]) for count, mean, m in folds])
     fits = [np.linalg.solve(m[c, c], m[c, y]) for _, _, m in folds]
     corrected = []
     for (count, mean, m), b in zip(folds, fits[::-1]):
@@ -542,12 +571,13 @@ def compare_risks(
     loss and paired difference is regressed on them with coefficients
     cross-fitted on two folds, even and odd replicate index: each fold is
     corrected with the other fold's coefficients, so the means stay
-    unbiased. The folds' co-moments are streamed per chunk and merged in
-    chunk order. When either fold has fewer than 10 rows per fitted
-    coefficient (the controls and an intercept: 660 rows, i.e. 1,320
-    replicates, at p = 10), the plain estimator is returned instead, as it
-    is for quadratic losses and for elliptical sampling, where the controls'
-    means are not exact.
+    unbiased. Each chunk's fold co-moments are merged into the running
+    ones in chunk order as soon as the chunk is done, so memory does not
+    grow with ``replicates``. The controls are used only when both folds
+    hold at least 10 rows per fitted coefficient (the controls and an
+    intercept: 660 rows, i.e. 1,320 replicates, at p = 10); with fewer, and
+    for quadratic losses and elliptical sampling, where the controls' means
+    are not exact, the plain estimator is returned.
     """
     if loss_kind not in ("entropy", "quadratic"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -556,8 +586,22 @@ def compare_risks(
     lam = spectrum.values
     tau = lam / lam.sum()
     need_vectors = loss_kind == "entropy"
-    use_controls = need_vectors and sampling.parse_distribution(distribution)[0] == "wishart"
     n_controls = spectrum.p * (spectrum.p + 3) // 2
+    _check_replicates(replicates)
+    # CHUNK_SIZE is even, so a row's parity within its chunk is the parity
+    # of its replicate index, and the odd fold holds replicates // 2 rows.
+    use_controls = (
+        need_vectors
+        and sampling.parse_distribution(distribution)[0] == "wishart"
+        and replicates // 2 >= 10 * (n_controls + 1)
+    )
+
+    def fold_comoments(s, losses):
+        x = np.empty((n_controls + 2 * k - 1, s.shape[0]))
+        _wishart_controls(s, lam, n, x[:n_controls])
+        x[n_controls : n_controls + k] = losses
+        np.subtract(losses[1:], losses[0], out=x[n_controls + k :])
+        return _comoments(x)
 
     def stat(s, l, d, v):
         if need_vectors:
@@ -566,22 +610,16 @@ def compare_risks(
             losses = _quadratic_losses(d, betas, tau)
         if not use_controls:
             return _moments(np.concatenate([losses, losses[1:] - losses[0]]))
-        x = np.empty((n_controls + 2 * k - 1, s.shape[0]))
-        _wishart_controls(s, lam, n, x[:n_controls])
-        x[n_controls : n_controls + k] = losses
-        np.subtract(losses[1:], losses[0], out=x[n_controls + k :])
-        # CHUNK_SIZE is even, so a row's parity within its chunk is the
-        # parity of its replicate index.
-        return _comoments(x[:, 0::2]), _comoments(x[:, 1::2])
+        return tuple(fold_comoments(s[f::2], losses[:, f::2]) for f in (0, 1))
 
-    parts = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, need_vectors, stat)
     if use_controls:
-        folds = [
-            _merge([chunk[f] for chunk in parts], lambda delta: np.multiply.outer(delta, delta))
-            for f in (0, 1)
-        ]
+        folds = _run_chunks(
+            spectrum, n, distribution, replicates, seed, jobs, need_vectors, stat,
+            fold=lambda a, b: tuple(_combine(x, y, _outer_square) for x, y in zip(a, b)),
+        )
         means, ses = _cross_fitted(folds, n_controls)
     else:
+        parts = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, need_vectors, stat)
         means, ses = _merge_moments(parts)
     return RiskComparison(
         mean_losses=means[:k],

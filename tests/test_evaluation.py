@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -377,6 +379,30 @@ def test_jobs_do_not_change_results():
     one = simulate_stein_haff(spec, 12, w, 3 * 4096 + 77, seed=19, jobs=1)
     four = simulate_stein_haff(spec, 12, w, 3 * 4096 + 77, seed=19, jobs=4)
     assert one == four
+
+
+def test_fold_takes_the_chunks_in_order(monkeypatch):
+    # chunk 0 is sampled last, yet the fold sees the chunks in index order;
+    # a chunk that raises fails the run instead of leaving later chunks unfolded
+    sample = sampling.scatter_chunk
+
+    def first_chunk_last(spectrum, n, distribution, seed, chunk):
+        if chunk == 0:
+            time.sleep(0.2)
+        if chunk == fail_at:
+            raise RuntimeError("chunk failed")
+        return sample(spectrum, n, distribution, seed, chunk)
+
+    monkeypatch.setattr(sampling, "scatter_chunk", first_chunk_last)
+    args = (Spectrum((0.5, 0.3, 0.2)), 10, "wishart", 4 * CHUNK_SIZE, 3)
+    stat = lambda s, l, d, v: [float(s[0, 0, 0])]  # noqa: E731
+    fail_at = None
+    listed = evaluation._run_chunks(*args, 1, False, stat)
+    folded = evaluation._run_chunks(*args, 3, False, stat, fold=lambda a, b: a + b)
+    assert folded == [x for part in listed for x in part]
+    fail_at = 1
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        evaluation._run_chunks(*args, 3, False, stat, fold=lambda a, b: a + b)
 
 
 def _expansion_terms(spec, n, seed, replicates):
