@@ -248,8 +248,8 @@ def _batch_rates(s: np.ndarray, need_vectors: bool) -> tuple[np.ndarray, np.ndar
     sum is formed for the rates anyway, and the trace is a sum of p
     contiguous diagonal columns, so the solver's output is checked at the
     cost of a few vector operations. The gap is read off
-    |sum w - tr S| / sum w = |1 - tr S / sum w| from the extremes of the
-    ratio, which spares a pass over the rows.
+    |sum w - tr S| / sum w = |1 - tr S / sum w| at the extremes of the
+    ratio.
     """
     w, v = eigh_descending_batch(s, compute_vectors=need_vectors)
     if np.any(w[:, -1] <= 0.0):
@@ -528,12 +528,13 @@ def _wishart_controls(s: np.ndarray, lam: np.ndarray, n: int, out: np.ndarray) -
     """Write the p(p+3)/2 functions of S with mean exactly zero under Wishart(n, diag(lam)).
 
     Rows of ``out``: S_kk/(n lam_k) - 1, then S_ij^2/(n lam_i lam_j) - 1 for
-    i < j, then (S_kk/(n lam_k) - 1)^2 - 2/n. S must be an entries-first
-    stack, as the Wishart sampler builds it. The rows are written in place:
+    i < j, then (S_kk/(n lam_k) - 1)^2 - 2/n. S is an entries-first stack,
+    as the Wishart sampler builds it, or a row slice of one, so each entry
+    s[:, i, j] is one evenly strided column. The rows are written in place:
     fresh chunk-sized temporaries here cost more than the arithmetic.
     """
     p = lam.size
-    t = s.transpose(1, 2, 0)  # each t[i, j] is one contiguous (rows,) column
+    t = s.transpose(1, 2, 0)  # each t[i, j] is the (rows,) column s[:, i, j]
     k = np.arange(p)
     iu, ju = np.triu_indices(p, 1)
     diag, pair, square = out[:p], out[p : p + iu.size], out[p + iu.size :]
