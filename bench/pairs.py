@@ -18,6 +18,10 @@ Writes one JSON document. Usage (stdlib only):
 ``--traced W=K`` runs K pairs with ``--trace 1`` (per-layer metrics).
 The summary gives, per workload and end-to-end metric, the median and
 interquartile range of each side and the number of pairs the change won.
+Each run also keeps the median of its raw (uncalibrated) operation times
+``op_s`` and of its calibration kernel times ``kernel_s``, and the summary
+gives their per-side medians as ``raw_op_s`` and ``raw_kernel_s``: a
+calibrated gain with raw op times flat is the kernel's, not the code's.
 """
 
 from __future__ import annotations
@@ -43,12 +47,20 @@ def fresh_bytecode(checkout: Path) -> None:
                    cwd=checkout, check=True)
 
 
+def median_or_none(values: list[float]) -> float | None:
+    return statistics.median(values) if values else None
+
+
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     argv = ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     *_, report, result = map(json.loads, run_stdout(checkout, argv).splitlines())
+    untraced = report["report"]["phases"][0]
     return {"seed": seed, "trace": trace, "environment": report["report"]["environment"],
-            "determinism": report["report"]["determinism"], "result": result}
+            "determinism": report["report"]["determinism"], "result": result,
+            # A threaded workload runs uncalibrated: its kernel_s is empty.
+            "raw_op_s": median_or_none(untraced["op_s"]),
+            "raw_kernel_s": median_or_none(untraced["kernel_s"])}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -68,6 +80,10 @@ def summarise(pairs: list[dict]) -> dict:
         out[metric] = {"better": better, "base_median": bq[1], "base_iqr": bq[2] - bq[0],
                        "change_median": cq[1], "change_iqr": cq[2] - cq[0],
                        "change_wins": wins, "pairs": len(pairs)}
+    for raw in ("raw_op_s", "raw_kernel_s"):
+        out[raw] = {f"{side}_median": median_or_none(
+                        [p[side][raw] for p in pairs if p[side][raw] is not None])
+                    for side in ("base", "change")}
     return out
 
 

@@ -3,11 +3,12 @@
 Everything downstream works on ordered spectra: eigenvalues are kept in
 non-increasing order and contribution rates are eigenvalues divided by
 their total. Matrices are small (p of order tens), dense, and immutable
-once wrapped in a domain type. Eigendecompositions come from LAPACK; they
-are made deterministic by a sign rule (each eigenvector's largest-magnitude
-entry is positive). Eigenvalue-only batches of 3 x 3 matrices use Smith's
-trigonometric closed form instead, where LAPACK's per-matrix overhead would
-dominate; rows near a repeated eigenvalue still go to LAPACK.
+once wrapped in a domain type. Eigendecompositions come from LAPACK; one
+matrix's is made deterministic by a sign rule (each eigenvector's largest-
+magnitude entry is positive), a batch's keeps LAPACK's signs. Eigenvalue-only
+batches of 3 x 3 matrices use Smith's trigonometric closed form instead, where
+LAPACK's per-matrix overhead would dominate; rows near a repeated eigenvalue
+still go to LAPACK.
 """
 
 from __future__ import annotations
@@ -212,8 +213,8 @@ def eigh_descending_batch(
         is column-major (Fortran-ordered), so that per-root column
         arithmetic downstream runs over contiguous memory.
     eigenvectors : ndarray or None
-        Columns ordered to match, each column's largest-magnitude entry
-        made positive so output is deterministic.
+        Columns ordered to match, with LAPACK's signs: only
+        ``symmetric_eigendecompose`` applies the sign rule.
     """
     a = np.asarray(matrices, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -224,20 +225,16 @@ def eigh_descending_batch(
         return np.linalg.eigvalsh(a)[:, ::-1], None
 
     w, v = np.linalg.eigh(a)
-    w, v = w[:, ::-1], v[:, :, ::-1]
-    pivot = np.argmax(np.abs(v), axis=1)
-    pivot_vals = np.take_along_axis(v, pivot[:, None, :], axis=1)[:, 0, :]
-    v = v * np.where(pivot_vals < 0.0, -1.0, 1.0)[:, None, :]
-    return w, v
+    return w[:, ::-1], v[:, :, ::-1]
 
 
 def symmetric_eigendecompose(matrix: np.ndarray) -> SampleDecomposition:
     """Spectral decomposition S = H diag(l) H' with descending eigenvalues.
 
     Deterministic for a fixed input: each eigenvector's largest-magnitude
-    entry is made positive, which fixes the sign LAPACK leaves free. Raises
-    if the matrix is not a finite, symmetric p x p array with p >= 2, is not
-    positive definite, or the decomposition does not reconstruct it.
+    entry (the first, on a tie) is made positive, which fixes the sign LAPACK
+    leaves free. Raises if the matrix is not a finite, symmetric p x p array
+    with p >= 2, is not positive definite, or does not reconstruct.
     """
     s = _readonly_matrix(matrix, "scatter matrix")
     if s.shape[0] < 2:
@@ -252,6 +249,8 @@ def symmetric_eigendecompose(matrix: np.ndarray) -> SampleDecomposition:
         )
     w, v = eigh_descending_batch(s[None, :, :])
     l, h = w[0], v[0]
+    pivot = h[np.argmax(np.abs(h), axis=0), np.arange(h.shape[1])]
+    h = h * np.where(pivot < 0.0, -1.0, 1.0)
     if np.any(l <= 0.0):
         raise ValueError(
             "scatter matrix is not positive definite "

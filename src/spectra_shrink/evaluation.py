@@ -241,31 +241,38 @@ def _chunk_plan(replicates: int) -> list[tuple[int, int]]:
 
 
 def _batch_rates(s: np.ndarray, need_vectors: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Eigenvalues, rates and (optionally) eigenvectors of a chunk, checked row by row.
+    """Eigenvalues l, rates and (optionally) squared eigenvector entries q = v * v of a chunk.
 
-    A non-positive eigenvalue raises, and so does a row whose eigenvalue
-    sum departs from tr S by more than ``_TRACE_REL_TOL`` of that sum: the
-    sum is formed for the rates anyway, and the trace is a sum of p
-    contiguous diagonal columns, so the solver's output is checked at the
-    cost of a few vector operations. The gap is read off
-    |sum w - tr S| / sum w = |1 - tr S / sum w| at the extremes of the
-    ratio.
+    The engines read no eigenvector sign, so none can depend on one. Each
+    row is checked against the diagonal of S, a few vector operations: a
+    non-positive eigenvalue raises, and so does an eigenvalue sum that
+    departs from tr S, or a diagonal sum_k l_k q_jk that departs from S_jj,
+    by more than ``_TRACE_REL_TOL`` of the trace. The first gap is read off
+    |sum w - tr S| / sum w = |1 - tr S / sum w| at the extremes of the ratio.
     """
     w, v = eigh_descending_batch(s, compute_vectors=need_vectors)
     if np.any(w[:, -1] <= 0.0):
         raise RuntimeError("sampled scatter matrix with a non-positive eigenvalue")
     total = w.sum(axis=1)
-    ratio = s[:, 0, 0].copy()
-    for i in range(1, s.shape[1]):
-        ratio += s[:, i, i]
-    ratio /= total
+    diag = np.diagonal(s, axis1=1, axis2=2)
+    trace = diag.sum(axis=1)
+    ratio = trace / total
     worst = max(ratio.max() - 1.0, 1.0 - ratio.min())
     if not worst <= _TRACE_REL_TOL:  # also catches a NaN
         raise RuntimeError(
             f"eigenvalue sum departs from the trace by {worst:.1e} relative "
             f"(tolerance {_TRACE_REL_TOL:.0e}); the batched eigensolver failed"
         )
-    return w, w / total[:, None], v
+    q = v * v if need_vectors else None
+    if need_vectors:
+        gap = (q @ w[:, :, None])[:, :, 0] - diag
+        worst = (np.abs(gap, out=gap) / trace[:, None]).max()
+        if not worst <= _TRACE_REL_TOL:
+            raise RuntimeError(
+                f"eigenvectors reconstruct diag S only to {worst:.1e} of the trace "
+                f"(tolerance {_TRACE_REL_TOL:.0e}); the batched eigensolver failed"
+            )
+    return w, w / total[:, None], q
 
 
 def _stack_betas(weights_list: list[ShrinkageWeights], p: int) -> np.ndarray:
@@ -300,9 +307,9 @@ def _run_chunks(
     """Reduce the first ``replicates`` draws chunk by chunk, results in chunk order.
 
     Each chunk is sampled, decomposed into eigenvalues l, rates d and (with
-    ``need_vectors``) eigenvectors v, and reduced by ``stat(s, l, d, v)``;
-    only the reductions are kept. Every engine runs through here, so the
-    replicate floor is checked here, before the first draw.
+    ``need_vectors``) squared eigenvector entries q, and reduced by
+    ``stat(s, l, d, q)``; only the reductions are kept. Every engine runs
+    through here, so the replicate floor is checked here, before the first draw.
 
     With ``fold`` the reductions are not listed: each is folded into one
     running result, ``result = fold(result, part)``, as soon as every
@@ -320,8 +327,8 @@ def _run_chunks(
         nonlocal next_chunk, result
         chunk, rows = plan[c]
         s = sampling.scatter_chunk(spectrum, n, distribution, seed, chunk)[:rows]
-        l, d, v = _batch_rates(s, need_vectors)
-        part = stat(s, l, d, v)
+        l, d, q = _batch_rates(s, need_vectors)
+        part = stat(s, l, d, q)
         if fold is None:
             return part
         with lock:
@@ -418,7 +425,7 @@ def sample_rates(
 ) -> np.ndarray:
     """Sample contribution-rate vectors, shape (replicates, p)."""
     parts = _run_chunks(
-        spectrum, n, distribution, replicates, seed, jobs, False, lambda s, l, d, v: d
+        spectrum, n, distribution, replicates, seed, jobs, False, lambda s, l, d, q: d
     )
     return np.concatenate(parts, axis=0)
 
@@ -468,7 +475,7 @@ def simulate_bias(
             for j in range(i + 1, p)
         ]
 
-    def stat(s, l, d, v):
+    def stat(s, l, d, q):
         # Columns-first (p, rows): at p = 3 the closed-form eigenvalues, and
         # so the rates, are column-major, and d.T is contiguous.
         if not control_variate:
@@ -503,20 +510,20 @@ def simulate_bias(
     return BiasSimulation(mean_rates=mean, std_errors=se, replicates=replicates)
 
 
-def _plugin_traces(d: np.ndarray, v: np.ndarray, betas: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def _plugin_traces(d: np.ndarray, q: np.ndarray, betas: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """tr(V diag(beta d) V' diag(tau)^-1) per weight vector, shape (n_weights, rows).
 
-    u_rk = sum_j v_rjk^2 / tau_j is formed once and shared by every weight vector.
+    u_rk = sum_j q_rjk / tau_j, q_rjk = v_rjk^2, is formed once and shared by every weight vector.
     """
-    u = (1.0 / tau) @ (v * v)
+    u = (1.0 / tau) @ q
     return betas @ (d * u).T
 
 
-def _entropy_losses(d: np.ndarray, v: np.ndarray, betas: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def _entropy_losses(d: np.ndarray, q: np.ndarray, betas: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Entropy losses of plug-in estimates, shape (n_weights, rows)."""
     # V is orthogonal, so log det(estimate truth^-1) = sum log beta + sum log d - sum log tau.
     logdet = np.log(betas).sum(axis=1)[:, None] + np.log(d).sum(axis=1) - np.log(tau).sum()
-    return _plugin_traces(d, v, betas, tau) - logdet - tau.size
+    return _plugin_traces(d, q, betas, tau) - logdet - tau.size
 
 
 def _quadratic_losses(d: np.ndarray, betas: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -604,9 +611,9 @@ def compare_risks(
         np.subtract(losses[1:], losses[0], out=x[n_controls + k :])
         return _comoments(x)
 
-    def stat(s, l, d, v):
+    def stat(s, l, d, q):
         if need_vectors:
-            losses = _entropy_losses(d, v, betas, tau)
+            losses = _entropy_losses(d, q, betas, tau)
         else:
             losses = _quadratic_losses(d, betas, tau)
         if not use_controls:
@@ -664,8 +671,8 @@ def simulate_stein_haff(
     tau = spectrum.values / spectrum.values.sum()
     k = len(weights_list)
 
-    def stat(s, l, d, v):
-        trace = _plugin_traces(d, v, betas, tau)
+    def stat(s, l, d, q):
+        trace = _plugin_traces(d, q, betas, tau)
         g = _g_batch(l, d, betas, n)
         if not np.all(np.isfinite(g)):
             raise RuntimeError(

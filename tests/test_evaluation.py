@@ -146,8 +146,8 @@ def test_batch_losses_match_scalar(seed, p, extra):
     s = a.transpose(0, 2, 1) @ a
     weights = [classical_weights(p, n), family_weights(p, n, 1), _zigzag_weights(p, n)]
     betas = np.stack([w.beta for w in weights])
-    _, d, v = _batch_rates(s, need_vectors=True)
-    entropy = _entropy_losses(d, v, betas, tau)
+    _, d, q = _batch_rates(s, need_vectors=True)
+    entropy = _entropy_losses(d, q, betas, tau)
     quadratic = _quadratic_losses(d, betas, tau)
     truth = ContributionRates(tau)
     for r in range(s.shape[0]):
@@ -188,6 +188,73 @@ def test_batch_rates_checks_eigenvalue_sum_against_trace(p, need_vectors, monkey
     monkeypatch.setattr(sampling, "scatter_chunk", lambda *args: s.copy())
     argv = ["bias", "--spectrum", ",".join(map(str, spec.values)), "--n", "20", "--reps", "200"]
     assert main(argv) == 4
+
+
+def test_batch_rates_checks_eigenvectors_against_diagonal(monkeypatch):
+    # S_jj = sum_k l_k v_jk^2 for every row; one perturbed vector entry
+    # leaves the eigenvalues, hence the trace check, untouched
+    spec = Spectrum(np.linspace(1.0, 0.5, 4))
+    s = scatter_chunk(spec, 20, "wishart", seed=3, chunk_index=0)[:200]
+    _batch_rates(s, need_vectors=True)  # the unperturbed solve passes
+    solve = evaluation.eigh_descending_batch
+
+    def perturbed(a, compute_vectors=True):
+        w, v = solve(a, compute_vectors)
+        if v is not None:
+            v = v.copy()
+            v[7, 2, 0] *= 1.0 + 1e-6
+        return w, v
+
+    monkeypatch.setattr(evaluation, "eigh_descending_batch", perturbed)
+    with pytest.raises(RuntimeError, match="eigenvectors reconstruct diag S only to"):
+        _batch_rates(s, need_vectors=True)
+    _batch_rates(s, need_vectors=False)  # the eigenvalue path reads no vectors
+    # the CLI reports it as a numerical failure; stein-haff is the command
+    # whose engine reads eigenvectors (risk runs quadratic losses)
+    monkeypatch.setattr(sampling, "scatter_chunk", lambda *args: s.copy())
+    argv = ["stein-haff", "--spectrum", ",".join(map(str, spec.values)), "--n", "20", "--reps", "200"]
+    assert main(argv) == 4
+
+
+def _flip_columns(monkeypatch):
+    """Negate a fixed pseudo-random set of each row's eigenvector columns."""
+    solve = evaluation.eigh_descending_batch
+
+    def flipped(a, compute_vectors=True):
+        w, v = solve(a, compute_vectors)
+        if v is None:
+            return w, v
+        flip = np.random.default_rng(17).random((v.shape[0], v.shape[2])) < 0.5
+        assert flip.any() and not flip.all()
+        return w, np.where(flip[:, None, :], -v, v)
+
+    monkeypatch.setattr(evaluation, "eigh_descending_batch", flipped)
+
+
+def _fields(result):
+    return [np.asarray(x) for x in vars(result).values()]
+
+
+def test_batch_engines_do_not_depend_on_eigenvector_signs(monkeypatch):
+    # p = 10: 1,320 replicates is the least count that takes the control
+    # variates; t:5 takes the plain estimator
+    n = 30
+    spec = Spectrum(np.linspace(1.0, 0.1, 10))
+    w = [classical_weights(10, n), family_weights(10, n, 1), family_weights(10, n, 2)]
+    runs = [
+        lambda: compare_risks(spec, n, w, "entropy", "wishart", 1320, seed=5),
+        lambda: compare_risks(spec, n, w, "entropy", "t:5", 300, seed=5),
+        lambda: simulate_stein_haff(spec, n, w, 500, seed=5),
+    ]
+    plain = [run() for run in runs]
+    _flip_columns(monkeypatch)
+    for before, after in zip(plain, (run() for run in runs)):
+        if isinstance(before, list):
+            before = [x for check in before for x in _fields(check)]
+            after = [x for check in after for x in _fields(check)]
+        else:
+            before, after = _fields(before), _fields(after)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after, strict=True))
 
 
 def test_stein_haff_identity_monte_carlo():
@@ -486,15 +553,15 @@ def _streamed_and_per_replicate(engine, replicates):
     tau = spec.values / spec.values.sum()
     columns = []
     for chunk, rows in _chunk_plan(replicates):
-        l, d, v = _batch_rates(scatter_chunk(spec, n, "wishart", seed, chunk)[:rows], True)
+        l, d, q = _batch_rates(scatter_chunk(spec, n, "wishart", seed, chunk)[:rows], True)
         if engine == "stein-haff":
-            estimates = np.einsum("rij,wrj,rkj->wrik", v, betas[:, None, :] * d, v)
-            trace = np.einsum("wrii,i->wr", estimates, 1.0 / tau)
+            # the diagonal of V diag(beta d) V' is sum_j v_ij^2 beta_j d_j
+            trace = np.einsum("rij,wrj,i->wr", q, betas[:, None, :] * d, 1.0 / tau)
             g = _g_batch(l, d, betas, n)
             columns.append(np.concatenate([trace, g, trace - g]))
         else:
             if engine == "entropy":
-                losses = _entropy_losses(d, v, betas, tau)
+                losses = _entropy_losses(d, q, betas, tau)
             else:
                 losses = _quadratic_losses(d, betas, tau)
             columns.append(np.concatenate([losses, losses[1:] - losses[0]]))
@@ -543,8 +610,8 @@ def _plain_entropy_moments(spec, n, distribution, seed, replicates, weights):
     tau = spec.values / spec.values.sum()
     columns = []
     for chunk, rows in _chunk_plan(replicates):
-        _, d, v = _batch_rates(scatter_chunk(spec, n, distribution, seed, chunk)[:rows], True)
-        losses = _entropy_losses(d, v, betas, tau)
+        _, d, q = _batch_rates(scatter_chunk(spec, n, distribution, seed, chunk)[:rows], True)
+        losses = _entropy_losses(d, q, betas, tau)
         columns.append(np.concatenate([losses, losses[1:] - losses[0]]))
     values = np.concatenate(columns, axis=1)
     return values.mean(axis=1), values.std(axis=1, ddof=1) / np.sqrt(replicates)
