@@ -81,9 +81,10 @@ def summarise(pairs: list[dict]) -> dict:
                        "change_median": cq[1], "change_iqr": cq[2] - cq[0],
                        "change_wins": wins, "pairs": len(pairs)}
     for raw in ("raw_op_s", "raw_kernel_s"):
-        out[raw] = {f"{side}_median": median_or_none(
-                        [p[side][raw] for p in pairs if p[side][raw] is not None])
-                    for side in ("base", "change")}
+        out[raw] = {}
+        for side in ("base", "change"):
+            values = [p[side][raw] for p in pairs if p[side][raw] is not None]
+            out[raw][f"{side}_median"] = median_or_none(values)
     return out
 
 

@@ -216,21 +216,6 @@ def test_batch_rates_checks_eigenvectors_against_diagonal(monkeypatch):
     assert main(argv) == 4
 
 
-def _flip_columns(monkeypatch):
-    """Negate a fixed pseudo-random set of each row's eigenvector columns."""
-    solve = evaluation.eigh_descending_batch
-
-    def flipped(a, compute_vectors=True):
-        w, v = solve(a, compute_vectors)
-        if v is None:
-            return w, v
-        flip = np.random.default_rng(17).random((v.shape[0], v.shape[2])) < 0.5
-        assert flip.any() and not flip.all()
-        return w, np.where(flip[:, None, :], -v, v)
-
-    monkeypatch.setattr(evaluation, "eigh_descending_batch", flipped)
-
-
 def _fields(result):
     return [np.asarray(x) for x in vars(result).values()]
 
@@ -247,7 +232,18 @@ def test_batch_engines_do_not_depend_on_eigenvector_signs(monkeypatch):
         lambda: simulate_stein_haff(spec, n, w, 500, seed=5),
     ]
     plain = [run() for run in runs]
-    _flip_columns(monkeypatch)
+    solve = evaluation.eigh_descending_batch
+
+    def flipped(a, compute_vectors=True):
+        # negate a fixed pseudo-random set of each row's eigenvector columns
+        w, v = solve(a, compute_vectors)
+        if v is None:
+            return w, v
+        flip = np.random.default_rng(17).random((v.shape[0], v.shape[2])) < 0.5
+        assert flip.any() and not flip.all()
+        return w, np.where(flip[:, None, :], -v, v)
+
+    monkeypatch.setattr(evaluation, "eigh_descending_batch", flipped)
     for before, after in zip(plain, (run() for run in runs)):
         if isinstance(before, list):
             before = [x for check in before for x in _fields(check)]
