@@ -108,13 +108,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _render_csv(header: list[str], rows: list[list], spec: ExperimentSpec) -> str:
+def _render_csv(header: list[str], rows: list[list], footer: str) -> str:
+    """The CSV bytes: header, formatted rows, then ``footer`` as a comment line."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
-    buf.write(f"# seed={spec.seed}, reps={spec.replicates}, version={__version__}\n")
+    buf.write(f"# {footer}, version={__version__}\n")
     return buf.getvalue()
 
 
@@ -285,7 +286,7 @@ def run(spec: ExperimentSpec) -> int:
     """Validate and execute one experiment, writing its CSV artifact."""
     spec.validate()
     header, rows = _RUNNERS[spec.kind](spec)
-    text = _render_csv(header, rows, spec)
+    text = _render_csv(header, rows, f"seed={spec.seed}, reps={spec.replicates}")
     dest = spec.out if spec.out is not None else "stdout"
     summary = (
         f"{spec.kind}: wrote {len(rows)} rows to {dest} "
@@ -467,15 +468,9 @@ def _cmd_weights(args: argparse.Namespace) -> int:
         f"m_used={report.m_used}"
     )
     if args.out is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["i", "beta"])
-        for i, b in enumerate(w.beta, start=1):
-            writer.writerow([i, _fmt(float(b))])
-        buf.write(f"# p={args.p}, n={args.n}, q={args.q}, version={__version__}\n")
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-        print(f"wrote {args.out}")
+        rows = [[i, b] for i, b in enumerate(w.beta, start=1)]
+        text = _render_csv(["i", "beta"], rows, f"p={args.p}, n={args.n}, q={args.q}")
+        _emit(text, f"wrote {args.out}", args.out)
     return 0
 
 

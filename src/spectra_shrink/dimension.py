@@ -142,7 +142,7 @@ def dimension_experiment_for_spectrum(
     betas = _stack_betas(estimators, p)
     population = spectrum.values / spectrum.values.sum()
 
-    def stat(s, l, d, v):
+    def stat(s, l, d, q):
         counts = np.zeros((len(criteria), len(estimators), p + 1), dtype=np.int64)
         for e, beta in enumerate(betas):
             est = beta[None, :] * d
@@ -151,8 +151,7 @@ def dimension_experiment_for_spectrum(
                 counts[c, e] = np.bincount(dims, minlength=p + 1)
         return counts
 
-    parts = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, False, stat)
-    totals = np.sum(parts, axis=0)
+    totals = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, False, stat, np.add)
 
     out = []
     for c, criterion in enumerate(criteria):

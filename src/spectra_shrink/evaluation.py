@@ -2,8 +2,9 @@
 
 Every engine runs through one chunked runner: sample a chunk of scatter
 draws (see sampling), decompose it, and reduce it to moments, counts or
-rates. Chunk results are combined in chunk order, so results are identical
-for any worker count, and the moment engines keep no per-replicate arrays.
+rates. Each chunk's reduction is folded into a running result in chunk
+order, so results are identical for any worker count, and only
+``sample_rates`` keeps per-replicate arrays.
 All estimators are always evaluated on the same draws: risk comparisons
 are paired by construction.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import reduce
 from math import sqrt
 
 import numpy as np
@@ -230,16 +230,6 @@ def bias_expansion(truth: Spectrum, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_plan(replicates: int) -> list[tuple[int, int]]:
-    """(chunk_index, rows_used) covering the first ``replicates`` draws."""
-    n_chunks = -(-replicates // sampling.CHUNK_SIZE)
-    plan = []
-    for c in range(n_chunks):
-        rows = min(sampling.CHUNK_SIZE, replicates - c * sampling.CHUNK_SIZE)
-        plan.append((c, rows))
-    return plan
-
-
 def _batch_rates(s: np.ndarray, need_vectors: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Eigenvalues l, rates and (optionally) squared eigenvector entries q = v * v of a chunk.
 
@@ -302,35 +292,31 @@ def _run_chunks(
     jobs: int,
     need_vectors: bool,
     stat,
-    fold=None,
+    fold,
 ):
-    """Reduce the first ``replicates`` draws chunk by chunk, results in chunk order.
+    """Fold the reductions of the first ``replicates`` draws, chunk by chunk, in chunk order.
 
     Each chunk is sampled, decomposed into eigenvalues l, rates d and (with
     ``need_vectors``) squared eigenvector entries q, and reduced by
-    ``stat(s, l, d, q)``; only the reductions are kept. Every engine runs
-    through here, so the replicate floor is checked here, before the first draw.
-
-    With ``fold`` the reductions are not listed: each is folded into one
-    running result, ``result = fold(result, part)``, as soon as every
-    earlier chunk's has been, and that result is returned. What is held then
-    does not grow with the number of chunks, and the order of the folds,
-    hence the result, does not depend on the workers.
+    ``stat(s, l, d, q)``. Each reduction is folded into one running result,
+    ``result = fold(result, part)``, as soon as every earlier chunk's has
+    been, and that result is returned. Only the reductions of chunks that
+    finish ahead of an earlier one wait, so what is held grows with the
+    number of chunks only if the fold's result does, and the order of the
+    folds, hence the result, does not depend on the workers. Every engine
+    runs through here, so the replicate floor is checked here, before the
+    first draw.
     """
     _check_replicates(replicates)
     sampling.parse_distribution(distribution)
-    plan = _chunk_plan(replicates)
     lock, pending = threading.Lock(), {}
     next_chunk, result = 0, None
 
     def worker(c):
         nonlocal next_chunk, result
-        chunk, rows = plan[c]
-        s = sampling.scatter_chunk(spectrum, n, distribution, seed, chunk)[:rows]
-        l, d, q = _batch_rates(s, need_vectors)
-        part = stat(s, l, d, q)
-        if fold is None:
-            return part
+        s = sampling.scatter_chunk(spectrum, n, distribution, seed, c)
+        s = s[: replicates - c * sampling.CHUNK_SIZE]
+        part = stat(s, *_batch_rates(s, need_vectors))
         with lock:
             pending[c] = part
             while next_chunk in pending:
@@ -338,8 +324,8 @@ def _run_chunks(
                 result = part if next_chunk == 0 else fold(result, part)
                 next_chunk += 1
 
-    parts = sampling.map_chunks(worker, len(plan), jobs)
-    return parts if fold is None else result
+    sampling.map_chunks(worker, -(-replicates // sampling.CHUNK_SIZE), jobs)
+    return result
 
 
 def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -373,7 +359,7 @@ def _combine(a: tuple, b: tuple, square=np.square) -> tuple[int, np.ndarray, np.
     M2 holds the sums of squared deviations from the chunk mean, or their
     cross-products when ``square`` is an outer product. This is the pairwise
     update of Chan, Golub & LeVeque (1979); applied left to right over the
-    chunks, the result depends on the chunk plan but not on the workers.
+    chunks, the result depends on the chunk size but not on the workers.
     """
     count, mean, m2 = a
     rows, chunk_mean, chunk_m2 = b
@@ -390,13 +376,13 @@ def _outer_square(delta: np.ndarray) -> np.ndarray:
     return np.multiply.outer(delta, delta)
 
 
-def _merge_moments(parts: list) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error from per-chunk (count, mean, M2), merged in order."""
-    count, mean, m2 = reduce(_combine, parts)
+def _mean_se(merged: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error from one merged (count, mean, M2)."""
+    count, mean, m2 = merged
     return mean, np.sqrt(m2 / (count - 1)) / sqrt(count)
 
 
-def _cross_fitted(folds: list, n_controls: int) -> tuple[np.ndarray, np.ndarray]:
+def _cross_fitted(folds: tuple, n_controls: int) -> tuple[np.ndarray, np.ndarray]:
     """Control-variate means and SEs from two folds' merged (count, mean, M).
 
     The first ``n_controls`` rows are controls with mean exactly zero, the
@@ -412,7 +398,7 @@ def _cross_fitted(folds: list, n_controls: int) -> tuple[np.ndarray, np.ndarray]
     for (count, mean, m), b in zip(folds, fits[::-1]):
         m2 = np.diagonal(m)[y] - 2.0 * (b * m[c, y]).sum(axis=0) + (b * (m[c, c] @ b)).sum(axis=0)
         corrected.append((count, mean[y] - b.T @ mean[c], m2))
-    return _merge_moments(corrected)
+    return _mean_se(_combine(*corrected))
 
 
 def sample_rates(
@@ -423,9 +409,14 @@ def sample_rates(
     seed: int,
     jobs: int = 1,
 ) -> np.ndarray:
-    """Sample contribution-rate vectors, shape (replicates, p)."""
+    """Sample contribution-rate vectors, shape (replicates, p).
+
+    The one engine whose result grows with ``replicates``: the KS test
+    needs every draw's rates.
+    """
     parts = _run_chunks(
-        spectrum, n, distribution, replicates, seed, jobs, False, lambda s, l, d, q: d
+        spectrum, n, distribution, replicates, seed, jobs, False,
+        lambda s, l, d, q: [d], lambda a, b: a + b,
     )
     return np.concatenate(parts, axis=0)
 
@@ -505,8 +496,8 @@ def simulate_bias(
             z[j] += buf
         return _moments(z)
 
-    parts = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, False, stat)
-    mean, se = _merge_moments(parts)
+    merged = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, False, stat, _combine)
+    mean, se = _mean_se(merged)
     return BiasSimulation(mean_rates=mean, std_errors=se, replicates=replicates)
 
 
@@ -620,15 +611,13 @@ def compare_risks(
             return _moments(np.concatenate([losses, losses[1:] - losses[0]]))
         return tuple(fold_comoments(s[f::2], losses[:, f::2]) for f in (0, 1))
 
-    if use_controls:
-        folds = _run_chunks(
-            spectrum, n, distribution, replicates, seed, jobs, need_vectors, stat,
-            fold=lambda a, b: tuple(_combine(x, y, _outer_square) for x, y in zip(a, b)),
-        )
-        means, ses = _cross_fitted(folds, n_controls)
-    else:
-        parts = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, need_vectors, stat)
-        means, ses = _merge_moments(parts)
+    def fold(a, b):
+        if not use_controls:
+            return _combine(a, b)
+        return tuple(_combine(x, y, _outer_square) for x, y in zip(a, b))
+
+    merged = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, need_vectors, stat, fold)
+    means, ses = _cross_fitted(merged, n_controls) if use_controls else _mean_se(merged)
     return RiskComparison(
         mean_losses=means[:k],
         std_errors=ses[:k],
@@ -680,8 +669,8 @@ def simulate_stein_haff(
             )
         return _moments(np.concatenate([trace, g, trace - g]))
 
-    parts = _run_chunks(spectrum, n, "wishart", replicates, seed, jobs, True, stat)
-    means, ses = _merge_moments(parts)
+    merged = _run_chunks(spectrum, n, "wishart", replicates, seed, jobs, True, stat, _combine)
+    means, ses = _mean_se(merged)
     return [
         SteinHaffCheck(
             mean_trace=float(means[j]),
@@ -711,6 +700,8 @@ def invariance_check(
     rate distribution is the same for every member of the elliptical family,
     so equality should be accepted coordinate by coordinate.
     """
+    if not 0.0 < alpha < 1.0:  # also refuses a NaN
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     elliptical = f"t:{nu}"
     sampling.parse_distribution(elliptical)  # refuse a bad nu before any draw
     d_wishart = sample_rates(spectrum, n, "wishart", replicates, seed, jobs)

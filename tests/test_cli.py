@@ -210,7 +210,10 @@ def test_weights_subcommand(tmp_path, capsys):
     assert "0.810811" in printed and "c3=10" in printed
     out = tmp_path / "w.csv"
     assert main(["weights", "--p", "6", "--n", "12", "--q", "1", "--out", str(out)]) == 0
-    assert _read(out).splitlines()[0] == "i,beta"
+    assert out.read_bytes() == (
+        "i,beta\n1,0.8\n2,0.923077\n3,1\n4,1\n5,1.09091\n6,1.33333\n"
+        f"# p=6, n=12, q=1, version={__version__}\n"
+    ).encode()
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

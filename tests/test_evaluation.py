@@ -31,12 +31,17 @@ from spectra_shrink import evaluation, sampling
 from spectra_shrink.cli import main
 from spectra_shrink.evaluation import (
     _batch_rates,
-    _chunk_plan,
     _entropy_losses,
     _g_batch,
     _quadratic_losses,
 )
 from spectra_shrink.sampling import CHUNK_SIZE, scatter_chunk
+
+
+def _draws(spec, n, distribution, seed, replicates):
+    """The first ``replicates`` scatter draws of a stream, shape (replicates, p, p)."""
+    chunks = range(-(-replicates // CHUNK_SIZE))
+    return np.concatenate([scatter_chunk(spec, n, distribution, seed, c) for c in chunks])[:replicates]
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +280,9 @@ def test_pathwise_risk_difference_bound():
     w1 = family_weights(10, 30, 1)
     betas = np.stack([w1.beta, np.ones(10)])
     log_beta = np.sum(np.log(w1.beta))
-    worst = -np.inf
-    for chunk, rows in _chunk_plan(10000):
-        s = scatter_chunk(spec, 30, "wishart", seed=37, chunk_index=chunk)[:rows]
-        l, d, _ = _batch_rates(s, need_vectors=False)
-        g = _g_batch(l, d, betas, 30)
-        bound = g[0] - g[1] - log_beta
-        worst = max(worst, bound.max())
-    assert worst <= 1e-10
+    l, d, _ = _batch_rates(_draws(spec, 30, "wishart", 37, 10000), need_vectors=False)
+    g = _g_batch(l, d, betas, 30)
+    assert (g[0] - g[1] - log_beta).max() <= 1e-10
 
 
 def test_risk_difference_bound_single_sample():
@@ -408,11 +408,16 @@ def test_engines_reject_invalid_jobs(jobs, monkeypatch):
 
 def test_invariance_rejects_nu_before_sampling(monkeypatch):
     monkeypatch.setattr(sampling, "scatter_chunk", _no_draw)
+    monkeypatch.setattr(np.random, "Philox", _no_stream)
     with pytest.raises(ValueError, match="nu >= 3, got 2"):
         invariance_check(Spectrum((0.5, 0.3, 0.2)), 10, 2, 200_000, seed=0)
     # a fractional nu is refused, not truncated
     with pytest.raises(ValueError, match="malformed"):
         invariance_check(Spectrum((0.5, 0.3, 0.2)), 10, 3.9, 200_000, seed=0)
+    # so is a KS level outside (0, 1), where the critical value has no meaning
+    for alpha in (0.0, 1.0, 2.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            invariance_check(Spectrum((0.5, 0.3, 0.2)), 10, 5, 1000, seed=0, alpha=alpha)
 
 
 def test_stacking_needs_a_weight_vector():
@@ -457,15 +462,16 @@ def test_fold_takes_the_chunks_in_order(monkeypatch):
         return sample(spectrum, n, distribution, seed, chunk)
 
     monkeypatch.setattr(sampling, "scatter_chunk", first_chunk_last)
-    args = (Spectrum((0.5, 0.3, 0.2)), 10, "wishart", 4 * CHUNK_SIZE, 3)
-    stat = lambda s, l, d, v: [float(s[0, 0, 0])]  # noqa: E731
+    spec, n, seed = Spectrum((0.5, 0.3, 0.2)), 10, 3
+    args = (spec, n, "wishart", 4 * CHUNK_SIZE, seed)
+    stat = lambda s, l, d, q: [float(s[0, 0, 0])]  # noqa: E731
+    fold = lambda a, b: a + b  # noqa: E731
     fail_at = None
-    listed = evaluation._run_chunks(*args, 1, False, stat)
-    folded = evaluation._run_chunks(*args, 3, False, stat, fold=lambda a, b: a + b)
-    assert folded == [x for part in listed for x in part]
+    folded = evaluation._run_chunks(*args, 3, False, stat, fold)
+    assert folded == [float(sample(spec, n, "wishart", seed, c)[0, 0, 0]) for c in range(4)]
     fail_at = 1
     with pytest.raises(RuntimeError, match="chunk failed"):
-        evaluation._run_chunks(*args, 3, False, stat, fold=lambda a, b: a + b)
+        evaluation._run_chunks(*args, 3, False, stat, fold)
 
 
 def _expansion_terms(spec, n, seed, replicates):
@@ -477,10 +483,7 @@ def _expansion_terms(spec, n, seed, replicates):
     j != i of E_ij^2 / (lambda_i - lambda_j). All three are (replicates, p).
     """
     lam, total = spec.values, spec.values.sum()
-    e = np.concatenate([
-        scatter_chunk(spec, n, "wishart", seed, chunk)[:rows]
-        for chunk, rows in _chunk_plan(replicates)
-    ]) / n - np.diag(lam)
+    e = _draws(spec, n, "wishart", seed, replicates) / n - np.diag(lam)
     diag = np.diagonal(e, axis1=1, axis2=2)
     t = diag.sum(axis=1)
     first = diag / total - np.outer(t, lam) / total**2
@@ -502,10 +505,7 @@ def _cross_fitted(spec, n, seed, replicates, y):
     least-squares fit, with an intercept, on the other fold.
     """
     lam = spec.values
-    s = np.concatenate([
-        scatter_chunk(spec, n, "wishart", seed, chunk)[:rows]
-        for chunk, rows in _chunk_plan(replicates)
-    ])
+    s = _draws(spec, n, "wishart", seed, replicates)
     diag = np.diagonal(s, axis1=1, axis2=2) / (n * lam) - 1.0
     iu, ju = np.triu_indices(lam.size, 1)
     pair = s[:, iu, ju] ** 2 / (n * np.outer(lam, lam)[iu, ju]) - 1.0
@@ -547,21 +547,18 @@ def _streamed_and_per_replicate(engine, replicates):
     weights = [classical_weights(4, n), family_weights(4, n, 1)]
     betas = np.stack([w.beta for w in weights])
     tau = spec.values / spec.values.sum()
-    columns = []
-    for chunk, rows in _chunk_plan(replicates):
-        l, d, q = _batch_rates(scatter_chunk(spec, n, "wishart", seed, chunk)[:rows], True)
-        if engine == "stein-haff":
-            # the diagonal of V diag(beta d) V' is sum_j v_ij^2 beta_j d_j
-            trace = np.einsum("rij,wrj,i->wr", q, betas[:, None, :] * d, 1.0 / tau)
-            g = _g_batch(l, d, betas, n)
-            columns.append(np.concatenate([trace, g, trace - g]))
+    l, d, q = _batch_rates(_draws(spec, n, "wishart", seed, replicates), True)
+    if engine == "stein-haff":
+        # the diagonal of V diag(beta d) V' is sum_j v_ij^2 beta_j d_j
+        trace = np.einsum("rij,wrj,i->wr", q, betas[:, None, :] * d, 1.0 / tau)
+        g = _g_batch(l, d, betas, n)
+        values = np.concatenate([trace, g, trace - g]).T
+    else:
+        if engine == "entropy":
+            losses = _entropy_losses(d, q, betas, tau)
         else:
-            if engine == "entropy":
-                losses = _entropy_losses(d, q, betas, tau)
-            else:
-                losses = _quadratic_losses(d, betas, tau)
-            columns.append(np.concatenate([losses, losses[1:] - losses[0]]))
-    values = np.concatenate(columns, axis=1).T
+            losses = _quadratic_losses(d, betas, tau)
+        values = np.concatenate([losses, losses[1:] - losses[0]]).T
     if engine == "entropy":
         # p = 4 has 15 fitted coefficients, so every replicate count here is
         # above the 150-rows-a-fold floor
@@ -604,12 +601,9 @@ def _plain_entropy_moments(spec, n, distribution, seed, replicates, weights):
     """
     betas = np.stack([w.beta for w in weights])
     tau = spec.values / spec.values.sum()
-    columns = []
-    for chunk, rows in _chunk_plan(replicates):
-        _, d, q = _batch_rates(scatter_chunk(spec, n, distribution, seed, chunk)[:rows], True)
-        losses = _entropy_losses(d, q, betas, tau)
-        columns.append(np.concatenate([losses, losses[1:] - losses[0]]))
-    values = np.concatenate(columns, axis=1)
+    _, d, q = _batch_rates(_draws(spec, n, distribution, seed, replicates), True)
+    losses = _entropy_losses(d, q, betas, tau)
+    values = np.concatenate([losses, losses[1:] - losses[0]])
     return values.mean(axis=1), values.std(axis=1, ddof=1) / np.sqrt(replicates)
 
 
