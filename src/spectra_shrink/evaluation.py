@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from math import sqrt
+from math import fsum, log, sqrt
 
 import numpy as np
 
@@ -522,20 +522,49 @@ def _quadratic_losses(d: np.ndarray, betas: np.ndarray, tau: np.ndarray) -> np.n
     return ((1.0 - est / tau[None, None, :]) ** 2).sum(axis=2)
 
 
-def _wishart_controls(s: np.ndarray, lam: np.ndarray, n: int, out: np.ndarray) -> None:
-    """Write the p(p+3)/2 functions of S with mean exactly zero under Wishart(n, diag(lam)).
+def _digamma_half(m: int) -> float:
+    """psi(m / 2) for a positive integer m, from the closed forms at integers and half-integers.
 
-    Rows of ``out``: S_kk/(n lam_k) - 1, then S_ij^2/(n lam_i lam_j) - 1 for
-    i < j, then (S_kk/(n lam_k) - 1)^2 - 2/n. S is an entries-first stack,
-    as the Wishart sampler builds it, or a row slice of one, so each entry
-    s[:, i, j] is one evenly strided column. The rows are written in place:
-    fresh chunk-sized temporaries here cost more than the arithmetic.
+    psi(j) = -gamma + sum_{k < j} 1/k and psi(j + 1/2) = -gamma - 2 log 2 +
+    sum_{k <= j} 2/(2k - 1), each summed with ``fsum``.
+    """
+    j = m // 2
+    if m % 2 == 0:
+        return -np.euler_gamma + fsum(1.0 / k for k in range(1, j))
+    return -np.euler_gamma - 2.0 * log(2.0) + fsum(2.0 / (2 * k - 1) for k in range(1, j + 1))
+
+
+def _log_det_mean(lam: np.ndarray, n: int) -> float:
+    """E[log det S] under Wishart(n, diag(lam)).
+
+    By the Bartlett decomposition det S = det diag(lam) prod_i chi2_{n-i},
+    i = 0..p-1, and E[log chi2_m] = log 2 + psi(m / 2).
+    """
+    p = lam.size
+    return fsum(np.log(lam)) + p * log(2.0) + fsum(_digamma_half(n - i) for i in range(p))
+
+
+def _wishart_controls(
+    s: np.ndarray, l: np.ndarray, lam: np.ndarray, n: int, log_det_mean: float, out: np.ndarray
+) -> None:
+    """Write the p^2 + p + 1 functions of S with mean exactly zero under Wishart(n, diag(lam)).
+
+    Rows of ``out``: e_k = S_kk/(n lam_k) - 1, then S_ij^2/(n lam_i lam_j) - 1
+    for i < j, then e_k^2 - 2/n, then e_i e_j for i < j (S_ii and S_jj are
+    independent under a diagonal scale), then sum_k log l_k - ``log_det_mean``
+    from the eigenvalues l of S, i.e. log det S less its mean. S is an
+    entries-first stack, as the Wishart sampler builds it, or a row slice of
+    one, so each entry s[:, i, j] is one evenly strided column. The rows are
+    written in place: fresh chunk-sized temporaries here cost more than the
+    arithmetic.
     """
     p = lam.size
     t = s.transpose(1, 2, 0)  # each t[i, j] is the (rows,) column s[:, i, j]
     k = np.arange(p)
     iu, ju = np.triu_indices(p, 1)
-    diag, pair, square = out[:p], out[p : p + iu.size], out[p + iu.size :]
+    m = iu.size
+    diag, pair, square = out[:p], out[p : p + m], out[p + m : 2 * p + m]
+    product, log_det = out[2 * p + m : 2 * p + 2 * m], out[2 * p + 2 * m]
     np.multiply(t[k, k], (1.0 / (n * lam))[:, None], out=diag)
     diag -= 1.0
     np.square(t[iu, ju], out=pair)
@@ -543,6 +572,12 @@ def _wishart_controls(s: np.ndarray, lam: np.ndarray, n: int, out: np.ndarray) -
     pair -= 1.0
     np.multiply(diag, diag, out=square)
     square -= 2.0 / n
+    start = 0
+    for i in range(p - 1):  # the pairs (i, j > i), in triu order
+        np.multiply(diag[i + 1 :], diag[i], out=product[start : start + p - 1 - i])
+        start += p - 1 - i
+    np.log(l).sum(axis=1, out=log_det)
+    log_det -= log_det_mean
 
 
 def compare_risks(
@@ -565,18 +600,20 @@ def compare_risks(
 
     Entropy losses under Wishart sampling are reported with control variates.
     The sampler's scale is diag(lambda), lambda = ``spectrum.values``, so the
-    p(p+3)/2 controls S_kk/(n lambda_k) - 1, S_ij^2/(n lambda_i lambda_j) - 1
-    (i < j) and (S_kk/(n lambda_k) - 1)^2 - 2/n have mean exactly zero. Each
-    loss and paired difference is regressed on them with coefficients
-    cross-fitted on two folds, even and odd replicate index: each fold is
-    corrected with the other fold's coefficients, so the means stay
-    unbiased. Each chunk's fold co-moments are merged into the running
-    ones in chunk order as soon as the chunk is done, so memory does not
-    grow with ``replicates``. The controls are used only when both folds
-    hold at least 10 rows per fitted coefficient (the controls and an
-    intercept: 660 rows, i.e. 1,320 replicates, at p = 10); with fewer, and
-    for quadratic losses and elliptical sampling, where the controls' means
-    are not exact, the plain estimator is returned.
+    p^2 + p + 1 controls e_k = S_kk/(n lambda_k) - 1,
+    S_ij^2/(n lambda_i lambda_j) - 1 (i < j), e_k^2 - 2/n, the products
+    e_i e_j (i < j) and log det S less its Bartlett mean (see
+    ``_wishart_controls``) have mean exactly zero. Each loss and paired
+    difference is regressed on them with coefficients cross-fitted on two
+    folds, even and odd replicate index: each fold is corrected with the
+    other fold's coefficients, so the means stay unbiased. Each chunk's fold
+    co-moments are merged into the running ones in chunk order as soon as
+    the chunk is done, so memory does not grow with ``replicates``. The
+    controls are used only when both folds hold at least 10 rows per fitted
+    coefficient (the controls and an intercept: 1,120 rows, i.e. 2,240
+    replicates, at p = 10); with fewer, and for quadratic losses and
+    elliptical sampling, where the controls' means are not exact, the plain
+    estimator is returned.
     """
     if loss_kind not in ("entropy", "quadratic"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -585,7 +622,7 @@ def compare_risks(
     lam = spectrum.values
     tau = lam / lam.sum()
     need_vectors = loss_kind == "entropy"
-    n_controls = spectrum.p * (spectrum.p + 3) // 2
+    n_controls = spectrum.p * spectrum.p + spectrum.p + 1
     _check_replicates(replicates)
     # CHUNK_SIZE is even, so a row's parity within its chunk is the parity
     # of its replicate index, and the odd fold holds replicates // 2 rows.
@@ -595,9 +632,11 @@ def compare_risks(
         and replicates // 2 >= 10 * (n_controls + 1)
     )
 
-    def fold_comoments(s, losses):
+    log_det_mean = _log_det_mean(lam, n) if use_controls else None
+
+    def fold_comoments(s, l, losses):
         x = np.empty((n_controls + 2 * k - 1, s.shape[0]))
-        _wishart_controls(s, lam, n, x[:n_controls])
+        _wishart_controls(s, l, lam, n, log_det_mean, x[:n_controls])
         x[n_controls : n_controls + k] = losses
         np.subtract(losses[1:], losses[0], out=x[n_controls + k :])
         return _comoments(x)
@@ -609,7 +648,7 @@ def compare_risks(
             losses = _quadratic_losses(d, betas, tau)
         if not use_controls:
             return _moments(np.concatenate([losses, losses[1:] - losses[0]]))
-        return tuple(fold_comoments(s[f::2], losses[:, f::2]) for f in (0, 1))
+        return tuple(fold_comoments(s[f::2], l[f::2], losses[:, f::2]) for f in (0, 1))
 
     def fold(a, b):
         if not use_controls:

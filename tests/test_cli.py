@@ -420,6 +420,26 @@ print(json.dumps(loaded))
 """
 
 
+# Runs in a fresh interpreter: the entropy risks on the control-variate path
+# (2,240 replicates at p = 10), whose log-det control needs digamma values.
+_ENTROPY_RISK = """
+import json, sys
+sys.path.insert(0, {src!r})
+from spectra_shrink import classical_weights, compare_risks, family_weights
+from spectra_shrink.cases import table2_spectrum
+w = [classical_weights(10, 30), family_weights(10, 30, 1)]
+compare_risks(table2_spectrum(18), 30, w, "entropy", "wishart", 2240, seed=1)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_entropy_control_variates_load_no_scipy():
+    src = Path(spectra_shrink.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _ENTROPY_RISK.format(src=str(src))],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
 def test_cold_start_loads_scipy_stats_only_for_invariance(tmp_path):
     src = Path(spectra_shrink.__file__).resolve().parents[1]
     code = _COLD_START.format(src=str(src), out=str(tmp_path / "out.csv"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma
 
 from spectra_shrink import (
     ContributionRates,
@@ -28,6 +29,7 @@ from spectra_shrink import (
     symmetric_eigendecompose,
 )
 from spectra_shrink import evaluation, sampling
+from spectra_shrink.cases import table2_spectrum
 from spectra_shrink.cli import main
 from spectra_shrink.evaluation import (
     _batch_rates,
@@ -226,17 +228,20 @@ def _fields(result):
 
 
 def test_batch_engines_do_not_depend_on_eigenvector_signs(monkeypatch):
-    # p = 10: 1,320 replicates is the least count that takes the control
-    # variates; t:5 takes the plain estimator
+    # p = 10: 2,240 replicates is the least count that takes the control
+    # variates (checked below against the plain SEs); t:5 takes the plain
+    # estimator
     n = 30
     spec = Spectrum(np.linspace(1.0, 0.1, 10))
     w = [classical_weights(10, n), family_weights(10, n, 1), family_weights(10, n, 2)]
     runs = [
-        lambda: compare_risks(spec, n, w, "entropy", "wishart", 1320, seed=5),
+        lambda: compare_risks(spec, n, w, "entropy", "wishart", 2240, seed=5),
         lambda: compare_risks(spec, n, w, "entropy", "t:5", 300, seed=5),
         lambda: simulate_stein_haff(spec, n, w, 500, seed=5),
     ]
-    plain = [run() for run in runs]
+    unflipped = [run() for run in runs]
+    _, plain_ses = _plain_entropy_moments(spec, n, "wishart", 5, 2240, w)
+    assert np.all(_risk_moments(unflipped[0])[1] < 0.9 * plain_ses)
     solve = evaluation.eigh_descending_batch
 
     def flipped(a, compute_vectors=True):
@@ -249,7 +254,7 @@ def test_batch_engines_do_not_depend_on_eigenvector_signs(monkeypatch):
         return w, np.where(flip[:, None, :], -v, v)
 
     monkeypatch.setattr(evaluation, "eigh_descending_batch", flipped)
-    for before, after in zip(plain, (run() for run in runs)):
+    for before, after in zip(unflipped, (run() for run in runs)):
         if isinstance(before, list):
             before = [x for check in before for x in _fields(check)]
             after = [x for check in after for x in _fields(check)]
@@ -499,17 +504,22 @@ def _expansion_terms(spec, n, seed, replicates):
 def _cross_fitted(spec, n, seed, replicates, y):
     """Per-replicate outputs y, shape (replicates, k), less their control-variate fit.
 
-    The controls are rebuilt from scatter_chunk: S_kk/(n lambda_k) - 1,
-    S_ij^2/(n lambda_i lambda_j) - 1 for i < j and (S_kk/(n lambda_k) - 1)^2
-    - 2/n. Each replicate-parity fold is corrected with the slopes of a
+    The controls are rebuilt from scatter_chunk: e_k = S_kk/(n lambda_k) - 1,
+    S_ij^2/(n lambda_i lambda_j) - 1 for i < j, e_k^2 - 2/n, e_i e_j for
+    i < j, and log det S, from each draw's eigvalsh, less its Bartlett mean
+    sum log lambda + p log 2 + sum_{i<p} psi((n - i)/2), with scipy's
+    digamma. Each replicate-parity fold is corrected with the slopes of a
     least-squares fit, with an intercept, on the other fold.
     """
     lam = spec.values
+    p = lam.size
     s = _draws(spec, n, "wishart", seed, replicates)
     diag = np.diagonal(s, axis1=1, axis2=2) / (n * lam) - 1.0
-    iu, ju = np.triu_indices(lam.size, 1)
+    iu, ju = np.triu_indices(p, 1)
     pair = s[:, iu, ju] ** 2 / (n * np.outer(lam, lam)[iu, ju]) - 1.0
-    controls = np.hstack([diag, pair, diag**2 - 2.0 / n])
+    log_det_mean = np.log(lam).sum() + p * np.log(2.0) + digamma((n - np.arange(p)) / 2).sum()
+    log_det = np.log(np.linalg.eigvalsh(s)).sum(axis=1) - log_det_mean
+    controls = np.hstack([diag, pair, diag**2 - 2.0 / n, diag[:, iu] * diag[:, ju], log_det[:, None]])
     z = np.empty_like(y)
     even, odd = slice(0, None, 2), slice(1, None, 2)
     for fit, corrected in ((odd, even), (even, odd)):
@@ -560,8 +570,8 @@ def _streamed_and_per_replicate(engine, replicates):
             losses = _quadratic_losses(d, betas, tau)
         values = np.concatenate([losses, losses[1:] - losses[0]]).T
     if engine == "entropy":
-        # p = 4 has 15 fitted coefficients, so every replicate count here is
-        # above the 150-rows-a-fold floor
+        # p = 4 has 22 fitted coefficients, so every replicate count here is
+        # above the 220-rows-a-fold floor
         values = _cross_fitted(spec, n, seed, replicates, values)
     if engine == "stein-haff":
         checks = simulate_stein_haff(spec, n, weights, replicates, seed=seed)
@@ -612,11 +622,11 @@ def _risk_moments(cmp):
     return means, np.concatenate([cmp.std_errors, cmp.diff_std_errors])
 
 
-@pytest.mark.parametrize("distribution, replicates", [("wishart", 299), ("t:5", 4096 + 123)])
+@pytest.mark.parametrize("distribution, replicates", [("wishart", 439), ("t:5", 4096 + 123)])
 def test_entropy_risk_keeps_the_plain_estimator(distribution, replicates):
-    # below the floor of 10 rows a fold per fitted coefficient (p = 4: 14
-    # controls and an intercept, 150 rows; 299 replicates leave the odd fold
-    # 149), and under the elliptical law, where the controls' means are not exact
+    # below the floor of 10 rows a fold per fitted coefficient (p = 4: 21
+    # controls and an intercept, 220 rows; 439 replicates leave the odd fold
+    # 219), and under the elliptical law, where the controls' means are not exact
     spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
     w = [classical_weights(4, n), family_weights(4, n, 1)]
     plain_means, plain_ses = _plain_entropy_moments(spec, n, distribution, seed, replicates, w)
@@ -627,11 +637,11 @@ def test_entropy_risk_keeps_the_plain_estimator(distribution, replicates):
 
 
 def test_entropy_control_variates_start_at_the_floor():
-    # 300 replicates give both folds the 150 rows that p = 4 needs
+    # 440 replicates give both folds the 220 rows that p = 4 needs
     spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
     w = [classical_weights(4, n), family_weights(4, n, 1)]
-    plain_means, plain_ses = _plain_entropy_moments(spec, n, "wishart", seed, 300, w)
-    means, ses = _risk_moments(compare_risks(spec, n, w, "entropy", "wishart", 300, seed=seed))
+    plain_means, plain_ses = _plain_entropy_moments(spec, n, "wishart", seed, 440, w)
+    means, ses = _risk_moments(compare_risks(spec, n, w, "entropy", "wishart", 440, seed=seed))
     assert np.all(ses < 0.9 * plain_ses)
     assert np.all(np.abs(means - plain_means) < 4 * np.hypot(ses, plain_ses))
 
@@ -648,6 +658,34 @@ def test_entropy_control_variate_se_is_calibrated():
     ses = np.array([se for _, se in runs])
     ratio = means.std(axis=0, ddof=1) / ses.mean(axis=0)
     assert np.all(np.abs(ratio - 1.0) < 0.25), ratio
+
+
+def test_digamma_half_matches_closed_forms_and_scipy():
+    assert evaluation._digamma_half(2) == -np.euler_gamma
+    assert evaluation._digamma_half(1) == -np.euler_gamma - 2.0 * np.log(2.0)
+    m = np.arange(1, 201)
+    ours = [evaluation._digamma_half(int(k)) for k in m]
+    np.testing.assert_allclose(ours, digamma(m / 2), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize(
+    "spec", [Spectrum((0.4, 0.3, 0.2, 0.1)), table2_spectrum(18)], ids=["p4", "row18"]
+)
+def test_wishart_controls_have_mean_zero(spec):
+    # every control, the products e_i e_j and log det S included, averages
+    # to zero within 4 SEs over 40 chunks
+    lam, n = spec.values, 30
+    p = lam.size
+    log_det_mean = evaluation._log_det_mean(lam, n)
+
+    def stat(s, l, d, q):
+        controls = np.empty((p * p + p + 1, s.shape[0]))
+        evaluation._wishart_controls(s, l, lam, n, log_det_mean, controls)
+        return evaluation._moments(controls)
+
+    args = (spec, n, "wishart", 40 * CHUNK_SIZE, 23, 2, False, stat, evaluation._combine)
+    means, ses = evaluation._mean_se(evaluation._run_chunks(*args))
+    assert np.all(np.abs(means) < 4 * ses), np.abs(means / ses).max()
 
 
 def test_control_variate_agrees_and_tightens():
