@@ -526,12 +526,13 @@ def _digamma_half(m: int) -> float:
     """psi(m / 2) for a positive integer m, from the closed forms at integers and half-integers.
 
     psi(j) = -gamma + sum_{k < j} 1/k and psi(j + 1/2) = -gamma - 2 log 2 +
-    sum_{k <= j} 2/(2k - 1), each summed with ``fsum``.
+    sum_{k <= j} 2/(2k - 1), each summed with ``fsum`` over terms numpy forms
+    (the same IEEE quotients as scalar division, at numpy's cost per term).
     """
     j = m // 2
     if m % 2 == 0:
-        return -np.euler_gamma + fsum(1.0 / k for k in range(1, j))
-    return -np.euler_gamma - 2.0 * log(2.0) + fsum(2.0 / (2 * k - 1) for k in range(1, j + 1))
+        return -np.euler_gamma + fsum((1.0 / np.arange(1, j)).tolist())
+    return -np.euler_gamma - 2.0 * log(2.0) + fsum((2.0 / (2 * np.arange(1, j + 1) - 1)).tolist())
 
 
 def _log_det_mean(lam: np.ndarray, n: int) -> float:
@@ -598,22 +599,20 @@ def compare_risks(
     paired difference statistics, whose moments are streamed alongside the
     losses' own: a difference's SE cannot be recovered from the row moments.
 
-    Entropy losses under Wishart sampling are reported with control variates.
-    The sampler's scale is diag(lambda), lambda = ``spectrum.values``, so the
-    p^2 + p + 1 controls e_k = S_kk/(n lambda_k) - 1,
-    S_ij^2/(n lambda_i lambda_j) - 1 (i < j), e_k^2 - 2/n, the products
-    e_i e_j (i < j) and log det S less its Bartlett mean (see
-    ``_wishart_controls``) have mean exactly zero. Each loss and paired
-    difference is regressed on them with coefficients cross-fitted on two
-    folds, even and odd replicate index: each fold is corrected with the
-    other fold's coefficients, so the means stay unbiased. Each chunk's fold
-    co-moments are merged into the running ones in chunk order as soon as
-    the chunk is done, so memory does not grow with ``replicates``. The
-    controls are used only when both folds hold at least 10 rows per fitted
-    coefficient (the controls and an intercept: 1,120 rows, i.e. 2,240
-    replicates, at p = 10); with fewer, and for quadratic losses and
-    elliptical sampling, where the controls' means are not exact, the plain
-    estimator is returned.
+    Under Wishart sampling, losses of either kind are regressed on p^2 + p + 1
+    functions of S alone whose means are exactly zero for the sampler's scale
+    diag(lambda), lambda = ``spectrum.values`` (see ``_wishart_controls``):
+    e_k = S_kk/(n lambda_k) - 1, S_ij^2/(n lambda_i lambda_j) - 1 (i < j),
+    e_k^2 - 2/n, e_i e_j (i < j) and log det S less its Bartlett mean. Each
+    loss and paired difference is corrected with coefficients cross-fitted on
+    the even and odd replicates, each fold with the other fold's, so the
+    means stay unbiased. Each chunk's fold co-moments are merged into the
+    running ones in chunk order as soon as the chunk is done, so memory does
+    not grow with ``replicates``. The law and the count alone pick the
+    estimator: the plain one is returned when a fold would hold fewer than 10
+    rows per fitted coefficient (the controls and an intercept: 2,240
+    replicates at p = 10), and for elliptical draws, where the controls'
+    means are not exact.
     """
     if loss_kind not in ("entropy", "quadratic"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -627,8 +626,7 @@ def compare_risks(
     # CHUNK_SIZE is even, so a row's parity within its chunk is the parity
     # of its replicate index, and the odd fold holds replicates // 2 rows.
     use_controls = (
-        need_vectors
-        and sampling.parse_distribution(distribution)[0] == "wishart"
+        sampling.parse_distribution(distribution)[0] == "wishart"
         and replicates // 2 >= 10 * (n_controls + 1)
     )
 

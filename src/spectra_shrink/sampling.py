@@ -152,16 +152,18 @@ def scatter_chunk(
     return _elliptical_chunk(spectrum.values, int(n), nu, seed, chunk_index)
 
 
-def map_chunks(worker, n_chunks: int, jobs: int = 1) -> list:
-    """Apply ``worker`` to chunk indices 0..n_chunks-1, results in index order.
+def map_chunks(worker, n_chunks: int, jobs: int = 1) -> None:
+    """Call ``worker`` on chunk indices 0..n_chunks-1; its return value is dropped.
 
-    With jobs > 1 the chunks run on a thread pool; results are still
-    collected in chunk order, so reductions downstream are independent of
-    the worker count.
+    With jobs > 1 the chunks run on a thread pool. Every chunk is waited
+    for, and the first exception a worker raises, in chunk order, is raised.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     if jobs == 1 or n_chunks <= 1:
-        return [worker(i) for i in range(n_chunks)]
+        for i in range(n_chunks):
+            worker(i)
+        return
     with ThreadPoolExecutor(max_workers=min(jobs, n_chunks)) as pool:
-        return list(pool.map(worker, range(n_chunks)))
+        for _ in pool.map(worker, range(n_chunks)):  # drained to re-raise
+            pass

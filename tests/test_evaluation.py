@@ -1,4 +1,5 @@
 import time
+from math import fsum, log
 
 import numpy as np
 import pytest
@@ -240,7 +241,7 @@ def test_batch_engines_do_not_depend_on_eigenvector_signs(monkeypatch):
         lambda: simulate_stein_haff(spec, n, w, 500, seed=5),
     ]
     unflipped = [run() for run in runs]
-    _, plain_ses = _plain_entropy_moments(spec, n, "wishart", 5, 2240, w)
+    _, plain_ses = _plain_risk_moments(spec, n, "entropy", "wishart", 5, 2240, w)
     assert np.all(_risk_moments(unflipped[0])[1] < 0.9 * plain_ses)
     solve = evaluation.eigh_descending_batch
 
@@ -537,7 +538,7 @@ def _streamed_and_per_replicate(engine, replicates):
     terms of their expansion plus the second-order term's exact mean
     (bias_expansion - lambda / T) with the control variate; the loss rows
     and the paired differences for compare_risks, less their cross-fitted
-    control-variate fit for the entropy loss; and the trace, G and
+    control-variate fit for either loss; and the trace, G and
     trace - G for each weight vector for simulate_stein_haff. The "bias-p3"
     engines run (0.5, 0.3, 0.2) through the 3 x 3 closed form.
     """
@@ -569,9 +570,8 @@ def _streamed_and_per_replicate(engine, replicates):
         else:
             losses = _quadratic_losses(d, betas, tau)
         values = np.concatenate([losses, losses[1:] - losses[0]]).T
-    if engine == "entropy":
         # p = 4 has 22 fitted coefficients, so every replicate count here is
-        # above the 220-rows-a-fold floor
+        # above the 220-rows-a-fold floor, for either loss
         values = _cross_fitted(spec, n, seed, replicates, values)
     if engine == "stein-haff":
         checks = simulate_stein_haff(spec, n, weights, replicates, seed=seed)
@@ -604,15 +604,18 @@ def test_streamed_bias_moments_match_concatenated_rates(engine, replicates):
     np.testing.assert_allclose(ses, se, rtol=1e-12, atol=0)
 
 
-def _plain_entropy_moments(spec, n, distribution, seed, replicates, weights):
-    """Plain means and SEs of the entropy losses and paired differences.
+def _plain_risk_moments(spec, n, loss_kind, distribution, seed, replicates, weights):
+    """Plain means and SEs of the losses and paired differences of one kind.
 
     Rebuilt from scatter_chunk, as the mean and SD of the per-replicate values.
     """
     betas = np.stack([w.beta for w in weights])
     tau = spec.values / spec.values.sum()
-    _, d, q = _batch_rates(_draws(spec, n, distribution, seed, replicates), True)
-    losses = _entropy_losses(d, q, betas, tau)
+    _, d, q = _batch_rates(_draws(spec, n, distribution, seed, replicates), loss_kind == "entropy")
+    if loss_kind == "entropy":
+        losses = _entropy_losses(d, q, betas, tau)
+    else:
+        losses = _quadratic_losses(d, betas, tau)
     values = np.concatenate([losses, losses[1:] - losses[0]])
     return values.mean(axis=1), values.std(axis=1, ddof=1) / np.sqrt(replicates)
 
@@ -622,36 +625,43 @@ def _risk_moments(cmp):
     return means, np.concatenate([cmp.std_errors, cmp.diff_std_errors])
 
 
+_LOSS_KINDS = pytest.mark.parametrize("loss_kind", ["entropy", "quadratic"])
+
+
+@_LOSS_KINDS
 @pytest.mark.parametrize("distribution, replicates", [("wishart", 439), ("t:5", 4096 + 123)])
-def test_entropy_risk_keeps_the_plain_estimator(distribution, replicates):
+def test_risk_keeps_the_plain_estimator(distribution, replicates, loss_kind):
     # below the floor of 10 rows a fold per fitted coefficient (p = 4: 21
     # controls and an intercept, 220 rows; 439 replicates leave the odd fold
-    # 219), and under the elliptical law, where the controls' means are not exact
+    # 219), and under the elliptical law, where the controls' means are not
+    # exact; the loss kind plays no part in the choice
     spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
     w = [classical_weights(4, n), family_weights(4, n, 1)]
-    plain_means, plain_ses = _plain_entropy_moments(spec, n, distribution, seed, replicates, w)
-    cmp = compare_risks(spec, n, w, "entropy", distribution, replicates, seed=seed)
+    plain_means, plain_ses = _plain_risk_moments(spec, n, loss_kind, distribution, seed, replicates, w)
+    cmp = compare_risks(spec, n, w, loss_kind, distribution, replicates, seed=seed)
     means, ses = _risk_moments(cmp)
     np.testing.assert_allclose(means, plain_means, rtol=1e-12, atol=0)
     np.testing.assert_allclose(ses, plain_ses, rtol=1e-12, atol=0)
 
 
-def test_entropy_control_variates_start_at_the_floor():
+@_LOSS_KINDS
+def test_risk_control_variates_start_at_the_floor(loss_kind):
     # 440 replicates give both folds the 220 rows that p = 4 needs
     spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
     w = [classical_weights(4, n), family_weights(4, n, 1)]
-    plain_means, plain_ses = _plain_entropy_moments(spec, n, "wishart", seed, 440, w)
-    means, ses = _risk_moments(compare_risks(spec, n, w, "entropy", "wishart", 440, seed=seed))
+    plain_means, plain_ses = _plain_risk_moments(spec, n, loss_kind, "wishart", seed, 440, w)
+    means, ses = _risk_moments(compare_risks(spec, n, w, loss_kind, "wishart", 440, seed=seed))
     assert np.all(ses < 0.9 * plain_ses)
     assert np.all(np.abs(means - plain_means) < 4 * np.hypot(ses, plain_ses))
 
 
-def test_entropy_control_variate_se_is_calibrated():
+@_LOSS_KINDS
+def test_risk_control_variate_se_is_calibrated(loss_kind):
     # the spread of the cross-fitted means over seeds matches the reported SE
     spec, n = Spectrum((0.4, 0.3, 0.2, 0.1)), 12
     w = [classical_weights(4, n), family_weights(4, n, 1)]
     runs = [
-        _risk_moments(compare_risks(spec, n, w, "entropy", "wishart", 2000, seed=s))
+        _risk_moments(compare_risks(spec, n, w, loss_kind, "wishart", 2000, seed=s))
         for s in range(60)
     ]
     means = np.array([m for m, _ in runs])
@@ -666,6 +676,20 @@ def test_digamma_half_matches_closed_forms_and_scipy():
     m = np.arange(1, 201)
     ours = [evaluation._digamma_half(int(k)) for k in m]
     np.testing.assert_allclose(ours, digamma(m / 2), rtol=1e-14, atol=0)
+
+
+def test_digamma_half_keeps_the_bits_of_the_scalar_sums():
+    # numpy forms each term as the same IEEE quotient that scalar division
+    # gives, so psi(m / 2) keeps its bits at either parity of m
+    def by_loop(m):
+        j = m // 2
+        if m % 2 == 0:
+            return -np.euler_gamma + fsum(1.0 / k for k in range(1, j))
+        return -np.euler_gamma - 2.0 * log(2.0) + fsum(2.0 / (2 * k - 1) for k in range(1, j + 1))
+
+    for n in (10, 11, 30, 31, 200, 1001, 10**5, 10**6):
+        for m in (n - 1, n):
+            assert evaluation._digamma_half(m) == by_loop(m), m
 
 
 @pytest.mark.parametrize(
