@@ -3,16 +3,16 @@
 Runs ``perfbench/run.py`` in a base checkout and in a changed checkout,
 in pairs that share a seed and run back to back, base first in odd pairs and
 change first in even ones, so that a drift in machine speed hits both sides
-alike. Optionally also runs
-``perfbench/reference.py`` (the timed acceptance suite and README examples)
-once on each side. Before the first pair, both checkouts' ``src`` and
-``perfbench`` are byte-compiled afresh with the running interpreter, so that
-neither side starts faster for holding a bytecode cache the other lacks.
+alike. Optionally also runs ``perfbench/reference.py`` (the timed acceptance
+suite and README examples) in pairs, alternating the first side in the same
+way. Before the first pair, both checkouts' ``src`` and ``perfbench`` are
+byte-compiled afresh with the running interpreter, so that neither side
+starts faster for holding a bytecode cache the other lacks.
 Writes one JSON document. Usage (stdlib only):
 
     python3 bench/pairs.py --base PARENT_DIR --change . \\
         --runs bias-cv-p3=10 --runs entropy-risk-p10=1 --traced bias-cv-p3=1 \\
-        --reference --out BENCH_N.json
+        --reference 2 --out BENCH_N.json
 
 ``--runs W=K`` runs K untraced pairs of workload W at seeds 1..K;
 ``--traced W=K`` runs K pairs with ``--trace 1`` (per-layer metrics).
@@ -22,6 +22,9 @@ Each run also keeps the median of its raw (uncalibrated) operation times
 ``op_s`` and of its calibration kernel times ``kernel_s``, and the summary
 gives their per-side medians as ``raw_op_s`` and ``raw_kernel_s``: a
 calibrated gain with raw op times flat is the kernel's, not the code's.
+``--reference K`` (a bare ``--reference`` is K = 1) keeps every reference
+report and gives, per acceptance criterion and README example, each side's
+median wall time over the K pairs and whether every run passed.
 """
 
 from __future__ import annotations
@@ -88,6 +91,25 @@ def summarise(pairs: list[dict]) -> dict:
     return out
 
 
+def summarise_reference(pairs: list[dict]) -> dict:
+    """Per acceptance criterion and README example: each side's median wall time and its pass."""
+    out = {}
+    for section in ("acceptance", "readme_examples"):
+        for i, item in enumerate(pairs[0]["base"][section]):
+            key = item["name"] if section == "acceptance" else " ".join(item["argv"])
+            entry = out[key] = {}
+            for side in ("base", "change"):
+                runs = [p[side][section][i] for p in pairs]
+                entry[f"{side}_median_s"] = statistics.median(r["wall_s"] for r in runs)
+                entry[f"{side}_passed"] = all(r["passed"] for r in runs)
+    return out
+
+
+def ordered(sides: dict, k: int) -> list[tuple[str, Path]]:
+    """The sides in run order for pair k, counted from 1: base first when k is odd."""
+    return list(sides.items())[:: 1 if k % 2 else -1]
+
+
 def parse_counts(specs: list[str]) -> list[tuple[str, int]]:
     counts = []
     for spec in specs:
@@ -103,9 +125,12 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", action="append", default=[], metavar="WORKLOAD=PAIRS")
     parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD=PAIRS")
     parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--reference", action="store_true", help="also run perfbench/reference.py")
+    parser.add_argument("--reference", type=int, nargs="?", const=1, default=0, metavar="K",
+                        help="also run K pairs of perfbench/reference.py (a bare --reference: 1)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if args.reference < 0:
+        parser.error(f"--reference needs a pair count >= 0, got {args.reference}")
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     for path in sides.values():
         fresh_bytecode(path)
@@ -115,20 +140,21 @@ def main(argv=None) -> int:
         for workload, k in parse_counts(specs):
             pairs = []
             for seed in range(1, k + 1):
-                order = list(sides.items())[:: 1 if seed % 2 else -1]
                 pairs.append({side: bench_once(path, workload, seed, args.seconds, trace)
-                              for side, path in order})
+                              for side, path in ordered(sides, seed)})
                 print(f"{workload} trace={trace} seed={seed} done", file=sys.stderr)
             entry = {"pairs": pairs}
             if not trace:
                 entry["summary"] = summarise(pairs)
             doc[key][workload] = entry
     if args.reference:
-        doc["reference"] = {}
-        for side, path in sides.items():
-            report = json.loads(run_stdout(path, ["perfbench/reference.py"]))
-            doc["reference"][side] = report
-            doc.setdefault("environment", report["environment"])
+        pairs = []
+        for k in range(1, args.reference + 1):
+            pairs.append({side: json.loads(run_stdout(path, ["perfbench/reference.py"]))
+                          for side, path in ordered(sides, k)})
+            print(f"reference pair {k} done", file=sys.stderr)
+        doc["reference"] = {"pairs": pairs, "summary": summarise_reference(pairs)}
+        doc["environment"] = pairs[0]["base"]["environment"]
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

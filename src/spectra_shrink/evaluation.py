@@ -545,19 +545,53 @@ def _log_det_mean(lam: np.ndarray, n: int) -> float:
     return fsum(np.log(lam)) + p * log(2.0) + fsum(_digamma_half(n - i) for i in range(p))
 
 
-def _wishart_controls(
-    s: np.ndarray, l: np.ndarray, lam: np.ndarray, n: int, log_det_mean: float, out: np.ndarray
-) -> None:
-    """Write the p^2 + p + 1 functions of S with mean exactly zero under Wishart(n, diag(lam)).
+#: Degrees of freedom above p from which tr S^-1 and tr S^-2 join the controls:
+#: E[l_min^-a] is finite exactly when a < (n - p + 1)/2, so n >= p + 16 is
+#: what gives tr S^-2 a finite fourth moment.
+_INVERSE_TRACE_MIN_EXCESS = 16
 
-    Rows of ``out``: e_k = S_kk/(n lam_k) - 1, then S_ij^2/(n lam_i lam_j) - 1
-    for i < j, then e_k^2 - 2/n, then e_i e_j for i < j (S_ii and S_jj are
-    independent under a diagonal scale), then sum_k log l_k - ``log_det_mean``
-    from the eigenvalues l of S, i.e. log det S less its mean. S is an
-    entries-first stack, as the Wishart sampler builds it, or a row slice of
-    one, so each entry s[:, i, j] is one evenly strided column. The rows are
-    written in place: fresh chunk-sized temporaries here cost more than the
-    arithmetic.
+
+def _trace_means(lam: np.ndarray, n: int) -> np.ndarray:
+    """E[tr S^3], and at n >= p + 16 also E[tr S^-1] and E[tr S^-2], under Wishart(n, diag(lam)).
+
+    With t_j = tr Lambda^j, E[tr S^3] = n (n^2 + 3n + 4) t_3 + 3n(n + 1) t_1 t_2
+    + n t_1^3, which is n(n + 2)(n + 4) sigma^3 at p = 1; and with m = n - p
+    the inverse-Wishart moments are E[tr S^-1] = t_-1 / (m - 1) and
+    E[tr S^-2] = ((m - 1) t_-2 + t_-1^2) / (m (m - 1)(m - 3)) (Muirhead 1982,
+    section 3.2; von Rosen 1988).
+    """
+    t1, t2, t3 = (fsum((lam**j).tolist()) for j in (1, 2, 3))
+    cube = n * (n * n + 3 * n + 4) * t3 + 3 * n * (n + 1) * t1 * t2 + n * t1**3
+    m = n - lam.size
+    if m < _INVERSE_TRACE_MIN_EXCESS:
+        return np.array([cube])
+    r1, r2 = (fsum((lam**-j).tolist()) for j in (1, 2))
+    return np.array([cube, r1 / (m - 1), ((m - 1) * r2 + r1 * r1) / (m * (m - 1) * (m - 3))])
+
+
+def _wishart_controls(
+    s: np.ndarray,
+    l: np.ndarray,
+    lam: np.ndarray,
+    n: int,
+    log_det_mean: float,
+    trace_means: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Write the functions of S with mean exactly zero under Wishart(n, diag(lam)).
+
+    There are p^2 + p + 1 + ``trace_means.size`` of them (114 at p = 10,
+    n = 30), one a row of ``out``: e_k = S_kk/(n lam_k) - 1, then
+    S_ij^2/(n lam_i lam_j) - 1 for i < j, then e_k^2 - 2/n, then e_i e_j for
+    i < j (S_ii and S_jj are independent under a diagonal scale), then
+    sum_k log l_k - ``log_det_mean`` from the eigenvalues l of S, i.e.
+    log det S less its mean, then sum_k l_k^3 and, when ``trace_means`` has
+    three entries (n >= p + 16), sum_k 1/l_k and sum_k 1/l_k^2, each divided
+    by its mean from ``_trace_means``, less 1. S is an entries-first stack,
+    as the Wishart sampler builds it, or a row slice of one, so each entry
+    s[:, i, j] is one evenly strided column. The rows are written in place,
+    and the spectral ones share one (rows, p) buffer: fresh chunk-sized
+    temporaries here cost more than the arithmetic.
     """
     p = lam.size
     t = s.transpose(1, 2, 0)  # each t[i, j] is the (rows,) column s[:, i, j]
@@ -566,6 +600,7 @@ def _wishart_controls(
     m = iu.size
     diag, pair, square = out[:p], out[p : p + m], out[p + m : 2 * p + m]
     product, log_det = out[2 * p + m : 2 * p + 2 * m], out[2 * p + 2 * m]
+    traces = out[2 * p + 2 * m + 1 :]
     np.multiply(t[k, k], (1.0 / (n * lam))[:, None], out=diag)
     diag -= 1.0
     np.square(t[iu, ju], out=pair)
@@ -577,8 +612,19 @@ def _wishart_controls(
     for i in range(p - 1):  # the pairs (i, j > i), in triu order
         np.multiply(diag[i + 1 :], diag[i], out=product[start : start + p - 1 - i])
         start += p - 1 - i
-    np.log(l).sum(axis=1, out=log_det)
+    buf = np.log(l)
+    buf.sum(axis=1, out=log_det)
     log_det -= log_det_mean
+    np.multiply(l, l, out=buf)
+    buf *= l
+    buf.sum(axis=1, out=traces[0])
+    if trace_means.size > 1:
+        np.reciprocal(l, out=buf)
+        buf.sum(axis=1, out=traces[1])
+        buf *= buf
+        buf.sum(axis=1, out=traces[2])
+    traces *= (1.0 / trace_means)[:, None]
+    traces -= 1.0
 
 
 def compare_risks(
@@ -599,20 +645,23 @@ def compare_risks(
     paired difference statistics, whose moments are streamed alongside the
     losses' own: a difference's SE cannot be recovered from the row moments.
 
-    Under Wishart sampling, losses of either kind are regressed on p^2 + p + 1
-    functions of S alone whose means are exactly zero for the sampler's scale
+    Under Wishart sampling, losses of either kind are regressed on functions
+    of S alone whose means are exactly zero for the sampler's scale
     diag(lambda), lambda = ``spectrum.values`` (see ``_wishart_controls``):
     e_k = S_kk/(n lambda_k) - 1, S_ij^2/(n lambda_i lambda_j) - 1 (i < j),
-    e_k^2 - 2/n, e_i e_j (i < j) and log det S less its Bartlett mean. Each
-    loss and paired difference is corrected with coefficients cross-fitted on
-    the even and odd replicates, each fold with the other fold's, so the
-    means stay unbiased. Each chunk's fold co-moments are merged into the
-    running ones in chunk order as soon as the chunk is done, so memory does
-    not grow with ``replicates``. The law and the count alone pick the
-    estimator: the plain one is returned when a fold would hold fewer than 10
-    rows per fitted coefficient (the controls and an intercept: 2,240
-    replicates at p = 10), and for elliptical draws, where the controls'
-    means are not exact.
+    e_k^2 - 2/n, e_i e_j (i < j), log det S less its Bartlett mean, and
+    tr S^3 over its Wishart mean, less 1: p^2 + p + 2 controls. At
+    n >= p + 16, where tr S^-2 has a finite fourth moment, tr S^-1 and
+    tr S^-2 over their inverse-Wishart means, less 1, join them (114 at
+    p = 10, n = 30). Each loss and paired difference is corrected with
+    coefficients cross-fitted on the even and odd replicates, each fold with
+    the other fold's, so the means stay unbiased. Each chunk's fold
+    co-moments are merged into the running ones in chunk order as soon as the
+    chunk is done, so memory does not grow with ``replicates``. The law and
+    the count alone pick the estimator: the plain one is returned when a fold
+    would hold fewer than 10 rows per fitted coefficient (the controls and an
+    intercept: 2,300 replicates at p = 10 and n >= 26, 2,260 below), and for
+    elliptical draws, where the controls' means are not exact.
     """
     if loss_kind not in ("entropy", "quadratic"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -621,7 +670,8 @@ def compare_risks(
     lam = spectrum.values
     tau = lam / lam.sum()
     need_vectors = loss_kind == "entropy"
-    n_controls = spectrum.p * spectrum.p + spectrum.p + 1
+    trace_means = _trace_means(lam, n)
+    n_controls = spectrum.p * spectrum.p + spectrum.p + 1 + trace_means.size
     _check_replicates(replicates)
     # CHUNK_SIZE is even, so a row's parity within its chunk is the parity
     # of its replicate index, and the odd fold holds replicates // 2 rows.
@@ -634,7 +684,7 @@ def compare_risks(
 
     def fold_comoments(s, l, losses):
         x = np.empty((n_controls + 2 * k - 1, s.shape[0]))
-        _wishart_controls(s, l, lam, n, log_det_mean, x[:n_controls])
+        _wishart_controls(s, l, lam, n, log_det_mean, trace_means, x[:n_controls])
         x[n_controls : n_controls + k] = losses
         np.subtract(losses[1:], losses[0], out=x[n_controls + k :])
         return _comoments(x)

@@ -421,14 +421,15 @@ print(json.dumps(loaded))
 
 
 # Runs in a fresh interpreter: the entropy risks on the control-variate path
-# (2,240 replicates at p = 10), whose log-det control needs digamma values.
+# (2,300 replicates at p = 10, n = 30), whose log-det control needs digamma
+# values.
 _ENTROPY_RISK = """
 import json, sys
 sys.path.insert(0, {src!r})
 from spectra_shrink import classical_weights, compare_risks, family_weights
 from spectra_shrink.cases import table2_spectrum
 w = [classical_weights(10, 30), family_weights(10, 30, 1)]
-compare_risks(table2_spectrum(18), 30, w, "entropy", "wishart", 2240, seed=1)
+compare_risks(table2_spectrum(18), 30, w, "entropy", "wishart", 2300, seed=1)
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 

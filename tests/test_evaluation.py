@@ -229,19 +229,19 @@ def _fields(result):
 
 
 def test_batch_engines_do_not_depend_on_eigenvector_signs(monkeypatch):
-    # p = 10: 2,240 replicates is the least count that takes the control
-    # variates (checked below against the plain SEs); t:5 takes the plain
-    # estimator
+    # p = 10, n = 30: 2,300 replicates is the least count that takes the
+    # control variates (checked below against the plain SEs); t:5 takes the
+    # plain estimator
     n = 30
     spec = Spectrum(np.linspace(1.0, 0.1, 10))
     w = [classical_weights(10, n), family_weights(10, n, 1), family_weights(10, n, 2)]
     runs = [
-        lambda: compare_risks(spec, n, w, "entropy", "wishart", 2240, seed=5),
+        lambda: compare_risks(spec, n, w, "entropy", "wishart", 2300, seed=5),
         lambda: compare_risks(spec, n, w, "entropy", "t:5", 300, seed=5),
         lambda: simulate_stein_haff(spec, n, w, 500, seed=5),
     ]
     unflipped = [run() for run in runs]
-    _, plain_ses = _plain_risk_moments(spec, n, "entropy", "wishart", 5, 2240, w)
+    _, plain_ses = _plain_risk_moments(spec, n, "entropy", "wishart", 5, 2300, w)
     assert np.all(_risk_moments(unflipped[0])[1] < 0.9 * plain_ses)
     solve = evaluation.eigh_descending_batch
 
@@ -507,11 +507,17 @@ def _cross_fitted(spec, n, seed, replicates, y):
 
     The controls are rebuilt from scatter_chunk: e_k = S_kk/(n lambda_k) - 1,
     S_ij^2/(n lambda_i lambda_j) - 1 for i < j, e_k^2 - 2/n, e_i e_j for
-    i < j, and log det S, from each draw's eigvalsh, less its Bartlett mean
+    i < j, log det S, from each draw's eigvalsh, less its Bartlett mean
     sum log lambda + p log 2 + sum_{i<p} psi((n - i)/2), with scipy's
-    digamma. Each replicate-parity fold is corrected with the slopes of a
-    least-squares fit, with an intercept, on the other fold.
+    digamma, and tr S^3 over its mean, less 1. That mean is the sum over the
+    n^3 index triples of tr(x_a x_a' x_b x_b' x_c x_c'):
+    n[(tr L)^3 + 6 tr L tr L^2 + 8 tr L^3] (all equal),
+    3n(n - 1)(tr L tr L^2 + 2 tr L^3) (two equal) and n(n - 1)(n - 2) tr L^3
+    (all distinct). Below n = p + 16 that is the whole basis. Each
+    replicate-parity fold is corrected with the slopes of a least-squares
+    fit, with an intercept, on the other fold.
     """
+    assert n < spec.p + 16, "tr S^-1 and tr S^-2 join the controls at n >= p + 16"
     lam = spec.values
     p = lam.size
     s = _draws(spec, n, "wishart", seed, replicates)
@@ -519,8 +525,18 @@ def _cross_fitted(spec, n, seed, replicates, y):
     iu, ju = np.triu_indices(p, 1)
     pair = s[:, iu, ju] ** 2 / (n * np.outer(lam, lam)[iu, ju]) - 1.0
     log_det_mean = np.log(lam).sum() + p * np.log(2.0) + digamma((n - np.arange(p)) / 2).sum()
-    log_det = np.log(np.linalg.eigvalsh(s)).sum(axis=1) - log_det_mean
-    controls = np.hstack([diag, pair, diag**2 - 2.0 / n, diag[:, iu] * diag[:, ju], log_det[:, None]])
+    l = np.linalg.eigvalsh(s)
+    log_det = np.log(l).sum(axis=1) - log_det_mean
+    t1, t2, t3 = lam.sum(), (lam**2).sum(), (lam**3).sum()
+    cube_mean = (
+        n * (t1**3 + 6 * t1 * t2 + 8 * t3)
+        + 3 * n * (n - 1) * (t1 * t2 + 2 * t3)
+        + n * (n - 1) * (n - 2) * t3
+    )
+    cube = (l**3).sum(axis=1) / cube_mean - 1.0
+    controls = np.hstack(
+        [diag, pair, diag**2 - 2.0 / n, diag[:, iu] * diag[:, ju], log_det[:, None], cube[:, None]]
+    )
     z = np.empty_like(y)
     even, odd = slice(0, None, 2), slice(1, None, 2)
     for fit, corrected in ((odd, even), (even, odd)):
@@ -570,8 +586,8 @@ def _streamed_and_per_replicate(engine, replicates):
         else:
             losses = _quadratic_losses(d, betas, tau)
         values = np.concatenate([losses, losses[1:] - losses[0]]).T
-        # p = 4 has 22 fitted coefficients, so every replicate count here is
-        # above the 220-rows-a-fold floor, for either loss
+        # p = 4 has 23 fitted coefficients at n = 12, so every replicate
+        # count here is above the 230-rows-a-fold floor, for either loss
         values = _cross_fitted(spec, n, seed, replicates, values)
     if engine == "stein-haff":
         checks = simulate_stein_haff(spec, n, weights, replicates, seed=seed)
@@ -629,12 +645,12 @@ _LOSS_KINDS = pytest.mark.parametrize("loss_kind", ["entropy", "quadratic"])
 
 
 @_LOSS_KINDS
-@pytest.mark.parametrize("distribution, replicates", [("wishart", 439), ("t:5", 4096 + 123)])
+@pytest.mark.parametrize("distribution, replicates", [("wishart", 459), ("t:5", 4096 + 123)])
 def test_risk_keeps_the_plain_estimator(distribution, replicates, loss_kind):
-    # below the floor of 10 rows a fold per fitted coefficient (p = 4: 21
-    # controls and an intercept, 220 rows; 439 replicates leave the odd fold
-    # 219), and under the elliptical law, where the controls' means are not
-    # exact; the loss kind plays no part in the choice
+    # below the floor of 10 rows a fold per fitted coefficient (p = 4,
+    # n = 12: 22 controls and an intercept, 230 rows; 459 replicates leave
+    # the odd fold 229), and under the elliptical law, where the controls'
+    # means are not exact; the loss kind plays no part in the choice
     spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
     w = [classical_weights(4, n), family_weights(4, n, 1)]
     plain_means, plain_ses = _plain_risk_moments(spec, n, loss_kind, distribution, seed, replicates, w)
@@ -646,23 +662,34 @@ def test_risk_keeps_the_plain_estimator(distribution, replicates, loss_kind):
 
 @_LOSS_KINDS
 def test_risk_control_variates_start_at_the_floor(loss_kind):
-    # 440 replicates give both folds the 220 rows that p = 4 needs
+    # 460 replicates give both folds the 230 rows that p = 4 needs at n = 12
     spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
     w = [classical_weights(4, n), family_weights(4, n, 1)]
-    plain_means, plain_ses = _plain_risk_moments(spec, n, loss_kind, "wishart", seed, 440, w)
-    means, ses = _risk_moments(compare_risks(spec, n, w, loss_kind, "wishart", 440, seed=seed))
+    plain_means, plain_ses = _plain_risk_moments(spec, n, loss_kind, "wishart", seed, 460, w)
+    means, ses = _risk_moments(compare_risks(spec, n, w, loss_kind, "wishart", 460, seed=seed))
     assert np.all(ses < 0.9 * plain_ses)
     assert np.all(np.abs(means - plain_means) < 4 * np.hypot(ses, plain_ses))
 
 
-@_LOSS_KINDS
-def test_risk_control_variate_se_is_calibrated(loss_kind):
-    # the spread of the cross-fitted means over seeds matches the reported SE
-    spec, n = Spectrum((0.4, 0.3, 0.2, 0.1)), 12
+@pytest.mark.parametrize(
+    "loss_kind, n, seeds",
+    [
+        pytest.param("entropy", 12, 60, id="entropy"),
+        pytest.param("quadratic", 12, 60, id="quadratic"),
+        pytest.param("entropy", 20, 240, id="entropy-n20"),
+        pytest.param("quadratic", 20, 240, id="quadratic-n20"),
+    ],
+)
+def test_risk_control_variate_se_is_calibrated(loss_kind, n, seeds):
+    # the spread of the cross-fitted means over seeds matches the reported
+    # SE, without the inverse traces (n = 12) and with them (n = 20 = p + 16);
+    # the ratio's own sampling SD is about 0.09 over 60 seeds and half that
+    # over 240
+    spec = Spectrum((0.4, 0.3, 0.2, 0.1))
     w = [classical_weights(4, n), family_weights(4, n, 1)]
     runs = [
         _risk_moments(compare_risks(spec, n, w, loss_kind, "wishart", 2000, seed=s))
-        for s in range(60)
+        for s in range(seeds)
     ]
     means = np.array([m for m, _ in runs])
     ses = np.array([se for _, se in runs])
@@ -693,18 +720,26 @@ def test_digamma_half_keeps_the_bits_of_the_scalar_sums():
 
 
 @pytest.mark.parametrize(
-    "spec", [Spectrum((0.4, 0.3, 0.2, 0.1)), table2_spectrum(18)], ids=["p4", "row18"]
+    "spec, n, n_spectral",
+    [
+        pytest.param(Spectrum((0.4, 0.3, 0.2, 0.1)), 30, 3, id="p4"),
+        pytest.param(table2_spectrum(18), 30, 3, id="row18"),
+        pytest.param(table2_spectrum(18), 25, 1, id="row18-n25"),
+    ],
 )
-def test_wishart_controls_have_mean_zero(spec):
-    # every control, the products e_i e_j and log det S included, averages
-    # to zero within 4 SEs over 40 chunks
-    lam, n = spec.values, 30
+def test_wishart_controls_have_mean_zero(spec, n, n_spectral):
+    # every control, the products e_i e_j, log det S and the spectral traces
+    # included, averages to zero within 4 SEs over 40 chunks; tr S^-1 and
+    # tr S^-2 join tr S^3 only at n >= p + 16, so not at p = 10, n = 25
+    lam = spec.values
     p = lam.size
     log_det_mean = evaluation._log_det_mean(lam, n)
+    trace_means = evaluation._trace_means(lam, n)
+    assert trace_means.size == n_spectral
 
     def stat(s, l, d, q):
-        controls = np.empty((p * p + p + 1, s.shape[0]))
-        evaluation._wishart_controls(s, l, lam, n, log_det_mean, controls)
+        controls = np.empty((p * p + p + 1 + n_spectral, s.shape[0]))
+        evaluation._wishart_controls(s, l, lam, n, log_det_mean, trace_means, controls)
         return evaluation._moments(controls)
 
     args = (spec, n, "wishart", 40 * CHUNK_SIZE, 23, 2, False, stat, evaluation._combine)
