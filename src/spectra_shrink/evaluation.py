@@ -390,7 +390,7 @@ def _cross_fitted(folds: tuple, n_controls: int) -> tuple[np.ndarray, np.ndarray
     fold's least-squares coefficients b = M_cc^-1 M_cy, z = y - b'c, so no
     draw is corrected with a fit it took part in and the mean stays
     unbiased. z's fold mean and M2 follow from the co-moments alone, and
-    the two folds are merged as two chunks of z.
+    the two folds are merged as two chunks of z; with no controls, z = y.
     """
     c, y = slice(0, n_controls), slice(n_controls, None)
     fits = [np.linalg.solve(m[c, c], m[c, y]) for _, _, m in folds]
@@ -539,10 +539,15 @@ def _log_det_mean(lam: np.ndarray, n: int) -> float:
     """E[log det S] under Wishart(n, diag(lam)).
 
     By the Bartlett decomposition det S = det diag(lam) prod_i chi2_{n-i},
-    i = 0..p-1, and E[log chi2_m] = log 2 + psi(m / 2).
+    i = 0..p-1, and E[log chi2_m] = log 2 + psi(m / 2). Each parity of m is
+    a chain m, m + 2, ..., whose c members sum, by psi(x + 1) = psi(x) + 1/x,
+    to c psi(m / 2) + sum_{t < c-1} (c - 1 - t) 2/(m + 2t): n + p terms, not p n.
     """
     p = lam.size
-    return fsum(np.log(lam)) + p * log(2.0) + fsum(_digamma_half(n - i) for i in range(p))
+    chains = [(m, (n - m) // 2 + 1) for m in (n - p + 1, n - p + 2)[:p]]
+    terms = [c * _digamma_half(m) for m, c in chains]
+    terms += [2.0 * (c - 1 - t) / (m + 2 * t) for m, c in chains for t in range(c - 1)]
+    return fsum(np.log(lam)) + p * log(2.0) + fsum(terms)
 
 
 #: Degrees of freedom above p from which tr S^-1 and tr S^-2 join the controls:
@@ -645,22 +650,22 @@ def compare_risks(
     paired difference statistics, whose moments are streamed alongside the
     losses' own: a difference's SE cannot be recovered from the row moments.
 
-    Under Wishart sampling, losses of either kind are regressed on functions
-    of S alone whose means are exactly zero for the sampler's scale
-    diag(lambda), lambda = ``spectrum.values`` (see ``_wishart_controls``):
-    e_k = S_kk/(n lambda_k) - 1, S_ij^2/(n lambda_i lambda_j) - 1 (i < j),
-    e_k^2 - 2/n, e_i e_j (i < j), log det S less its Bartlett mean, and
-    tr S^3 over its Wishart mean, less 1: p^2 + p + 2 controls. At
-    n >= p + 16, where tr S^-2 has a finite fourth moment, tr S^-1 and
-    tr S^-2 over their inverse-Wishart means, less 1, join them (114 at
-    p = 10, n = 30). Each loss and paired difference is corrected with
-    coefficients cross-fitted on the even and odd replicates, each fold with
-    the other fold's, so the means stay unbiased. Each chunk's fold
-    co-moments are merged into the running ones in chunk order as soon as the
-    chunk is done, so memory does not grow with ``replicates``. The law and
-    the count alone pick the estimator: the plain one is returned when a fold
-    would hold fewer than 10 rows per fitted coefficient (the controls and an
-    intercept: 2,300 replicates at p = 10 and n >= 26, 2,260 below), and for
+    Each loss and paired difference is regressed on a basis of functions of
+    S alone, with coefficients cross-fitted on the even and odd replicates,
+    each fold corrected with the other fold's, so the means stay unbiased.
+    Each chunk's fold co-moments are merged into the running ones in chunk
+    order as soon as the chunk is done, so memory does not grow with
+    ``replicates``. The law and the count alone set the basis. Under Wishart
+    sampling it holds functions whose means are exactly zero for the
+    sampler's scale diag(lambda), lambda = ``spectrum.values`` (see
+    ``_wishart_controls``): e_k = S_kk/(n lambda_k) - 1, S_ij^2/(n lambda_i
+    lambda_j) - 1 (i < j), e_k^2 - 2/n, e_i e_j (i < j), log det S less its
+    Bartlett mean, and tr S^3 over its Wishart mean, less 1: p^2 + p + 2
+    controls. At n >= p + 16, where tr S^-2 has a finite fourth moment,
+    tr S^-1 and tr S^-2 over their inverse-Wishart means, less 1, join them
+    (114 at p = 10, n = 30). The basis is empty, and the estimates plain,
+    below 10 rows a fold per fitted coefficient (the controls and an
+    intercept: 2,300 replicates at p = 10 and n >= 26, 2,260 below) and for
     elliptical draws, where the controls' means are not exact.
     """
     if loss_kind not in ("entropy", "quadratic"):
@@ -675,16 +680,15 @@ def compare_risks(
     _check_replicates(replicates)
     # CHUNK_SIZE is even, so a row's parity within its chunk is the parity
     # of its replicate index, and the odd fold holds replicates // 2 rows.
-    use_controls = (
-        sampling.parse_distribution(distribution)[0] == "wishart"
-        and replicates // 2 >= 10 * (n_controls + 1)
-    )
-
-    log_det_mean = _log_det_mean(lam, n) if use_controls else None
+    wishart = sampling.parse_distribution(distribution)[0] == "wishart"
+    if not wishart or replicates // 2 < 10 * (n_controls + 1):
+        n_controls = 0
+    log_det_mean = _log_det_mean(lam, n) if n_controls else None
 
     def fold_comoments(s, l, losses):
         x = np.empty((n_controls + 2 * k - 1, s.shape[0]))
-        _wishart_controls(s, l, lam, n, log_det_mean, trace_means, x[:n_controls])
+        if n_controls:
+            _wishart_controls(s, l, lam, n, log_det_mean, trace_means, x[:n_controls])
         x[n_controls : n_controls + k] = losses
         np.subtract(losses[1:], losses[0], out=x[n_controls + k :])
         return _comoments(x)
@@ -694,17 +698,13 @@ def compare_risks(
             losses = _entropy_losses(d, q, betas, tau)
         else:
             losses = _quadratic_losses(d, betas, tau)
-        if not use_controls:
-            return _moments(np.concatenate([losses, losses[1:] - losses[0]]))
         return tuple(fold_comoments(s[f::2], l[f::2], losses[:, f::2]) for f in (0, 1))
 
     def fold(a, b):
-        if not use_controls:
-            return _combine(a, b)
         return tuple(_combine(x, y, _outer_square) for x, y in zip(a, b))
 
     merged = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, need_vectors, stat, fold)
-    means, ses = _cross_fitted(merged, n_controls) if use_controls else _mean_se(merged)
+    means, ses = _cross_fitted(merged, n_controls)
     return RiskComparison(
         mean_losses=means[:k],
         std_errors=ses[:k],

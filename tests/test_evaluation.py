@@ -231,7 +231,7 @@ def _fields(result):
 def test_batch_engines_do_not_depend_on_eigenvector_signs(monkeypatch):
     # p = 10, n = 30: 2,300 replicates is the least count that takes the
     # control variates (checked below against the plain SEs); t:5 takes the
-    # plain estimator
+    # empty control basis
     n = 30
     spec = Spectrum(np.linspace(1.0, 0.1, 10))
     w = [classical_weights(10, n), family_weights(10, n, 1), family_weights(10, n, 2)]
@@ -513,11 +513,13 @@ def _cross_fitted(spec, n, seed, replicates, y):
     n^3 index triples of tr(x_a x_a' x_b x_b' x_c x_c'):
     n[(tr L)^3 + 6 tr L tr L^2 + 8 tr L^3] (all equal),
     3n(n - 1)(tr L tr L^2 + 2 tr L^3) (two equal) and n(n - 1)(n - 2) tr L^3
-    (all distinct). Below n = p + 16 that is the whole basis. Each
+    (all distinct). At n >= p + 16, sum 1/l_k and sum 1/l_k^2 join them,
+    each over its mean less 1: the traces of E[S^-1] = Sigma^-1/(m - 1) and
+    E[S^-2] = ((m - 1) Sigma^-2 + tr(Sigma^-1) Sigma^-1)/(m(m - 1)(m - 3)),
+    m = n - p, the matrix forms of the inverse-Wishart moments. Each
     replicate-parity fold is corrected with the slopes of a least-squares
     fit, with an intercept, on the other fold.
     """
-    assert n < spec.p + 16, "tr S^-1 and tr S^-2 join the controls at n >= p + 16"
     lam = spec.values
     p = lam.size
     s = _draws(spec, n, "wishart", seed, replicates)
@@ -534,9 +536,15 @@ def _cross_fitted(spec, n, seed, replicates, y):
         + n * (n - 1) * (n - 2) * t3
     )
     cube = (l**3).sum(axis=1) / cube_mean - 1.0
-    controls = np.hstack(
-        [diag, pair, diag**2 - 2.0 / n, diag[:, iu] * diag[:, ju], log_det[:, None], cube[:, None]]
-    )
+    columns = [diag, pair, diag**2 - 2.0 / n, diag[:, iu] * diag[:, ju], log_det[:, None], cube[:, None]]
+    m = n - p
+    if m >= 16:
+        inv = np.diag(1.0 / lam)
+        inv_mean = np.trace(inv) / (m - 1)
+        inv_sq_mean = np.trace((m - 1) * inv @ inv + np.trace(inv) * inv) / (m * (m - 1) * (m - 3))
+        columns += [(1.0 / l).sum(axis=1)[:, None] / inv_mean - 1.0,
+                    (1.0 / l**2).sum(axis=1)[:, None] / inv_sq_mean - 1.0]
+    controls = np.hstack(columns)
     z = np.empty_like(y)
     even, odd = slice(0, None, 2), slice(1, None, 2)
     for fit, corrected in ((odd, even), (even, odd)):
@@ -556,9 +564,13 @@ def _streamed_and_per_replicate(engine, replicates):
     and the paired differences for compare_risks, less their cross-fitted
     control-variate fit for either loss; and the trace, G and
     trace - G for each weight vector for simulate_stein_haff. The "bias-p3"
-    engines run (0.5, 0.3, 0.2) through the 3 x 3 closed form.
+    engines run (0.5, 0.3, 0.2) through the 3 x 3 closed form, and the
+    "-n20" risk engines run at n = 20 = p + 16, where tr S^-1 and tr S^-2
+    join the controls.
     """
     spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
+    if engine.endswith("-n20"):
+        engine, n = engine.removesuffix("-n20"), 20
     if engine.startswith("bias"):
         if engine != "bias":
             spec = Spectrum((0.5, 0.3, 0.2))
@@ -586,8 +598,8 @@ def _streamed_and_per_replicate(engine, replicates):
         else:
             losses = _quadratic_losses(d, betas, tau)
         values = np.concatenate([losses, losses[1:] - losses[0]]).T
-        # p = 4 has 23 fitted coefficients at n = 12, so every replicate
-        # count here is above the 230-rows-a-fold floor, for either loss
+        # p = 4 has 23 fitted coefficients at n = 12 and 25 at n = 20, so
+        # every replicate count here is above the floor, for either loss
         values = _cross_fitted(spec, n, seed, replicates, values)
     if engine == "stein-haff":
         checks = simulate_stein_haff(spec, n, weights, replicates, seed=seed)
@@ -607,13 +619,17 @@ _STREAM_REPS = [1000, 4096, 4096 + 1, 2 * 4096 + 123]
     [pytest.param("bias", r, id=str(r)) for r in _STREAM_REPS]
     + [
         pytest.param(engine, r, id=f"{engine}-{r}")
-        for engine in ("bias-p3", "bias-p3-cv", "quadratic", "entropy", "stein-haff")
+        for engine in (
+            "bias-p3", "bias-p3-cv", "quadratic", "entropy", "stein-haff", "entropy-n20", "quadratic-n20"
+        )
         for r in _STREAM_REPS
     ],
 )
 def test_streamed_bias_moments_match_concatenated_rates(engine, replicates):
     # one partial chunk, one full chunk, a one-row last chunk (its odd
-    # replicate-parity fold is empty) and a partial last chunk, per engine
+    # replicate-parity fold is empty) and a partial last chunk, per engine;
+    # the risks run at n = 12 and n = 20, not at n = 30, where the
+    # co-moment cross-fit reproduces the SEs only to about 1.1e-12
     means, ses, values = _streamed_and_per_replicate(engine, replicates)
     np.testing.assert_allclose(means, values.mean(axis=0), rtol=1e-12, atol=0)
     se = values.std(axis=0, ddof=1) / np.sqrt(replicates)
@@ -646,14 +662,22 @@ _LOSS_KINDS = pytest.mark.parametrize("loss_kind", ["entropy", "quadratic"])
 
 @_LOSS_KINDS
 @pytest.mark.parametrize("distribution, replicates", [("wishart", 459), ("t:5", 4096 + 123)])
-def test_risk_keeps_the_plain_estimator(distribution, replicates, loss_kind):
+def test_risk_keeps_the_plain_estimator(distribution, replicates, loss_kind, monkeypatch):
     # below the floor of 10 rows a fold per fitted coefficient (p = 4,
     # n = 12: 22 controls and an intercept, 230 rows; 459 replicates leave
     # the odd fold 229), and under the elliptical law, where the controls'
-    # means are not exact; the loss kind plays no part in the choice
+    # means are not exact, the control basis is empty: the cross-fit then
+    # returns the plain means and SEs, and no control is computed; the loss
+    # kind plays no part in the choice
     spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
     w = [classical_weights(4, n), family_weights(4, n, 1)]
     plain_means, plain_ses = _plain_risk_moments(spec, n, loss_kind, distribution, seed, replicates, w)
+
+    def unused(*args):
+        raise AssertionError("an empty control basis computes no control")
+
+    monkeypatch.setattr(evaluation, "_log_det_mean", unused)
+    monkeypatch.setattr(evaluation, "_wishart_controls", unused)
     cmp = compare_risks(spec, n, w, loss_kind, distribution, replicates, seed=seed)
     means, ses = _risk_moments(cmp)
     np.testing.assert_allclose(means, plain_means, rtol=1e-12, atol=0)
@@ -717,6 +741,16 @@ def test_digamma_half_keeps_the_bits_of_the_scalar_sums():
     for n in (10, 11, 30, 31, 200, 1001, 10**5, 10**6):
         for m in (n - 1, n):
             assert evaluation._digamma_half(m) == by_loop(m), m
+
+
+@pytest.mark.parametrize("n", [10, 11, 30, 31, 1001, 10**6])
+def test_log_det_mean_matches_scipy_digamma_sum(n):
+    # at p = 10 the two parity chains of (n - i)/2 reproduce the p
+    # closed-form psi sums, from n = p and p + 1, where the chains start at
+    # psi(1/2) and psi(1), up to n = 10^6
+    lam = np.linspace(1.0, 0.1, 10)
+    expected = fsum(np.log(lam)) + 10 * log(2.0) + digamma((n - np.arange(10)) / 2).sum()
+    np.testing.assert_allclose(evaluation._log_det_mean(lam, n), expected, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,8 @@ COMMANDS = {
     "bias-t5": ["bias", "--spectrum", "0.5,0.3,0.2", "--n", "20", "--dist", "t:5",
                 "--reps", "5000", "--seed", "42"],
     "risk-p10": ["risk", "--spectrum", "table2:1", "--n", "30", "--reps", "5000", "--seed", "7"],
+    "risk-p10-t5": ["risk", "--spectrum", "table2:1", "--n", "30", "--dist", "t:5", "--reps", "5000",
+                    "--seed", "7"],
     "dimension-case1": ["dimension", "--case", "1", "--n", "30", "--reps", "5000", "--seed", "9"],
     "dimension-case1-t5": ["dimension", "--case", "1", "--n", "30", "--dist", "t:5",
                            "--reps", "5000", "--seed", "9"],
