@@ -393,7 +393,7 @@ def _cross_fitted(folds: tuple, n_controls: int) -> tuple[np.ndarray, np.ndarray
     the two folds are merged as two chunks of z; with no controls, z = y.
     """
     c, y = slice(0, n_controls), slice(n_controls, None)
-    fits = [np.linalg.solve(m[c, c], m[c, y]) for _, _, m in folds]
+    fits = [np.linalg.solve(m[c, c], m[c, y]) if n_controls else m[c, y] for _, _, m in folds]
     corrected = []
     for (count, mean, m), b in zip(folds, fits[::-1]):
         m2 = np.diagonal(m)[y] - 2.0 * (b * m[c, y]).sum(axis=0) + (b * (m[c, c] @ b)).sum(axis=0)
@@ -539,15 +539,10 @@ def _log_det_mean(lam: np.ndarray, n: int) -> float:
     """E[log det S] under Wishart(n, diag(lam)).
 
     By the Bartlett decomposition det S = det diag(lam) prod_i chi2_{n-i},
-    i = 0..p-1, and E[log chi2_m] = log 2 + psi(m / 2). Each parity of m is
-    a chain m, m + 2, ..., whose c members sum, by psi(x + 1) = psi(x) + 1/x,
-    to c psi(m / 2) + sum_{t < c-1} (c - 1 - t) 2/(m + 2t): n + p terms, not p n.
+    i = 0..p-1, and E[log chi2_m] = log 2 + psi(m / 2).
     """
     p = lam.size
-    chains = [(m, (n - m) // 2 + 1) for m in (n - p + 1, n - p + 2)[:p]]
-    terms = [c * _digamma_half(m) for m, c in chains]
-    terms += [2.0 * (c - 1 - t) / (m + 2 * t) for m, c in chains for t in range(c - 1)]
-    return fsum(np.log(lam)) + p * log(2.0) + fsum(terms)
+    return fsum(np.log(lam)) + p * log(2.0) + fsum(_digamma_half(n - i) for i in range(p))
 
 
 #: Degrees of freedom above p from which tr S^-1 and tr S^-2 join the controls:

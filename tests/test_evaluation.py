@@ -745,9 +745,8 @@ def test_digamma_half_keeps_the_bits_of_the_scalar_sums():
 
 @pytest.mark.parametrize("n", [10, 11, 30, 31, 1001, 10**6])
 def test_log_det_mean_matches_scipy_digamma_sum(n):
-    # at p = 10 the two parity chains of (n - i)/2 reproduce the p
-    # closed-form psi sums, from n = p and p + 1, where the chains start at
-    # psi(1/2) and psi(1), up to n = 10^6
+    # at p = 10 the closed-form psi sums reproduce scipy's from n = p and
+    # p + 1, where the lowest arguments are psi(1/2) and psi(1), up to n = 10^6
     lam = np.linspace(1.0, 0.1, 10)
     expected = fsum(np.log(lam)) + 10 * log(2.0) + digamma((n - np.arange(10)) / 2).sum()
     np.testing.assert_allclose(evaluation._log_det_mean(lam, n), expected, rtol=1e-14, atol=0)
