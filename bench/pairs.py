@@ -17,7 +17,8 @@ Writes one JSON document. Usage (stdlib only):
 ``--runs W=K`` runs K untraced pairs of workload W at seeds 1..K;
 ``--traced W=K`` runs K pairs with ``--trace 1`` (per-layer metrics).
 The summary gives, per workload and end-to-end metric, the median and
-interquartile range of each side and the number of pairs the change won.
+interquartile range of each side, the number of pairs the change won, and a
+verdict against the metric's bound in ``BENCHMARK.json`` (see ``verdict``).
 Each run also keeps the median of its raw (uncalibrated) operation times
 ``op_s`` and of its calibration kernel times ``kernel_s``, and the summary
 gives their per-side medians as ``raw_op_s`` and ``raw_kernel_s``: a
@@ -36,8 +37,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-BETTER = {"reps_per_s": "higher", "time_to_se_s": "lower", "setup_s": "lower",
-          "peak_rss_mb": "lower", "ok_ratio": "higher"}
+#: Each end-to-end metric's better direction and bound, from the benchmark's declaration.
+END_TO_END = {m["name"]: (m["better"], m["bound"]) for m in json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
 
 
 def run_stdout(checkout: Path, argv: list[str]) -> str:
@@ -73,16 +75,41 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(entry: dict, bound: float, base: list[float], change: list[float]) -> str:
+    """The change's standing on one metric: the first of these rules that applies.
+
+    Fewer than 10 pairs leave it "unresolved". It is "better" when the change
+    won at least 9/10 of the pairs and its median beats the base median by
+    more than the base IQR. A base IQR above ``bound`` times the base median
+    leaves it "unresolved", unless every change run beats every base run. It
+    is "worse" when the change median is worse than the base median by more
+    than ``bound`` times the base median, and "within bound" otherwise.
+    """
+    sign = 1.0 if entry["better"] == "higher" else -1.0
+    pairs, base_median, iqr = entry["pairs"], entry["base_median"], entry["base_iqr"]
+    gain = sign * (entry["change_median"] - base_median)
+    if pairs < 10:
+        return "unresolved"
+    if 10 * entry["change_wins"] >= 9 * pairs and gain > iqr:
+        return "better"
+    if iqr > bound * base_median and not all(sign * (c - b) > 0 for b in base for c in change):
+        return "unresolved"
+    if -gain > bound * base_median:
+        return "worse"
+    return "within bound"
+
+
 def summarise(pairs: list[dict]) -> dict:
     out = {}
-    for metric, better in BETTER.items():
+    for metric, (better, bound) in END_TO_END.items():
         base = [p["base"]["result"]["metrics"][metric]["value"] for p in pairs]
         change = [p["change"]["result"]["metrics"][metric]["value"] for p in pairs]
         bq, cq = quartiles(base), quartiles(change)
         wins = sum((c > b) if better == "higher" else (c < b) for b, c in zip(base, change))
-        out[metric] = {"better": better, "base_median": bq[1], "base_iqr": bq[2] - bq[0],
-                       "change_median": cq[1], "change_iqr": cq[2] - cq[0],
-                       "change_wins": wins, "pairs": len(pairs)}
+        entry = out[metric] = {"better": better, "base_median": bq[1], "base_iqr": bq[2] - bq[0],
+                               "change_median": cq[1], "change_iqr": cq[2] - cq[0],
+                               "change_wins": wins, "pairs": len(pairs)}
+        entry["verdict"] = verdict(entry, bound, base, change)
     for raw in ("raw_op_s", "raw_kernel_s"):
         out[raw] = {}
         for side in ("base", "change"):

@@ -78,9 +78,15 @@ class ExperimentSpec:
 
         Seed, jobs, replicates, distribution, t*, nu, n >= p and q are
         refused by the library function that uses them, before its first draw.
+        A law other than Wishart is refused here for the two kinds whose
+        engine takes none, so that it is not silently ignored.
         """
         if self.kind not in _EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if self.kind in ("stein-haff", "invariance") and self.distribution != "wishart":
+            law = ("draw Wishart only" if self.kind == "stein-haff"
+                   else "compare Wishart with t:<nu>; set nu with --nu")
+            raise ValueError(f"--dist does not apply to {self.kind} runs, which {law}")
         if (self.spectrum is not None) + (self.case is not None) + self.table2 > 1:
             raise ValueError("give one spectrum source: --spectrum, --case or --table2")
         if self.kind == "risk" and self.table2:

@@ -1,10 +1,12 @@
 """Loss functions, risk functionals, and the Monte Carlo engines.
 
 Every engine runs through one chunked runner: sample a chunk of scatter
-draws (see sampling), decompose it, and reduce it to moments, counts or
-rates. Each chunk's reduction is folded into a running result in chunk
-order, so results are identical for any worker count, and only
-``sample_rates`` keeps per-replicate arrays.
+draws (see sampling), decompose it, and reduce it. Each chunk's reduction
+is folded into a running result in chunk order, so results are identical
+for any worker count. Every mean and standard error comes from one
+accumulator, a chunk's (count, mean, full co-moment matrix) of its
+statistics merged by the pairwise update; only ``sample_rates`` keeps
+per-replicate arrays.
 All estimators are always evaluated on the same draws: risk comparisons
 are paired by construction.
 """
@@ -328,20 +330,12 @@ def _run_chunks(
     return result
 
 
-def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(count, mean, M2) along axis 1 of a columns-first (k, rows) array.
-
-    Each statistic's replicates form one row; a contiguous row is reduced
-    pairwise in one inner loop instead of k elements at a time per replicate.
-    """
-    mean = values.mean(axis=1)
-    return values.shape[1], mean, ((values - mean[:, None]) ** 2).sum(axis=1)
-
-
 def _comoments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """(count, mean, M) along axis 1 of a (k, rows) array, centred in place.
 
-    M is the centred (k, k) cross-product. No rows (the odd fold of a
+    Each statistic's replicates form one row. M is the full (k, k)
+    co-moment matrix, the cross-products of the centred rows; its diagonal
+    holds each row's sum of squared deviations. No rows (the odd fold of a
     one-row last chunk) give a zero mean and M, which a merge leaves
     without effect.
     """
@@ -353,51 +347,49 @@ def _comoments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     return rows, mean, values @ values.T
 
 
-def _combine(a: tuple, b: tuple, square=np.square) -> tuple[int, np.ndarray, np.ndarray]:
-    """(count, mean, M2) of chunk a followed by chunk b.
+def _combine(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, mean, M) of chunk a followed by chunk b, M the full co-moment matrix.
 
-    M2 holds the sums of squared deviations from the chunk mean, or their
-    cross-products when ``square`` is an outer product. This is the pairwise
-    update of Chan, Golub & LeVeque (1979); applied left to right over the
+    This is the pairwise update of Chan, Golub & LeVeque (1979): M gains
+    the outer product of the mean shift. Applied left to right over the
     chunks, the result depends on the chunk size but not on the workers.
     """
-    count, mean, m2 = a
-    rows, chunk_mean, chunk_m2 = b
+    count, mean, m = a
+    rows, chunk_mean, chunk_m = b
     merged = count + rows
     delta = chunk_mean - mean
     return (
         merged,
         mean + delta * (rows / merged),
-        m2 + chunk_m2 + square(delta) * (count * rows / merged),
+        m + chunk_m + np.multiply.outer(delta, delta) * (count * rows / merged),
     )
 
 
-def _outer_square(delta: np.ndarray) -> np.ndarray:
-    return np.multiply.outer(delta, delta)
-
-
 def _mean_se(merged: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error from one merged (count, mean, M2)."""
-    count, mean, m2 = merged
-    return mean, np.sqrt(m2 / (count - 1)) / sqrt(count)
+    """Mean and standard error from one merged (count, mean, M), read off M's diagonal."""
+    count, mean, m = merged
+    return mean, np.sqrt(np.diagonal(m) / (count - 1)) / sqrt(count)
 
 
 def _cross_fitted(folds: tuple, n_controls: int) -> tuple[np.ndarray, np.ndarray]:
     """Control-variate means and SEs from two folds' merged (count, mean, M).
 
-    The first ``n_controls`` rows are controls with mean exactly zero, the
-    rest the outputs y. Fold f's outputs are corrected with the other
-    fold's least-squares coefficients b = M_cc^-1 M_cy, z = y - b'c, so no
-    draw is corrected with a fit it took part in and the mean stays
-    unbiased. z's fold mean and M2 follow from the co-moments alone, and
-    the two folds are merged as two chunks of z; with no controls, z = y.
+    The first ``n_controls`` rows are controls c with mean exactly zero,
+    the rest the outputs y, and M is each fold's full co-moment matrix.
+    Fold f's outputs are corrected with the other fold's least-squares
+    coefficients b = M_cc^-1 M_cy, z = y - b'c, so no draw is corrected
+    with a fit it took part in and the mean stays unbiased. z's fold mean
+    and co-moments M_zz = M_yy - b'M_cy - M_yc b + b'M_cc b follow from y's
+    alone, and the two folds are merged as two chunks of z; with no
+    controls b is empty and z = y.
     """
     c, y = slice(0, n_controls), slice(n_controls, None)
     fits = [np.linalg.solve(m[c, c], m[c, y]) if n_controls else m[c, y] for _, _, m in folds]
     corrected = []
     for (count, mean, m), b in zip(folds, fits[::-1]):
-        m2 = np.diagonal(m)[y] - 2.0 * (b * m[c, y]).sum(axis=0) + (b * (m[c, c] @ b)).sum(axis=0)
-        corrected.append((count, mean[y] - b.T @ mean[c], m2))
+        cross = b.T @ m[c, y]
+        m_zz = m[y, y] - cross - cross.T + b.T @ (m[c, c] @ b)
+        corrected.append((count, mean[y] - b.T @ mean[c], m_zz))
     return _mean_se(_combine(*corrected))
 
 
@@ -470,7 +462,7 @@ def simulate_bias(
         # Columns-first (p, rows): at p = 3 the closed-form eigenvalues, and
         # so the rates, are column-major, and d.T is contiguous.
         if not control_variate:
-            return _moments(d.T)
+            return _comoments(d.T)
         # One coordinate at a time, in place on (rows,) vectors; every
         # s[:, i, j] is a contiguous column of the entries-first stack.
         # With a = tr S / (nT) = 1 + t/T the first-order part of z_i is
@@ -494,7 +486,7 @@ def simulate_bias(
             buf *= coeff
             z[i] -= buf
             z[j] += buf
-        return _moments(z)
+        return _comoments(z)
 
     merged = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, False, stat, _combine)
     mean, se = _mean_se(merged)
@@ -696,7 +688,7 @@ def compare_risks(
         return tuple(fold_comoments(s[f::2], l[f::2], losses[:, f::2]) for f in (0, 1))
 
     def fold(a, b):
-        return tuple(_combine(x, y, _outer_square) for x, y in zip(a, b))
+        return tuple(_combine(x, y) for x, y in zip(a, b))
 
     merged = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, need_vectors, stat, fold)
     means, ses = _cross_fitted(merged, n_controls)
@@ -749,7 +741,7 @@ def simulate_stein_haff(
             raise RuntimeError(
                 "sampled scatter matrix with tied eigenvalues; the G functional is not finite"
             )
-        return _moments(np.concatenate([trace, g, trace - g]))
+        return _comoments(np.concatenate([trace, g, trace - g]))
 
     merged = _run_chunks(spectrum, n, "wishart", replicates, seed, jobs, True, stat, _combine)
     means, ses = _mean_se(merged)

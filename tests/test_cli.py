@@ -248,7 +248,11 @@ _INVALID_ARGVS = [
         ["dimension", "--case", "1", "--spectrum", "0.5,0.3,0.2"],
         ["risk", "--table2", "--spectrum", "0.5,0.3,0.2"],
     ]
-] + [["bias", "--spectrum", "0.5,0.3,0.2", "--seed", "-1"]]
+] + [
+    ["bias", "--spectrum", "0.5,0.3,0.2", "--seed", "-1"],
+    ["stein-haff", "--spectrum", "0.5,0.3,0.2", "--n", "10", "--reps", "200", "--seed", "1", "--dist", "t:5"],
+    ["invariance", "--spectrum", "0.4,0.3,0.2,0.1", "--n", "15", "--reps", "500", "--seed", "1", "--dist", "t:5"],
+]
 
 
 @pytest.mark.parametrize("argv", _INVALID_ARGVS)

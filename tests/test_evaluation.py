@@ -773,7 +773,7 @@ def test_wishart_controls_have_mean_zero(spec, n, n_spectral):
     def stat(s, l, d, q):
         controls = np.empty((p * p + p + 1 + n_spectral, s.shape[0]))
         evaluation._wishart_controls(s, l, lam, n, log_det_mean, trace_means, controls)
-        return evaluation._moments(controls)
+        return evaluation._comoments(controls)
 
     args = (spec, n, "wishart", 40 * CHUNK_SIZE, 23, 2, False, stat, evaluation._combine)
     means, ses = evaluation._mean_se(evaluation._run_chunks(*args))
