@@ -371,6 +371,20 @@ def _mean_se(merged: tuple) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(np.diagonal(m) / (count - 1)) / sqrt(count)
 
 
+def _combine_folds(a: tuple, b: tuple) -> tuple:
+    """Each replicate-parity fold's (count, mean, M) of chunk a followed by chunk b."""
+    return tuple(_combine(x, y) for x, y in zip(a, b))
+
+
+def _fitted_controls(n_controls: int, replicates: int) -> int:
+    """``n_controls``, or 0 below 10 rows a fold per fitted coefficient (the controls and an intercept).
+
+    CHUNK_SIZE is even, so a row's parity within its chunk is the parity
+    of its replicate index, and the odd fold holds replicates // 2 rows.
+    """
+    return n_controls if replicates // 2 >= 10 * (n_controls + 1) else 0
+
+
 def _cross_fitted(folds: tuple, n_controls: int) -> tuple[np.ndarray, np.ndarray]:
     """Control-variate means and SEs from two folds' merged (count, mean, M).
 
@@ -424,73 +438,96 @@ def simulate_bias(
 ) -> BiasSimulation:
     """Monte Carlo means and standard errors of the sample rates.
 
-    With ``control_variate`` each draw's rates have the first- and
-    second-order terms of their expansion subtracted and the exact mean of
-    the second-order term added back. With E = S/n - Lambda, t = tr E and
-    T = sum lambda, the first-order term is L_i = E_ii/T - lambda_i t/T^2
-    (zero mean) and the second-order term is Q_i/T - (t/T) L_i, where
-    Q_i = sum_{j != i} E_ij^2 / (lambda_i - lambda_j). Under Wishart sampling
-    E[E_ij^2] = lambda_i lambda_j / n off the diagonal, Var E_ii =
-    2 lambda_i^2 / n and the diagonal entries are uncorrelated, so the
-    second-order term has mean exactly ``bias_expansion - lambda / T``. The
-    estimate stays unbiased and only the third-order remainder is left in
-    each draw's fluctuation, so the gain grows with n: at p = 3 the
-    per-replicate variance falls about 2x below the first-order control
-    variate's at n = 100, 4.6x at n = 200 and 10x at n = 400. At n = 30 it
-    is about 7 % worse than first order (worst coordinate 2.46e-3 against
-    2.30e-3 at (0.5, 0.3, 0.2)), because the remainder is not small there.
-    Wishart only, with distinct population eigenvalues: a (nearly)
-    repeated one is refused by ``bias_expansion`` before any draw.
+    With ``control_variate`` each draw's rates d are taken less their
+    corrections c, the first- and second-order terms of their expansion
+    less the second-order term's exact mean (see ``_bias_corrections``),
+    and z = d - c is regressed on c_2..c_p, with coefficients cross-fitted
+    on the even and odd replicates as in ``compare_risks``, so the means
+    stay unbiased. c_1 is left out because the c_i sum to zero exactly.
+    The fit takes up what the third-order remainder still shares with the
+    corrections, which matters most at small n: at p = 3, (0.5, 0.3, 0.2),
+    the worst coordinate's per-replicate variance is 3.4x below z's
+    unfitted at n = 30 and 1.5-1.9x below at n = 100 to 400, and 3x, 4x,
+    7x and 15x below the first-order control variate's at n = 30, 100,
+    200 and 400. Below 10 rows a fold per fitted coefficient (c_2..c_p and
+    an intercept, so never at p <= 5) z is averaged unfitted. Wishart only,
+    with distinct population eigenvalues: a (nearly) repeated one is
+    refused by ``bias_expansion`` before any draw.
     """
     kind, _ = sampling.parse_distribution(distribution)
     if control_variate and kind != "wishart":
         raise ValueError("the control-variate estimator requires Wishart sampling")
     lam = spectrum.values
     p = lam.size
-    total = lam.sum()
     if control_variate:
-        offset = bias_expansion(spectrum, n) - lam / total
-        # Q_i / T from the pair (i, j) is S_ij^2 times this, and Q_j / T
-        # gets the same product with the sign flipped.
-        pairs = [
-            (i, j, 1.0 / (n * n * total * (lam[i] - lam[j])))
-            for i in range(p)
-            for j in range(i + 1, p)
-        ]
+        offset = bias_expansion(spectrum, n) - lam / lam.sum()
+        _check_replicates(replicates)
+        n_controls = _fitted_controls(p - 1, replicates)
+
+    def fold_comoments(c, d):
+        # one contiguous array a fold: the co-moments of a strided view of
+        # the whole chunk's cost twice as much
+        x = np.empty((n_controls + p, c.shape[1]))
+        x[:n_controls] = c[p - n_controls :]
+        np.subtract(d.T, c, out=x[n_controls:])
+        return _comoments(x)
 
     def stat(s, l, d, q):
         # Columns-first (p, rows): at p = 3 the closed-form eigenvalues, and
         # so the rates, are column-major, and d.T is contiguous.
         if not control_variate:
             return _comoments(d.T)
-        # One coordinate at a time, in place on (rows,) vectors; every
-        # s[:, i, j] is a contiguous column of the entries-first stack.
-        # With a = tr S / (nT) = 1 + t/T the first-order part of z_i is
-        # L_i (1 - t/T) = (S_ii - n lambda_i a) w, where w = (2 - a) / (nT).
-        a = s[:, 0, 0].copy()
-        for i in range(1, p):
-            a += s[:, i, i]
-        a *= 1.0 / (n * total)
-        w = a * (-1.0 / (n * total))
-        w += 2.0 / (n * total)
-        z = np.empty((p, s.shape[0]))
-        buf = np.empty_like(a)
-        for i in range(p):
-            np.multiply(a, n * lam[i], out=buf)
-            np.subtract(s[:, i, i], buf, out=buf)
-            buf *= w
-            np.subtract(d[:, i], buf, out=z[i])
-            z[i] += offset[i]
-        for i, j, coeff in pairs:
-            np.multiply(s[:, i, j], s[:, i, j], out=buf)
-            buf *= coeff
-            z[i] -= buf
-            z[j] += buf
-        return _comoments(z)
+        c = np.empty((p, s.shape[0]))
+        _bias_corrections(s, lam, n, offset, c)
+        return tuple(fold_comoments(c[:, f::2], d[f::2]) for f in (0, 1))
 
-    merged = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, False, stat, _combine)
-    mean, se = _mean_se(merged)
+    fold = _combine_folds if control_variate else _combine
+    merged = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, False, stat, fold)
+    mean, se = _cross_fitted(merged, n_controls) if control_variate else _mean_se(merged)
     return BiasSimulation(mean_rates=mean, std_errors=se, replicates=replicates)
+
+
+def _bias_corrections(
+    s: np.ndarray, lam: np.ndarray, n: int, offset: np.ndarray, out: np.ndarray
+) -> None:
+    """Write each draw's rate corrections c_i, one coordinate a row of ``out``.
+
+    With E = S/n - Lambda, t = tr E and T = sum lambda, the first-order term
+    of the rate d_i is L_i = E_ii/T - lambda_i t/T^2 (zero mean) and the
+    second-order term is Q_i/T - (t/T) L_i, where Q_i = sum_{j != i}
+    E_ij^2 / (lambda_i - lambda_j); c_i is their sum less ``offset_i``, the
+    second-order term's exact mean ``bias_expansion - lambda / T``. Under
+    Wishart sampling E[E_ij^2] = lambda_i lambda_j / n off the diagonal,
+    Var E_ii = 2 lambda_i^2 / n and the diagonal entries are uncorrelated,
+    so each c_i has mean exactly zero; and the c_i sum to zero exactly, as
+    the L_i do, the pair terms cancel and ``offset`` sums to zero. S is an
+    entries-first stack, so every s[:, i, j] is one evenly strided column,
+    and each row is formed in place on (rows,) vectors.
+    """
+    p = lam.size
+    total = lam.sum()
+    # With a = tr S / (nT) = 1 + t/T, L_i (1 - t/T) = (S_ii - n lambda_i a) w,
+    # where w = (2 - a) / (nT).
+    a = s[:, 0, 0].copy()
+    for i in range(1, p):
+        a += s[:, i, i]
+    a *= 1.0 / (n * total)
+    w = a * (-1.0 / (n * total))
+    w += 2.0 / (n * total)
+    for i in range(p):
+        np.multiply(a, n * lam[i], out=out[i])
+        np.subtract(s[:, i, i], out[i], out=out[i])
+        out[i] *= w
+        out[i] -= offset[i]
+    # Q_i / T from the pair (i, j) is S_ij^2 times this coefficient, and
+    # Q_j / T gets the same product with the sign flipped.
+    buf = a  # a is spent
+    for i in range(p):
+        for j in range(i + 1, p):
+            np.multiply(s[:, i, j], s[:, i, j], out=buf)
+            buf *= 1.0 / (n * n * total * (lam[i] - lam[j]))
+            out[i] += buf
+            out[j] -= buf
 
 
 def _plugin_traces(d: np.ndarray, q: np.ndarray, betas: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -665,11 +702,9 @@ def compare_risks(
     trace_means = _trace_means(lam, n)
     n_controls = spectrum.p * spectrum.p + spectrum.p + 1 + trace_means.size
     _check_replicates(replicates)
-    # CHUNK_SIZE is even, so a row's parity within its chunk is the parity
-    # of its replicate index, and the odd fold holds replicates // 2 rows.
-    wishart = sampling.parse_distribution(distribution)[0] == "wishart"
-    if not wishart or replicates // 2 < 10 * (n_controls + 1):
+    if sampling.parse_distribution(distribution)[0] != "wishart":
         n_controls = 0
+    n_controls = _fitted_controls(n_controls, replicates)
     log_det_mean = _log_det_mean(lam, n) if n_controls else None
 
     def fold_comoments(s, l, losses):
@@ -687,10 +722,7 @@ def compare_risks(
             losses = _quadratic_losses(d, betas, tau)
         return tuple(fold_comoments(s[f::2], l[f::2], losses[:, f::2]) for f in (0, 1))
 
-    def fold(a, b):
-        return tuple(_combine(x, y) for x, y in zip(a, b))
-
-    merged = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, need_vectors, stat, fold)
+    merged = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, need_vectors, stat, _combine_folds)
     means, ses = _cross_fitted(merged, n_controls)
     return RiskComparison(
         mean_losses=means[:k],

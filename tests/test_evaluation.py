@@ -516,9 +516,8 @@ def _cross_fitted(spec, n, seed, replicates, y):
     (all distinct). At n >= p + 16, sum 1/l_k and sum 1/l_k^2 join them,
     each over its mean less 1: the traces of E[S^-1] = Sigma^-1/(m - 1) and
     E[S^-2] = ((m - 1) Sigma^-2 + tr(Sigma^-1) Sigma^-1)/(m(m - 1)(m - 3)),
-    m = n - p, the matrix forms of the inverse-Wishart moments. Each
-    replicate-parity fold is corrected with the slopes of a least-squares
-    fit, with an intercept, on the other fold.
+    m = n - p, the matrix forms of the inverse-Wishart moments. The outputs
+    are cross-fitted on the controls by ``_parity_fitted``.
     """
     lam = spec.values
     p = lam.size
@@ -544,7 +543,16 @@ def _cross_fitted(spec, n, seed, replicates, y):
         inv_sq_mean = np.trace((m - 1) * inv @ inv + np.trace(inv) * inv) / (m * (m - 1) * (m - 3))
         columns += [(1.0 / l).sum(axis=1)[:, None] / inv_mean - 1.0,
                     (1.0 / l**2).sum(axis=1)[:, None] / inv_sq_mean - 1.0]
-    controls = np.hstack(columns)
+    return _parity_fitted(np.hstack(columns), y)
+
+
+def _parity_fitted(controls, y):
+    """Per-replicate outputs y, shape (replicates, k), less a cross-fitted fit on the controls.
+
+    Each replicate-parity fold is corrected with the slopes of a
+    least-squares fit, with an intercept, of y on the controls, shape
+    (replicates, m), over the other fold.
+    """
     z = np.empty_like(y)
     even, odd = slice(0, None, 2), slice(1, None, 2)
     for fit, corrected in ((odd, even), (even, odd)):
@@ -558,9 +566,10 @@ def _streamed_and_per_replicate(engine, replicates):
     """An engine's streamed (means, SEs) and the per-replicate values it reduces.
 
     The values, shape (replicates, k), are rebuilt here from scatter_chunk:
-    the sample rates for simulate_bias, less the first- and second-order
-    terms of their expansion plus the second-order term's exact mean
-    (bias_expansion - lambda / T) with the control variate; the loss rows
+    the sample rates for simulate_bias, with the control variate less
+    their cross-fitted fit on the corrections c_2..c_p, c_i the first- and
+    second-order terms of d_i's expansion less the second-order term's
+    exact mean (bias_expansion - lambda / T); the loss rows
     and the paired differences for compare_risks, less their cross-fitted
     control-variate fit for either loss; and the trace, G and
     trace - G for each weight vector for simulate_stein_haff. The "bias-p3"
@@ -578,8 +587,8 @@ def _streamed_and_per_replicate(engine, replicates):
         sim = simulate_bias(spec, n, "wishart", replicates, seed=seed, control_variate=control_variate)
         if control_variate:
             d, first, second = _expansion_terms(spec, n, seed, replicates)
-            offset = bias_expansion(spec, n) - spec.values / spec.values.sum()
-            values = d - first - second + offset
+            corrections = first + second - (bias_expansion(spec, n) - spec.values / spec.values.sum())
+            values = _parity_fitted(corrections[:, 1:], d)
         else:
             values = sample_rates(spec, n, "wishart", replicates, seed)
         return sim.mean_rates, sim.std_errors, values
@@ -803,6 +812,68 @@ def test_second_order_cv_tightens_first_order():
     assert np.all(cv.std_errors < 0.5 * first_se)
     combined = np.sqrt(first_se**2 + cv.std_errors**2)
     assert np.all(np.abs(cv.mean_rates - first_mean) < 4 * combined)
+
+
+def test_control_variate_beats_first_order_at_small_n():
+    # at n = 30 the third-order remainder is not small, and subtracting the
+    # second-order term with a coefficient of 1 did worse than the
+    # first-order control variate; the fitted coefficients leave under half
+    # its worst per-replicate variance
+    spec, n, seed, replicates = Spectrum((0.5, 0.3, 0.2)), 30, 5, 16 * CHUNK_SIZE
+    d, first, _ = _expansion_terms(spec, n, seed, replicates)
+    first_order = (d - first).var(axis=0, ddof=1).max()
+    cv = simulate_bias(spec, n, "wishart", replicates, seed=seed, control_variate=True)
+    assert (cv.std_errors**2 * replicates).max() < 0.5 * first_order
+
+
+@pytest.mark.parametrize("n", [30, 200])
+def test_bias_control_variate_se_is_calibrated(n):
+    # the spread of the cross-fitted means over seeds matches the reported
+    # SE where the remainder is large (n = 30) and small (n = 200); the
+    # ratio's own sampling SD is about 0.05 over 240 seeds
+    spec = Spectrum((0.5, 0.3, 0.2))
+    runs = [simulate_bias(spec, n, "wishart", 1000, seed=s, control_variate=True) for s in range(240)]
+    means = np.array([r.mean_rates for r in runs])
+    ses = np.array([r.std_errors for r in runs])
+    ratio = means.std(axis=0, ddof=1) / ses.mean(axis=0)
+    assert np.all(np.abs(ratio - 1.0) < 0.25), ratio
+
+
+@pytest.mark.parametrize("spec", [Spectrum((0.5, 0.3, 0.2)), Spectrum((0.4, 0.3, 0.2, 0.1))], ids=["p3", "p4"])
+@pytest.mark.parametrize("n", [30, 200])
+def test_bias_corrections_have_mean_zero_and_sum_to_zero(spec, n):
+    # every coordinate's correction averages to zero within 4 SEs over 40
+    # chunks, and each draw's corrections, each of order 0.1, sum to zero
+    # to rounding, which is why the engine fits on all but the first
+    lam = spec.values
+    offset = bias_expansion(spec, n) - lam / lam.sum()
+    worst_sum = []
+
+    def stat(s, l, d, q):
+        c = np.empty((lam.size, s.shape[0]))
+        evaluation._bias_corrections(s, lam, n, offset, c)
+        worst_sum.append(np.abs(c.sum(axis=0)).max())
+        return evaluation._comoments(c)
+
+    args = (spec, n, "wishart", 40 * CHUNK_SIZE, 23, 2, False, stat, evaluation._combine)
+    means, ses = evaluation._mean_se(evaluation._run_chunks(*args))
+    assert np.all(np.abs(means) < 4 * ses), np.abs(means / ses).max()
+    assert max(worst_sum) < 1e-14
+
+
+@pytest.mark.parametrize("replicates, fitted", [(119, False), (120, True)])
+def test_bias_control_variate_fits_from_the_floor(replicates, fitted):
+    # p = 6 fits c_2..c_6 and an intercept, 60 rows a fold: 119 replicates
+    # leave the odd fold 59, and the corrected rates z = d - c are averaged
+    # unfitted; 120 cross-fit them, as the rates less the fit on c_2..c_6
+    spec, n, seed = Spectrum((0.3, 0.25, 0.18, 0.12, 0.1, 0.05)), 20, 13
+    d, first, second = _expansion_terms(spec, n, seed, replicates)
+    corrections = first + second - (bias_expansion(spec, n) - spec.values / spec.values.sum())
+    values = _parity_fitted(corrections[:, 1:], d) if fitted else d - corrections
+    cv = simulate_bias(spec, n, "wishart", replicates, seed=seed, control_variate=True)
+    np.testing.assert_allclose(cv.mean_rates, values.mean(axis=0), rtol=1e-12, atol=0)
+    se = values.std(axis=0, ddof=1) / np.sqrt(replicates)
+    np.testing.assert_allclose(cv.std_errors, se, rtol=1e-12, atol=0)
 
 
 def test_control_variate_refuses_tied_spectrum_before_sampling(monkeypatch):
