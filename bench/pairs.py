@@ -23,6 +23,8 @@ Each run also keeps the median of its raw (uncalibrated) operation times
 ``op_s`` and of its calibration kernel times ``kernel_s``, and the summary
 gives their per-side medians as ``raw_op_s`` and ``raw_kernel_s``: a
 calibrated gain with raw op times flat is the kernel's, not the code's.
+``raw_kernel_s`` also gets a verdict (see ``kernel_verdict``): a calibrated
+claim is void when the kernel moved.
 ``--reference K`` (a bare ``--reference`` is K = 1) keeps every reference
 report and gives, per acceptance criterion and README example, each side's
 median wall time over the K pairs and whether every run passed.
@@ -99,6 +101,20 @@ def verdict(entry: dict, bound: float, base: list[float], change: list[float]) -
     return "within bound"
 
 
+def kernel_verdict(base: list[float], change: list[float]) -> str:
+    """Whether the calibration kernel kept its speed from the base runs to the change runs.
+
+    The values are each run's median kernel time. Fewer than 10 on either
+    side leave it "unresolved" (a threaded workload has none). It is
+    "shifted" when the two sides' medians differ by more than the base IQR,
+    and "steady" otherwise.
+    """
+    if min(len(base), len(change)) < 10:
+        return "unresolved"
+    q1, median, q3 = quartiles(base)
+    return "shifted" if abs(statistics.median(change) - median) > q3 - q1 else "steady"
+
+
 def summarise(pairs: list[dict]) -> dict:
     out = {}
     for metric, (better, bound) in END_TO_END.items():
@@ -110,11 +126,11 @@ def summarise(pairs: list[dict]) -> dict:
                                "change_median": cq[1], "change_iqr": cq[2] - cq[0],
                                "change_wins": wins, "pairs": len(pairs)}
         entry["verdict"] = verdict(entry, bound, base, change)
-    for raw in ("raw_op_s", "raw_kernel_s"):
-        out[raw] = {}
-        for side in ("base", "change"):
-            values = [p[side][raw] for p in pairs if p[side][raw] is not None]
-            out[raw][f"{side}_median"] = median_or_none(values)
+    raw = {name: {side: [p[side][name] for p in pairs if p[side][name] is not None]
+                  for side in ("base", "change")} for name in ("raw_op_s", "raw_kernel_s")}
+    for name, values in raw.items():
+        out[name] = {f"{side}_median": median_or_none(v) for side, v in values.items()}
+    out["raw_kernel_s"]["verdict"] = kernel_verdict(**raw["raw_kernel_s"])
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import combinations
 from math import fsum, log, sqrt
 
 import numpy as np
@@ -215,16 +216,22 @@ def bias_expansion(truth: Spectrum, n: int) -> np.ndarray:
         )
     total = lam.sum()
     sumsq = np.sum(lam**2)
-    diff = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diff, 1.0)
-    ratio = lam[None, :] / diff
-    np.fill_diagonal(ratio, 0.0)
+    ratio = _gap_ratios(lam)
     coeff = (
         2.0 * lam * sumsq / total**3
         - 2.0 * lam**2 / total**2
         + (lam / total) * ratio.sum(axis=1)
     )
     return lam / total + coeff / n
+
+
+def _gap_ratios(lam: np.ndarray) -> np.ndarray:
+    """lambda_j / (lambda_i - lambda_j) at (i, j) off the diagonal, 0 on it."""
+    diff = lam[:, None] - lam[None, :]
+    np.fill_diagonal(diff, 1.0)
+    ratio = lam[None, :] / diff
+    np.fill_diagonal(ratio, 0.0)
+    return ratio
 
 
 # ---------------------------------------------------------------------------
@@ -440,19 +447,20 @@ def simulate_bias(
 
     With ``control_variate`` each draw's rates d are taken less their
     corrections c, the first- and second-order terms of their expansion
-    less the second-order term's exact mean (see ``_bias_corrections``),
-    and z = d - c is regressed on c_2..c_p, with coefficients cross-fitted
-    on the even and odd replicates as in ``compare_risks``, so the means
-    stay unbiased. c_1 is left out because the c_i sum to zero exactly.
-    The fit takes up what the third-order remainder still shares with the
-    corrections, which matters most at small n: at p = 3, (0.5, 0.3, 0.2),
-    the worst coordinate's per-replicate variance is 3.4x below z's
-    unfitted at n = 30 and 1.5-1.9x below at n = 100 to 400, and 3x, 4x,
-    7x and 15x below the first-order control variate's at n = 30, 100,
-    200 and 400. Below 10 rows a fold per fitted coefficient (c_2..c_p and
-    an intercept, so never at p <= 5) z is averaged unfitted. Wishart only,
-    with distinct population eigenvalues: a (nearly) repeated one is
-    refused by ``bias_expansion`` before any draw.
+    less the second-order term's exact mean, and z = d - c is regressed on
+    c_2..c_p and on the third-order terms t_2..t_p, each less its exact
+    mean (see ``_bias_corrections``), with coefficients cross-fitted on the
+    even and odd replicates as in ``compare_risks``, so the means stay
+    unbiased. c_1 and t_1 are left out because the c_i, and the t_i, sum to
+    zero exactly. The remainder left after the second-order term falls
+    like n^-3/2, so the t_i matter most at large n: at p = 3,
+    (0.5, 0.3, 0.2), the worst coordinate's per-replicate variance is 1.15x,
+    1.6x, 2.7x, 5.4x and 11x below the fit on c_2..c_p alone at n = 30,
+    100, 200, 400 and 800 (7.0e-6 -> 2.6e-6 at n = 200). Below 10 rows a
+    fold per fitted coefficient (2(p - 1) controls and an intercept, so
+    never at p = 3, and from 220 replicates at p = 6) z is averaged
+    unfitted. Wishart only, with distinct population eigenvalues: a
+    (nearly) repeated one is refused by ``bias_expansion`` before any draw.
     """
     kind, _ = sampling.parse_distribution(distribution)
     if control_variate and kind != "wishart":
@@ -460,16 +468,19 @@ def simulate_bias(
     lam = spectrum.values
     p = lam.size
     if control_variate:
-        offset = bias_expansion(spectrum, n) - lam / lam.sum()
+        second = bias_expansion(spectrum, n) - lam / lam.sum()
+        offset = np.concatenate([second, _third_order_means(lam, n)])
         _check_replicates(replicates)
-        n_controls = _fitted_controls(p - 1, replicates)
+        n_controls = _fitted_controls(2 * (p - 1), replicates)
 
     def fold_comoments(c, d):
         # one contiguous array a fold: the co-moments of a strided view of
         # the whole chunk's cost twice as much
         x = np.empty((n_controls + p, c.shape[1]))
-        x[:n_controls] = c[p - n_controls :]
-        np.subtract(d.T, c, out=x[n_controls:])
+        if n_controls:
+            x[: p - 1] = c[1:p]
+            x[p - 1 : n_controls] = c[p + 1 :]
+        np.subtract(d.T, c[:p], out=x[n_controls:])
         return _comoments(x)
 
     def stat(s, l, d, q):
@@ -477,7 +488,7 @@ def simulate_bias(
         # so the rates, are column-major, and d.T is contiguous.
         if not control_variate:
             return _comoments(d.T)
-        c = np.empty((p, s.shape[0]))
+        c = np.empty((2 * p, s.shape[0]))
         _bias_corrections(s, lam, n, offset, c)
         return tuple(fold_comoments(c[:, f::2], d[f::2]) for f in (0, 1))
 
@@ -490,44 +501,100 @@ def simulate_bias(
 def _bias_corrections(
     s: np.ndarray, lam: np.ndarray, n: int, offset: np.ndarray, out: np.ndarray
 ) -> None:
-    """Write each draw's rate corrections c_i, one coordinate a row of ``out``.
+    """Write each draw's rate corrections c_i and third-order terms t_i, one a row of ``out``.
 
-    With E = S/n - Lambda, t = tr E and T = sum lambda, the first-order term
-    of the rate d_i is L_i = E_ii/T - lambda_i t/T^2 (zero mean) and the
-    second-order term is Q_i/T - (t/T) L_i, where Q_i = sum_{j != i}
-    E_ij^2 / (lambda_i - lambda_j); c_i is their sum less ``offset_i``, the
-    second-order term's exact mean ``bias_expansion - lambda / T``. Under
-    Wishart sampling E[E_ij^2] = lambda_i lambda_j / n off the diagonal,
-    Var E_ii = 2 lambda_i^2 / n and the diagonal entries are uncorrelated,
-    so each c_i has mean exactly zero; and the c_i sum to zero exactly, as
-    the L_i do, the pair terms cancel and ``offset`` sums to zero. S is an
-    entries-first stack, so every s[:, i, j] is one evenly strided column,
-    and each row is formed in place on (rows,) vectors.
+    With E = S/n - Lambda, T = sum lambda, u = tr E / T and
+    g_ij = 1/(lambda_i - lambda_j), the eigenvalue l_i/n of S/n is lambda_i
+    + E_ii + a2_i + a3_i + ... (Rayleigh-Schroedinger), where
+    a2_i = sum_{j != i} g_ij E_ij^2 and a3_i = sum_{j, k != i} g_ij g_ik
+    E_ij E_jk E_ki - E_ii sum_{j != i} g_ij^2 E_ij^2, and the rate is
+    d_i = (l_i/n) / (T (1 + u)). Dividing by 1 + u makes each order's term
+    that order's eigenvalue term over T less u times the order below:
+    L_i = (E_ii - lambda_i u)/T (zero mean), then a2_i/T - u L_i, then
+    t_i = (a3_i - a2_i u + E_ii u^2 - lambda_i u^3)/T. The first p rows of
+    ``out`` are c_i = L_i plus the second-order term, the last p the t_i,
+    each less its exact Wishart mean in ``offset``, so every row has mean
+    exactly zero: the second-order term's is ``bias_expansion - lambda / T``,
+    as E[E_ij^2] = lambda_i lambda_j / n off the diagonal, Var E_ii =
+    2 lambda_i^2 / n and the diagonal entries are uncorrelated, and the
+    third's is ``_third_order_means``. The l_i sum to tr S, so the a2_i,
+    and the a3_i, sum to zero, and so do the c_i and the t_i in each draw.
+    S is an entries-first stack, so every s[:, i, j] is one evenly strided
+    column; each S_ii, tr S and S_ij^2 is formed once for all three orders,
+    and each row in place on (rows,) vectors.
     """
     p = lam.size
     total = lam.sum()
-    # With a = tr S / (nT) = 1 + t/T, L_i (1 - t/T) = (S_ii - n lambda_i a) w,
-    # where w = (2 - a) / (nT).
+    c, t = out[:p], out[p:]
+    # With a = tr S / (nT) = 1 + u, L_i = (S_ii - n lambda_i a)/(nT), so
+    # L_i (1 - u) = (S_ii - n lambda_i a) w with w = (2 - a)/(nT), and
+    # L_i u^2 = (S_ii - n lambda_i a) v with v = (a - 1)^2/(nT).
     a = s[:, 0, 0].copy()
     for i in range(1, p):
         a += s[:, i, i]
     a *= 1.0 / (n * total)
     w = a * (-1.0 / (n * total))
     w += 2.0 / (n * total)
+    v = a - 1.0
+    v *= v
+    v *= 1.0 / (n * total)
     for i in range(p):
-        np.multiply(a, n * lam[i], out=out[i])
-        np.subtract(s[:, i, i], out[i], out=out[i])
-        out[i] *= w
-        out[i] -= offset[i]
-    # Q_i / T from the pair (i, j) is S_ij^2 times this coefficient, and
-    # Q_j / T gets the same product with the sign flipped.
-    buf = a  # a is spent
+        np.multiply(a, n * lam[i], out=c[i])
+        np.subtract(s[:, i, i], c[i], out=c[i])
+        np.multiply(c[i], v, out=t[i])
+        c[i] *= w
+        c[i] -= offset[i]
+        t[i] -= offset[p + i]
+    # The pair (i, j) adds g_ij E_ij^2 / T = S_ij^2 times a coefficient (buf)
+    # to a2_i / T and minus it to a2_j / T. Its terms in a3_i and -a2_i u
+    # add buf (g_ij (E_jj - E_ii) - u) = buf ((S_jj - S_ii)/(n (lambda_i -
+    # lambda_j)) + 2 - a) to t_i, and the same with the sign flipped to t_j.
+    two_less_a = np.subtract(2.0, a, out=a)
+    buf, h = np.empty_like(a), v  # v is spent
     for i in range(p):
         for j in range(i + 1, p):
             np.multiply(s[:, i, j], s[:, i, j], out=buf)
             buf *= 1.0 / (n * n * total * (lam[i] - lam[j]))
-            out[i] += buf
-            out[j] -= buf
+            c[i] += buf
+            c[j] -= buf
+            np.subtract(s[:, j, j], s[:, i, i], out=h)
+            h *= 1.0 / (n * (lam[i] - lam[j]))
+            h += two_less_a
+            h *= buf
+            t[i] += h
+            t[j] -= h
+    # The triple i < j < k adds 2 g_ij g_ik E_ij E_jk E_ki / T to t_i, and
+    # likewise to t_j and t_k: the terms of a3 with j != k.
+    for i, j, k in combinations(range(p), 3):
+        np.multiply(s[:, i, j], s[:, j, k], out=h)
+        h *= s[:, i, k]
+        for x, y, z in ((i, j, k), (j, i, k), (k, i, j)):
+            np.multiply(h, 2.0 / (n**3 * total * (lam[x] - lam[y]) * (lam[x] - lam[z])), out=buf)
+            t[x] += buf
+
+
+def _third_order_means(lam: np.ndarray, n: int) -> np.ndarray:
+    """E[t_i] under Wishart(n, diag(lam)), t_i the third-order term of ``_bias_corrections``.
+
+    t_i is cubic in E, the mean of n independent x x' - Lambda, so its mean
+    is one observation's third moment over n^2. With r_ij = lambda_j g_ij
+    (r_ii = 0) and R_i = sum_j r_ij, n^2 T E[t_i] / lambda_i is
+    -2 R_i + R_i^2 - sum_j r_ij^2 - (2/T) sum_j r_ij (lambda_i + lambda_j)
+    + 8 lambda_i^2 / T^2 - 8 sum_k lambda_k^3 / T^3. The lambda must be
+    distinct, as ``bias_expansion`` checks.
+    """
+    total = lam.sum()
+    r = _gap_ratios(lam)
+    big_r = r.sum(axis=1)
+    coeff = (
+        -2.0 * big_r
+        + big_r**2
+        - (r**2).sum(axis=1)
+        - (2.0 / total) * (r * (lam[:, None] + lam[None, :])).sum(axis=1)
+        + 8.0 * lam**2 / total**2
+        - 8.0 * np.sum(lam**3) / total**3
+    )
+    return lam * coeff / (n * n * total)
 
 
 def _plugin_traces(d: np.ndarray, q: np.ndarray, betas: np.ndarray, tau: np.ndarray) -> np.ndarray:

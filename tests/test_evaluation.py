@@ -481,25 +481,51 @@ def test_fold_takes_the_chunks_in_order(monkeypatch):
 
 
 def _expansion_terms(spec, n, seed, replicates):
-    """Per-replicate rates and the first- and second-order terms of their expansion.
+    """Per-replicate rates and the first-, second- and third-order terms of their expansion.
 
-    Rebuilt from scatter_chunk with E = S/n - Lambda, t = tr E and T the
-    spectrum total: the first-order term is E_ii/T - lambda_i t/T^2, and the
-    second-order term is Q_i/T - (t/T) times it, with Q_i the sum over
-    j != i of E_ij^2 / (lambda_i - lambda_j). All three are (replicates, p).
+    Rebuilt from scatter_chunk with E = S/n - Lambda, t = tr E, T the
+    spectrum total, u = t/T and g_ij = 1/(lambda_i - lambda_j): the
+    first-order term is E_ii/T - lambda_i t/T^2; the second-order term is
+    Q_i/T - u times the first, with Q_i the sum over j != i of g_ij E_ij^2;
+    and the third-order term is (R_i - Q_i u + E_ii u^2 - lambda_i u^3)/T,
+    with R_i the sum over j, k != i of g_ij g_ik E_ij E_jk E_ki less E_ii
+    times the sum over j != i of g_ij^2 E_ij^2. All four are (replicates, p).
     """
     lam, total = spec.values, spec.values.sum()
+    p = lam.size
     e = _draws(spec, n, "wishart", seed, replicates) / n - np.diag(lam)
     diag = np.diagonal(e, axis1=1, axis2=2)
     t = diag.sum(axis=1)
+    u = (t / total)[:, None]
     first = diag / total - np.outer(t, lam) / total**2
     q = np.zeros_like(first)
-    for i in range(lam.size):
-        for j in range(lam.size):
-            if j != i:
-                q[:, i] += e[:, i, j] ** 2 / (lam[i] - lam[j])
-    second = q / total - first * (t / total)[:, None]
-    return sample_rates(spec, n, "wishart", replicates, seed), first, second
+    r = np.zeros_like(first)
+    for i in range(p):
+        for j in range(p):
+            if j == i:
+                continue
+            g_ij = 1.0 / (lam[i] - lam[j])
+            q[:, i] += g_ij * e[:, i, j] ** 2
+            r[:, i] -= e[:, i, i] * g_ij**2 * e[:, i, j] ** 2
+            for k in range(p):
+                if k != i:
+                    r[:, i] += g_ij / (lam[i] - lam[k]) * e[:, i, j] * e[:, j, k] * e[:, k, i]
+    second = q / total - first * u
+    third = (r - q * u + diag * u**2 - lam * u**3) / total
+    return sample_rates(spec, n, "wishart", replicates, seed), first, second, third
+
+
+def _bias_controls(spec, n, seed, replicates):
+    """Per-replicate rates d, corrections c and third-order terms t, each (replicates, p).
+
+    c is the first- plus the second-order term less the second's exact mean
+    (bias_expansion - lambda / T), and t the third-order term less its
+    exact mean, as ``simulate_bias(control_variate=True)`` forms them.
+    """
+    d, first, second, third = _expansion_terms(spec, n, seed, replicates)
+    lam = spec.values
+    c = first + second - (bias_expansion(spec, n) - lam / lam.sum())
+    return d, c, third - evaluation._third_order_means(lam, n)
 
 
 def _cross_fitted(spec, n, seed, replicates, y):
@@ -567,9 +593,8 @@ def _streamed_and_per_replicate(engine, replicates):
 
     The values, shape (replicates, k), are rebuilt here from scatter_chunk:
     the sample rates for simulate_bias, with the control variate less
-    their cross-fitted fit on the corrections c_2..c_p, c_i the first- and
-    second-order terms of d_i's expansion less the second-order term's
-    exact mean (bias_expansion - lambda / T); the loss rows
+    their cross-fitted fit on the corrections c_2..c_p and the third-order
+    terms t_2..t_p of ``_bias_controls``; the loss rows
     and the paired differences for compare_risks, less their cross-fitted
     control-variate fit for either loss; and the trace, G and
     trace - G for each weight vector for simulate_stein_haff. The "bias-p3"
@@ -586,9 +611,8 @@ def _streamed_and_per_replicate(engine, replicates):
         control_variate = engine == "bias-p3-cv"
         sim = simulate_bias(spec, n, "wishart", replicates, seed=seed, control_variate=control_variate)
         if control_variate:
-            d, first, second = _expansion_terms(spec, n, seed, replicates)
-            corrections = first + second - (bias_expansion(spec, n) - spec.values / spec.values.sum())
-            values = _parity_fitted(corrections[:, 1:], d)
+            d, c, t = _bias_controls(spec, n, seed, replicates)
+            values = _parity_fitted(np.hstack([c[:, 1:], t[:, 1:]]), d)
         else:
             values = sample_rates(spec, n, "wishart", replicates, seed)
         return sim.mean_rates, sim.std_errors, values
@@ -804,7 +828,7 @@ def test_second_order_cv_tightens_first_order():
     # subtracting the second-order term too cuts the SE well below what the
     # first-order control variate alone reaches, and moves the mean by noise
     spec, n, seed, replicates = Spectrum((0.5, 0.3, 0.2)), 400, 37, 3 * 4096
-    d, first, _ = _expansion_terms(spec, n, seed, replicates)
+    d, first, *_ = _expansion_terms(spec, n, seed, replicates)
     first_order = d - first
     first_mean = first_order.mean(axis=0)
     first_se = first_order.std(axis=0, ddof=1) / np.sqrt(replicates)
@@ -820,10 +844,22 @@ def test_control_variate_beats_first_order_at_small_n():
     # first-order control variate; the fitted coefficients leave under half
     # its worst per-replicate variance
     spec, n, seed, replicates = Spectrum((0.5, 0.3, 0.2)), 30, 5, 16 * CHUNK_SIZE
-    d, first, _ = _expansion_terms(spec, n, seed, replicates)
+    d, first, *_ = _expansion_terms(spec, n, seed, replicates)
     first_order = (d - first).var(axis=0, ddof=1).max()
     cv = simulate_bias(spec, n, "wishart", replicates, seed=seed, control_variate=True)
     assert (cv.std_errors**2 * replicates).max() < 0.5 * first_order
+
+
+@pytest.mark.parametrize("n, factor", [(30, 1.0), (200, 0.5), (400, 0.5)])
+def test_third_order_controls_cut_the_second_order_fit(n, factor):
+    # the third-order terms halve the worst per-replicate variance left by
+    # the fit on c_2..c_p alone where the expansion converges (n = 200, 400),
+    # and do not raise it where the remainder is large (n = 30)
+    spec, seed, replicates = Spectrum((0.5, 0.3, 0.2)), 5, 16 * CHUNK_SIZE
+    d, c, _ = _bias_controls(spec, n, seed, replicates)
+    second_order = _parity_fitted(c[:, 1:], d).var(axis=0, ddof=1).max()
+    cv = simulate_bias(spec, n, "wishart", replicates, seed=seed, control_variate=True)
+    assert (cv.std_errors**2 * replicates).max() < factor * second_order
 
 
 @pytest.mark.parametrize("n", [30, 200])
@@ -842,17 +878,19 @@ def test_bias_control_variate_se_is_calibrated(n):
 @pytest.mark.parametrize("spec", [Spectrum((0.5, 0.3, 0.2)), Spectrum((0.4, 0.3, 0.2, 0.1))], ids=["p3", "p4"])
 @pytest.mark.parametrize("n", [30, 200])
 def test_bias_corrections_have_mean_zero_and_sum_to_zero(spec, n):
-    # every coordinate's correction averages to zero within 4 SEs over 40
-    # chunks, and each draw's corrections, each of order 0.1, sum to zero
-    # to rounding, which is why the engine fits on all but the first
+    # every coordinate's correction c_i and third-order term t_i averages to
+    # zero within 4 SEs over 40 chunks, and each draw's c_i, each of order
+    # 0.1, sum to zero to rounding, as do its t_i, which is why the engine
+    # fits on all but the first of each
     lam = spec.values
-    offset = bias_expansion(spec, n) - lam / lam.sum()
+    p = lam.size
+    offset = np.concatenate([bias_expansion(spec, n) - lam / lam.sum(), evaluation._third_order_means(lam, n)])
     worst_sum = []
 
     def stat(s, l, d, q):
-        c = np.empty((lam.size, s.shape[0]))
+        c = np.empty((2 * p, s.shape[0]))
         evaluation._bias_corrections(s, lam, n, offset, c)
-        worst_sum.append(np.abs(c.sum(axis=0)).max())
+        worst_sum.append(max(np.abs(c[:p].sum(axis=0)).max(), np.abs(c[p:].sum(axis=0)).max()))
         return evaluation._comoments(c)
 
     args = (spec, n, "wishart", 40 * CHUNK_SIZE, 23, 2, False, stat, evaluation._combine)
@@ -861,15 +899,15 @@ def test_bias_corrections_have_mean_zero_and_sum_to_zero(spec, n):
     assert max(worst_sum) < 1e-14
 
 
-@pytest.mark.parametrize("replicates, fitted", [(119, False), (120, True)])
+@pytest.mark.parametrize("replicates, fitted", [(219, False), (220, True)])
 def test_bias_control_variate_fits_from_the_floor(replicates, fitted):
-    # p = 6 fits c_2..c_6 and an intercept, 60 rows a fold: 119 replicates
-    # leave the odd fold 59, and the corrected rates z = d - c are averaged
-    # unfitted; 120 cross-fit them, as the rates less the fit on c_2..c_6
+    # p = 6 fits c_2..c_6, t_2..t_6 and an intercept, 110 rows a fold: 219
+    # replicates leave the odd fold 109, and the corrected rates z = d - c
+    # are averaged unfitted; 220 cross-fit them, as the rates less the fit
+    # on c_2..c_6 and t_2..t_6
     spec, n, seed = Spectrum((0.3, 0.25, 0.18, 0.12, 0.1, 0.05)), 20, 13
-    d, first, second = _expansion_terms(spec, n, seed, replicates)
-    corrections = first + second - (bias_expansion(spec, n) - spec.values / spec.values.sum())
-    values = _parity_fitted(corrections[:, 1:], d) if fitted else d - corrections
+    d, c, t = _bias_controls(spec, n, seed, replicates)
+    values = _parity_fitted(np.hstack([c[:, 1:], t[:, 1:]]), d) if fitted else d - c
     cv = simulate_bias(spec, n, "wishart", replicates, seed=seed, control_variate=True)
     np.testing.assert_allclose(cv.mean_rates, values.mean(axis=0), rtol=1e-12, atol=0)
     se = values.std(axis=0, ddof=1) / np.sqrt(replicates)
