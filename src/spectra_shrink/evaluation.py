@@ -4,9 +4,11 @@ Every engine runs through one chunked runner: sample a chunk of scatter
 draws (see sampling), decompose it, and reduce it. Each chunk's reduction
 is folded into a running result in chunk order, so results are identical
 for any worker count. Every mean and standard error comes from one
-accumulator, a chunk's (count, mean, full co-moment matrix) of its
-statistics merged by the pairwise update; only ``sample_rates`` keeps
-per-replicate arrays.
+estimator: a chunk's even and odd replicates (its parity folds) each give a
+(count, mean, full co-moment matrix), merged fold by fold in chunk order,
+and ``_cross_fitted`` fits each fold on exact-mean controls with the other
+fold's coefficients; a plain run has an empty control basis. Only
+``sample_rates`` keeps per-replicate arrays.
 All estimators are always evaluated on the same draws: risk comparisons
 are paired by construction.
 """
@@ -372,10 +374,9 @@ def _combine(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
     )
 
 
-def _mean_se(merged: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error from one merged (count, mean, M), read off M's diagonal."""
-    count, mean, m = merged
-    return mean, np.sqrt(np.diagonal(m) / (count - 1)) / sqrt(count)
+def _parity_comoments(x: np.ndarray) -> tuple:
+    """``_comoments`` of the even and the odd columns of a (k, rows) array, each copied contiguous."""
+    return tuple(_comoments(x[:, f::2].copy()) for f in (0, 1))
 
 
 def _combine_folds(a: tuple, b: tuple) -> tuple:
@@ -389,11 +390,12 @@ def _fitted_controls(n_controls: int, replicates: int) -> int:
     CHUNK_SIZE is even, so a row's parity within its chunk is the parity
     of its replicate index, and the odd fold holds replicates // 2 rows.
     """
+    _check_replicates(replicates)
     return n_controls if replicates // 2 >= 10 * (n_controls + 1) else 0
 
 
 def _cross_fitted(folds: tuple, n_controls: int) -> tuple[np.ndarray, np.ndarray]:
-    """Control-variate means and SEs from two folds' merged (count, mean, M).
+    """Every engine's means and SEs, from its two folds' merged (count, mean, M).
 
     The first ``n_controls`` rows are controls c with mean exactly zero,
     the rest the outputs y, and M is each fold's full co-moment matrix.
@@ -401,8 +403,9 @@ def _cross_fitted(folds: tuple, n_controls: int) -> tuple[np.ndarray, np.ndarray
     coefficients b = M_cc^-1 M_cy, z = y - b'c, so no draw is corrected
     with a fit it took part in and the mean stays unbiased. z's fold mean
     and co-moments M_zz = M_yy - b'M_cy - M_yc b + b'M_cc b follow from y's
-    alone, and the two folds are merged as two chunks of z; with no
-    controls b is empty and z = y.
+    alone, and the two folds are merged as two chunks of z, the SEs read off
+    M's diagonal. With no controls (a plain run, below the floor, elliptical
+    draws) b is empty, nothing is solved, and z = y: the plain estimates.
     """
     c, y = slice(0, n_controls), slice(n_controls, None)
     fits = [np.linalg.solve(m[c, c], m[c, y]) if n_controls else m[c, y] for _, _, m in folds]
@@ -411,7 +414,8 @@ def _cross_fitted(folds: tuple, n_controls: int) -> tuple[np.ndarray, np.ndarray
         cross = b.T @ m[c, y]
         m_zz = m[y, y] - cross - cross.T + b.T @ (m[c, c] @ b)
         corrected.append((count, mean[y] - b.T @ mean[c], m_zz))
-    return _mean_se(_combine(*corrected))
+    count, mean, m = _combine(*corrected)
+    return mean, np.sqrt(np.diagonal(m) / (count - 1)) / sqrt(count)
 
 
 def sample_rates(
@@ -445,56 +449,51 @@ def simulate_bias(
 ) -> BiasSimulation:
     """Monte Carlo means and standard errors of the sample rates.
 
-    With ``control_variate`` each draw's rates d are taken less their
-    corrections c, the first- and second-order terms of their expansion
-    less the second-order term's exact mean, and z = d - c is regressed on
-    c_2..c_p and on the third-order terms t_2..t_p, each less its exact
-    mean (see ``_bias_corrections``), with coefficients cross-fitted on the
-    even and odd replicates as in ``compare_risks``, so the means stay
-    unbiased. c_1 and t_1 are left out because the c_i, and the t_i, sum to
-    zero exactly. The remainder left after the second-order term falls
-    like n^-3/2, so the t_i matter most at large n: at p = 3,
-    (0.5, 0.3, 0.2), the worst coordinate's per-replicate variance is 1.15x,
-    1.6x, 2.7x, 5.4x and 11x below the fit on c_2..c_p alone at n = 30,
-    100, 200, 400 and 800 (7.0e-6 -> 2.6e-6 at n = 200). Below 10 rows a
-    fold per fitted coefficient (2(p - 1) controls and an intercept, so
+    Without ``control_variate`` the cross-fit's control basis is empty,
+    under either law, and no correction is computed. With
+    ``control_variate`` each draw's rates d are taken less their corrections
+    c, the first- and second-order terms of their expansion less the
+    second-order term's exact mean, and z = d - c is regressed on c_2..c_p
+    and on the third-order terms t_2..t_p, each less its exact mean (see
+    ``_bias_corrections``), with coefficients cross-fitted on the parity
+    folds, so the means stay unbiased. c_1 and t_1 are left out because the
+    c_i, and the t_i, sum to zero exactly. The remainder left after the
+    second-order term falls like n^-3/2, so the t_i matter most at large n:
+    at p = 3, (0.5, 0.3, 0.2), the worst coordinate's per-replicate variance
+    is 1.15x, 1.6x, 2.7x, 5.4x and 11x below the fit on c_2..c_p alone at
+    n = 30, 100, 200, 400 and 800 (7.0e-6 -> 2.6e-6 at n = 200). Below 10 rows
+    a fold per fitted coefficient (2(p - 1) controls and an intercept, so
     never at p = 3, and from 220 replicates at p = 6) z is averaged
-    unfitted. Wishart only, with distinct population eigenvalues: a
-    (nearly) repeated one is refused by ``bias_expansion`` before any draw.
+    unfitted. Wishart only, with distinct population eigenvalues: a (nearly)
+    repeated one is refused by ``bias_expansion`` before any draw.
     """
     kind, _ = sampling.parse_distribution(distribution)
     if control_variate and kind != "wishart":
         raise ValueError("the control-variate estimator requires Wishart sampling")
     lam = spectrum.values
     p = lam.size
+    n_controls = 0
     if control_variate:
         second = bias_expansion(spectrum, n) - lam / lam.sum()
         offset = np.concatenate([second, _third_order_means(lam, n)])
-        _check_replicates(replicates)
         n_controls = _fitted_controls(2 * (p - 1), replicates)
-
-    def fold_comoments(c, d):
-        # one contiguous array a fold: the co-moments of a strided view of
-        # the whole chunk's cost twice as much
-        x = np.empty((n_controls + p, c.shape[1]))
-        if n_controls:
-            x[: p - 1] = c[1:p]
-            x[p - 1 : n_controls] = c[p + 1 :]
-        np.subtract(d.T, c[:p], out=x[n_controls:])
-        return _comoments(x)
 
     def stat(s, l, d, q):
         # Columns-first (p, rows): at p = 3 the closed-form eigenvalues, and
         # so the rates, are column-major, and d.T is contiguous.
         if not control_variate:
-            return _comoments(d.T)
+            return _parity_comoments(d.T)
         c = np.empty((2 * p, s.shape[0]))
         _bias_corrections(s, lam, n, offset, c)
-        return tuple(fold_comoments(c[:, f::2], d[f::2]) for f in (0, 1))
+        x = np.empty((n_controls + p, s.shape[0]))
+        if n_controls:
+            x[: p - 1] = c[1:p]
+            x[p - 1 : n_controls] = c[p + 1 :]
+        np.subtract(d.T, c[:p], out=x[n_controls:])
+        return _parity_comoments(x)
 
-    fold = _combine_folds if control_variate else _combine
-    merged = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, False, stat, fold)
-    mean, se = _cross_fitted(merged, n_controls) if control_variate else _mean_se(merged)
+    merged = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, False, stat, _combine_folds)
+    mean, se = _cross_fitted(merged, n_controls)
     return BiasSimulation(mean_rates=mean, std_errors=se, replicates=replicates)
 
 
@@ -744,12 +743,9 @@ def compare_risks(
     Each loss and paired difference is regressed on a basis of functions of
     S alone, with coefficients cross-fitted on the even and odd replicates,
     each fold corrected with the other fold's, so the means stay unbiased.
-    Each chunk's fold co-moments are merged into the running ones in chunk
-    order as soon as the chunk is done, so memory does not grow with
-    ``replicates``. The law and the count alone set the basis. Under Wishart
-    sampling it holds functions whose means are exactly zero for the
-    sampler's scale diag(lambda), lambda = ``spectrum.values`` (see
-    ``_wishart_controls``): e_k = S_kk/(n lambda_k) - 1, S_ij^2/(n lambda_i
+    The law and the count alone set the basis. Under Wishart sampling it
+    holds functions whose means are exactly zero for the sampler's scale
+    diag(lambda), lambda = ``spectrum.values`` (see ``_wishart_controls``): e_k = S_kk/(n lambda_k) - 1, S_ij^2/(n lambda_i
     lambda_j) - 1 (i < j), e_k^2 - 2/n, e_i e_j (i < j), log det S less its
     Bartlett mean, and tr S^3 over its Wishart mean, less 1: p^2 + p + 2
     controls. At n >= p + 16, where tr S^-2 has a finite fourth moment,
@@ -767,13 +763,13 @@ def compare_risks(
     tau = lam / lam.sum()
     need_vectors = loss_kind == "entropy"
     trace_means = _trace_means(lam, n)
-    n_controls = spectrum.p * spectrum.p + spectrum.p + 1 + trace_means.size
-    _check_replicates(replicates)
+    n_controls = _fitted_controls(spectrum.p * spectrum.p + spectrum.p + 1 + trace_means.size, replicates)
     if sampling.parse_distribution(distribution)[0] != "wishart":
         n_controls = 0
-    n_controls = _fitted_controls(n_controls, replicates)
     log_det_mean = _log_det_mean(lam, n) if n_controls else None
 
+    # Each fold writes its controls straight into its own array: gathering a
+    # chunk's 114 control rows into the folds took the p = 10 stat 4.6 -> 5.1 ms.
     def fold_comoments(s, l, losses):
         x = np.empty((n_controls + 2 * k - 1, s.shape[0]))
         if n_controls:
@@ -826,8 +822,9 @@ def simulate_stein_haff(
     """Check E[tr(estimate Sigma^-1)] = E[G] empirically under Wishart draws.
 
     One check per weight vector, all on the same draws: each chunk's traces
-    and G values are formed for every weight vector at once. A draw with
-    tied sample eigenvalues, where G is not finite, raises RuntimeError.
+    and G values are formed for every weight vector at once, and the
+    cross-fit's control basis is empty. A draw with tied sample eigenvalues,
+    where G is not finite, raises RuntimeError.
     """
     betas = _stack_betas(weights_list, spectrum.p)
     tau = spectrum.values / spectrum.values.sum()
@@ -840,10 +837,10 @@ def simulate_stein_haff(
             raise RuntimeError(
                 "sampled scatter matrix with tied eigenvalues; the G functional is not finite"
             )
-        return _comoments(np.concatenate([trace, g, trace - g]))
+        return _parity_comoments(np.concatenate([trace, g, trace - g]))
 
-    merged = _run_chunks(spectrum, n, "wishart", replicates, seed, jobs, True, stat, _combine)
-    means, ses = _mean_se(merged)
+    merged = _run_chunks(spectrum, n, "wishart", replicates, seed, jobs, True, stat, _combine_folds)
+    means, ses = _cross_fitted(merged, 0)
     return [
         SteinHaffCheck(
             mean_trace=float(means[j]),

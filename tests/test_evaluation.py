@@ -598,23 +598,25 @@ def _streamed_and_per_replicate(engine, replicates):
     and the paired differences for compare_risks, less their cross-fitted
     control-variate fit for either loss; and the trace, G and
     trace - G for each weight vector for simulate_stein_haff. The "bias-p3"
-    engines run (0.5, 0.3, 0.2) through the 3 x 3 closed form, and the
-    "-n20" risk engines run at n = 20 = p + 16, where tr S^-1 and tr S^-2
-    join the controls.
+    engines run (0.5, 0.3, 0.2) through the 3 x 3 closed form, "bias-t5"
+    runs the plain rates under the elliptical t law with 5 degrees of
+    freedom, and the "-n20" risk engines run at n = 20 = p + 16, where
+    tr S^-1 and tr S^-2 join the controls.
     """
     spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
     if engine.endswith("-n20"):
         engine, n = engine.removesuffix("-n20"), 20
     if engine.startswith("bias"):
-        if engine != "bias":
+        if engine.startswith("bias-p3"):
             spec = Spectrum((0.5, 0.3, 0.2))
+        distribution = "t:5" if engine == "bias-t5" else "wishart"
         control_variate = engine == "bias-p3-cv"
-        sim = simulate_bias(spec, n, "wishart", replicates, seed=seed, control_variate=control_variate)
+        sim = simulate_bias(spec, n, distribution, replicates, seed=seed, control_variate=control_variate)
         if control_variate:
             d, c, t = _bias_controls(spec, n, seed, replicates)
             values = _parity_fitted(np.hstack([c[:, 1:], t[:, 1:]]), d)
         else:
-            values = sample_rates(spec, n, "wishart", replicates, seed)
+            values = sample_rates(spec, n, distribution, replicates, seed)
         return sim.mean_rates, sim.std_errors, values
     weights = [classical_weights(4, n), family_weights(4, n, 1)]
     betas = np.stack([w.beta for w in weights])
@@ -653,16 +655,25 @@ _STREAM_REPS = [1000, 4096, 4096 + 1, 2 * 4096 + 123]
     + [
         pytest.param(engine, r, id=f"{engine}-{r}")
         for engine in (
-            "bias-p3", "bias-p3-cv", "quadratic", "entropy", "stein-haff", "entropy-n20", "quadratic-n20"
+            "bias-p3", "bias-p3-cv", "quadratic", "entropy", "stein-haff", "entropy-n20", "quadratic-n20",
+            "bias-t5",
         )
         for r in _STREAM_REPS
     ],
 )
-def test_streamed_bias_moments_match_concatenated_rates(engine, replicates):
+def test_streamed_bias_moments_match_concatenated_rates(engine, replicates, monkeypatch):
     # one partial chunk, one full chunk, a one-row last chunk (its odd
     # replicate-parity fold is empty) and a partial last chunk, per engine;
     # the risks run at n = 12 and n = 20, not at n = 30, where the
-    # co-moment cross-fit reproduces the SEs only to about 1.1e-12
+    # co-moment cross-fit reproduces the SEs only to about 1.1e-12. The
+    # plain engines run the same cross-fit with an empty control basis,
+    # and compute no control or correction.
+    if engine in ("bias", "bias-p3", "bias-t5", "stein-haff"):
+        def unused(*args):
+            raise AssertionError("an empty control basis computes no control")
+
+        for name in ("_bias_corrections", "_third_order_means", "_wishart_controls", "_log_det_mean"):
+            monkeypatch.setattr(evaluation, name, unused)
     means, ses, values = _streamed_and_per_replicate(engine, replicates)
     np.testing.assert_allclose(means, values.mean(axis=0), rtol=1e-12, atol=0)
     se = values.std(axis=0, ddof=1) / np.sqrt(replicates)
@@ -806,10 +817,10 @@ def test_wishart_controls_have_mean_zero(spec, n, n_spectral):
     def stat(s, l, d, q):
         controls = np.empty((p * p + p + 1 + n_spectral, s.shape[0]))
         evaluation._wishart_controls(s, l, lam, n, log_det_mean, trace_means, controls)
-        return evaluation._comoments(controls)
+        return evaluation._parity_comoments(controls)
 
-    args = (spec, n, "wishart", 40 * CHUNK_SIZE, 23, 2, False, stat, evaluation._combine)
-    means, ses = evaluation._mean_se(evaluation._run_chunks(*args))
+    args = (spec, n, "wishart", 40 * CHUNK_SIZE, 23, 2, False, stat, evaluation._combine_folds)
+    means, ses = evaluation._cross_fitted(evaluation._run_chunks(*args), 0)
     assert np.all(np.abs(means) < 4 * ses), np.abs(means / ses).max()
 
 
@@ -891,10 +902,10 @@ def test_bias_corrections_have_mean_zero_and_sum_to_zero(spec, n):
         c = np.empty((2 * p, s.shape[0]))
         evaluation._bias_corrections(s, lam, n, offset, c)
         worst_sum.append(max(np.abs(c[:p].sum(axis=0)).max(), np.abs(c[p:].sum(axis=0)).max()))
-        return evaluation._comoments(c)
+        return evaluation._parity_comoments(c)
 
-    args = (spec, n, "wishart", 40 * CHUNK_SIZE, 23, 2, False, stat, evaluation._combine)
-    means, ses = evaluation._mean_se(evaluation._run_chunks(*args))
+    args = (spec, n, "wishart", 40 * CHUNK_SIZE, 23, 2, False, stat, evaluation._combine_folds)
+    means, ses = evaluation._cross_fitted(evaluation._run_chunks(*args), 0)
     assert np.all(np.abs(means) < 4 * ses), np.abs(means / ses).max()
     assert max(worst_sum) < 1e-14
 
