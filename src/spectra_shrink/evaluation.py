@@ -768,22 +768,14 @@ def compare_risks(
         n_controls = 0
     log_det_mean = _log_det_mean(lam, n) if n_controls else None
 
-    # Each fold writes its controls straight into its own array: gathering a
-    # chunk's 114 control rows into the folds took the p = 10 stat 4.6 -> 5.1 ms.
-    def fold_comoments(s, l, losses):
+    def stat(s, l, d, q):
         x = np.empty((n_controls + 2 * k - 1, s.shape[0]))
         if n_controls:
             _wishart_controls(s, l, lam, n, log_det_mean, trace_means, x[:n_controls])
-        x[n_controls : n_controls + k] = losses
+        losses = x[n_controls : n_controls + k]
+        losses[:] = _entropy_losses(d, q, betas, tau) if need_vectors else _quadratic_losses(d, betas, tau)
         np.subtract(losses[1:], losses[0], out=x[n_controls + k :])
-        return _comoments(x)
-
-    def stat(s, l, d, q):
-        if need_vectors:
-            losses = _entropy_losses(d, q, betas, tau)
-        else:
-            losses = _quadratic_losses(d, betas, tau)
-        return tuple(fold_comoments(s[f::2], l[f::2], losses[:, f::2]) for f in (0, 1))
+        return _parity_comoments(x)
 
     merged = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, need_vectors, stat, _combine_folds)
     means, ses = _cross_fitted(merged, n_controls)
