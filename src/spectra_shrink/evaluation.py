@@ -4,11 +4,8 @@ Every engine runs through one chunked runner: sample a chunk of scatter
 draws (see sampling), decompose it, and reduce it. Each chunk's reduction
 is folded into a running result in chunk order, so results are identical
 for any worker count. Every mean and standard error comes from one
-estimator: a chunk's even and odd replicates (its parity folds) each give a
-(count, mean, full co-moment matrix), merged fold by fold in chunk order,
-and ``_cross_fitted`` fits each fold on exact-mean controls with the other
-fold's coefficients; a plain run has an empty control basis. Only
-``sample_rates`` keeps per-replicate arrays.
+estimator, ``_estimate``, the parity-fold cross-fit; a plain run has an
+empty control basis. Only ``sample_rates`` keeps per-replicate arrays.
 All estimators are always evaluated on the same draws: risk comparisons
 are paired by construction.
 """
@@ -374,16 +371,6 @@ def _combine(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
     )
 
 
-def _parity_comoments(x: np.ndarray) -> tuple:
-    """``_comoments`` of the even and the odd columns of a (k, rows) array, each copied contiguous."""
-    return tuple(_comoments(x[:, f::2].copy()) for f in (0, 1))
-
-
-def _combine_folds(a: tuple, b: tuple) -> tuple:
-    """Each replicate-parity fold's (count, mean, M) of chunk a followed by chunk b."""
-    return tuple(_combine(x, y) for x, y in zip(a, b))
-
-
 def _fitted_controls(n_controls: int, replicates: int) -> int:
     """``n_controls``, or 0 below 10 rows a fold per fitted coefficient (the controls and an intercept).
 
@@ -395,17 +382,13 @@ def _fitted_controls(n_controls: int, replicates: int) -> int:
 
 
 def _cross_fitted(folds: tuple, n_controls: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every engine's means and SEs, from its two folds' merged (count, mean, M).
+    """Means and SEs from the two folds' merged (count, mean, M), first ``n_controls`` rows controls c.
 
-    The first ``n_controls`` rows are controls c with mean exactly zero,
-    the rest the outputs y, and M is each fold's full co-moment matrix.
-    Fold f's outputs are corrected with the other fold's least-squares
-    coefficients b = M_cc^-1 M_cy, z = y - b'c, so no draw is corrected
-    with a fit it took part in and the mean stays unbiased. z's fold mean
-    and co-moments M_zz = M_yy - b'M_cy - M_yc b + b'M_cc b follow from y's
+    Fold f's outputs y are corrected with the other fold's least-squares
+    coefficients b = M_cc^-1 M_cy, z = y - b'c. z's fold mean and
+    co-moments M_zz = M_yy - b'M_cy - M_yc b + b'M_cc b follow from y's
     alone, and the two folds are merged as two chunks of z, the SEs read off
-    M's diagonal. With no controls (a plain run, below the floor, elliptical
-    draws) b is empty, nothing is solved, and z = y: the plain estimates.
+    M's diagonal. With no controls b is empty, nothing is solved, and z = y.
     """
     c, y = slice(0, n_controls), slice(n_controls, None)
     fits = [np.linalg.solve(m[c, c], m[c, y]) if n_controls else m[c, y] for _, _, m in folds]
@@ -416,6 +399,27 @@ def _cross_fitted(folds: tuple, n_controls: int) -> tuple[np.ndarray, np.ndarray
         corrected.append((count, mean[y] - b.T @ mean[c], m_zz))
     count, mean, m = _combine(*corrected)
     return mean, np.sqrt(np.diagonal(m) / (count - 1)) / sqrt(count)
+
+
+def _estimate(spectrum, n, distribution, replicates, seed, jobs, need_vectors, n_controls, stat):
+    """Every moment engine's means and SEs: the parity-fold cross-fit of ``stat``'s rows.
+
+    ``stat(s, l, d, q)`` runs on each parity fold (even, then odd replicates)
+    of every chunk and returns a fresh C-contiguous (k, rows) array, the
+    ``n_controls`` controls, each of mean exactly zero, first. The folds'
+    (count, mean, co-moments) merge fold by fold in chunk order, and each
+    fold is corrected with the other's fit, so no draw is corrected with a
+    fit it took part in; with no controls the estimates are plain.
+    """
+
+    def folds(s, l, d, q):
+        return tuple(
+            _comoments(stat(s[f::2], l[f::2], d[f::2], None if q is None else q[f::2])) for f in (0, 1)
+        )
+
+    merged = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, need_vectors, folds,
+                         lambda a, b: tuple(map(_combine, a, b)))
+    return _cross_fitted(merged, n_controls)
 
 
 def sample_rates(
@@ -449,8 +453,8 @@ def simulate_bias(
 ) -> BiasSimulation:
     """Monte Carlo means and standard errors of the sample rates.
 
-    Without ``control_variate`` the cross-fit's control basis is empty,
-    under either law, and no correction is computed. With
+    Without ``control_variate`` each fold's rates are reduced as they are,
+    under either law: the cross-fit's control basis is empty. With
     ``control_variate`` each draw's rates d are taken less their corrections
     c, the first- and second-order terms of their expansion less the
     second-order term's exact mean, and z = d - c is regressed on c_2..c_p
@@ -479,10 +483,8 @@ def simulate_bias(
         n_controls = _fitted_controls(2 * (p - 1), replicates)
 
     def stat(s, l, d, q):
-        # Columns-first (p, rows): at p = 3 the closed-form eigenvalues, and
-        # so the rates, are column-major, and d.T is contiguous.
         if not control_variate:
-            return _parity_comoments(d.T)
+            return d.T.copy()
         c = np.empty((2 * p, s.shape[0]))
         _bias_corrections(s, lam, n, offset, c)
         x = np.empty((n_controls + p, s.shape[0]))
@@ -490,10 +492,9 @@ def simulate_bias(
             x[: p - 1] = c[1:p]
             x[p - 1 : n_controls] = c[p + 1 :]
         np.subtract(d.T, c[:p], out=x[n_controls:])
-        return _parity_comoments(x)
+        return x
 
-    merged = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, False, stat, _combine_folds)
-    mean, se = _cross_fitted(merged, n_controls)
+    mean, se = _estimate(spectrum, n, distribution, replicates, seed, jobs, False, n_controls, stat)
     return BiasSimulation(mean_rates=mean, std_errors=se, replicates=replicates)
 
 
@@ -775,10 +776,9 @@ def compare_risks(
         losses = x[n_controls : n_controls + k]
         losses[:] = _entropy_losses(d, q, betas, tau) if need_vectors else _quadratic_losses(d, betas, tau)
         np.subtract(losses[1:], losses[0], out=x[n_controls + k :])
-        return _parity_comoments(x)
+        return x
 
-    merged = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, need_vectors, stat, _combine_folds)
-    means, ses = _cross_fitted(merged, n_controls)
+    means, ses = _estimate(spectrum, n, distribution, replicates, seed, jobs, need_vectors, n_controls, stat)
     return RiskComparison(
         mean_losses=means[:k],
         std_errors=ses[:k],
@@ -829,10 +829,9 @@ def simulate_stein_haff(
             raise RuntimeError(
                 "sampled scatter matrix with tied eigenvalues; the G functional is not finite"
             )
-        return _parity_comoments(np.concatenate([trace, g, trace - g]))
+        return np.concatenate([trace, g, trace - g])
 
-    merged = _run_chunks(spectrum, n, "wishart", replicates, seed, jobs, True, stat, _combine_folds)
-    means, ses = _cross_fitted(merged, 0)
+    means, ses = _estimate(spectrum, n, "wishart", replicates, seed, jobs, True, 0, stat)
     return [
         SteinHaffCheck(
             mean_trace=float(means[j]),

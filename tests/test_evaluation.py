@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from math import fsum, log
 
 import numpy as np
@@ -437,22 +438,24 @@ def test_jobs_do_not_change_results():
     four = simulate_bias(spec, 12, "wishart", 9000, seed=19, jobs=4)
     assert np.array_equal(one.mean_rates, four.mean_rates)
     assert np.array_equal(one.std_errors, four.std_errors)
-    # the control-variate branch at p=3, with a partial last chunk
-    spec = Spectrum((0.5, 0.3, 0.2))
-    one = simulate_bias(spec, 50, "wishart", 3 * 4096 + 77, seed=19, jobs=1, control_variate=True)
-    four = simulate_bias(spec, 50, "wishart", 3 * 4096 + 77, seed=19, jobs=4, control_variate=True)
-    assert np.array_equal(one.mean_rates, four.mean_rates)
-    assert np.array_equal(one.std_errors, four.std_errors)
-    # paired entropy risks and the trace identity, with a partial last chunk
-    spec = Spectrum((0.4, 0.3, 0.2, 0.1))
+    # the control-variate branch at p=3, paired entropy risks and the trace
+    # identity, with a partial last chunk, and with a one-row last chunk,
+    # whose odd fold is empty
     w = [classical_weights(4, 12), family_weights(4, 12, 1)]
-    one = compare_risks(spec, 12, w, "entropy", "wishart", 3 * 4096 + 77, seed=19, jobs=1)
-    four = compare_risks(spec, 12, w, "entropy", "wishart", 3 * 4096 + 77, seed=19, jobs=4)
-    for name in ("mean_losses", "std_errors", "diff_means", "diff_std_errors"):
-        assert np.array_equal(getattr(one, name), getattr(four, name))
-    one = simulate_stein_haff(spec, 12, w, 3 * 4096 + 77, seed=19, jobs=1)
-    four = simulate_stein_haff(spec, 12, w, 3 * 4096 + 77, seed=19, jobs=4)
-    assert one == four
+    for replicates in (3 * 4096 + 77, 4096 + 1):
+        spec = Spectrum((0.5, 0.3, 0.2))
+        one = simulate_bias(spec, 50, "wishart", replicates, seed=19, jobs=1, control_variate=True)
+        four = simulate_bias(spec, 50, "wishart", replicates, seed=19, jobs=4, control_variate=True)
+        assert np.array_equal(one.mean_rates, four.mean_rates)
+        assert np.array_equal(one.std_errors, four.std_errors)
+        spec = Spectrum((0.4, 0.3, 0.2, 0.1))
+        one = compare_risks(spec, 12, w, "entropy", "wishart", replicates, seed=19, jobs=1)
+        four = compare_risks(spec, 12, w, "entropy", "wishart", replicates, seed=19, jobs=4)
+        for name in ("mean_losses", "std_errors", "diff_means", "diff_std_errors"):
+            assert np.array_equal(getattr(one, name), getattr(four, name))
+        one = simulate_stein_haff(spec, 12, w, replicates, seed=19, jobs=1)
+        four = simulate_stein_haff(spec, 12, w, replicates, seed=19, jobs=4)
+        assert one == four
 
 
 def test_fold_takes_the_chunks_in_order(monkeypatch):
@@ -478,6 +481,56 @@ def test_fold_takes_the_chunks_in_order(monkeypatch):
     fail_at = 1
     with pytest.raises(RuntimeError, match="chunk failed"):
         evaluation._run_chunks(*args, 3, False, stat, fold)
+
+
+def _risks_at_row1(loss):
+    w = [classical_weights(10, 30), family_weights(10, 30, 1), family_weights(10, 30, 2)]
+    return lambda: compare_risks(table2_spectrum(1), 30, w, loss, "wishart", CHUNK_SIZE, seed=1)
+
+
+@pytest.mark.parametrize(
+    "engine, k",
+    [
+        # 114 controls, 3 losses and 2 differences at p = 10, n = 30
+        pytest.param(_risks_at_row1("entropy"), 119, id="entropy"),
+        pytest.param(_risks_at_row1("quadratic"), 119, id="quadratic"),
+        # c_2, c_3, t_2, t_3 and 3 rates
+        pytest.param(
+            lambda: simulate_bias(Spectrum((0.5, 0.3, 0.2)), 200, "wishart", CHUNK_SIZE, 1, control_variate=True),
+            7,
+            id="bias-cv",
+        ),
+    ],
+)
+def test_reduce_memory_is_one_fold(monkeypatch, engine, k):
+    # Each stat runs on one parity fold at a time, so the reduce layer holds
+    # about one fold's (k, CHUNK_SIZE / 2) statistics array, not a whole
+    # chunk's and its two fold copies. Sampling and decomposition are stubbed
+    # with one chunk, computed before the traced call.
+    cache = {}
+    sample, decompose = sampling.scatter_chunk, evaluation._batch_rates
+
+    def one_chunk(spectrum, n, distribution, seed, chunk):
+        if "s" not in cache:
+            cache["s"] = sample(spectrum, n, distribution, seed, chunk)
+        return cache["s"]
+
+    def rates(s, need_vectors):
+        if "rates" not in cache:
+            cache["rates"] = decompose(s, need_vectors)
+        return cache["rates"]
+
+    monkeypatch.setattr(sampling, "scatter_chunk", one_chunk)
+    monkeypatch.setattr(evaluation, "_batch_rates", rates)
+    engine()
+    fold = k * (CHUNK_SIZE // 2) * 8
+    tracemalloc.start()
+    try:
+        engine()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * fold, peak / fold
 
 
 def _expansion_terms(spec, n, seed, replicates):
@@ -817,10 +870,9 @@ def test_wishart_controls_have_mean_zero(spec, n, n_spectral):
     def stat(s, l, d, q):
         controls = np.empty((p * p + p + 1 + n_spectral, s.shape[0]))
         evaluation._wishart_controls(s, l, lam, n, log_det_mean, trace_means, controls)
-        return evaluation._parity_comoments(controls)
+        return controls
 
-    args = (spec, n, "wishart", 40 * CHUNK_SIZE, 23, 2, False, stat, evaluation._combine_folds)
-    means, ses = evaluation._cross_fitted(evaluation._run_chunks(*args), 0)
+    means, ses = evaluation._estimate(spec, n, "wishart", 40 * CHUNK_SIZE, 23, 2, False, 0, stat)
     assert np.all(np.abs(means) < 4 * ses), np.abs(means / ses).max()
 
 
@@ -902,10 +954,9 @@ def test_bias_corrections_have_mean_zero_and_sum_to_zero(spec, n):
         c = np.empty((2 * p, s.shape[0]))
         evaluation._bias_corrections(s, lam, n, offset, c)
         worst_sum.append(max(np.abs(c[:p].sum(axis=0)).max(), np.abs(c[p:].sum(axis=0)).max()))
-        return evaluation._parity_comoments(c)
+        return c
 
-    args = (spec, n, "wishart", 40 * CHUNK_SIZE, 23, 2, False, stat, evaluation._combine_folds)
-    means, ses = evaluation._cross_fitted(evaluation._run_chunks(*args), 0)
+    means, ses = evaluation._estimate(spec, n, "wishart", 40 * CHUNK_SIZE, 23, 2, False, 0, stat)
     assert np.all(np.abs(means) < 4 * ses), np.abs(means / ses).max()
     assert max(worst_sum) < 1e-14
 
