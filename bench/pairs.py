@@ -134,17 +134,43 @@ def summarise(pairs: list[dict]) -> dict:
     return out
 
 
+def reference_key(item: dict) -> str:
+    """A criterion's name, or a README example's argv less its ``--out`` pair.
+
+    The ``--out`` path lies inside the checkout that ran the example, so it
+    differs between the two sides and between machines.
+    """
+    if "name" in item:
+        return item["name"]
+    argv = item["argv"]
+    if "--out" in argv:
+        i = argv.index("--out")
+        argv = argv[:i] + argv[i + 2 :]
+    return " ".join(argv)
+
+
 def summarise_reference(pairs: list[dict]) -> dict:
-    """Per acceptance criterion and README example: each side's median wall time and its pass."""
+    """Per acceptance criterion and README example: each side's median wall time and its pass.
+
+    Base and change are paired by ``reference_key``, not by position; every
+    report must hold the first base report's keys.
+    """
+    keyed = [{side: {reference_key(item): item
+                     for section in ("acceptance", "readme_examples") for item in p[side][section]}
+              for side in ("base", "change")} for p in pairs]
+    keys = list(keyed[0]["base"])
+    for k, pair in enumerate(keyed, 1):
+        for side, items in pair.items():
+            if set(items) != set(keys):
+                raise ValueError(f"reference pair {k}, {side} side: items differ from the base's: "
+                                 f"{sorted(set(items) ^ set(keys))}")
     out = {}
-    for section in ("acceptance", "readme_examples"):
-        for i, item in enumerate(pairs[0]["base"][section]):
-            key = item["name"] if section == "acceptance" else " ".join(item["argv"])
-            entry = out[key] = {}
-            for side in ("base", "change"):
-                runs = [p[side][section][i] for p in pairs]
-                entry[f"{side}_median_s"] = statistics.median(r["wall_s"] for r in runs)
-                entry[f"{side}_passed"] = all(r["passed"] for r in runs)
+    for key in keys:
+        entry = out[key] = {}
+        for side in ("base", "change"):
+            runs = [pair[side][key] for pair in keyed]
+            entry[f"{side}_median_s"] = statistics.median(r["wall_s"] for r in runs)
+            entry[f"{side}_passed"] = all(r["passed"] for r in runs)
     return out
 
 

@@ -100,7 +100,7 @@ def named_spectrum(name: str) -> Spectrum:
     ``case:<k>`` (the population spectrum of a spiked case).
     """
     if name == "uniform10":
-        return Spectrum((0.1,) * 10)
+        return table1_spectrum(1)
     for prefix, resolver in (
         ("table1:", table1_spectrum), ("table2:", table2_spectrum), ("case:", spiked_case)
     ):

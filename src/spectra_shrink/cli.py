@@ -42,8 +42,6 @@ __all__ = ["ExperimentSpec", "run", "main"]
 
 SEED_ENV_VAR = "SPECTRA_SHRINK_SEED"
 
-_EXPERIMENT_KINDS = ("bias", "risk", "dimension", "invariance", "stein-haff")
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -81,7 +79,7 @@ class ExperimentSpec:
         A law other than Wishart is refused here for the two kinds whose
         engine takes none, so that it is not silently ignored.
         """
-        if self.kind not in _EXPERIMENT_KINDS:
+        if self.kind not in _RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.kind in ("stein-haff", "invariance") and self.distribution != "wishart":
             law = ("draw Wishart only" if self.kind == "stein-haff"

@@ -13,7 +13,7 @@ still go to LAPACK.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,35 +115,33 @@ class ContributionRates:
 class SampleDecomposition:
     """Spectral decomposition of a scatter matrix.
 
-    ``eigenvalues`` are descending and positive, ``rates`` are the
-    eigenvalues divided by their sum, and the columns of ``eigenvectors``
-    match the eigenvalue order.
+    ``eigenvalues`` are descending and positive, the columns of
+    ``eigenvectors`` match the eigenvalue order, and ``rates`` are formed
+    here as the eigenvalues divided by their sum.
     """
 
     eigenvalues: np.ndarray
-    rates: np.ndarray
     eigenvectors: np.ndarray
+    rates: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         l = _readonly_vector(self.eigenvalues, "eigenvalues")
-        d = _readonly_vector(self.rates, "rates")
         h = _readonly_matrix(self.eigenvectors, "eigenvectors")
         p = l.size
-        if d.size != p or h.shape[0] != p:
-            raise ValueError("eigenvalues, rates and eigenvectors disagree on dimension")
+        if h.shape[0] != p:
+            raise ValueError("eigenvalues and eigenvectors disagree on dimension")
         if np.any(l <= 0.0):
             raise ValueError("sample eigenvalues must be strictly positive")
         if np.any(np.diff(l) > 0.0):
             raise ValueError("sample eigenvalues must be sorted in non-increasing order")
-        total = l.sum()
-        if np.abs(d - l / total).max() > 1e-12 or abs(float(d.sum()) - 1.0) > 1e-12:
-            raise ValueError("rates must equal eigenvalues divided by their sum")
         ortho = np.abs(h.T @ h - np.eye(p)).max()
         if ortho > 1e-8:
             raise ValueError(f"eigenvector matrix is not orthogonal: max |H'H - I| = {ortho:.3e}")
+        d = l / l.sum()
+        d.setflags(write=False)
         object.__setattr__(self, "eigenvalues", l)
-        object.__setattr__(self, "rates", d)
         object.__setattr__(self, "eigenvectors", h)
+        object.__setattr__(self, "rates", d)
 
     @property
     def p(self) -> int:
@@ -259,4 +257,4 @@ def symmetric_eigendecompose(matrix: np.ndarray) -> SampleDecomposition:
     recon_err = np.linalg.norm((h * l) @ h.T - s) / max(np.linalg.norm(s), 1e-300)
     if recon_err > 1e-8:
         raise RuntimeError(f"eigendecomposition failed to reconstruct input ({recon_err:.3e})")
-    return SampleDecomposition(eigenvalues=l, rates=l / l.sum(), eigenvectors=h)
+    return SampleDecomposition(eigenvalues=l, eigenvectors=h)

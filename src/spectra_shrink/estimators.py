@@ -113,29 +113,20 @@ def family_weights(p: int, n: int, q: int) -> ShrinkageWeights:
     m = p // 2
     lower_denoms = n + p - 2 * q + 1.0 - 2 * np.arange(1, m - q + 1)
     upper_denoms = n + p + 2 * q + 1.0 - 2 * np.arange(p - m + q + 1, p + 1)
-    assert np.all(lower_denoms > 0) and np.all(upper_denoms > 0), "weight denominator <= 0"
     beta = np.ones(p)
     beta[: m - q] = n / lower_denoms
     beta[p - m + q :] = n / upper_denoms
     return ShrinkageWeights(beta=beta, dof=int(n), q=int(q))
 
 
-def shrink_estimate(
-    decomp: SampleDecomposition,
-    weights: ShrinkageWeights,
-    normalize: bool = False,
-) -> ContributionRates:
+def shrink_estimate(decomp: SampleDecomposition, weights: ShrinkageWeights) -> ContributionRates:
     """Componentwise product of the weights with the sample rates.
 
-    The raw estimator does not sum to one by design; ``normalize`` rescales
-    for reporting only and defaults off.
+    The estimator does not sum to one by design.
     """
     if weights.p != decomp.p:
         raise ValueError(f"weight length {weights.p} does not match dimension {decomp.p}")
-    est = weights.beta * decomp.rates
-    if normalize:
-        est = est / est.sum()
-    return ContributionRates(est)
+    return ContributionRates(weights.beta * decomp.rates)
 
 
 def plugin_covariance(decomp: SampleDecomposition, estimate: ContributionRates) -> np.ndarray:

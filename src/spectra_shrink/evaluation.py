@@ -13,9 +13,10 @@ are paired by construction.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import fsum, log, sqrt
+from typing import ClassVar
 
 import numpy as np
 
@@ -94,13 +95,22 @@ class SteinHaffCheck:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Per-coordinate two-sample KS comparison of contribution rates."""
+    """Per-coordinate two-sample KS comparison of contribution rates at the 1% level.
+
+    ``critical_value`` is the asymptotic KS critical value at ``alpha`` for
+    two samples of ``replicates`` draws each.
+    """
+
+    alpha: ClassVar[float] = 0.01
 
     statistics: np.ndarray
     p_values: np.ndarray
-    alpha: float
-    critical_value: float
     replicates: int
+    critical_value: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        critical = sqrt(-np.log(self.alpha / 2.0) / 2.0) * sqrt(2.0 / self.replicates)
+        object.__setattr__(self, "critical_value", float(critical))
 
     @property
     def accepted(self) -> bool:
@@ -853,7 +863,6 @@ def invariance_check(
     replicates: int,
     seed: int,
     jobs: int = 1,
-    alpha: float = 0.01,
 ) -> InvarianceReport:
     """Two-sample KS comparison of rates from Wishart vs elliptical-t draws.
 
@@ -861,8 +870,6 @@ def invariance_check(
     rate distribution is the same for every member of the elliptical family,
     so equality should be accepted coordinate by coordinate.
     """
-    if not 0.0 < alpha < 1.0:  # also refuses a NaN
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     elliptical = f"t:{nu}"
     sampling.parse_distribution(elliptical)  # refuse a bad nu before any draw
     d_wishart = sample_rates(spectrum, n, "wishart", replicates, seed, jobs)
@@ -877,11 +884,4 @@ def invariance_check(
         res = ks_2samp(d_wishart[:, i], d_elliptical[:, i])
         stats[i] = res.statistic
         pvals[i] = res.pvalue
-    critical = sqrt(-np.log(alpha / 2.0) / 2.0) * sqrt(2.0 / replicates)
-    return InvarianceReport(
-        statistics=stats,
-        p_values=pvals,
-        alpha=alpha,
-        critical_value=float(critical),
-        replicates=replicates,
-    )
+    return InvarianceReport(statistics=stats, p_values=pvals, replicates=replicates)

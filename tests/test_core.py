@@ -208,15 +208,20 @@ def test_decomposition_type_invariants():
     with pytest.raises(ValueError, match="orthogonal"):
         SampleDecomposition(
             eigenvalues=np.array([2.0, 1.0]),
-            rates=np.array([2 / 3, 1 / 3]),
             eigenvectors=np.array([[1.0, 0.1], [0.0, 1.0]]),
         )
-    with pytest.raises(ValueError, match="rates"):
-        SampleDecomposition(
-            eigenvalues=np.array([2.0, 1.0]),
-            rates=np.array([0.5, 0.5]),
-            eigenvectors=np.eye(2),
-        )
+
+
+def test_decomposition_forms_its_rates():
+    l = np.array([0.7, 0.2, 0.1])
+    dec = SampleDecomposition(eigenvalues=l, eigenvectors=np.eye(3))
+    assert np.array_equal(dec.rates, l / l.sum())
+    assert not dec.rates.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        dec.rates[0] = 1.0
+    # the rates are the eigenvalues' to form, not the caller's
+    with pytest.raises(TypeError, match="rates"):
+        SampleDecomposition(eigenvalues=l, eigenvectors=np.eye(3), rates=l / l.sum())
 
 
 @settings(max_examples=25)

@@ -1,6 +1,6 @@
 import time
 import tracemalloc
-from math import fsum, log
+from math import fsum, log, sqrt
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from scipy.special import digamma
 
 from spectra_shrink import (
     ContributionRates,
+    InvarianceReport,
     ShrinkageWeights,
     Spectrum,
     bias_expansion,
@@ -421,10 +422,20 @@ def test_invariance_rejects_nu_before_sampling(monkeypatch):
     # a fractional nu is refused, not truncated
     with pytest.raises(ValueError, match="malformed"):
         invariance_check(Spectrum((0.5, 0.3, 0.2)), 10, 3.9, 200_000, seed=0)
-    # so is a KS level outside (0, 1), where the critical value has no meaning
-    for alpha in (0.0, 1.0, 2.5, -0.1, float("nan")):
-        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
-            invariance_check(Spectrum((0.5, 0.3, 0.2)), 10, 5, 1000, seed=0, alpha=alpha)
+
+
+@pytest.mark.parametrize("replicates", [500, 5000, 4_000_000])
+def test_invariance_report_tests_at_one_percent(replicates):
+    stats = np.array([0.01, 0.02])
+    report = InvarianceReport(statistics=stats, p_values=np.array([0.0101, 0.5]), replicates=replicates)
+    assert report.critical_value == sqrt(-log(0.005) / 2) * sqrt(2 / replicates)
+    assert report.alpha == 0.01 and report.accepted
+    assert not InvarianceReport(statistics=stats, p_values=np.array([0.0099, 0.5]),
+                                replicates=replicates).accepted
+    # the level and the critical value are derived, not settable
+    for name, value in (("alpha", 0.05), ("critical_value", 0.1)):
+        with pytest.raises(TypeError, match=name):
+            InvarianceReport(statistics=stats, p_values=stats, replicates=replicates, **{name: value})
 
 
 def test_stacking_needs_a_weight_vector():
