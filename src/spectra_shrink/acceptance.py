@@ -19,13 +19,7 @@ import numpy as np
 from . import cases, cli
 from .core import Spectrum
 from .dimension import cumulative_criterion, dimension_experiment_for_spectrum, relative_criterion
-from .estimators import (
-    ShrinkageWeights,
-    check_conditions,
-    classical_weights,
-    condition2_family_bound,
-    family_weights,
-)
+from .estimators import _compared_weights, check_conditions, condition2_family_bound, family_weights
 from .evaluation import bias_expansion, compare_risks, invariance_check, simulate_bias, simulate_stein_haff
 
 __all__ = ["CriterionResult", "run_acceptance", "CRITERIA"]
@@ -65,7 +59,7 @@ def criterion_1_bias_table(jobs: int = 1) -> CriterionResult:
 def criterion_2_quadratic_risk(jobs: int = 1) -> CriterionResult:
     """Reproduce the quadratic-risk table and its strict risk ordering."""
     res = CriterionResult("criterion-02 quadratic risk table (rows 1, 18; ordering all rows)", True)
-    w = [classical_weights(10, 30), family_weights(10, 30, 1), family_weights(10, 30, 2)]
+    w = _compared_weights(10, 30)
     risks = []
     for row in range(1, len(cases.TABLE2_SPECTRA) + 1):
         cmp = compare_risks(
@@ -89,7 +83,7 @@ def criterion_2_quadratic_risk(jobs: int = 1) -> CriterionResult:
 def criterion_3_entropy_dominance(jobs: int = 1) -> CriterionResult:
     """Shrunk plug-in covariances beat the classical one by 3+ paired SEs."""
     res = CriterionResult("criterion-03 entropy dominance on all 18 risk spectra", True)
-    w = [classical_weights(10, 30), family_weights(10, 30, 1), family_weights(10, 30, 2)]
+    w = _compared_weights(10, 30)
     worst = np.inf
     ok = True
     for row in range(1, len(cases.TABLE2_SPECTRA) + 1):
@@ -114,7 +108,7 @@ def criterion_4_condition_identities(jobs: int = 1) -> CriterionResult:
         for q in range(1, (p - 2) // 2 + 1):
             for n in (p, p + 7, 30 + p):
                 w = family_weights(p, n, q)
-                report = check_conditions(w, n)
+                report = check_conditions(w)
                 worst_inv = max(worst_inv, abs(report.c3_value - p))
                 worst_c2 = max(worst_c2, report.c2_value)
                 worst_bound = max(worst_bound, abs(condition2_family_bound(w)))
@@ -129,16 +123,12 @@ def criterion_5_stein_haff(jobs: int = 1) -> CriterionResult:
     """Trace identity within 3 paired SEs at (p,n) = (3,10) and (10,30)."""
     res = CriterionResult("criterion-05 trace identity, 1e5 replicates", True)
     configs = [
-        ("p=3 n=10", Spectrum((0.5, 0.3, 0.2)), 10, 3),
-        ("p=10 n=30", cases.table2_spectrum(5), 30, 10),
+        ("p=3 n=10", Spectrum((0.5, 0.3, 0.2)), 10),
+        ("p=10 n=30", cases.table2_spectrum(5), 30),
     ]
-    for label, spectrum, n, p in configs:
-        weights = [classical_weights(p, n)]
-        if p >= 4:
-            weights.append(family_weights(p, n, 1))
-        else:
-            # the q=1 family degenerates to all-ones below p=4
-            weights.append(ShrinkageWeights(beta=np.ones(p), dof=n))
+    for label, spectrum, n in configs:
+        # the classical weights, and q=1 where the family exists (p >= 4)
+        weights = _compared_weights(spectrum.p, n)[:2]
         checks = simulate_stein_haff(spectrum, n, weights, 100000, seed=105, jobs=jobs)
         for wlabel, c in zip(("beta0", "beta1"), checks):
             margin = abs(c.diff_mean) / c.diff_std_error
@@ -190,7 +180,7 @@ def criterion_7_bias_expansion(jobs: int = 1) -> CriterionResult:
 
 
 def _histograms(case: int, n: int, jobs: int, seed: int):
-    w = [classical_weights(10, n), family_weights(10, n, 1), family_weights(10, n, 2)]
+    w = _compared_weights(10, n)
     crits = [cumulative_criterion(0.8), relative_criterion()]
     hists = dimension_experiment_for_spectrum(cases.spiked_case(case), n, w, crits, 10000, seed, jobs=jobs)
     by_key = {}
@@ -204,15 +194,15 @@ def criterion_8_dimension_n30(jobs: int = 1) -> CriterionResult:
     """Dimension histograms at n=30: named cells within 1.5 points of the table."""
     res = CriterionResult("criterion-08 dimension histograms, n=30", True)
     case1 = _histograms(1, 30, jobs, seed=108)
-    prop = case1[("C1", "classical")].counts[3] / 10000
+    prop = case1[("C1", "classical")].counts[4] / 10000
     _check(res, prop >= 0.95 and abs(prop - 0.9895) <= 0.015,
            f"case 1 C1 classical at dim 4: {prop:.4f} (>= 0.95, table 0.9895 +/- 0.015)")
-    prop = case1[("C1", "q1")].counts[4] / 10000
+    prop = case1[("C1", "q1")].counts[5] / 10000
     _check(res, prop >= 0.97 and abs(prop - 0.9991) <= 0.015,
            f"case 1 C1 q1 at dim 5: {prop:.4f} (>= 0.97, table 0.9991 +/- 0.015)")
     case5 = _histograms(5, 30, jobs, seed=108)
     for est in ("classical", "q1", "q2"):
-        prop = case5[("C2", est)].counts[0] / 10000
+        prop = case5[("C2", est)].counts[1] / 10000
         _check(res, abs(prop - 1.0) <= 0.005, f"case 5 C2 {est} at dim 1: {prop:.4f} (1.0 +/- 0.005)")
     return res
 
@@ -222,11 +212,11 @@ def criterion_9_dimension_n100(jobs: int = 1) -> CriterionResult:
     res = CriterionResult("criterion-09 dimension histograms, n=100", True)
     case3 = _histograms(3, 100, jobs, seed=109)
     for key, h in case3.items():
-        prop = h.counts[2] / 10000
+        prop = h.counts[3] / 10000
         _check(res, abs(prop - 1.0) <= 0.005, f"case 3 {key[0]} {key[1]} at dim 3: {prop:.4f} (1.0 +/- 0.005)")
     case1 = _histograms(1, 100, jobs, seed=109)
     for est in ("classical", "q1", "q2"):
-        prop = case1[("C2", est)].counts[4] / 10000
+        prop = case1[("C2", est)].counts[5] / 10000
         _check(res, abs(prop - 0.995) <= 0.005, f"case 1 C2 {est} at dim 5: {prop:.4f} (0.995 +/- 0.005)")
     return res
 

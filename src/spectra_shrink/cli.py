@@ -29,7 +29,7 @@ from .dimension import (
     dimension_experiment_for_spectrum,
     relative_criterion,
 )
-from .estimators import check_conditions, classical_weights, family_weights
+from .estimators import _compared_weights, check_conditions, classical_weights, family_weights
 from .evaluation import (
     bias_expansion,
     compare_risks,
@@ -157,16 +157,10 @@ def _run_bias(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
 
 def _risk_row(values: tuple[float, ...], spec: ExperimentSpec) -> list:
     spectrum = Spectrum(values)
-    p = spectrum.p
-    weights = [
-        classical_weights(p, spec.n),
-        family_weights(p, spec.n, 1),
-        family_weights(p, spec.n, 2),
-    ]
     cmp = compare_risks(
         spectrum,
         spec.n,
-        weights,
+        _compared_weights(spectrum.p, spec.n),
         "quadratic",
         spec.distribution,
         spec.replicates,
@@ -194,32 +188,24 @@ def _run_risk(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
 
 
 def _histogram_row(h: DimensionHistogram) -> list:
-    return [h.criterion.label(), h.estimator_label, h.true_dim, h.zero_count] + list(h.counts)
+    return [h.criterion.label(), h.estimator_label, h.true_dim] + list(h.counts)
 
 
 def _run_dimension(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     spectrum = spec.resolve_spectrum()
     p = spectrum.p
-    estimators = [classical_weights(p, spec.n)]
-    if p >= 4:
-        estimators.append(family_weights(p, spec.n, 1))
-    if p >= 6:
-        estimators.append(family_weights(p, spec.n, 2))
-    criteria = [cumulative_criterion(spec.t_star), relative_criterion()]
+    criteria = [cumulative_criterion(spec.t_star), relative_criterion(spec.normalize_criterion2)]
     hists = dimension_experiment_for_spectrum(
         spectrum,
         spec.n,
-        estimators,
+        _compared_weights(p, spec.n),
         criteria,
         spec.replicates,
         spec.seed,
         distribution=spec.distribution,
         jobs=spec.jobs,
-        normalize_for_criterion2=spec.normalize_criterion2,
     )
-    header = ["criterion", "estimator", "true_dim", "dim0"] + [
-        f"dim{k}" for k in range(1, p + 1)
-    ]
+    header = ["criterion", "estimator", "true_dim"] + [f"dim{k}" for k in range(p + 1)]
     return header, [_histogram_row(h) for h in hists]
 
 
@@ -462,7 +448,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
 
 def _cmd_weights(args: argparse.Namespace) -> int:
     w = family_weights(args.p, args.n, args.q)
-    report = check_conditions(w, args.n)
+    report = check_conditions(w)
     print(f"beta(q={args.q}) for p={args.p}, n={args.n}, split m={w.m}:")
     print("  " + " ".join(f"{b:.6g}" for b in w.beta))
     print(

@@ -28,15 +28,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DimensionCriterion:
-    """A dimension rule: 'cumulative' with a cut-off, or 'relative'."""
+    """A dimension rule: 'cumulative' with a cut-off, or 'relative'.
+
+    ``normalize`` makes the relative rule rescale each estimate to sum to
+    one before comparing it with 1/p; the cumulative rule takes no rescaling.
+    """
 
     kind: str
     t_star: float | None = None
+    normalize: bool = False
 
     def __post_init__(self) -> None:
         if self.kind == "cumulative":
             if self.t_star is None or not 0.0 < self.t_star < 1.0:
                 raise ValueError(f"cumulative criterion needs t* in (0, 1), got {self.t_star!r}")
+            if self.normalize:
+                raise ValueError("the cumulative criterion takes no rescaling")
         elif self.kind == "relative":
             if self.t_star is not None:
                 raise ValueError("the relative-size criterion takes no cut-off")
@@ -44,40 +51,42 @@ class DimensionCriterion:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
 
     def label(self) -> str:
-        return f"cumulative(t*={self.t_star:g})" if self.kind == "cumulative" else "relative_size"
+        if self.kind == "cumulative":
+            return f"cumulative(t*={self.t_star:g})"
+        return "relative_size(normalized)" if self.normalize else "relative_size"
 
 
 def cumulative_criterion(t_star: float = 0.8) -> DimensionCriterion:
     return DimensionCriterion(kind="cumulative", t_star=t_star)
 
 
-def relative_criterion() -> DimensionCriterion:
-    return DimensionCriterion(kind="relative")
+def relative_criterion(normalize: bool = False) -> DimensionCriterion:
+    return DimensionCriterion(kind="relative", normalize=normalize)
 
 
 @dataclass(frozen=True)
 class DimensionHistogram:
-    """Counts of decided dimensions 1..p, plus a bin for zero decisions.
+    """Counts of decided dimensions: ``counts[k]`` replicates decided k, k = 0..p.
 
-    ``zero_count`` collects replicates where no rate exceeded 1/p; it stays
-    zero in every tabulated scenario.
+    Dimension 0 is decided only when no rate exceeds 1/p under the relative
+    rule; it stays zero in every tabulated scenario.
     """
 
     counts: np.ndarray
-    replicates: int
     true_dim: int
     criterion: DimensionCriterion
     estimator_label: str
-    zero_count: int = 0
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.array(self.counts, dtype=np.int64)
         if counts.ndim != 1 or np.any(counts < 0):
             raise ValueError("counts must be a vector of non-negative integers")
-        if int(counts.sum()) + self.zero_count != self.replicates:
-            raise ValueError("histogram counts must add up to the replicate count")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
+
+    @property
+    def replicates(self) -> int:
+        return int(self.counts.sum())
 
 
 def decide(rates: ContributionRates, criterion: DimensionCriterion) -> int:
@@ -86,10 +95,11 @@ def decide(rates: ContributionRates, criterion: DimensionCriterion) -> int:
     Cumulative: the smallest m whose leading rates sum to at least the
     cut-off, or p when even the full sum stays below it, which can happen
     for shrunk (non-normalized) estimates. Relative: the number of rates
-    strictly exceeding the uniform level 1/p; zero (a degenerate decision)
-    is possible only when no rate clears it, e.g. exactly uniform rates.
+    strictly exceeding the uniform level 1/p, after rescaling the rates to
+    sum to one if the criterion normalizes; zero (a degenerate decision) is
+    possible only when no rate clears it, e.g. exactly uniform rates.
     """
-    return int(_decisions(rates.rates[None, :], criterion, False)[0])
+    return int(_decisions(rates.rates[None, :], criterion)[0])
 
 
 def _cumulative_batch(rates: np.ndarray, t_star: float) -> np.ndarray:
@@ -104,10 +114,10 @@ def _relative_batch(rates: np.ndarray) -> np.ndarray:
     return (rates > 1.0 / p).sum(axis=1).astype(np.int64)
 
 
-def _decisions(rates: np.ndarray, criterion: DimensionCriterion, normalize_relative: bool) -> np.ndarray:
+def _decisions(rates: np.ndarray, criterion: DimensionCriterion) -> np.ndarray:
     if criterion.kind == "cumulative":
         return _cumulative_batch(rates, criterion.t_star)
-    if normalize_relative:
+    if criterion.normalize:
         rates = rates / rates.sum(axis=1, keepdims=True)
     return _relative_batch(rates)
 
@@ -127,14 +137,14 @@ def dimension_experiment_for_spectrum(
     seed: int,
     distribution: str = "wishart",
     jobs: int = 1,
-    normalize_for_criterion2: bool = False,
 ) -> list[DimensionHistogram]:
     """Histogram the decided dimension for every (criterion, estimator) pair.
 
     The true dimension of each histogram is the criterion applied to the
     population rates of ``spectrum``; for a spiked case pass
     ``cases.spiked_case(k)``. Shrunk estimates are compared against 1/p as
-    they are unless ``normalize_for_criterion2`` asks for rescaling first.
+    they are unless the relative criterion rescales them first
+    (``relative_criterion(normalize=True)``).
     """
     if not criteria:
         raise ValueError("need at least one criterion")
@@ -147,7 +157,7 @@ def dimension_experiment_for_spectrum(
         for e, beta in enumerate(betas):
             est = beta[None, :] * d
             for c, criterion in enumerate(criteria):
-                dims = _decisions(est, criterion, normalize_for_criterion2)
+                dims = _decisions(est, criterion)
                 counts[c, e] = np.bincount(dims, minlength=p + 1)
         return counts
 
@@ -159,12 +169,10 @@ def dimension_experiment_for_spectrum(
         for e, weights in enumerate(estimators):
             out.append(
                 DimensionHistogram(
-                    counts=totals[c, e, 1:],
-                    replicates=replicates,
+                    counts=totals[c, e],
                     true_dim=true_dim,
                     criterion=criterion,
                     estimator_label=_estimator_label(weights),
-                    zero_count=int(totals[c, e, 0]),
                 )
             )
     return out

@@ -119,6 +119,11 @@ def family_weights(p: int, n: int, q: int) -> ShrinkageWeights:
     return ShrinkageWeights(beta=beta, dof=int(n), q=int(q))
 
 
+def _compared_weights(p: int, n: int) -> list[ShrinkageWeights]:
+    """The estimators every comparison runs: classical, then q = 1 and q = 2 where the family exists."""
+    return [classical_weights(p, n)] + [family_weights(p, n, q) for q in (1, 2) if q <= p / 2 - 1]
+
+
 def shrink_estimate(decomp: SampleDecomposition, weights: ShrinkageWeights) -> ContributionRates:
     """Componentwise product of the weights with the sample rates.
 
@@ -145,8 +150,8 @@ def _condition2_value(beta: np.ndarray, n: int, m: int) -> float:
     return float(np.sum(coeff * (beta - 1.0)))
 
 
-def check_conditions(weights: ShrinkageWeights, n: int) -> ConditionReport:
-    """Evaluate the three dominance conditions for a weight vector.
+def check_conditions(weights: ShrinkageWeights) -> ConditionReport:
+    """Evaluate the three dominance conditions for a weight vector at its ``dof``.
 
     The split index m comes from the largest position where the weights are
     still at most one while the remainder are at least one; when no such
@@ -155,6 +160,7 @@ def check_conditions(weights: ShrinkageWeights, n: int) -> ConditionReport:
     """
     beta = weights.beta
     p = beta.size
+    n = weights.dof
     tol = CONDITION_TOL
 
     nondecreasing = bool(np.all(np.diff(beta) >= -tol))

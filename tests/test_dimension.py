@@ -82,8 +82,8 @@ def test_cumulative_monotone_in_cutoff(rates, t1, t2):
 )
 def test_batch_decisions_match_scalar_decide(rows, t_star, normalize_relative):
     rates = np.array(rows)
-    for criterion in (cumulative_criterion(t_star), relative_criterion()):
-        dims = _decisions(rates, criterion, normalize_relative)
+    for criterion in (cumulative_criterion(t_star), relative_criterion(normalize_relative)):
+        dims = _decisions(rates, criterion)
         for row, dim in zip(rates, dims):
             if criterion.kind == "cumulative":
                 total, expected = 0.0, len(row)
@@ -93,7 +93,7 @@ def test_batch_decisions_match_scalar_decide(rows, t_star, normalize_relative):
                         expected = m
                         break
             else:
-                if normalize_relative:
+                if criterion.normalize:
                     row = row / row.sum()  # numpy's sum, to round as _decisions does
                 expected = sum(x > 1.0 / len(row) for x in row)
             assert dim == expected
@@ -104,6 +104,16 @@ def test_relative_scale_sensitivity():
     base = decide(ContributionRates(rates), relative_criterion())
     doubled = decide(ContributionRates(tuple(2 * x for x in rates)), relative_criterion())
     assert base == 2 and doubled == 4  # scaling moves decisions unless renormalized
+
+
+def test_normalized_relative_rule_rescales_first():
+    doubled = ContributionRates((0.60, 0.50, 0.4, 0.30, 0.20))
+    assert decide(doubled, relative_criterion(normalize=True)) == 2
+    assert decide(doubled, relative_criterion()) == 4
+    assert relative_criterion(normalize=True).label() == "relative_size(normalized)"
+    assert relative_criterion().label() == "relative_size"
+    with pytest.raises(ValueError, match="rescaling"):
+        DimensionCriterion(kind="cumulative", t_star=0.8, normalize=True)
 
 
 def test_experiment_case1_directions():
@@ -117,11 +127,11 @@ def test_experiment_case1_directions():
     classical = by_key[("cumulative", "classical")]
     shrunk = by_key[("cumulative", "q1")]
     assert classical.true_dim == 5 and shrunk.true_dim == 5
-    assert np.argmax(classical.counts) + 1 < 5
-    assert np.argmax(shrunk.counts) + 1 >= 5
+    assert np.argmax(classical.counts) < 5
+    assert np.argmax(shrunk.counts) >= 5
     for h in hists:
-        assert h.counts.sum() + h.zero_count == 1000
-        assert h.zero_count == 0
+        assert h.replicates == 1000
+        assert h.counts[0] == 0
 
 
 def test_experiment_case10_relative_truth():
@@ -138,16 +148,19 @@ def test_experiment_case10_relative_truth():
 
 
 def test_experiment_normalize_flag_runs():
-    hists = dimension_experiment_for_spectrum(
-        spiked_case(5),
-        30,
-        [family_weights(10, 30, 1)],
-        [relative_criterion()],
-        200,
-        seed=55,
-        normalize_for_criterion2=True,
-    )
-    assert hists[0].counts.sum() + hists[0].zero_count == 200
+    # on the same draws, rescaling moves only the shrunk relative-size rows
+    w = [classical_weights(10, 30), family_weights(10, 30, 1), family_weights(10, 30, 2)]
+    runs = [
+        dimension_experiment_for_spectrum(
+            spiked_case(1), 30, w, [cumulative_criterion(0.8), relative_criterion(normalize)], 2000, seed=55
+        )
+        for normalize in (False, True)
+    ]
+    plain, rescaled = ({(h.criterion.kind, h.estimator_label): h for h in hists} for hists in runs)
+    assert rescaled[("relative", "q1")].criterion.label() == "relative_size(normalized)"
+    for (kind, label), h in plain.items():
+        same = np.array_equal(h.counts, rescaled[(kind, label)].counts)
+        assert same == (kind == "cumulative" or label == "classical"), (kind, label)
 
 
 def test_experiment_determinism_across_jobs():
@@ -159,12 +172,20 @@ def test_experiment_determinism_across_jobs():
     assert np.array_equal(h1[0].counts, h4[0].counts)
 
 
-def test_histogram_invariant():
-    with pytest.raises(ValueError, match="add up"):
-        DimensionHistogram(
-            counts=np.array([5, 4]),
-            replicates=10,
-            true_dim=1,
-            criterion=relative_criterion(),
-            estimator_label="classical",
-        )
+def test_histogram_counts_every_replicate():
+    hist = DimensionHistogram(counts=[0, 3, 2], true_dim=1, criterion=relative_criterion(),
+                              estimator_label="classical")
+    assert hist.replicates == 5
+    for removed in ("replicates", "zero_count"):
+        with pytest.raises(TypeError):
+            DimensionHistogram(counts=[0, 3, 2], true_dim=1, criterion=relative_criterion(),
+                               estimator_label="classical", **{removed: 5})
+
+
+def test_histogram_copies_the_callers_counts():
+    counts = np.array([0, 3, 2], dtype=np.int64)
+    hist = DimensionHistogram(counts=counts, true_dim=1, criterion=relative_criterion(),
+                              estimator_label="classical")
+    assert counts.flags.writeable and not hist.counts.flags.writeable
+    counts[1] = 7
+    assert hist.counts.tolist() == [0, 3, 2]

@@ -14,6 +14,7 @@ from spectra_shrink import (
     shrink_estimate,
     symmetric_eigendecompose,
 )
+from spectra_shrink.estimators import _compared_weights
 
 
 # ---------------------------------------------------------------------------
@@ -146,30 +147,52 @@ def test_plugin_trace_and_eigenvalues():
 
 
 def test_conditions_all_ones_boundary():
-    report = check_conditions(classical_weights(8, 25), 25)
+    report = check_conditions(classical_weights(8, 25))
     assert report.c1_holds and report.c2_holds and report.c3_holds
     assert report.c2_value == 0.0
     assert report.c3_value == 8.0
 
 
 def test_conditions_family_weights():
-    report = check_conditions(family_weights(10, 30, 1), 30)
+    report = check_conditions(family_weights(10, 30, 1))
     assert report.c1_holds and report.c2_holds and report.c3_holds
     assert abs(report.c3_value - 10.0) <= 1e-12
 
 
 def test_conditions_monotone_pattern_violation():
     w = ShrinkageWeights(beta=np.array([1.5] + [1.0] * 9), dof=30)
-    report = check_conditions(w, 30)
+    report = check_conditions(w)
     assert not report.c1_holds
 
 
 def test_conditions_searches_m_without_split():
     # oscillating weights: no clean split, checker still reports a best m
     w = ShrinkageWeights(beta=np.array([1.2, 0.8, 1.1, 0.9]), dof=20)
-    report = check_conditions(w, 20)
+    report = check_conditions(w)
     assert not report.c1_holds
     assert 1 <= report.m_used <= 3
+
+
+def test_conditions_read_the_weights_dof():
+    # one weight vector read at two dof: the weighted sum takes each w.dof
+    beta = family_weights(10, 30, 1).beta
+    i = np.arange(1, 11)
+    for n in (20, 30):
+        coeff = np.where(i <= 6, n + 10 - 1.0 - 2 * i, n + 10 + 1.0 - 2 * i)
+        report = check_conditions(ShrinkageWeights(beta=beta, dof=n))
+        assert report.m_used == 6  # the largest split: the weights are one at 5 and 6
+        assert report.c2_value == float(np.sum(coeff * (beta - 1.0)))
+    with pytest.raises(TypeError):
+        check_conditions(ShrinkageWeights(beta=beta, dof=30), 30)
+
+
+@pytest.mark.parametrize("p, qs", [(3, [None]), (4, [None, 1]), (5, [None, 1]), (6, [None, 1, 2]),
+                                   (10, [None, 1, 2])])
+def test_compared_weights_follow_the_family_range(p, qs):
+    weights = _compared_weights(p, 30)
+    assert [w.q for w in weights] == qs
+    assert all(w.p == p and w.dof == 30 for w in weights)
+    assert np.all(weights[0].beta == 1.0)
 
 
 @settings(max_examples=60)
@@ -183,7 +206,7 @@ def test_family_identities_property(p, n_extra, q_pick):
     q = 1 + q_pick % q_max
     n = p + n_extra
     w = family_weights(p, n, q)
-    report = check_conditions(w, n)
+    report = check_conditions(w)
     assert report.c1_holds
     assert abs(report.c3_value - p) <= 1e-12
     assert report.c2_value <= 1e-12

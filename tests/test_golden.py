@@ -27,6 +27,8 @@ COMMANDS = {
     "risk-p10-t5": ["risk", "--spectrum", "table2:1", "--n", "30", "--dist", "t:5", "--reps", "5000",
                     "--seed", "7"],
     "dimension-case1": ["dimension", "--case", "1", "--n", "30", "--reps", "5000", "--seed", "9"],
+    "dimension-case1-normalized": ["dimension", "--case", "1", "--n", "30", "--reps", "5000", "--seed", "9",
+                                   "--normalize-for-criterion2"],
     "dimension-case1-t5": ["dimension", "--case", "1", "--n", "30", "--dist", "t:5",
                            "--reps", "5000", "--seed", "9"],
     "invariance": ["invariance", "--spectrum", "0.4,0.3,0.2,0.1", "--n", "15", "--nu", "5",
