@@ -155,8 +155,7 @@ def _run_bias(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _risk_row(values: tuple[float, ...], spec: ExperimentSpec) -> list:
-    spectrum = Spectrum(values)
+def _risk_row(spectrum: Spectrum, spec: ExperimentSpec) -> list:
     cmp = compare_risks(
         spectrum,
         spec.n,
@@ -167,23 +166,21 @@ def _risk_row(values: tuple[float, ...], spec: ExperimentSpec) -> list:
         spec.seed,
         spec.jobs,
     )
-    return list(values) + list(cmp.mean_losses) + list(cmp.std_errors)
+    return list(spectrum.values) + list(cmp.mean_losses) + list(cmp.std_errors)
 
 
 def _run_risk(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     if spec.table2:
-        spectra = list(cases.TABLE2_SPECTRA)
-        p = 10
+        spectra = [Spectrum(values) for values in cases.TABLE2_SPECTRA]
     else:
-        spectrum = spec.resolve_spectrum()
-        spectra = [tuple(spectrum.values)]
-        p = spectrum.p
+        spectra = [spec.resolve_spectrum()]
+    p = spectra[0].p
     header = (
         [f"tau{i}" for i in range(1, p + 1)]
         + ["risk0", "risk1", "risk2"]
         + ["se0", "se1", "se2"]
     )
-    rows = [_risk_row(values, spec) for values in spectra]
+    rows = [_risk_row(spectrum, spec) for spectrum in spectra]
     return header, rows
 
 
@@ -301,6 +298,7 @@ def _parse_spectrum(text: str) -> tuple[float, ...]:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     d = _DEFAULTS
+    sub.add_argument("--spectrum", default=None, help="comma list or named builtin (e.g. uniform10)")
     sub.add_argument("--n", type=int, help=f"degrees of freedom (default {d['n']})")
     sub.add_argument("--reps", type=int, help=f"Monte Carlo replicates (default {d['replicates']})")
     sub.add_argument("--seed", type=int, help=f"stream seed (default ${SEED_ENV_VAR} or {d['seed']})")
@@ -319,16 +317,13 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("bias", help="Monte Carlo bias of the sample contribution rates")
-    sub.add_argument("--spectrum", default=None, help="comma list or named builtin (e.g. uniform10)")
     _add_common(sub)
 
     sub = subs.add_parser("risk", help="quadratic risk of the classical and shrinkage estimators")
-    sub.add_argument("--spectrum", default=None, help="comma list or named builtin")
     sub.add_argument("--table2", action="store_true", help="run all 18 tabulated risk spectra")
     _add_common(sub)
 
     sub = subs.add_parser("dimension", help="histogram of the decided dimension over replicates")
-    sub.add_argument("--spectrum", default=None, help="comma list or named builtin")
     sub.add_argument("--case", type=int, default=None, help="spiked case number 1-10")
     sub.add_argument("--tstar", type=float, help=f"cumulative cut-off (default {_DEFAULTS['t_star']})")
     sub.add_argument(
@@ -340,12 +335,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
 
     sub = subs.add_parser("invariance", help="KS comparison of rates from Wishart vs elliptical-t")
-    sub.add_argument("--spectrum", default=None, help="comma list or named builtin")
     sub.add_argument("--nu", type=int, help=f"t degrees of freedom (default {_DEFAULTS['nu']})")
     _add_common(sub)
 
     sub = subs.add_parser("stein-haff", help="empirical check of the trace identity")
-    sub.add_argument("--spectrum", default=None, help="comma list or named builtin")
     sub.add_argument("--q", type=int, help=f"family index for the shrunk row (default {_DEFAULTS['q']})")
     _add_common(sub)
 

@@ -43,12 +43,23 @@ def _check_dof(n, p: int) -> None:
         raise ValueError(f"degrees of freedom must satisfy n >= p, got n={n!r}, p={p}")
 
 
-def _readonly_vector(values, name: str) -> np.ndarray:
+def _readonly_vector(values, name: str, descending: bool = False) -> np.ndarray:
+    """Read-only float64 copy of a value vector, the one rule every value type shares.
+
+    The vector must be one-dimensional, finite, at least two entries long,
+    strictly positive and, with ``descending``, non-increasing.
+    """
     arr = np.array(values, dtype=np.float64, copy=True)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.size < 2:
+        raise ValueError(f"{name} need at least two entries, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must contain only finite values")
+    if np.any(arr <= 0.0):
+        raise ValueError(f"{name} must be strictly positive")
+    if descending and np.any(np.diff(arr) > 0.0):
+        raise ValueError(f"{name} must be sorted in non-increasing order")
     arr.setflags(write=False)
     return arr
 
@@ -74,14 +85,7 @@ class Spectrum:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _readonly_vector(self.values, "eigenvalues")
-        if arr.size < 2:
-            raise ValueError("a spectrum needs at least two eigenvalues")
-        if np.any(arr <= 0.0):
-            raise ValueError("eigenvalues must be strictly positive")
-        if np.any(np.diff(arr) > 0.0):
-            raise ValueError("eigenvalues must be sorted in non-increasing order")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _readonly_vector(self.values, "eigenvalues", descending=True))
 
     @property
     def p(self) -> int:
@@ -99,12 +103,7 @@ class ContributionRates:
     rates: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _readonly_vector(self.rates, "rates")
-        if arr.size < 2:
-            raise ValueError("rates need at least two entries")
-        if np.any(arr <= 0.0):
-            raise ValueError("rates must be strictly positive")
-        object.__setattr__(self, "rates", arr)
+        object.__setattr__(self, "rates", _readonly_vector(self.rates, "rates"))
 
     @property
     def p(self) -> int:
@@ -125,15 +124,11 @@ class SampleDecomposition:
     rates: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        l = _readonly_vector(self.eigenvalues, "eigenvalues")
+        l = _readonly_vector(self.eigenvalues, "sample eigenvalues", descending=True)
         h = _readonly_matrix(self.eigenvectors, "eigenvectors")
         p = l.size
         if h.shape[0] != p:
             raise ValueError("eigenvalues and eigenvectors disagree on dimension")
-        if np.any(l <= 0.0):
-            raise ValueError("sample eigenvalues must be strictly positive")
-        if np.any(np.diff(l) > 0.0):
-            raise ValueError("sample eigenvalues must be sorted in non-increasing order")
         ortho = np.abs(h.T @ h - np.eye(p)).max()
         if ortho > 1e-8:
             raise ValueError(f"eigenvector matrix is not orthogonal: max |H'H - I| = {ortho:.3e}")

@@ -39,7 +39,7 @@ class ShrinkageWeights:
     ``q`` is set when the vector comes from the shrinkage family, in which
     case the family pattern (non-decreasing, at most one below/above unity
     around the split index ``m = p // 2``) is enforced. ``dof`` records the
-    degrees of freedom the weights were built for.
+    degrees of freedom the weights were built for, an integer n >= p.
     """
 
     beta: np.ndarray
@@ -48,12 +48,7 @@ class ShrinkageWeights:
 
     def __post_init__(self) -> None:
         beta = _readonly_vector(self.beta, "weights")
-        if beta.size < 2:
-            raise ValueError("weight vector needs at least two entries")
-        if np.any(beta <= 0.0):
-            raise ValueError("weights must be strictly positive")
-        if not isinstance(self.dof, (int, np.integer)) or self.dof < 1:
-            raise ValueError(f"dof must be a positive integer, got {self.dof!r}")
+        _check_dof(self.dof, beta.size)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "dof", int(self.dof))
         if self.q is not None:
@@ -85,8 +80,6 @@ class ConditionReport:
 
 def classical_weights(p: int, n: int) -> ShrinkageWeights:
     """All-ones weights: shrinking with these reproduces the sample rates."""
-    if p < 2:
-        raise ValueError("p must be at least 2")
     return ShrinkageWeights(beta=np.ones(p), dof=n, q=None)
 
 

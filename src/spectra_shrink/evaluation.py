@@ -26,9 +26,10 @@ from .core import (
     SampleDecomposition,
     Spectrum,
     _check_dof,
+    _readonly_matrix,
     eigh_descending_batch,
 )
-from .estimators import ShrinkageWeights
+from .estimators import ShrinkageWeights, classical_weights
 
 __all__ = [
     "RiskComparison",
@@ -123,12 +124,10 @@ def entropy_loss(estimate: np.ndarray, truth: np.ndarray) -> float:
     Zero exactly when the estimate equals the truth; both matrices must be
     positive definite.
     """
-    est = np.asarray(estimate, dtype=np.float64)
-    tru = np.asarray(truth, dtype=np.float64)
-    if est.shape != tru.shape or est.ndim != 2 or est.shape[0] != est.shape[1]:
-        raise ValueError(f"matrices must be square and same shape, got {est.shape} vs {tru.shape}")
-    if not (np.all(np.isfinite(est)) and np.all(np.isfinite(tru))):
-        raise ValueError("matrices must contain only finite values")
+    est = _readonly_matrix(estimate, "estimate")
+    tru = _readonly_matrix(truth, "truth")
+    if est.shape != tru.shape:
+        raise ValueError(f"matrices must have the same shape, got {est.shape} vs {tru.shape}")
     p = est.shape[0]
     try:
         np.linalg.cholesky(tru)
@@ -155,8 +154,6 @@ def quadratic_loss(estimate: ContributionRates, truth: ContributionRates) -> flo
     """Sum of squared relative errors of the estimated rates."""
     if estimate.p != truth.p:
         raise ValueError(f"length mismatch: {estimate.p} vs {truth.p}")
-    if np.any(truth.rates <= 0.0):
-        raise ValueError("truth rates must be strictly positive")
     return float(np.sum((1.0 - estimate.rates / truth.rates) ** 2))
 
 
@@ -201,8 +198,7 @@ def entropy_risk_difference_bound(
     is the executable content of the dominance proof.
     """
     g_weighted = stein_haff_G(decomp, weights, n)
-    ones = ShrinkageWeights(beta=np.ones(decomp.p), dof=weights.dof)
-    g_classical = stein_haff_G(decomp, ones, n)
+    g_classical = stein_haff_G(decomp, classical_weights(decomp.p, weights.dof), n)
     return g_weighted - g_classical - float(np.sum(np.log(weights.beta)))
 
 

@@ -270,6 +270,13 @@ def test_n_below_p_has_one_message(capsys):
     assert errors == ["error: degrees of freedom must satisfy n >= p, got n=5, p=10\n"] * 4
 
 
+def test_one_entry_spectrum_has_the_shared_message(capsys):
+    # every spectrum command takes --spectrum, and Spectrum words the refusal
+    for command in ("bias", "risk", "dimension", "invariance", "stein-haff"):
+        assert main([command, "--spectrum", "0.5", "--seed", "0"]) == 2
+        assert capsys.readouterr().err == "error: eigenvalues need at least two entries, got 1\n"
+
+
 def _no_stream(*args, **kwargs):
     raise AssertionError("a Philox stream was created")
 

@@ -28,6 +28,16 @@ def test_spectrum_validation():
         Spectrum((1.0, 0.0))
     with pytest.raises(ValueError):
         Spectrum((np.inf, 1.0))
+    with pytest.raises(ValueError, match="eigenvalues need at least two entries, got 1"):
+        Spectrum((1.0,))
+    with pytest.raises(ValueError, match="eigenvalues must be strictly positive"):
+        Spectrum((1.0, -1.0))
+    with pytest.raises(ValueError, match="eigenvalues must be sorted in non-increasing order"):
+        Spectrum((1.0, 2.0))
+    with pytest.raises(ValueError, match="eigenvalues must contain only finite values"):
+        Spectrum((np.nan, 1.0))
+    with pytest.raises(ValueError, match="eigenvalues must be one-dimensional"):
+        Spectrum(np.eye(2))
 
 
 def test_spectrum_immutable():
@@ -42,6 +52,17 @@ def test_rates_validation():
         ContributionRates((1.0, 0.0))
     with pytest.raises(ValueError):
         ContributionRates((0.9,))
+    with pytest.raises(ValueError, match="rates need at least two entries, got 1"):
+        ContributionRates((0.9,))
+    for bad in ((1.0, 0.0), (0.5, -0.5)):
+        with pytest.raises(ValueError, match="rates must be strictly positive"):
+            ContributionRates(bad)
+    with pytest.raises(ValueError, match="rates must contain only finite values"):
+        ContributionRates((0.5, np.inf))
+    with pytest.raises(ValueError, match="rates must be one-dimensional"):
+        ContributionRates(np.full((2, 2), 0.25))
+    # rates carry no order: shrunk estimates need not be descending
+    assert np.array_equal(ContributionRates((0.2, 0.8)).rates, [0.2, 0.8])
 
 
 def test_scatter_sample_rejects_asymmetry():
@@ -210,6 +231,19 @@ def test_decomposition_type_invariants():
             eigenvalues=np.array([2.0, 1.0]),
             eigenvectors=np.array([[1.0, 0.1], [0.0, 1.0]]),
         )
+    # the sample eigenvalues follow the same vector rule as a spectrum
+    with pytest.raises(ValueError, match="sample eigenvalues need at least two entries, got 1"):
+        SampleDecomposition(eigenvalues=[1.0], eigenvectors=[[1.0]])
+    cases = [
+        ([1.0, 0.0], "must be strictly positive"),
+        ([1.0, -1.0], "must be strictly positive"),
+        ([np.inf, 1.0], "must contain only finite values"),
+        ([1.0, 2.0], "must be sorted in non-increasing order"),
+        (np.eye(2), "must be one-dimensional"),
+    ]
+    for values, wording in cases:
+        with pytest.raises(ValueError, match="sample eigenvalues " + wording):
+            SampleDecomposition(eigenvalues=values, eigenvectors=np.eye(2))
 
 
 def test_decomposition_forms_its_rates():

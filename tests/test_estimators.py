@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,24 @@ def test_weights_type_validation():
         ShrinkageWeights(beta=np.array([1.0, -0.5]), dof=10)
     with pytest.raises(ValueError):
         ShrinkageWeights(beta=np.array([1.2, 0.8]), dof=10, q=1)  # decreasing family
+    cases = [
+        (np.array([1.0]), "weights need at least two entries, got 1"),
+        (np.array([1.0, 0.0]), "weights must be strictly positive"),
+        (np.array([1.0, -0.5]), "weights must be strictly positive"),
+        (np.array([1.0, np.nan]), "weights must contain only finite values"),
+        (np.ones((2, 2)), "weights must be one-dimensional"),
+    ]
+    for beta, wording in cases:
+        with pytest.raises(ValueError, match=wording):
+            ShrinkageWeights(beta=beta, dof=10)
+    # the weights own n >= p, with the sampler's rule and message
+    with pytest.raises(ValueError, match=re.escape("degrees of freedom must satisfy n >= p, got n=1, p=10")):
+        ShrinkageWeights(beta=np.ones(10), dof=1)
+    with pytest.raises(ValueError, match=re.escape("degrees of freedom must satisfy n >= p, got n=5, p=10")):
+        classical_weights(10, 5)
+    with pytest.raises(ValueError, match="n >= p"):
+        ShrinkageWeights(beta=np.ones(3), dof=3.0)
+    assert ShrinkageWeights(beta=np.ones(3), dof=np.int64(3)).dof == 3
 
 
 # ---------------------------------------------------------------------------

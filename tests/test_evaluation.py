@@ -82,6 +82,15 @@ def test_entropy_loss_rejects_singular_truth():
         entropy_loss(np.diag([1.0, np.nan]), np.eye(2))
 
 
+def test_entropy_loss_rejects_mismatched_or_non_square_matrices():
+    with pytest.raises(ValueError, match="same shape"):
+        entropy_loss(np.eye(2), np.eye(3))
+    with pytest.raises(ValueError, match="estimate must be a square matrix"):
+        entropy_loss(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="truth must be a square matrix"):
+        entropy_loss(np.eye(2), np.ones(2))
+
+
 def test_quadratic_loss_examples():
     truth = ContributionRates((0.5, 0.5))
     assert quadratic_loss(truth, truth) == 0.0
