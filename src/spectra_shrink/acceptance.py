@@ -56,17 +56,19 @@ def criterion_1_bias_table(jobs: int = 1) -> CriterionResult:
     return res
 
 
+def _table2_sweep(loss_kind: str, seed: int, jobs: int) -> list:
+    """compare_risks on each of the 18 risk spectra, n = 30, the compared estimators, 10,000 replicates."""
+    w = _compared_weights(10, 30)
+    return [
+        compare_risks(cases.table2_spectrum(row), 30, w, loss_kind, "wishart", 10000, seed=seed, jobs=jobs)
+        for row in range(1, len(cases.TABLE2_SPECTRA) + 1)
+    ]
+
+
 def criterion_2_quadratic_risk(jobs: int = 1) -> CriterionResult:
     """Reproduce the quadratic-risk table and its strict risk ordering."""
     res = CriterionResult("criterion-02 quadratic risk table (rows 1, 18; ordering all rows)", True)
-    w = _compared_weights(10, 30)
-    risks = []
-    for row in range(1, len(cases.TABLE2_SPECTRA) + 1):
-        cmp = compare_risks(
-            cases.table2_spectrum(row), 30, w, "quadratic", "wishart", 10000, seed=102, jobs=jobs
-        )
-        risks.append(cmp.mean_losses)
-    risks = np.asarray(risks)
+    risks = np.asarray([cmp.mean_losses for cmp in _table2_sweep("quadratic", 102, jobs)])
     for row, expected, tol in ((1, _TABLE2_ROW1, 0.1), (18, _TABLE2_ROW18, 0.15)):
         dev = np.abs(risks[row - 1] - np.asarray(expected)).max()
         _check(
@@ -83,13 +85,9 @@ def criterion_2_quadratic_risk(jobs: int = 1) -> CriterionResult:
 def criterion_3_entropy_dominance(jobs: int = 1) -> CriterionResult:
     """Shrunk plug-in covariances beat the classical one by 3+ paired SEs."""
     res = CriterionResult("criterion-03 entropy dominance on all 18 risk spectra", True)
-    w = _compared_weights(10, 30)
     worst = np.inf
     ok = True
-    for row in range(1, len(cases.TABLE2_SPECTRA) + 1):
-        cmp = compare_risks(
-            cases.table2_spectrum(row), 30, w, "entropy", "wishart", 10000, seed=103, jobs=jobs
-        )
+    for cmp in _table2_sweep("entropy", 103, jobs):
         margins = -cmp.diff_means / cmp.diff_std_errors
         worst = min(worst, margins.min())
         ok = ok and bool(np.all(margins >= 3.0))
@@ -180,29 +178,29 @@ def criterion_7_bias_expansion(jobs: int = 1) -> CriterionResult:
 
 
 def _histograms(case: int, n: int, jobs: int, seed: int):
+    """Each histogram's share of replicates per decided dimension, keyed by (C1 or C2, estimator label)."""
     w = _compared_weights(10, n)
     crits = [cumulative_criterion(0.8), relative_criterion()]
     hists = dimension_experiment_for_spectrum(cases.spiked_case(case), n, w, crits, 10000, seed, jobs=jobs)
-    by_key = {}
-    for h in hists:
-        crit = "C1" if h.criterion.kind == "cumulative" else "C2"
-        by_key[(crit, h.estimator_label)] = h
-    return by_key
+    return {
+        ("C1" if h.criterion.kind == "cumulative" else "C2", h.estimator_label): h.counts / h.replicates
+        for h in hists
+    }
 
 
 def criterion_8_dimension_n30(jobs: int = 1) -> CriterionResult:
     """Dimension histograms at n=30: named cells within 1.5 points of the table."""
     res = CriterionResult("criterion-08 dimension histograms, n=30", True)
     case1 = _histograms(1, 30, jobs, seed=108)
-    prop = case1[("C1", "classical")].counts[4] / 10000
+    prop = case1[("C1", "classical")][4]
     _check(res, prop >= 0.95 and abs(prop - 0.9895) <= 0.015,
            f"case 1 C1 classical at dim 4: {prop:.4f} (>= 0.95, table 0.9895 +/- 0.015)")
-    prop = case1[("C1", "q1")].counts[5] / 10000
+    prop = case1[("C1", "q1")][5]
     _check(res, prop >= 0.97 and abs(prop - 0.9991) <= 0.015,
            f"case 1 C1 q1 at dim 5: {prop:.4f} (>= 0.97, table 0.9991 +/- 0.015)")
     case5 = _histograms(5, 30, jobs, seed=108)
     for est in ("classical", "q1", "q2"):
-        prop = case5[("C2", est)].counts[1] / 10000
+        prop = case5[("C2", est)][1]
         _check(res, abs(prop - 1.0) <= 0.005, f"case 5 C2 {est} at dim 1: {prop:.4f} (1.0 +/- 0.005)")
     return res
 
@@ -211,12 +209,12 @@ def criterion_9_dimension_n100(jobs: int = 1) -> CriterionResult:
     """Dimension histograms at n=100: exact concentration spot checks."""
     res = CriterionResult("criterion-09 dimension histograms, n=100", True)
     case3 = _histograms(3, 100, jobs, seed=109)
-    for key, h in case3.items():
-        prop = h.counts[3] / 10000
+    for key, share in case3.items():
+        prop = share[3]
         _check(res, abs(prop - 1.0) <= 0.005, f"case 3 {key[0]} {key[1]} at dim 3: {prop:.4f} (1.0 +/- 0.005)")
     case1 = _histograms(1, 100, jobs, seed=109)
     for est in ("classical", "q1", "q2"):
-        prop = case1[("C2", est)].counts[5] / 10000
+        prop = case1[("C2", est)][5]
         _check(res, abs(prop - 0.995) <= 0.005, f"case 1 C2 {est} at dim 5: {prop:.4f} (0.995 +/- 0.005)")
     return res
 

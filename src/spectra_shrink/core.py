@@ -65,9 +65,10 @@ def _readonly_vector(values, name: str, descending: bool = False) -> np.ndarray:
 
 
 def _readonly_matrix(values, name: str) -> np.ndarray:
+    """Read-only float64 copy of a finite square matrix of at least 2 x 2, the one matrix rule."""
     arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
+        raise ValueError(f"{name} must be a square matrix, at least 2 x 2, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must contain only finite values")
     arr.setflags(write=False)
@@ -230,8 +231,6 @@ def symmetric_eigendecompose(matrix: np.ndarray) -> SampleDecomposition:
     with p >= 2, is not positive definite, or does not reconstruct.
     """
     s = _readonly_matrix(matrix, "scatter matrix")
-    if s.shape[0] < 2:
-        raise ValueError("scatter matrix must be at least 2 x 2")
     scale = float(np.abs(s).max())
     asym = float(np.abs(s - s.T).max())
     if asym > _SYMMETRY_REL_TOL * max(scale, 1e-300):

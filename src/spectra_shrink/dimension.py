@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContributionRates, Spectrum
-from .estimators import ShrinkageWeights
-from .evaluation import _run_chunks, _stack_betas
+from .estimators import ShrinkageWeights, _stack_betas
+from .evaluation import _run_chunks
 
 __all__ = [
     "DimensionCriterion",
@@ -79,7 +79,7 @@ class DimensionHistogram:
 
     def __post_init__(self) -> None:
         counts = np.array(self.counts, dtype=np.int64)
-        if counts.ndim != 1 or np.any(counts < 0):
+        if counts.ndim != 1 or np.any(counts < 0) or not np.array_equal(counts, self.counts):
             raise ValueError("counts must be a vector of non-negative integers")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)

@@ -117,14 +117,22 @@ def _compared_weights(p: int, n: int) -> list[ShrinkageWeights]:
     return [classical_weights(p, n)] + [family_weights(p, n, q) for q in (1, 2) if q <= p / 2 - 1]
 
 
+def _stack_betas(weights_list: list[ShrinkageWeights], p: int) -> np.ndarray:
+    """Weight vectors as rows, each checked against the dimension p: the one owner of that rule."""
+    if not weights_list:
+        raise ValueError("need at least one weight vector")
+    for w in weights_list:
+        if w.p != p:
+            raise ValueError(f"weight length {w.p} does not match dimension {p}")
+    return np.stack([w.beta for w in weights_list])
+
+
 def shrink_estimate(decomp: SampleDecomposition, weights: ShrinkageWeights) -> ContributionRates:
     """Componentwise product of the weights with the sample rates.
 
     The estimator does not sum to one by design.
     """
-    if weights.p != decomp.p:
-        raise ValueError(f"weight length {weights.p} does not match dimension {decomp.p}")
-    return ContributionRates(weights.beta * decomp.rates)
+    return ContributionRates(_stack_betas([weights], decomp.p)[0] * decomp.rates)
 
 
 def plugin_covariance(decomp: SampleDecomposition, estimate: ContributionRates) -> np.ndarray:

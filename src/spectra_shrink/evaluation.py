@@ -29,7 +29,7 @@ from .core import (
     _readonly_matrix,
     eigh_descending_batch,
 )
-from .estimators import ShrinkageWeights, classical_weights
+from .estimators import ShrinkageWeights, _stack_betas, classical_weights
 
 __all__ = [
     "RiskComparison",
@@ -48,7 +48,7 @@ __all__ = [
     "invariance_check",
 ]
 
-#: Sample-eigenvalue gap (relative to their sum) below which the
+#: Eigenvalue gap (relative to their sum) below which the
 #: eigenvalue-difference denominators are considered degenerate.
 EIGENGAP_REL_TOL = 1e-12
 
@@ -153,16 +153,16 @@ def entropy_loss(estimate: np.ndarray, truth: np.ndarray) -> float:
 def quadratic_loss(estimate: ContributionRates, truth: ContributionRates) -> float:
     """Sum of squared relative errors of the estimated rates."""
     if estimate.p != truth.p:
-        raise ValueError(f"length mismatch: {estimate.p} vs {truth.p}")
+        raise ValueError(f"estimate length {estimate.p} does not match dimension {truth.p}")
     return float(np.sum((1.0 - estimate.rates / truth.rates) ** 2))
 
 
-def _check_eigengaps(l: np.ndarray, total: float) -> None:
-    gaps = l[:-1] - l[1:]
-    if gaps.size and gaps.min() < EIGENGAP_REL_TOL * total:
+def _check_distinct(values: np.ndarray, name: str) -> None:
+    """Refuse descending eigenvalues, sample or population, with a gap below ``EIGENGAP_REL_TOL`` of their sum."""
+    if np.min(values[:-1] - values[1:]) < EIGENGAP_REL_TOL * values.sum():
         raise ValueError(
-            "coincident sample eigenvalues (relative gap below "
-            f"{EIGENGAP_REL_TOL:.0e}); the eigenvalue-difference denominators vanish"
+            f"{name} must be distinct (every gap at least {EIGENGAP_REL_TOL:.0e} of their sum); "
+            "the eigenvalue-difference denominators vanish"
         )
 
 
@@ -173,14 +173,12 @@ def stein_haff_G(decomp: SampleDecomposition, weights: ShrinkageWeights, n: int)
     (sum l)^-1 {2 sum_{i<j} (beta_i - beta_j) l_j / (l_i - l_j)
                 + sum_i (n + p + 1 - 2i - 2 d_i) beta_i}.
     """
-    if weights.p != decomp.p:
-        raise ValueError(f"weight length {weights.p} does not match dimension {decomp.p}")
     l = decomp.eigenvalues
     d = decomp.rates
-    beta = weights.beta
+    beta = _stack_betas([weights], decomp.p)[0]
     p = l.size
     total = float(l.sum())
-    _check_eigengaps(l, total)
+    _check_distinct(l, "sample eigenvalues")
     iu, ju = np.triu_indices(p, 1)
     pair = np.sum((beta[iu] - beta[ju]) * l[ju] / (l[iu] - l[ju]))
     i = np.arange(1, p + 1)
@@ -213,12 +211,7 @@ def bias_expansion(truth: Spectrum, n: int) -> np.ndarray:
     """
     _check_dof(n, truth.p)
     lam = truth.values
-    gaps = lam[:-1] - lam[1:]
-    if gaps.min() < 1e-12 * lam[0]:
-        raise ValueError(
-            "bias expansion requires eigenvalues with no multiplicity; "
-            "received a spectrum with (nearly) repeated values"
-        )
+    _check_distinct(lam, "eigenvalues")
     total = lam.sum()
     sumsq = np.sum(lam**2)
     ratio = _gap_ratios(lam)
@@ -279,16 +272,6 @@ def _batch_rates(s: np.ndarray, need_vectors: bool) -> tuple[np.ndarray, np.ndar
     return w, w / total[:, None], q
 
 
-def _stack_betas(weights_list: list[ShrinkageWeights], p: int) -> np.ndarray:
-    """Weight vectors as rows, each checked against the dimension p."""
-    if not weights_list:
-        raise ValueError("need at least one weight vector")
-    for w in weights_list:
-        if w.p != p:
-            raise ValueError(f"weight length {w.p} does not match dimension {p}")
-    return np.stack([w.beta for w in weights_list])
-
-
 def _check_replicates(replicates) -> None:
     """Refuse a non-integer replicate count or one below 100."""
     if not isinstance(replicates, (int, np.integer)):
@@ -322,7 +305,6 @@ def _run_chunks(
     first draw.
     """
     _check_replicates(replicates)
-    sampling.parse_distribution(distribution)
     lock, pending = threading.Lock(), {}
     next_chunk, result = 0, None
 

@@ -15,6 +15,7 @@ rows.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -155,8 +156,9 @@ def scatter_chunk(
 def map_chunks(worker, n_chunks: int, jobs: int = 1) -> None:
     """Call ``worker`` on chunk indices 0..n_chunks-1; its return value is dropped.
 
-    With jobs > 1 the chunks run on a thread pool. Every chunk is waited
-    for, and the first exception a worker raises, in chunk order, is raised.
+    With jobs > 1 the chunks run on a thread pool, at most 2 * jobs of them
+    queued at once, waited for in chunk order; the first exception a worker
+    raises, in chunk order, is raised and the chunks still queued cancelled.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
@@ -164,6 +166,15 @@ def map_chunks(worker, n_chunks: int, jobs: int = 1) -> None:
         for i in range(n_chunks):
             worker(i)
         return
+    queued = deque()
     with ThreadPoolExecutor(max_workers=min(jobs, n_chunks)) as pool:
-        for _ in pool.map(worker, range(n_chunks)):  # drained to re-raise
-            pass
+        try:
+            for i in range(n_chunks):
+                if len(queued) == 2 * jobs:
+                    queued.popleft().result()
+                queued.append(pool.submit(worker, i))
+            while queued:
+                queued.popleft().result()
+        finally:
+            for future in queued:
+                future.cancel()

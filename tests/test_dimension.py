@@ -182,6 +182,17 @@ def test_histogram_counts_every_replicate():
                                estimator_label="classical", **{removed: 5})
 
 
+def test_histogram_refuses_non_integral_counts():
+    # truncating [0, 2.7, 1.2] would store [0, 2, 1] and report 3 replicates
+    for counts in ([0, 2.7, 1.2], [0.5, 3, 2]):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            DimensionHistogram(counts=counts, true_dim=1, criterion=relative_criterion(),
+                               estimator_label="classical")
+    hist = DimensionHistogram(counts=[0.0, 3.0, 2.0], true_dim=1, criterion=relative_criterion(),
+                              estimator_label="classical")
+    assert hist.counts.dtype == np.int64 and hist.replicates == 5
+
+
 def test_histogram_copies_the_callers_counts():
     counts = np.array([0, 3, 2], dtype=np.int64)
     hist = DimensionHistogram(counts=counts, true_dim=1, criterion=relative_criterion(),

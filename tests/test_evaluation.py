@@ -11,6 +11,7 @@ from scipy.special import digamma
 from spectra_shrink import (
     ContributionRates,
     InvarianceReport,
+    SampleDecomposition,
     ShrinkageWeights,
     Spectrum,
     bias_expansion,
@@ -91,6 +92,14 @@ def test_entropy_loss_rejects_mismatched_or_non_square_matrices():
         entropy_loss(np.eye(2), np.ones(2))
 
 
+def test_entropy_loss_refuses_one_by_one_matrices():
+    # every value type refuses one entry, and the matrix rule refuses 1 x 1
+    with pytest.raises(ValueError, match=r"estimate must be a square matrix, at least 2 x 2, got shape \(1, 1\)"):
+        entropy_loss(np.eye(1), np.eye(1))
+    with pytest.raises(ValueError, match="truth must be a square matrix, at least 2 x 2"):
+        entropy_loss(np.eye(2), [[1.0]])
+
+
 def test_quadratic_loss_examples():
     truth = ContributionRates((0.5, 0.5))
     assert quadratic_loss(truth, truth) == 0.0
@@ -129,8 +138,44 @@ def test_g_hand_value():
 
 def test_g_rejects_coincident_eigenvalues():
     dec = symmetric_eigendecompose(np.eye(2))
-    with pytest.raises(ValueError, match="coincident"):
+    with pytest.raises(ValueError, match="must be distinct"):
         stein_haff_G(dec, classical_weights(2, 5), 5)
+
+
+def test_bias_expansion_and_g_refuse_at_the_same_relative_gap():
+    # population and sample eigenvalues share one rule: a gap below 1e-12 of their sum
+    for rel_gap, refused in ((0.8e-12, True), (1.2e-12, False)):
+        values = np.array([1.0, 1.0 - 2.5 * rel_gap, 0.5])
+        spectrum = Spectrum(values)
+        decomp = SampleDecomposition(eigenvalues=values, eigenvectors=np.eye(3))
+        for call in (
+            lambda: bias_expansion(spectrum, 50),
+            lambda: stein_haff_G(decomp, classical_weights(3, 50), 50),
+        ):
+            if refused:
+                with pytest.raises(ValueError, match="eigenvalues must be distinct"):
+                    call()
+            else:
+                assert np.all(np.isfinite(call()))
+
+
+def test_weight_length_has_one_owner(monkeypatch):
+    # every caller takes its betas from estimators._stack_betas, before any draw
+    monkeypatch.setattr(np.random, "Philox", _no_stream)
+    spectrum = Spectrum((0.5, 0.3, 0.2))
+    decomp = SampleDecomposition(eigenvalues=spectrum.values, eigenvectors=np.eye(3))
+    w = [family_weights(4, 30, 1)]
+    for call in (
+        lambda: shrink_estimate(decomp, w[0]),
+        lambda: stein_haff_G(decomp, w[0], 30),
+        lambda: compare_risks(spectrum, 30, w, "entropy", "wishart", 1000, seed=0),
+        lambda: simulate_stein_haff(spectrum, 30, w, 1000, seed=0),
+        lambda: dimension_experiment_for_spectrum(spectrum, 30, w, [relative_criterion()], 1000, seed=0),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "weight length 4 does not match dimension 3"
+        assert info.traceback[-1].name == "_stack_betas"
 
 
 def _zigzag_weights(p, n):
@@ -346,7 +391,7 @@ def test_bias_expansion_coefficients_sum_to_zero(values):
 
 
 def test_bias_expansion_rejects_multiplicity():
-    with pytest.raises(ValueError, match="multiplicity"):
+    with pytest.raises(ValueError, match="must be distinct"):
         bias_expansion(Spectrum((0.4, 0.3, 0.3)), 50)
 
 
@@ -1001,7 +1046,7 @@ def test_control_variate_refuses_tied_spectrum_before_sampling(monkeypatch):
     # the spectrum before the first stream is created
     monkeypatch.setattr(np.random, "Philox", _no_stream)
     for values in ((0.5, 0.25, 0.25), (0.4, 0.4 * (1 - 1e-14), 0.2)):
-        with pytest.raises(ValueError, match="repeated values"):
+        with pytest.raises(ValueError, match="must be distinct"):
             simulate_bias(Spectrum(values), 50, "wishart", 1000, seed=0, control_variate=True)
     # without the control variate a tied spectrum is sampled as usual
     with pytest.raises(AssertionError, match="Philox"):

@@ -21,6 +21,7 @@ from spectra_shrink.sampling import (
     _TAG_ELLIPTICAL,
     _build_wishart,
     _generator,
+    map_chunks,
 )
 
 
@@ -231,3 +232,29 @@ def test_wishart_and_elliptical_streams_differ():
     w = scatter_chunk(spec, 10, "wishart", seed=3, chunk_index=0)
     t = scatter_chunk(spec, 10, "t:5", seed=3, chunk_index=0)
     assert not np.array_equal(w[0], t[0])
+
+
+def test_map_chunks_queues_a_bounded_window():
+    # at jobs > 1 a fixed window of chunks is submitted ahead of the oldest
+    # unfinished one, so the queue does not grow with the number of chunks
+    tracemalloc.start()
+    try:
+        map_chunks(lambda i: None, 5000, jobs=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_map_chunks_raises_the_first_failure_in_chunk_order():
+    ran = []
+
+    def worker(i):
+        ran.append(i)
+        if i in (3, 5):
+            raise ValueError(f"chunk {i} failed")
+
+    with pytest.raises(ValueError, match="chunk 3 failed"):
+        map_chunks(worker, 1000, jobs=2)
+    # nothing past chunk 3's window of 2 * jobs runs: the rest were never submitted
+    assert max(ran) < 3 + 2 * 2
