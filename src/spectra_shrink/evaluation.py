@@ -48,8 +48,8 @@ __all__ = [
     "invariance_check",
 ]
 
-#: Eigenvalue gap (relative to their sum) below which the
-#: eigenvalue-difference denominators are considered degenerate.
+#: Smallest adjacent eigenvalue gap, relative to their sum, that every
+#: eigenvalue-difference denominator accepts, scalar or batched (``_tied``).
 EIGENGAP_REL_TOL = 1e-12
 
 #: Largest relative gap between a sampled matrix's eigenvalue sum and its
@@ -157,9 +157,14 @@ def quadratic_loss(estimate: ContributionRates, truth: ContributionRates) -> flo
     return float(np.sum((1.0 - estimate.rates / truth.rates) ** 2))
 
 
+def _tied(values: np.ndarray) -> np.ndarray:
+    """Per row of descending eigenvalues, a vector or a (rows, p) stack: a gap below ``EIGENGAP_REL_TOL`` of its sum."""
+    return np.min(values[..., :-1] - values[..., 1:], axis=-1) < EIGENGAP_REL_TOL * values.sum(axis=-1)
+
+
 def _check_distinct(values: np.ndarray, name: str) -> None:
-    """Refuse descending eigenvalues, sample or population, with a gap below ``EIGENGAP_REL_TOL`` of their sum."""
-    if np.min(values[:-1] - values[1:]) < EIGENGAP_REL_TOL * values.sum():
+    """Refuse input eigenvalues, sample or population, that ``_tied`` flags: a bad input, exit 2."""
+    if _tied(values):
         raise ValueError(
             f"{name} must be distinct (every gap at least {EIGENGAP_REL_TOL:.0e} of their sum); "
             "the eigenvalue-difference denominators vanish"
@@ -779,16 +784,17 @@ def compare_risks(
 def _g_batch(l: np.ndarray, d: np.ndarray, betas: np.ndarray, n: int) -> np.ndarray:
     """Stein-Haff functional for each weight vector, shape (n_weights, rows).
 
-    The fractions l_j / (l_i - l_j) are formed once, on the pairs i < j; a
-    row with tied eigenvalues comes out non-finite, without a warning.
+    A row ``_tied`` flags raises RuntimeError, a numerical failure, before the
+    fractions l_j / (l_i - l_j), then finite, are formed once, on the pairs i < j.
     """
+    if np.any(_tied(l)):
+        raise RuntimeError("sampled scatter matrix with tied eigenvalues; the G functional is not defined")
     p = l.shape[1]
     iu, ju = np.triu_indices(p, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = l[:, ju] / (l[:, iu] - l[:, ju])
-        pair = (betas[:, iu] - betas[:, ju]) @ frac.T
-        linear = betas @ (n + p - 1.0 - 2 * np.arange(p) - 2.0 * d).T
-        return (2.0 * pair + linear) / l.sum(axis=1)
+    frac = l[:, ju] / (l[:, iu] - l[:, ju])
+    pair = (betas[:, iu] - betas[:, ju]) @ frac.T
+    linear = betas @ (n + p - 1.0 - 2 * np.arange(p) - 2.0 * d).T
+    return (2.0 * pair + linear) / l.sum(axis=1)
 
 
 def simulate_stein_haff(
@@ -803,8 +809,8 @@ def simulate_stein_haff(
 
     One check per weight vector, all on the same draws: each chunk's traces
     and G values are formed for every weight vector at once, and the
-    cross-fit's control basis is empty. A draw with tied sample eigenvalues,
-    where G is not finite, raises RuntimeError.
+    cross-fit's control basis is empty. A draw whose sample eigenvalues
+    ``stein_haff_G`` refuses (``_tied``) raises RuntimeError.
     """
     betas = _stack_betas(weights_list, spectrum.p)
     tau = spectrum.values / spectrum.values.sum()
@@ -813,10 +819,6 @@ def simulate_stein_haff(
     def stat(s, l, d, q):
         trace = _plugin_traces(d, q, betas, tau)
         g = _g_batch(l, d, betas, n)
-        if not np.all(np.isfinite(g)):
-            raise RuntimeError(
-                "sampled scatter matrix with tied eigenvalues; the G functional is not finite"
-            )
         return np.concatenate([trace, g, trace - g])
 
     means, ses = _estimate(spectrum, n, "wishart", replicates, seed, jobs, True, 0, stat)

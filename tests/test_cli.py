@@ -317,14 +317,16 @@ def test_io_failure_exits_3(tmp_path, capsys):
 
 
 def test_engine_runtime_error_exits_4(monkeypatch, capsys):
-    # a tied sample eigenvalue leaves the Stein-Haff G non-finite
-    tied = np.repeat(np.diag([2.0, 1.0, 1.0])[None], sampling.CHUNK_SIZE, axis=0)
-    monkeypatch.setattr(sampling, "scatter_chunk", lambda *args: tied.copy())
-    code = main(["stein-haff", "--spectrum", "0.5,0.3,0.2", "--n", "10", "--reps", "200"])
-    assert code == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "tied eigenvalues" in err
-    assert "Traceback" not in err
+    # a tied sample eigenvalue, or one within 1e-12 of their sum, leaves the
+    # Stein-Haff G undefined
+    for values in ((2.0, 1.0, 1.0), (2.0, 1.0 + 1e-13, 1.0)):
+        tied = np.repeat(np.diag(values)[None], sampling.CHUNK_SIZE, axis=0)
+        monkeypatch.setattr(sampling, "scatter_chunk", lambda *args: tied.copy())
+        code = main(["stein-haff", "--spectrum", "0.5,0.3,0.2", "--n", "10", "--reps", "200"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tied eigenvalues" in err
+        assert "Traceback" not in err
 
 
 def test_stdout_output(capsys):

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from dataclasses import astuple
 from math import fsum, log, sqrt
 
 import numpy as np
@@ -42,6 +43,8 @@ from spectra_shrink.evaluation import (
     _quadratic_losses,
 )
 from spectra_shrink.sampling import CHUNK_SIZE, scatter_chunk
+
+from oracle_p2 import stein_haff_means
 
 
 def _draws(spec, n, distribution, seed, replicates):
@@ -142,18 +145,24 @@ def test_g_rejects_coincident_eigenvalues():
         stein_haff_G(dec, classical_weights(2, 5), 5)
 
 
-def test_bias_expansion_and_g_refuse_at_the_same_relative_gap():
-    # population and sample eigenvalues share one rule: a gap below 1e-12 of their sum
+def test_bias_expansion_and_g_refuse_at_the_same_relative_gap(monkeypatch):
+    # population and sample eigenvalues share one rule: a gap below 1e-12 of
+    # their sum; an input is refused with ValueError, a sampled draw with
+    # RuntimeError
     for rel_gap, refused in ((0.8e-12, True), (1.2e-12, False)):
         values = np.array([1.0, 1.0 - 2.5 * rel_gap, 0.5])
         spectrum = Spectrum(values)
         decomp = SampleDecomposition(eigenvalues=values, eigenvectors=np.eye(3))
-        for call in (
-            lambda: bias_expansion(spectrum, 50),
-            lambda: stein_haff_G(decomp, classical_weights(3, 50), 50),
+        draws = np.repeat(np.diag(values)[None], CHUNK_SIZE, axis=0)
+        monkeypatch.setattr(sampling, "scatter_chunk", lambda *args: draws.copy())
+        for call, error, match in (
+            (lambda: bias_expansion(spectrum, 50), ValueError, "eigenvalues must be distinct"),
+            (lambda: stein_haff_G(decomp, classical_weights(3, 50), 50), ValueError, "eigenvalues must be distinct"),
+            (lambda: astuple(simulate_stein_haff(spectrum, 50, [classical_weights(3, 50)], 100, seed=0)[0]),
+             RuntimeError, "tied eigenvalues"),
         ):
             if refused:
-                with pytest.raises(ValueError, match="eigenvalues must be distinct"):
+                with pytest.raises(error, match=match):
                     call()
             else:
                 assert np.all(np.isfinite(call()))
@@ -199,15 +208,9 @@ def test_g_batch_matches_scalar():
             assert abs(stein_haff_G(dec, w, 15) - batched[k, r]) < 1e-12
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(4, 10), st.integers(0, 20))
-def test_batch_losses_match_scalar(seed, p, extra):
-    rng = np.random.default_rng(seed)
-    n = p + extra
-    tau = np.sort(rng.uniform(0.1, 10.0, p))[::-1]
-    tau /= tau.sum()
-    a = rng.standard_normal((8, n, p)) * np.sqrt(tau)
-    s = a.transpose(0, 2, 1) @ a
+def _assert_batch_losses_match_scalar(s, tau, n):
+    """The batched entropy and quadratic losses of a stack s against the scalar ones, to 1e-9."""
+    p = tau.size
     weights = [classical_weights(p, n), family_weights(p, n, 1), _zigzag_weights(p, n)]
     betas = np.stack([w.beta for w in weights])
     _, d, q = _batch_rates(s, need_vectors=True)
@@ -222,6 +225,32 @@ def test_batch_losses_match_scalar(seed, p, extra):
             assert abs(entropy[k, r] - scalar) <= 1e-9 * max(1.0, scalar)
             scalar = quadratic_loss(est, truth)
             assert abs(quadratic[k, r] - scalar) <= 1e-9 * max(1.0, scalar)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(4, 10), st.integers(0, 20))
+def test_batch_losses_match_scalar(seed, p, extra):
+    rng = np.random.default_rng(seed)
+    n = p + extra
+    tau = np.sort(rng.uniform(0.1, 10.0, p))[::-1]
+    tau /= tau.sum()
+    a = rng.standard_normal((8, n, p)) * np.sqrt(tau)
+    _assert_batch_losses_match_scalar(a.transpose(0, 2, 1) @ a, tau, n)
+
+
+def test_batch_losses_match_scalar_at_a_near_tie():
+    # the draws above never come near a tie; here two sample eigenvalues of
+    # each rotated S are 1e-13 of their sum apart
+    rng = np.random.default_rng(41)
+    l = np.array([2.0, 1.0, 1.0, 0.5, 0.25])
+    l[1] += 1e-13 * l.sum()
+    rotations = [np.linalg.qr(rng.standard_normal((5, 5)))[0] for _ in range(8)]
+    s = np.stack([(h * l) @ h.T for h in rotations])
+    s = (s + s.transpose(0, 2, 1)) / 2.0
+    for m in s:
+        sample = symmetric_eigendecompose(m).eigenvalues
+        assert 0.0 < sample[1] - sample[2] < 2e-13 * l.sum()
+    _assert_batch_losses_match_scalar(s, np.array([0.4, 0.25, 0.2, 0.1, 0.05]), 20)
 
 
 def test_batch_rates_rejects_non_positive_eigenvalue():
@@ -328,12 +357,34 @@ def test_stein_haff_identity_monte_carlo():
     assert c.replicates == 20000
 
 
+@pytest.mark.parametrize("n", [10, 30, 100])
+def test_p2_oracle_trace_equals_g(n):
+    # the Stein-Haff identity holds in the exact p = 2 expectations, and the
+    # quadrature has converged: doubling its nodes moves neither value
+    trace, g = stein_haff_means((0.7, 0.3), n)
+    assert abs(trace - g) <= 1e-12
+    finer = stein_haff_means((0.7, 0.3), n, r_nodes=400, theta_nodes=512)
+    assert abs(finer[0] - trace) <= 1e-12 and abs(finer[1] - g) <= 1e-12
+
+
+def test_stein_haff_engine_matches_p2_oracle():
+    trace, g = stein_haff_means((0.7, 0.3), 30)
+    c = simulate_stein_haff(Spectrum((0.7, 0.3)), 30, [classical_weights(2, 30)], 200000, seed=0)[0]
+    assert abs(c.mean_trace - trace) <= 4.0 * c.trace_std_error
+    assert abs(c.mean_g - g) <= 4.0 * c.g_std_error
+
+
 def test_stein_haff_raises_on_tied_eigenvalues(monkeypatch):
-    # G has a 1 / (l_i - l_j) pair term, so a tie leaves it non-finite
-    tied = np.repeat(np.diag([2.0, 1.0, 1.0])[None], CHUNK_SIZE, axis=0)
-    monkeypatch.setattr(sampling, "scatter_chunk", lambda *args: tied.copy())
-    with pytest.raises(RuntimeError, match="tied eigenvalues"):
-        simulate_stein_haff(Spectrum((0.5, 0.3, 0.2)), 10, [classical_weights(3, 10)], 100, seed=0)
+    # G has a 1 / (l_i - l_j) pair term, so a draw stein_haff_G refuses stops
+    # the run: an exact tie, and a near tie where G would be finite but ~-5e11
+    for values, beta in (((2.0, 1.0, 1.0), (1.0, 1.0, 1.0)), ((2.0, 1.0 + 1e-13, 1.0), (0.9, 1.0, 1.1))):
+        tied = np.repeat(np.diag(values)[None], CHUNK_SIZE, axis=0)
+        monkeypatch.setattr(sampling, "scatter_chunk", lambda *args: tied.copy())
+        weights = ShrinkageWeights(beta=np.array(beta), dof=10)
+        with pytest.raises(ValueError, match="must be distinct"):
+            stein_haff_G(symmetric_eigendecompose(tied[0]), weights, 10)
+        with pytest.raises(RuntimeError, match="tied eigenvalues"):
+            simulate_stein_haff(Spectrum((0.5, 0.3, 0.2)), 10, [weights], 100, seed=0)
 
 
 def test_pathwise_risk_difference_bound():
