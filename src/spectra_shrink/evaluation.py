@@ -807,17 +807,18 @@ def simulate_stein_haff(
 ) -> list[SteinHaffCheck]:
     """Check E[tr(estimate Sigma^-1)] = E[G] empirically under Wishart draws.
 
+    Sigma is diag(spectrum), the draws' own scale, whatever the spectrum sums
+    to: G estimates the trace against it, not against its normalized rates.
     One check per weight vector, all on the same draws: each chunk's traces
     and G values are formed for every weight vector at once, and the
     cross-fit's control basis is empty. A draw whose sample eigenvalues
     ``stein_haff_G`` refuses (``_tied``) raises RuntimeError.
     """
     betas = _stack_betas(weights_list, spectrum.p)
-    tau = spectrum.values / spectrum.values.sum()
     k = len(weights_list)
 
     def stat(s, l, d, q):
-        trace = _plugin_traces(d, q, betas, tau)
+        trace = _plugin_traces(d, q, betas, spectrum.values)
         g = _g_batch(l, d, betas, n)
         return np.concatenate([trace, g, trace - g])
 

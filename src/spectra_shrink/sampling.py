@@ -7,7 +7,8 @@ are requested, the evaluation order, or the worker count. The Wishart
 route builds S directly from a Bartlett factor, entry by entry at every p,
 into an entries-first stack: each S_ij is one contiguous column across the
 chunk. The elliptical-t route materializes the n x p data matrix, a block
-of rows of the chunk at a time, and shares a single chi-square mixing
+of at most _ELLIPTICAL_BUDGET bytes of normals at a time (one replicate's
+matrix when that is larger), and shares a single chi-square mixing
 variable across the whole matrix, which is what makes the matrix law
 elliptically contoured rather than a stack of independent heavy-tailed
 rows.
@@ -33,9 +34,9 @@ __all__ = [
 #: changes which variates replicate k receives.
 CHUNK_SIZE = 4096
 
-#: Rows of an elliptical-t chunk whose normals are held at once; divides
-#: CHUNK_SIZE. Bounds the chunk's temporaries without changing its draws.
-_ELLIPTICAL_BLOCK = 512
+#: Bytes of normals an elliptical-t chunk holds at once, whatever n. Bounds
+#: the chunk's temporaries without changing its draws.
+_ELLIPTICAL_BUDGET = 2**19
 
 _TAG_WISHART = 0
 _TAG_ELLIPTICAL = 1
@@ -115,20 +116,24 @@ def _wishart_chunk(values: np.ndarray, n: int, seed: int, chunk_index: int) -> n
 def _elliptical_chunk(
     values: np.ndarray, n: int, nu: int, seed: int, chunk_index: int
 ) -> np.ndarray:
-    # Normals are drawn in row blocks into one reused buffer. Consecutive
-    # standard_normal calls continue the same stream, so the chunk is the
-    # same as from one (CHUNK_SIZE, n, p) draw, without holding all of it.
-    # X' X comes out exactly symmetric (test_sampled_scatter_is_symmetric_pd
-    # pins it), so nothing symmetrises.
+    # Normals are drawn in row blocks into one reused buffer: the largest
+    # power of two of rows, at least one and at most CHUNK_SIZE, whose n x p
+    # normals fit _ELLIPTICAL_BUDGET, so the block divides CHUNK_SIZE.
+    # Consecutive standard_normal calls continue the same stream, so the
+    # chunk is the same as from one (CHUNK_SIZE, n, p) draw, without holding
+    # all of it. X' X comes out exactly symmetric
+    # (test_sampled_scatter_is_symmetric_pd pins it), so nothing symmetrises.
     p = values.size
     gen = _generator(seed, _TAG_ELLIPTICAL, chunk_index)
     scale = np.sqrt(values)
-    g = np.empty((_ELLIPTICAL_BLOCK, n, p))
+    fit = _ELLIPTICAL_BUDGET // (8 * n * p)
+    block = min(CHUNK_SIZE, 1 << max(fit.bit_length() - 1, 0))
+    g = np.empty((block, n, p))
     m = np.empty((CHUNK_SIZE, p, p))
-    for start in range(0, CHUNK_SIZE, _ELLIPTICAL_BLOCK):
+    for start in range(0, CHUNK_SIZE, block):
         gen.standard_normal(out=g)
         g *= scale
-        np.matmul(g.transpose(0, 2, 1), g, out=m[start : start + _ELLIPTICAL_BLOCK])
+        np.matmul(g.transpose(0, 2, 1), g, out=m[start : start + block])
     mix = gen.chisquare(float(nu), CHUNK_SIZE)
     m *= (nu / mix)[:, None, None]
     return m

@@ -44,7 +44,7 @@ from spectra_shrink.evaluation import (
 )
 from spectra_shrink.sampling import CHUNK_SIZE, scatter_chunk
 
-from oracle_p2 import stein_haff_means
+from oracle_p2 import rate_mean, stein_haff_means
 
 
 def _draws(spec, n, distribution, seed, replicates):
@@ -359,19 +359,45 @@ def test_stein_haff_identity_monte_carlo():
 
 @pytest.mark.parametrize("n", [10, 30, 100])
 def test_p2_oracle_trace_equals_g(n):
-    # the Stein-Haff identity holds in the exact p = 2 expectations, and the
-    # quadrature has converged: doubling its nodes moves neither value
-    trace, g = stein_haff_means((0.7, 0.3), n)
-    assert abs(trace - g) <= 1e-12
-    finer = stein_haff_means((0.7, 0.3), n, r_nodes=400, theta_nodes=512)
-    assert abs(finer[0] - trace) <= 1e-12 and abs(finer[1] - g) <= 1e-12
+    # the Stein-Haff identity holds in the exact p = 2 expectations, whatever
+    # the spectrum sums to, and the quadrature has converged: doubling its
+    # nodes moves neither value
+    for lam in ((0.7, 0.3), (1.4, 0.6)):
+        trace, g = stein_haff_means(lam, n)
+        assert abs(trace - g) <= 1e-12
+        finer = stein_haff_means(lam, n, r_nodes=400, theta_nodes=512)
+        assert abs(finer[0] - trace) <= 1e-12 and abs(finer[1] - g) <= 1e-12
 
 
 def test_stein_haff_engine_matches_p2_oracle():
-    trace, g = stein_haff_means((0.7, 0.3), 30)
-    c = simulate_stein_haff(Spectrum((0.7, 0.3)), 30, [classical_weights(2, 30)], 200000, seed=0)[0]
-    assert abs(c.mean_trace - trace) <= 4.0 * c.trace_std_error
-    assert abs(c.mean_g - g) <= 4.0 * c.g_std_error
+    # the trace is taken against the draws' own scale diag(lam), as G is, so
+    # a spectrum that does not sum to one has the same identity
+    for lam in ((0.7, 0.3), (1.4, 0.6)):
+        trace, g = stein_haff_means(lam, 30)
+        c = simulate_stein_haff(Spectrum(lam), 30, [classical_weights(2, 30)], 200000, seed=0)[0]
+        assert abs(c.mean_trace - trace) <= 4.0 * c.trace_std_error
+        assert abs(c.mean_g - g) <= 4.0 * c.g_std_error
+
+
+@pytest.mark.parametrize("control_variate", [False, True])
+def test_bias_engine_matches_p2_oracle(control_variate):
+    exact = rate_mean((0.7, 0.3), 30)
+    b = simulate_bias(Spectrum((0.7, 0.3)), 30, "wishart", 200000, seed=0, control_variate=control_variate)
+    assert abs(b.mean_rates[0] - exact) <= 4.0 * b.std_errors[0]
+
+
+def test_p2_bias_expansion_residual_is_second_order():
+    # criterion 7's question answered exactly at p = 2: E d1 less its
+    # first-order expansion falls like n^-2, by about 4 at each doubling of n,
+    # and the quadrature has converged: doubling its nodes moves no residual
+    spec = Spectrum((0.7, 0.3))
+    ns = (100, 200, 400, 800)
+    exact = np.array([rate_mean(spec.values, n) for n in ns])
+    finer = np.array([rate_mean(spec.values, n, r_nodes=400, theta_nodes=512) for n in ns])
+    assert np.max(np.abs(finer - exact)) <= 1e-14
+    residual = exact - [bias_expansion(spec, n)[0] for n in ns]
+    ratios = residual[:-1] / residual[1:]
+    assert np.all((ratios >= 3.9) & (ratios <= 4.3)), ratios
 
 
 def test_stein_haff_raises_on_tied_eigenvalues(monkeypatch):

@@ -16,7 +16,7 @@ from spectra_shrink import (
 )
 from spectra_shrink.evaluation import sample_rates
 from spectra_shrink.sampling import (
-    _ELLIPTICAL_BLOCK,
+    _ELLIPTICAL_BUDGET,
     CHUNK_SIZE,
     _TAG_ELLIPTICAL,
     _build_wishart,
@@ -177,10 +177,11 @@ def test_elliptical_chunk_matches_one_shot_draw(p, n):
     assert np.array_equal(scatter_chunk(spec, n, "t:5", seed=13, chunk_index=2), ref)
 
 
-@pytest.mark.parametrize("n", [100, 400])
+@pytest.mark.parametrize("n", [100, 400, 2000])
 def test_elliptical_chunk_memory_is_bounded(n):
-    # Normals are held one _ELLIPTICAL_BLOCK of rows at a time; a one-shot
-    # (CHUNK_SIZE, n, p) draw would hold 31 MiB at n=100 and 125 MiB at n=400.
+    # Normals are held at most _ELLIPTICAL_BUDGET bytes at a time, whatever n;
+    # a one-shot (CHUNK_SIZE, n, p) draw would hold 31 MiB at n=100 and
+    # 625 MiB at n=2000.
     spec = Spectrum(np.linspace(1.0, 0.1, 10))
     tracemalloc.start()
     try:
@@ -188,7 +189,7 @@ def test_elliptical_chunk_memory_is_bounded(n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < out.nbytes + 2 * _ELLIPTICAL_BLOCK * n * spec.p * 8
+    assert peak < out.nbytes + 2 * _ELLIPTICAL_BUDGET
 
 
 @pytest.mark.parametrize("distribution", ["wishart", "t:5"])
