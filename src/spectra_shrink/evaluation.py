@@ -849,7 +849,12 @@ def invariance_check(
 
     The two samples come from independent streams under the same seed. The
     rate distribution is the same for every member of the elliptical family,
-    so equality should be accepted coordinate by coordinate.
+    so equality should be accepted coordinate by coordinate. The sampler
+    draws an elliptical-t matrix as a Bartlett Wishart draw times one mixing
+    scale, and the rates are scale-free, so this KS compares two Bartlett
+    streams: it checks the streams' independence and the engine, not the
+    sampler's law, which the sampling tests compare with an n x p data
+    matrix draw.
     """
     elliptical = f"t:{nu}"
     sampling.parse_distribution(elliptical)  # refuse a bad nu before any draw

@@ -3,15 +3,14 @@
 Draws are organized in fixed-size chunks keyed by (seed, distribution,
 chunk index) through a Philox counter-based generator, so the draw for
 replicate k depends only on the seed and k - never on how many replicates
-are requested, the evaluation order, or the worker count. The Wishart
-route builds S directly from a Bartlett factor, entry by entry at every p,
-into an entries-first stack: each S_ij is one contiguous column across the
-chunk. The elliptical-t route materializes the n x p data matrix, a block
-of at most _ELLIPTICAL_BUDGET bytes of normals at a time (one replicate's
-matrix when that is larger), and shares a single chi-square mixing
-variable across the whole matrix, which is what makes the matrix law
-elliptically contoured rather than a stack of independent heavy-tailed
-rows.
+are requested, the evaluation order, or the worker count. Both laws build
+S from a Bartlett factor, entry by entry at every p, into an entries-first
+stack: each S_ij is one contiguous column across the chunk. No data matrix
+is materialised. The elliptical-t route is a Wishart draw X'X, built in
+row blocks of at most _ELLIPTICAL_BUDGET bytes, times a single
+chi-square mixing variable shared by the whole matrix, which is what makes
+the matrix law elliptically contoured rather than a stack of independent
+heavy-tailed rows.
 """
 
 from __future__ import annotations
@@ -34,9 +33,10 @@ __all__ = [
 #: changes which variates replicate k receives.
 CHUNK_SIZE = 4096
 
-#: Bytes of normals an elliptical-t chunk holds at once, whatever n. Bounds
-#: the chunk's temporaries without changing its draws.
-_ELLIPTICAL_BUDGET = 2**19
+#: Bytes an elliptical-t chunk's Bartlett block holds at once, whatever n:
+#: its variates and built matrices. Fixes the block, so part of the stream
+#: contract.
+_ELLIPTICAL_BUDGET = 2**18
 
 _TAG_WISHART = 0
 _TAG_ELLIPTICAL = 1
@@ -116,24 +116,23 @@ def _wishart_chunk(values: np.ndarray, n: int, seed: int, chunk_index: int) -> n
 def _elliptical_chunk(
     values: np.ndarray, n: int, nu: int, seed: int, chunk_index: int
 ) -> np.ndarray:
-    # Normals are drawn in row blocks into one reused buffer: the largest
-    # power of two of rows, at least one and at most CHUNK_SIZE, whose n x p
-    # normals fit _ELLIPTICAL_BUDGET, so the block divides CHUNK_SIZE.
-    # Consecutive standard_normal calls continue the same stream, so the
-    # chunk is the same as from one (CHUNK_SIZE, n, p) draw, without holding
-    # all of it. X' X comes out exactly symmetric
-    # (test_sampled_scatter_is_symmetric_pd pins it), so nothing symmetrises.
+    # S_t = (nu / w) X'X with X'X ~ W_p(n, diag(values)) and w ~ chi2(nu), so
+    # X'X is one Bartlett draw. Rows are drawn and built in blocks: each
+    # block's chi-squares, then its normals, go through _build_wishart. The
+    # block is the largest power of two of rows, at least one and at most
+    # CHUNK_SIZE, whose variates and built matrices fit _ELLIPTICAL_BUDGET,
+    # the matrices counted twice for the builder's temporaries; it depends
+    # on p only. The mixing variables are drawn after the last block.
     p = values.size
     gen = _generator(seed, _TAG_ELLIPTICAL, chunk_index)
-    scale = np.sqrt(values)
-    fit = _ELLIPTICAL_BUDGET // (8 * n * p)
+    df = n - np.arange(p, dtype=np.float64)
+    fit = _ELLIPTICAL_BUDGET // (8 * (p + p * (p - 1) // 2 + 2 * p * p))
     block = min(CHUNK_SIZE, 1 << max(fit.bit_length() - 1, 0))
-    g = np.empty((block, n, p))
-    m = np.empty((CHUNK_SIZE, p, p))
+    m = np.empty((p, p, CHUNK_SIZE)).transpose(2, 0, 1)
     for start in range(0, CHUNK_SIZE, block):
-        gen.standard_normal(out=g)
-        g *= scale
-        np.matmul(g.transpose(0, 2, 1), g, out=m[start : start + block])
+        chi2 = gen.chisquare(df, size=(block, p))
+        normals = gen.standard_normal((block, p * (p - 1) // 2))
+        m[start : start + block] = _build_wishart(chi2, normals, values)
     mix = gen.chisquare(float(nu), CHUNK_SIZE)
     m *= (nu / mix)[:, None, None]
     return m
@@ -146,10 +145,14 @@ def scatter_chunk(
 
     Replicate k lives at row k % CHUNK_SIZE of chunk k // CHUNK_SIZE. Both
     laws have scale diag(spectrum); a Wishart draw has E[S] = n diag(spectrum),
-    and an elliptical-t draw has the same law of contribution rates. Every
-    Wishart chunk is entries-first (strides (8, 8 p CHUNK_SIZE,
-    8 CHUNK_SIZE)), so each entry s[:, i, j] is one contiguous column; an
-    elliptical-t chunk is C-ordered.
+    and an elliptical-t draw is a Wishart draw times nu / w, w ~ chi2(nu),
+    so it has E[S] = n nu / (nu - 2) diag(spectrum) and the same law of
+    contribution rates. Every chunk is entries-first (strides (8,
+    8 p CHUNK_SIZE, 8 CHUNK_SIZE)), so each entry s[:, i, j] is one
+    contiguous column. No draw holds an n x p data matrix: besides the
+    chunk, an elliptical-t chunk holds O(p^2) bytes a row of one block, at
+    most _ELLIPTICAL_BUDGET (one row's when that is larger), so its time and
+    memory do not grow with n.
     """
     _check_dof(n, spectrum.p)
     kind, nu = parse_distribution(distribution)

@@ -164,24 +164,67 @@ def test_wishart_chunk_is_entries_first(p, n):
 
 
 @pytest.mark.parametrize("p, n", [(3, 3), (10, 100), (20, 40)])
-def test_elliptical_chunk_matches_one_shot_draw(p, n):
-    # The sampler draws its normals in row blocks; the stream contract is
-    # one (CHUNK_SIZE, n, p) draw followed by the mixing draw.
+def test_elliptical_chunk_matches_blockwise_bartlett_draw(p, n):
+    # The stream contract: row blocks of a size fixed by p alone, each its
+    # chi-squares and then its normals, built by the Wishart builder, then
+    # the chunk's mixing draw.
+    block = {3: 1024, 10: 128, 20: 32}[p]
     spec = Spectrum(np.linspace(1.0, 0.1, p))
     gen = _generator(13, _TAG_ELLIPTICAL, 2)
-    g = gen.standard_normal((CHUNK_SIZE, n, p))
-    mix = gen.chisquare(5.0, CHUNK_SIZE)
-    g *= np.sqrt(spec.values)
-    ref = g.transpose(0, 2, 1) @ g
-    ref *= (5 / mix)[:, None, None]
-    assert np.array_equal(scatter_chunk(spec, n, "t:5", seed=13, chunk_index=2), ref)
+    df = n - np.arange(p, dtype=np.float64)
+    blocks = []
+    for _ in range(CHUNK_SIZE // block):
+        chi2 = gen.chisquare(df, size=(block, p))
+        normals = gen.standard_normal((block, p * (p - 1) // 2))
+        blocks.append(_build_wishart(chi2, normals, spec.values))
+    ref = np.concatenate(blocks)
+    ref *= (5 / gen.chisquare(5.0, CHUNK_SIZE))[:, None, None]
+    chunk = scatter_chunk(spec, n, "t:5", seed=13, chunk_index=2)
+    assert np.array_equal(chunk, ref)
+    assert chunk.strides[0] == chunk.itemsize == 8
 
 
-@pytest.mark.parametrize("n", [100, 400, 2000])
+def _data_matrix_t_draw(rng, values, n, nu, rows):
+    """The elliptical-t law from its definition: (nu / w) X'X, X an n x p normal data matrix."""
+    g = rng.standard_normal((rows, n, values.size)) * np.sqrt(values)
+    s = g.transpose(0, 2, 1) @ g
+    s *= (nu / rng.chisquare(float(nu), rows))[:, None, None]
+    return s
+
+
+def _t_draws(spec, n, distribution, seed, reps):
+    chunks = -(-reps // CHUNK_SIZE)
+    s = [scatter_chunk(spec, n, distribution, seed=seed, chunk_index=c) for c in range(chunks)]
+    return np.concatenate(s)[:reps]
+
+
+def test_elliptical_law_matches_the_data_matrix_reference():
+    # The sampler's Bartlett route against an n x p data matrix, drawn from
+    # another stream, by a two-sample KS test at 1 % on every rate and on
+    # two entries, and the first moment E[S_t] = n nu / (nu - 2) diag(values).
+    spec = Spectrum((0.4, 0.3, 0.2, 0.1))
+    n, reps = 12, 20000
+    s = _t_draws(spec, n, "t:5", 31, reps)
+    ref = _data_matrix_t_draw(np.random.default_rng(31), spec.values, n, 5, reps)
+    for a, b in ((s[:, 0, 0], ref[:, 0, 0]), (s[:, 1, 0], ref[:, 1, 0])):
+        assert ks_2samp(a, b).pvalue > 0.01
+    rates, ref_rates = (np.linalg.eigvalsh(x)[:, ::-1] for x in (s, ref))
+    rates /= rates.sum(axis=1, keepdims=True)
+    ref_rates /= ref_rates.sum(axis=1, keepdims=True)
+    for i in range(spec.p):
+        assert ks_2samp(rates[:, i], ref_rates[:, i]).pvalue > 0.01
+    nu = 9
+    s = _t_draws(spec, n, f"t:{nu}", 32, reps)
+    se = s.std(axis=0, ddof=1) / np.sqrt(reps)
+    expected = n * nu / (nu - 2) * np.diag(spec.values)
+    assert np.all(np.abs(s.mean(axis=0) - expected) < 3 * se)
+
+
+@pytest.mark.parametrize("n", [100, 400, 2000, 100000])
 def test_elliptical_chunk_memory_is_bounded(n):
-    # Normals are held at most _ELLIPTICAL_BUDGET bytes at a time, whatever n;
-    # a one-shot (CHUNK_SIZE, n, p) draw would hold 31 MiB at n=100 and
-    # 625 MiB at n=2000.
+    # A Bartlett block holds at most _ELLIPTICAL_BUDGET bytes, whatever n; a
+    # data-matrix draw would hold 31 MiB a chunk at n=100, and one
+    # replicate's n x p normals alone are 8 MB at n=100,000.
     spec = Spectrum(np.linspace(1.0, 0.1, 10))
     tracemalloc.start()
     try:
