@@ -25,6 +25,12 @@ gives their per-side medians as ``raw_op_s`` and ``raw_kernel_s``: a
 calibrated gain with raw op times flat is the kernel's, not the code's.
 ``raw_kernel_s`` also gets a verdict (see ``kernel_verdict``): a calibrated
 claim is void when the kernel moved.
+Before each run, a parallelism probe times a fixed numpy kernel (one p = 10
+batched eigensolve) in a fresh process alone, and again beside one copy of
+it in another process; the run keeps both times and their ratio as
+``probe``, and the summary gives each side's median ratio as
+``probe_ratio``. A ratio near 1 means the machine ran the two copies on two
+cores; near 2, that they shared one, so a ``--jobs 2`` claim cannot show.
 ``--reference K`` (a bare ``--reference`` is K = 1) keeps every reference
 report and gives, per acceptance criterion and README example, each side's
 median wall time over the K pairs and whether every run passed.
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -42,6 +49,53 @@ from pathlib import Path
 #: Each end-to-end metric's better direction and bound, from the benchmark's declaration.
 END_TO_END = {m["name"]: (m["better"], m["bound"]) for m in json.loads(
     (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
+
+
+#: The probe's kernel, run as ``python -c KERNEL SECONDS``: it warms up, says
+#: "ready", waits for a line on stdin, then runs the kernel for SECONDS and
+#: prints the median time of one call. BLAS is pinned to one thread, as in
+#: perfbench/run.py, so two copies ask for two cores.
+PROBE_KERNEL = """
+import statistics, sys, time
+import numpy as np
+a = np.random.default_rng(0).standard_normal((4096, 10, 10))
+s = a @ a.transpose(0, 2, 1)
+np.linalg.eigh(s)
+print("ready", flush=True)
+sys.stdin.readline()
+times, end = [], time.perf_counter() + float(sys.argv[1])
+while not times or time.perf_counter() < end:
+    t0 = time.perf_counter()
+    np.linalg.eigh(s)
+    times.append(time.perf_counter() - t0)
+print(statistics.median(times))
+"""
+PROBE_SECONDS = 1.0
+PIN_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def kernel_times(copies: int, seconds: float) -> list[float]:
+    """The probe kernel's median call time in each of ``copies`` processes started together."""
+    env = {**os.environ, **dict.fromkeys(PIN_VARS, "1")}
+    procs = [subprocess.Popen([sys.executable, "-c", PROBE_KERNEL, str(seconds)], env=env, text=True,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE) for _ in range(copies)]
+    for proc in procs:
+        if proc.stdout.readline() != "ready\n":
+            raise RuntimeError(f"probe kernel failed to start (exit {proc.wait()})")
+    for proc in procs:
+        proc.stdin.write("go\n")
+        proc.stdin.flush()
+    out = [proc.communicate()[0] for proc in procs]
+    if any(proc.returncode for proc in procs):
+        raise RuntimeError(f"probe kernel failed: exits {[proc.returncode for proc in procs]}")
+    return [float(text) for text in out]
+
+
+def parallelism_probe(seconds: float = PROBE_SECONDS) -> dict:
+    """The probe kernel's time alone and beside one copy of it, and their ratio."""
+    (alone,) = kernel_times(1, seconds)
+    beside = kernel_times(2, seconds)[0]
+    return {"alone_s": alone, "beside_s": beside, "ratio": beside / alone}
 
 
 def run_stdout(checkout: Path, argv: list[str]) -> str:
@@ -61,9 +115,10 @@ def median_or_none(values: list[float]) -> float | None:
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     argv = ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
+    probe = parallelism_probe()
     *_, report, result = map(json.loads, run_stdout(checkout, argv).splitlines())
     untraced = report["report"]["phases"][0]
-    return {"seed": seed, "trace": trace, "environment": report["report"]["environment"],
+    return {"seed": seed, "trace": trace, "probe": probe, "environment": report["report"]["environment"],
             "determinism": report["report"]["determinism"], "result": result,
             # A threaded workload runs uncalibrated: its kernel_s is empty.
             "raw_op_s": median_or_none(untraced["op_s"]),
@@ -131,6 +186,8 @@ def summarise(pairs: list[dict]) -> dict:
     for name, values in raw.items():
         out[name] = {f"{side}_median": median_or_none(v) for side, v in values.items()}
     out["raw_kernel_s"]["verdict"] = kernel_verdict(**raw["raw_kernel_s"])
+    out["probe_ratio"] = {f"{side}_median": statistics.median(p[side]["probe"]["ratio"] for p in pairs)
+                          for side in ("base", "change")}
     return out
 
 

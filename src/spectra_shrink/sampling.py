@@ -3,11 +3,13 @@
 Draws are organized in fixed-size chunks keyed by (seed, distribution,
 chunk index) through a Philox counter-based generator, so the draw for
 replicate k depends only on the seed and k - never on how many replicates
-are requested, the evaluation order, or the worker count. Both laws build
-S from a Bartlett factor, entry by entry at every p, into an entries-first
-stack: each S_ij is one contiguous column across the chunk. No data matrix
-is materialised. The elliptical-t route is a Wishart draw X'X, built in
-row blocks of at most _ELLIPTICAL_BUDGET bytes, times a single
+are requested, the evaluation order, or the worker count. Both laws store
+a chunk's Bartlett variates in its own entries-first stack, where each S_ij
+is one contiguous column across the chunk, and build S there in place,
+entry by entry at every p, by one call over all its rows. No data matrix
+is materialised. A Wishart chunk holds the chunk plus its variates. The
+elliptical-t route is a Wishart draw X'X, its variates drawn in row blocks
+so that it holds the chunk plus one block of variates, times a single
 chi-square mixing variable shared by the whole matrix, which is what makes
 the matrix law elliptically contoured rather than a stack of independent
 heavy-tailed rows.
@@ -33,9 +35,10 @@ __all__ = [
 #: changes which variates replicate k receives.
 CHUNK_SIZE = 4096
 
-#: Bytes an elliptical-t chunk's Bartlett block holds at once, whatever n:
-#: its variates and built matrices. Fixes the block, so part of the stream
-#: contract.
+#: Fixes the rows of an elliptical-t chunk's Bartlett draw block, by the
+#: block rule in _elliptical_chunk, and so is part of the stream contract:
+#: a change moves every t draw. It bounds no memory: the rule's 2 p^2 term
+#: counts no array the sampler holds.
 _ELLIPTICAL_BUDGET = 2**18
 
 _TAG_WISHART = 0
@@ -74,68 +77,90 @@ def _generator(seed: int, tag: int, counter: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _build_wishart(chi2: np.ndarray, normals: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Assemble S = B B' from Bartlett variates, B = L A, one matrix per row.
+def _store_bartlett(s: np.ndarray, chi2: np.ndarray, normals: np.ndarray) -> None:
+    """Store raw Bartlett variates in an entries-first stack, one matrix per row.
 
-    The scale L = diag(sqrt(values)) is applied to the compact diagonal
-    sqrt(chi2) and to the strictly-lower normals, giving each entry of B
-    as one (rows,) column. Each entry S_ij = sum_{k <= j} B_ik B_jk, i >= j,
-    is then summed in ascending k, written once into an entries-first stack
-    and copied to (j, i), so S is exactly symmetric. The sums can differ
-    from a BLAS matmul by an ulp.
+    Chi-square i goes to (i, i), and the normal of entry (i, k), k < i, in
+    tril_indices order, to (k, i) above the diagonal, so row i of the factor
+    lies in column i of the upper triangle. _build_wishart reads them there.
     """
-    rows, p = chi2.shape
+    p = chi2.shape[1]
+    diag = np.arange(p)
+    i, k = np.tril_indices(p, -1)
+    s[:, diag, diag] = chi2
+    s[:, k, i] = normals
+
+
+def _build_wishart(s: np.ndarray, values: np.ndarray) -> None:
+    """Turn the Bartlett variates _store_bartlett left in s into S = B B', in place.
+
+    B = L A with L = diag(sqrt(values)). The variates are scaled where they
+    lie, so B_ik is at (k, i) for every k <= i. Each S_ij = sum_{k <= j}
+    B_ik B_jk, i >= j, is then summed in ascending k and written to (i, j)
+    and (j, i), so S is exactly symmetric. Rows go from the last back, and
+    columns within a row from the last back: the slot (j, i) that S_ij takes
+    held B_ij, which no later entry reads. Besides s, the build holds two
+    columns. The sums can differ from a BLAS matmul by an ulp.
+    """
+    rows, p, _ = s.shape
+    e = s.transpose(1, 2, 0)  # e[i, j] is entry (i, j)'s column
     scale = np.sqrt(values)
-    root = np.sqrt(chi2)
-    # b[i][k] is entry (i, k) of B as one (rows,) column: row i takes the
-    # next i normals (tril_indices order) and ends with the diagonal.
-    lower = iter(normals.T)
-    b = [
-        [next(lower) * scale[i] for _ in range(i)] + [root[:, i] * scale[i]]
-        for i in range(p)
-    ]
-    s = np.empty((p, p, rows)).transpose(2, 0, 1)
     for i in range(p):
-        for j in range(i + 1):
-            entry = b[i][0] * b[j][0]
+        np.sqrt(e[i, i], out=e[i, i])
+        e[: i + 1, i] *= scale[i]
+    diagonal, product = np.empty(rows), np.empty(rows)
+    for i in reversed(range(p)):
+        for j in reversed(range(i + 1)):
+            # (i, j) below the diagonal holds no variate; S_ii is summed apart
+            # because its slot holds B_ii, its own last term
+            entry = e[i, j] if i > j else diagonal
+            np.multiply(e[0, i], e[0, j], out=entry)
             for k in range(1, j + 1):
-                entry += b[i][k] * b[j][k]
-            s[:, i, j] = s[:, j, i] = entry
+                np.multiply(e[k, i], e[k, j], out=product)
+                entry += product
+            e[j, i] = entry
+
+
+def _draw_bartlett(gen: np.random.Generator, n: int, p: int, block: int) -> np.ndarray:
+    """A chunk's raw Bartlett variates for W_p(n, .), stored entries-first for _build_wishart.
+
+    Rows are drawn ``block`` at a time, each block's chi-squares and then its
+    normals, so besides the chunk only one block of variates is held.
+    """
+    df = n - np.arange(p, dtype=np.float64)
+    s = np.empty((p, p, CHUNK_SIZE)).transpose(2, 0, 1)
+    for start in range(0, CHUNK_SIZE, block):
+        chi2 = gen.chisquare(df, size=(block, p))
+        normals = gen.standard_normal((block, p * (p - 1) // 2))
+        _store_bartlett(s[start : start + block], chi2, normals)
     return s
 
 
 def _wishart_chunk(values: np.ndarray, n: int, seed: int, chunk_index: int) -> np.ndarray:
-    p = values.size
     gen = _generator(seed, _TAG_WISHART, chunk_index)
-    df = n - np.arange(p, dtype=np.float64)
-    chi2 = gen.chisquare(df, size=(CHUNK_SIZE, p))
-    normals = gen.standard_normal((CHUNK_SIZE, p * (p - 1) // 2))
-    return _build_wishart(chi2, normals, values)
+    s = _draw_bartlett(gen, n, values.size, CHUNK_SIZE)
+    _build_wishart(s, values)
+    return s
 
 
 def _elliptical_chunk(
     values: np.ndarray, n: int, nu: int, seed: int, chunk_index: int
 ) -> np.ndarray:
     # S_t = (nu / w) X'X with X'X ~ W_p(n, diag(values)) and w ~ chi2(nu), so
-    # X'X is one Bartlett draw. Rows are drawn and built in blocks: each
-    # block's chi-squares, then its normals, go through _build_wishart. The
-    # block is the largest power of two of rows, at least one and at most
-    # CHUNK_SIZE, whose variates and built matrices fit _ELLIPTICAL_BUDGET,
-    # the matrices counted twice for the builder's temporaries; it depends
-    # on p only. The mixing variables are drawn after the last block.
+    # X'X is one Bartlett draw, its variates drawn in row blocks and built by
+    # one call over the chunk. The block is the largest power of two of rows,
+    # at least one and at most CHUNK_SIZE, for which _ELLIPTICAL_BUDGET holds
+    # 8 (p(p + 1)/2 + 2 p^2) bytes a row; it depends on p only. The mixing
+    # variables are drawn after the last block.
     p = values.size
     gen = _generator(seed, _TAG_ELLIPTICAL, chunk_index)
-    df = n - np.arange(p, dtype=np.float64)
     fit = _ELLIPTICAL_BUDGET // (8 * (p + p * (p - 1) // 2 + 2 * p * p))
     block = min(CHUNK_SIZE, 1 << max(fit.bit_length() - 1, 0))
-    m = np.empty((p, p, CHUNK_SIZE)).transpose(2, 0, 1)
-    for start in range(0, CHUNK_SIZE, block):
-        chi2 = gen.chisquare(df, size=(block, p))
-        normals = gen.standard_normal((block, p * (p - 1) // 2))
-        m[start : start + block] = _build_wishart(chi2, normals, values)
+    s = _draw_bartlett(gen, n, p, block)
+    _build_wishart(s, values)
     mix = gen.chisquare(float(nu), CHUNK_SIZE)
-    m *= (nu / mix)[:, None, None]
-    return m
+    s *= (nu / mix)[:, None, None]
+    return s
 
 
 def scatter_chunk(
@@ -149,10 +174,11 @@ def scatter_chunk(
     so it has E[S] = n nu / (nu - 2) diag(spectrum) and the same law of
     contribution rates. Every chunk is entries-first (strides (8,
     8 p CHUNK_SIZE, 8 CHUNK_SIZE)), so each entry s[:, i, j] is one
-    contiguous column. No draw holds an n x p data matrix: besides the
-    chunk, an elliptical-t chunk holds O(p^2) bytes a row of one block, at
-    most _ELLIPTICAL_BUDGET (one row's when that is larger), so its time and
-    memory do not grow with n.
+    contiguous column, and S is built there in place. No draw holds an
+    n x p data matrix. Besides the chunk, a Wishart chunk holds its
+    p(p + 1)/2 variates a row, and an elliptical-t chunk one block of them,
+    under _ELLIPTICAL_BUDGET (one row's when that is larger), so its time
+    and memory do not grow with n. The build adds two columns.
     """
     _check_dof(n, spectrum.p)
     kind, nu = parse_distribution(distribution)

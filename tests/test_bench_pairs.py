@@ -52,3 +52,21 @@ def test_reference_summary_refuses_unmatched_items():
     change["readme_examples"].pop()
     with pytest.raises(ValueError, match="weights"):
         pairs.summarise_reference([{"base": _report("/srv/base", 1.0), "change": change}])
+
+
+def _run(scale, ratio):
+    metrics = {name: {"value": scale} for name in pairs.END_TO_END}
+    return {"result": {"metrics": metrics}, "raw_op_s": scale, "raw_kernel_s": None,
+            "probe": {"alone_s": 0.05, "beside_s": 0.05 * ratio, "ratio": ratio}}
+
+
+def test_summary_keeps_each_side_median_probe_ratio():
+    runs = [{"base": _run(1.0, r), "change": _run(2.0, 2 * r)} for r in (1.0, 1.2, 1.9)]
+    summary = pairs.summarise(runs)
+    assert summary["probe_ratio"] == {"base_median": 1.2, "change_median": 2.4}
+
+
+def test_parallelism_probe_times_the_kernel_alone_and_beside_a_copy():
+    probe = pairs.parallelism_probe(seconds=0.05)
+    assert probe["alone_s"] > 0 and probe["beside_s"] > 0
+    assert probe["ratio"] == probe["beside_s"] / probe["alone_s"]

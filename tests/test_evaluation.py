@@ -253,6 +253,34 @@ def test_batch_losses_match_scalar_at_a_near_tie():
     _assert_batch_losses_match_scalar(s, np.array([0.4, 0.25, 0.2, 0.1, 0.05]), 20)
 
 
+@pytest.mark.parametrize("need_vectors", [False, True])
+@pytest.mark.parametrize("p", [3, 10])
+@pytest.mark.parametrize("degeneracy", ["gap 1e-13", "condition 1e12"])
+def test_batch_rates_agree_with_scalar_decomposition_on_near_singular_draws(degeneracy, p, need_vectors):
+    # The batched trace and diagonal checks accept every draw the scalar
+    # decomposition accepts, and both give the same eigenvalues, rates and
+    # squared vector entries to a few ulps of the trace. p = 3 without
+    # vectors runs the closed form, the rest LAPACK.
+    rng = np.random.default_rng(17)
+    if degeneracy == "gap 1e-13":
+        l = np.geomspace(2.0, 0.25, p)
+        l[1] = l[2] + 1e-13 * l.sum()
+    else:
+        l = np.geomspace(1.0, 1e-12, p)
+    rotations = [np.linalg.qr(rng.standard_normal((p, p)))[0] for _ in range(32)]
+    s = np.stack([(h * l) @ h.T for h in rotations])
+    s = (s + s.transpose(0, 2, 1)) / 2.0
+    w, d, q = _batch_rates(s, need_vectors)
+    tol = 16 * np.finfo(float).eps
+    for k, m in enumerate(s):
+        scalar = symmetric_eigendecompose(m)
+        total = scalar.eigenvalues.sum()
+        assert np.abs(w[k] - scalar.eigenvalues).max() <= tol * total
+        assert np.abs(d[k] - scalar.eigenvalues / total).max() <= tol
+        if need_vectors:
+            assert np.abs(q[k] - scalar.eigenvectors**2).max() <= tol
+
+
 def test_batch_rates_rejects_non_positive_eigenvalue():
     # positive trace, negative eigenvalue: the trace alone would let it through
     s = np.stack([np.eye(2), np.diag([1.0, -0.5])])

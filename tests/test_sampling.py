@@ -14,6 +14,7 @@ from spectra_shrink import (
     scatter_chunk,
     simulate_bias,
 )
+from spectra_shrink import sampling
 from spectra_shrink.evaluation import sample_rates
 from spectra_shrink.sampling import (
     _ELLIPTICAL_BUDGET,
@@ -21,6 +22,7 @@ from spectra_shrink.sampling import (
     _TAG_ELLIPTICAL,
     _build_wishart,
     _generator,
+    _store_bartlett,
     map_chunks,
 )
 
@@ -67,12 +69,21 @@ def test_chunk_is_deterministic(distribution):
     assert not np.any(np.all(first == later, axis=(1, 2)))
 
 
+def _built(chi2, normals, values):
+    """S = B B' from Bartlett variates: stored in an entries-first stack, then built there."""
+    rows, p = chi2.shape
+    s = np.empty((p, p, rows)).transpose(2, 0, 1)
+    _store_bartlett(s, chi2, normals)
+    _build_wishart(s, values)
+    return s
+
+
 def test_scalar_wishart_is_chi_square():
     # p=1 reduction through the Bartlett builder: S / sigma^2 ~ chi2(n)
     rng = np.random.default_rng(3)
     n = 10
     chi2 = rng.chisquare(np.array([float(n)]), size=(100000, 1))
-    s = _build_wishart(chi2, np.empty((100000, 0)), np.array([2.5]))
+    s = _built(chi2, np.empty((100000, 0)), np.array([2.5]))
     mean = s[:, 0, 0].mean()
     assert abs(mean - n * 2.5) / (n * 2.5) < 0.01
 
@@ -120,7 +131,7 @@ def _bartlett_reference(chi2, normals, values):
 def test_bartlett_product_matches_matmul(seed, p, extra_dof, log_values):
     values = 10.0 ** np.array(log_values[:p])
     chi2, normals = _bartlett_variates(seed, p, p + extra_dof, 256)
-    s = _build_wishart(chi2, normals, values)
+    s = _built(chi2, normals, values)
     assert np.array_equal(s, s.transpose(0, 2, 1))
     ref = _bartlett_reference(chi2, normals, values)
     err = np.abs(s - ref).max(axis=(1, 2))
@@ -142,7 +153,7 @@ def test_bartlett_product_bits_are_pinned(p, digest):
     chi2 = 1.0 + 400.0 * u((64, p))
     normals = 2.0 * u((64, p * (p - 1) // 2)) - 1.0
     values = 0.5 + u(p)
-    s = _build_wishart(chi2, normals, values)
+    s = _built(chi2, normals, values)
     data = np.ascontiguousarray(s, dtype="<f8").tobytes()
     assert hashlib.sha256(data).hexdigest() == digest
 
@@ -176,7 +187,7 @@ def test_elliptical_chunk_matches_blockwise_bartlett_draw(p, n):
     for _ in range(CHUNK_SIZE // block):
         chi2 = gen.chisquare(df, size=(block, p))
         normals = gen.standard_normal((block, p * (p - 1) // 2))
-        blocks.append(_build_wishart(chi2, normals, spec.values))
+        blocks.append(_built(chi2, normals, spec.values))
     ref = np.concatenate(blocks)
     ref *= (5 / gen.chisquare(5.0, CHUNK_SIZE))[:, None, None]
     chunk = scatter_chunk(spec, n, "t:5", seed=13, chunk_index=2)
@@ -233,6 +244,36 @@ def test_elliptical_chunk_memory_is_bounded(n):
     finally:
         tracemalloc.stop()
     assert peak < out.nbytes + 2 * _ELLIPTICAL_BUDGET
+
+
+@pytest.mark.parametrize("distribution", ["wishart", "t:5"])
+@pytest.mark.parametrize("p", [3, 10, 20])
+def test_chunk_is_built_by_one_call(monkeypatch, p, distribution):
+    # One build call, in place in the chunk's own stack, whatever the number
+    # of draw blocks, so a chunk's numpy calls do not grow with them.
+    built = []
+
+    def build(s, *args):
+        built.append(s)
+        return _build_wishart(s, *args)
+
+    monkeypatch.setattr(sampling, "_build_wishart", build)
+    chunk = scatter_chunk(Spectrum(np.linspace(1.0, 0.1, p)), 2 * p, distribution, seed=3, chunk_index=0)
+    assert len(built) == 1 and built[0] is chunk
+
+
+@pytest.mark.parametrize("p", [3, 10, 20])
+def test_wishart_chunk_memory_is_its_variates(p):
+    # Besides the chunk, a Wishart chunk holds its p(p + 1)/2 variates a row
+    # and the build's two columns, and no scaled copy of them.
+    spec = Spectrum(np.linspace(1.0, 0.1, p))
+    tracemalloc.start()
+    try:
+        out = scatter_chunk(spec, 2 * p, "wishart", seed=5, chunk_index=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 8 * CHUNK_SIZE * (p * (p + 1) // 2 + 2)
 
 
 @pytest.mark.parametrize("distribution", ["wishart", "t:5"])
