@@ -464,8 +464,7 @@ def simulate_bias(
     unfitted. Wishart only, with distinct population eigenvalues: a (nearly)
     repeated one is refused by ``bias_expansion`` before any draw.
     """
-    kind, _ = sampling.parse_distribution(distribution)
-    if control_variate and kind != "wishart":
+    if sampling.parse_distribution(distribution) is not None and control_variate:
         raise ValueError("the control-variate estimator requires Wishart sampling")
     lam = spectrum.values
     p = lam.size
@@ -758,7 +757,7 @@ def compare_risks(
     need_vectors = loss_kind == "entropy"
     trace_means = _trace_means(lam, n)
     n_controls = _fitted_controls(spectrum.p * spectrum.p + spectrum.p + 1 + trace_means.size, replicates)
-    if sampling.parse_distribution(distribution)[0] != "wishart":
+    if sampling.parse_distribution(distribution) is not None:
         n_controls = 0
     log_det_mean = _log_det_mean(lam, n) if n_controls else None
 

@@ -3,16 +3,15 @@
 Draws are organized in fixed-size chunks keyed by (seed, distribution,
 chunk index) through a Philox counter-based generator, so the draw for
 replicate k depends only on the seed and k - never on how many replicates
-are requested, the evaluation order, or the worker count. Both laws store
-a chunk's Bartlett variates in its own entries-first stack, where each S_ij
-is one contiguous column across the chunk, and build S there in place,
-entry by entry at every p, by one call over all its rows. No data matrix
-is materialised. A Wishart chunk holds the chunk plus its variates. The
-elliptical-t route is a Wishart draw X'X, its variates drawn in row blocks
-so that it holds the chunk plus one block of variates, times a single
-chi-square mixing variable shared by the whole matrix, which is what makes
-the matrix law elliptically contoured rather than a stack of independent
-heavy-tailed rows.
+are requested, the evaluation order, or the worker count. Both laws take
+one path: a chunk's Bartlett variates are stored in its own entries-first
+stack, where each S_ij is one contiguous column across the chunk, and S is
+built there in place, entry by entry at every p, by one call over all its
+rows. No data matrix is materialised. A law picks only the stream, the row
+block its variates are drawn in, and the mix: the elliptical-t law is a
+Wishart draw X'X times a single chi-square mixing variable shared by the
+whole matrix, which is what makes the matrix law elliptically contoured
+rather than a stack of independent heavy-tailed rows.
 """
 
 from __future__ import annotations
@@ -35,10 +34,12 @@ __all__ = [
 #: changes which variates replicate k receives.
 CHUNK_SIZE = 4096
 
-#: Fixes the rows of an elliptical-t chunk's Bartlett draw block, by the
-#: block rule in _elliptical_chunk, and so is part of the stream contract:
-#: a change moves every t draw. It bounds no memory: the rule's 2 p^2 term
-#: counts no array the sampler holds.
+#: Fixes the rows of an elliptical-t chunk's Bartlett draw block, and so is
+#: part of the stream contract: a change moves every t draw. The block is the
+#: largest power of two of rows, at least one and at most CHUNK_SIZE, for
+#: which the budget holds 8 (p(p + 1)/2 + 2 p^2) bytes a row; it depends on p
+#: only. It bounds no memory: the rule's 2 p^2 term counts no array the
+#: sampler holds.
 _ELLIPTICAL_BUDGET = 2**18
 
 _TAG_WISHART = 0
@@ -48,15 +49,15 @@ _MAX_SEED = 2**64
 _MAX_COUNTER = 2**62
 
 
-def parse_distribution(distribution: str) -> tuple[str, int | None]:
+def parse_distribution(distribution: str) -> int | None:
     """Parse a distribution spec: ``"wishart"`` or ``"t:<nu>"``.
 
-    Returns ("wishart", None) or ("elliptical_t", nu) with nu >= 3; the
-    t family needs at least three degrees of freedom for its scatter to
-    have finite expectation.
+    Returns None for Wishart, or the elliptical t's nu >= 3; the t family
+    needs at least three degrees of freedom for its scatter to have finite
+    expectation.
     """
     if distribution == "wishart":
-        return "wishart", None
+        return None
     if distribution.startswith("t:"):
         try:
             nu = int(distribution[2:])
@@ -64,7 +65,7 @@ def parse_distribution(distribution: str) -> tuple[str, int | None]:
             raise ValueError(f"malformed t distribution spec {distribution!r}") from None
         if nu < 3:
             raise ValueError(f"elliptical t needs nu >= 3, got {nu}")
-        return "elliptical_t", nu
+        return nu
     raise ValueError(f"unknown distribution {distribution!r}; expected 'wishart' or 't:<nu>'")
 
 
@@ -136,33 +137,6 @@ def _draw_bartlett(gen: np.random.Generator, n: int, p: int, block: int) -> np.n
     return s
 
 
-def _wishart_chunk(values: np.ndarray, n: int, seed: int, chunk_index: int) -> np.ndarray:
-    gen = _generator(seed, _TAG_WISHART, chunk_index)
-    s = _draw_bartlett(gen, n, values.size, CHUNK_SIZE)
-    _build_wishart(s, values)
-    return s
-
-
-def _elliptical_chunk(
-    values: np.ndarray, n: int, nu: int, seed: int, chunk_index: int
-) -> np.ndarray:
-    # S_t = (nu / w) X'X with X'X ~ W_p(n, diag(values)) and w ~ chi2(nu), so
-    # X'X is one Bartlett draw, its variates drawn in row blocks and built by
-    # one call over the chunk. The block is the largest power of two of rows,
-    # at least one and at most CHUNK_SIZE, for which _ELLIPTICAL_BUDGET holds
-    # 8 (p(p + 1)/2 + 2 p^2) bytes a row; it depends on p only. The mixing
-    # variables are drawn after the last block.
-    p = values.size
-    gen = _generator(seed, _TAG_ELLIPTICAL, chunk_index)
-    fit = _ELLIPTICAL_BUDGET // (8 * (p + p * (p - 1) // 2 + 2 * p * p))
-    block = min(CHUNK_SIZE, 1 << max(fit.bit_length() - 1, 0))
-    s = _draw_bartlett(gen, n, p, block)
-    _build_wishart(s, values)
-    mix = gen.chisquare(float(nu), CHUNK_SIZE)
-    s *= (nu / mix)[:, None, None]
-    return s
-
-
 def scatter_chunk(
     spectrum: Spectrum, n: int, distribution: str, seed: int, chunk_index: int
 ) -> np.ndarray:
@@ -171,20 +145,30 @@ def scatter_chunk(
     Replicate k lives at row k % CHUNK_SIZE of chunk k // CHUNK_SIZE. Both
     laws have scale diag(spectrum); a Wishart draw has E[S] = n diag(spectrum),
     and an elliptical-t draw is a Wishart draw times nu / w, w ~ chi2(nu),
-    so it has E[S] = n nu / (nu - 2) diag(spectrum) and the same law of
-    contribution rates. Every chunk is entries-first (strides (8,
-    8 p CHUNK_SIZE, 8 CHUNK_SIZE)), so each entry s[:, i, j] is one
-    contiguous column, and S is built there in place. No draw holds an
+    drawn after its variates, so it has E[S] = n nu / (nu - 2) diag(spectrum)
+    and the same law of contribution rates. Every chunk is entries-first
+    (strides (8, 8 p CHUNK_SIZE, 8 CHUNK_SIZE)), so each entry s[:, i, j] is
+    one contiguous column, and S is built there in place. No draw holds an
     n x p data matrix. Besides the chunk, a Wishart chunk holds its
-    p(p + 1)/2 variates a row, and an elliptical-t chunk one block of them,
-    under _ELLIPTICAL_BUDGET (one row's when that is larger), so its time
-    and memory do not grow with n. The build adds two columns.
+    p(p + 1)/2 variates a row, drawn in one block, and an elliptical-t chunk
+    one block of them, under _ELLIPTICAL_BUDGET (one row's when that is
+    larger), so its time and memory do not grow with n. The build adds two
+    columns.
     """
-    _check_dof(n, spectrum.p)
-    kind, nu = parse_distribution(distribution)
-    if kind == "wishart":
-        return _wishart_chunk(spectrum.values, int(n), seed, chunk_index)
-    return _elliptical_chunk(spectrum.values, int(n), nu, seed, chunk_index)
+    p = spectrum.p
+    _check_dof(n, p)
+    nu = parse_distribution(distribution)
+    if nu is None:
+        tag, block = _TAG_WISHART, CHUNK_SIZE
+    else:
+        fit = _ELLIPTICAL_BUDGET // (8 * (p * (p + 1) // 2 + 2 * p * p))
+        tag, block = _TAG_ELLIPTICAL, min(CHUNK_SIZE, 1 << max(fit.bit_length() - 1, 0))
+    gen = _generator(seed, tag, chunk_index)
+    s = _draw_bartlett(gen, int(n), p, block)
+    _build_wishart(s, spectrum.values)
+    if nu is not None:
+        s *= (nu / gen.chisquare(float(nu), CHUNK_SIZE))[:, None, None]
+    return s
 
 
 def map_chunks(worker, n_chunks: int, jobs: int = 1) -> None:

@@ -44,7 +44,7 @@ from spectra_shrink.evaluation import (
 )
 from spectra_shrink.sampling import CHUNK_SIZE, scatter_chunk
 
-from oracle_p2 import rate_mean, stein_haff_means
+from oracle_p2 import rate_mean, risk_means, stein_haff_means
 
 
 def _draws(spec, n, distribution, seed, replicates):
@@ -412,6 +412,27 @@ def test_bias_engine_matches_p2_oracle(control_variate):
     exact = rate_mean((0.7, 0.3), 30)
     b = simulate_bias(Spectrum((0.7, 0.3)), 30, "wishart", 200000, seed=0, control_variate=control_variate)
     assert abs(b.mean_rates[0] - exact) <= 4.0 * b.std_errors[0]
+
+
+def test_p2_oracle_risks_have_converged():
+    # doubling the quadrature's nodes moves no exact risk
+    for beta in ((1.0, 1.0), (0.9, 1.1)):
+        coarse = risk_means((0.7, 0.3), 30, beta)
+        finer = risk_means((0.7, 0.3), 30, beta, r_nodes=400, theta_nodes=512)
+        assert np.max(np.abs(np.subtract(finer, coarse))) <= 1e-12
+
+
+@pytest.mark.parametrize("distribution", ["wishart", "t:5"])
+@pytest.mark.parametrize("loss_kind", ["entropy", "quadratic"])
+def test_risk_engine_matches_p2_oracle(loss_kind, distribution):
+    # both laws give the rates and eigenvectors the same law, so the same
+    # exact risks; the Wishart run takes the control basis, the t run none
+    lam, n = (0.7, 0.3), 30
+    w = [ShrinkageWeights((1.0, 1.0), dof=n), ShrinkageWeights((0.9, 1.1), dof=n)]
+    exact = np.array([risk_means(lam, n, x.beta)[loss_kind == "quadratic"] for x in w])
+    cmp = compare_risks(Spectrum(lam), n, w, loss_kind, distribution, 200000, seed=0)
+    assert np.all(np.abs(cmp.mean_losses - exact) <= 4.0 * cmp.std_errors)
+    assert abs(cmp.diff_means[0] - (exact[1] - exact[0])) <= 4.0 * cmp.diff_std_errors[0]
 
 
 def test_p2_bias_expansion_residual_is_second_order():

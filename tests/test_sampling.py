@@ -20,6 +20,7 @@ from spectra_shrink.sampling import (
     _ELLIPTICAL_BUDGET,
     CHUNK_SIZE,
     _TAG_ELLIPTICAL,
+    _TAG_WISHART,
     _build_wishart,
     _generator,
     _store_bartlett,
@@ -45,7 +46,8 @@ def test_stream_key_validation():
         parse_distribution("t:2")
     with pytest.raises(ValueError):
         parse_distribution("cauchy")
-    assert parse_distribution("t:7") == ("elliptical_t", 7)
+    assert parse_distribution("t:7") == 7
+    assert parse_distribution("wishart") is None
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +176,20 @@ def test_wishart_chunk_is_entries_first(p, n):
         assert (v is None and v_dense is None) or np.array_equal(v, v_dense)
 
 
+@pytest.mark.parametrize("distribution", ["wishart", "t:5"])
 @pytest.mark.parametrize("p, n", [(3, 3), (10, 100), (20, 40)])
-def test_elliptical_chunk_matches_blockwise_bartlett_draw(p, n):
-    # The stream contract: row blocks of a size fixed by p alone, each its
-    # chi-squares and then its normals, built by the Wishart builder, then
-    # the chunk's mixing draw.
-    block = {3: 1024, 10: 128, 20: 32}[p]
+def test_chunk_matches_blockwise_bartlett_draw(p, n, distribution):
+    # The stream contract of both laws' one path: row blocks of a size fixed
+    # by the law and p alone, each its chi-squares and then its normals, built
+    # by the Wishart builder, then a t chunk's mixing draw. A Wishart chunk is
+    # one block on its own stream, with no mix.
+    nu = parse_distribution(distribution)
+    if nu is None:
+        tag, block = _TAG_WISHART, CHUNK_SIZE
+    else:
+        tag, block = _TAG_ELLIPTICAL, {3: 1024, 10: 128, 20: 32}[p]
     spec = Spectrum(np.linspace(1.0, 0.1, p))
-    gen = _generator(13, _TAG_ELLIPTICAL, 2)
+    gen = _generator(13, tag, 2)
     df = n - np.arange(p, dtype=np.float64)
     blocks = []
     for _ in range(CHUNK_SIZE // block):
@@ -189,8 +197,9 @@ def test_elliptical_chunk_matches_blockwise_bartlett_draw(p, n):
         normals = gen.standard_normal((block, p * (p - 1) // 2))
         blocks.append(_built(chi2, normals, spec.values))
     ref = np.concatenate(blocks)
-    ref *= (5 / gen.chisquare(5.0, CHUNK_SIZE))[:, None, None]
-    chunk = scatter_chunk(spec, n, "t:5", seed=13, chunk_index=2)
+    if nu is not None:
+        ref *= (nu / gen.chisquare(float(nu), CHUNK_SIZE))[:, None, None]
+    chunk = scatter_chunk(spec, n, distribution, seed=13, chunk_index=2)
     assert np.array_equal(chunk, ref)
     assert chunk.strides[0] == chunk.itemsize == 8
 
