@@ -31,6 +31,11 @@ it in another process; the run keeps both times and their ratio as
 ``probe``, and the summary gives each side's median ratio as
 ``probe_ratio``. A ratio near 1 means the machine ran the two copies on two
 cores; near 2, that they shared one, so a ``--jobs 2`` claim cannot show.
+A thread probe then times the same kernel alone and on two threads of one
+process, each on its own copy of the batch; the run keeps it as
+``thread_probe`` and the summary gives each side's median ratio as
+``thread_probe_ratio``. ``--jobs`` runs chunks on threads, so a thread ratio
+well above the process ratio means the kernel itself serialises its threads.
 ``--reference K`` (a bare ``--reference`` is K = 1) keeps every reference
 report and gives, per acceptance criterion and README example, each side's
 median wall time over the K pairs and whether every run passed.
@@ -51,34 +56,48 @@ END_TO_END = {m["name"]: (m["better"], m["bound"]) for m in json.loads(
     (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
 
 
-#: The probe's kernel, run as ``python -c KERNEL SECONDS``: it warms up, says
-#: "ready", waits for a line on stdin, then runs the kernel for SECONDS and
-#: prints the median time of one call. BLAS is pinned to one thread, as in
-#: perfbench/run.py, so two copies ask for two cores.
+#: The probes' kernel, run as ``python -c KERNEL SECONDS THREADS``: it warms
+#: up, says "ready", waits for a line on stdin, then runs the kernel for
+#: SECONDS on each of THREADS threads, each on its own copy of the batch, and
+#: prints the median time of one call over all of them. BLAS is pinned to one
+#: thread, as in perfbench/run.py, so two copies or two threads ask for two
+#: cores.
 PROBE_KERNEL = """
-import statistics, sys, time
+import statistics, sys, threading, time
 import numpy as np
 a = np.random.default_rng(0).standard_normal((4096, 10, 10))
 s = a @ a.transpose(0, 2, 1)
 np.linalg.eigh(s)
+seconds, threads = float(sys.argv[1]), int(sys.argv[2])
+def run(times, s):
+    end = time.perf_counter() + seconds
+    while not times or time.perf_counter() < end:
+        t0 = time.perf_counter()
+        np.linalg.eigh(s)
+        times.append(time.perf_counter() - t0)
+times = [[] for _ in range(threads)]
+workers = [threading.Thread(target=run, args=(t, s.copy())) for t in times]
 print("ready", flush=True)
 sys.stdin.readline()
-times, end = [], time.perf_counter() + float(sys.argv[1])
-while not times or time.perf_counter() < end:
-    t0 = time.perf_counter()
-    np.linalg.eigh(s)
-    times.append(time.perf_counter() - t0)
-print(statistics.median(times))
+for w in workers:
+    w.start()
+for w in workers:
+    w.join()
+print(statistics.median(x for t in times for x in t))
 """
 PROBE_SECONDS = 1.0
 PIN_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def kernel_times(copies: int, seconds: float) -> list[float]:
-    """The probe kernel's median call time in each of ``copies`` processes started together."""
+def kernel_times(copies: int, seconds: float, threads: int = 1) -> list[float]:
+    """The probe kernel's median call time in each of ``copies`` processes started together.
+
+    Each process runs the kernel on ``threads`` threads at once.
+    """
     env = {**os.environ, **dict.fromkeys(PIN_VARS, "1")}
-    procs = [subprocess.Popen([sys.executable, "-c", PROBE_KERNEL, str(seconds)], env=env, text=True,
-                              stdin=subprocess.PIPE, stdout=subprocess.PIPE) for _ in range(copies)]
+    argv = [sys.executable, "-c", PROBE_KERNEL, str(seconds), str(threads)]
+    procs = [subprocess.Popen(argv, env=env, text=True, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+             for _ in range(copies)]
     for proc in procs:
         if proc.stdout.readline() != "ready\n":
             raise RuntimeError(f"probe kernel failed to start (exit {proc.wait()})")
@@ -95,6 +114,13 @@ def parallelism_probe(seconds: float = PROBE_SECONDS) -> dict:
     """The probe kernel's time alone and beside one copy of it, and their ratio."""
     (alone,) = kernel_times(1, seconds)
     beside = kernel_times(2, seconds)[0]
+    return {"alone_s": alone, "beside_s": beside, "ratio": beside / alone}
+
+
+def thread_probe(seconds: float = PROBE_SECONDS) -> dict:
+    """The probe kernel's time alone and on two threads of one process, and their ratio."""
+    (alone,) = kernel_times(1, seconds)
+    (beside,) = kernel_times(1, seconds, threads=2)
     return {"alone_s": alone, "beside_s": beside, "ratio": beside / alone}
 
 
@@ -115,10 +141,11 @@ def median_or_none(values: list[float]) -> float | None:
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     argv = ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    probe = parallelism_probe()
+    probe, threaded = parallelism_probe(), thread_probe()
     *_, report, result = map(json.loads, run_stdout(checkout, argv).splitlines())
     untraced = report["report"]["phases"][0]
-    return {"seed": seed, "trace": trace, "probe": probe, "environment": report["report"]["environment"],
+    return {"seed": seed, "trace": trace, "probe": probe, "thread_probe": threaded,
+            "environment": report["report"]["environment"],
             "determinism": report["report"]["determinism"], "result": result,
             # A threaded workload runs uncalibrated: its kernel_s is empty.
             "raw_op_s": median_or_none(untraced["op_s"]),
@@ -186,8 +213,9 @@ def summarise(pairs: list[dict]) -> dict:
     for name, values in raw.items():
         out[name] = {f"{side}_median": median_or_none(v) for side, v in values.items()}
     out["raw_kernel_s"]["verdict"] = kernel_verdict(**raw["raw_kernel_s"])
-    out["probe_ratio"] = {f"{side}_median": statistics.median(p[side]["probe"]["ratio"] for p in pairs)
-                          for side in ("base", "change")}
+    for probe in ("probe", "thread_probe"):
+        out[f"{probe}_ratio"] = {f"{side}_median": statistics.median(p[side][probe]["ratio"] for p in pairs)
+                                 for side in ("base", "change")}
     return out
 
 

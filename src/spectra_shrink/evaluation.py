@@ -245,7 +245,10 @@ def _gap_ratios(lam: np.ndarray) -> np.ndarray:
 def _batch_rates(s: np.ndarray, need_vectors: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Eigenvalues l, rates and (optionally) squared eigenvector entries q = v * v of a chunk.
 
-    The engines read no eigenvector sign, so none can depend on one. Each
+    ``eigh_descending_batch`` decomposes the chunk: with vectors, LAPACK on
+    each S; without, the 3 x 3 closed form at p = 3 and otherwise LAPACK on
+    the tridiagonals that the batched Householder reduction leaves. The
+    engines read no eigenvector sign, so none can depend on one. Each
     row is checked against the diagonal of S, a few vector operations: a
     non-positive eigenvalue raises, and so does an eigenvalue sum that
     departs from tr S, or a diagonal sum_k l_k q_jk that departs from S_jj,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from spectra_shrink import (
     eigh_descending_batch,
     symmetric_eigendecompose,
 )
+from spectra_shrink.cases import spiked_case
+from spectra_shrink.sampling import scatter_chunk
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -213,6 +217,98 @@ def test_3x3_eigenvalues_match_lapack(log_top, log_cond, log_gap, gap_at_top, se
     assert np.all(np.diff(w[0]) <= 0)
     ref = np.linalg.eigvalsh(a)[::-1]
     assert np.abs(w[0] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _assert_eigenvalues_match_lapack(mats):
+    """The eigenvalue-only path against LAPACK on the matrices themselves, to 16 eps of the trace.
+
+    Each of 16 spread rows, decomposed alone, gives the batch's bits.
+    """
+    w, none = eigh_descending_batch(mats, compute_vectors=False)
+    assert none is None
+    assert np.all(np.diff(w, axis=1) <= 0)
+    ref = np.linalg.eigvalsh(mats)[:, ::-1]
+    trace = np.trace(mats, axis1=1, axis2=2)
+    assert np.all(np.abs(w - ref).max(axis=1) <= 16 * np.finfo(float).eps * trace)
+    for k in np.linspace(0, len(mats) - 1, 16).astype(int):
+        assert np.array_equal(eigh_descending_batch(mats[k : k + 1], False)[0][0], w[k])
+    return w
+
+
+@pytest.mark.parametrize("distribution", ["wishart", "t:5"])
+@pytest.mark.parametrize("p", [2, 4, 5, 10, 20])
+def test_eigenvalue_only_chunks_match_lapack(p, distribution):
+    # every p but 3 goes through the batched tridiagonal reduction
+    chunk = scatter_chunk(Spectrum(np.geomspace(1.0, 0.05, p)), p + 7, distribution, seed=p, chunk_index=0)
+    _assert_eigenvalues_match_lapack(chunk)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [4, 10, 20])
+def test_eigenvalue_only_edge_stacks(p):
+    rng = np.random.default_rng(p)
+    # diagonal: every Householder column is zero, and the values come back exactly
+    diagonal = rng.uniform(0.5, 2.0, (8, p))
+    w = _assert_eigenvalues_match_lapack(np.stack([np.diag(d) for d in diagonal]))
+    assert np.array_equal(w, -np.sort(-diagonal, axis=1))
+    # already tridiagonal: only the last entry of each column is nonzero
+    off = rng.standard_normal((8, p - 1))
+    _assert_eigenvalues_match_lapack(
+        np.stack([np.diag(d) + np.diag(e, -1) + np.diag(e, 1) for d, e in zip(4.0 + diagonal, off)])
+    )
+    # condition number 1e12
+    _assert_eigenvalues_match_lapack(np.stack([_rotated(rng, np.geomspace(1.0, 1e-12, p)) for _ in range(8)]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [4, 10, 20])
+def test_eigenvalue_only_path_follows_power_of_two_scaling_exactly(p):
+    # each matrix is brought near unit scale by a power of two before the
+    # reduction, so entries near 1e183 or 1e-179, whose squares leave the
+    # double range, give the unscaled eigenvalues times the scale, bit for bit
+    chunk = scatter_chunk(Spectrum(np.linspace(1.0, 0.1, p)), p + 7, "wishart", seed=p, chunk_index=0)[:256]
+    w = eigh_descending_batch(chunk, compute_vectors=False)[0]
+    for k in (-600, -20, 20, 600):
+        scaled = eigh_descending_batch(np.ldexp(chunk, k), compute_vectors=False)[0]
+        assert np.array_equal(scaled, np.ldexp(w, k))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eigenvalue_only_repeated_eigenvalues():
+    # spiked case 1: five eigenvalues 19 and five 1, on the diagonal and rotated
+    values = spiked_case(1).values
+    rng = np.random.default_rng(1)
+    mats = np.stack([np.diag(values)] + [_rotated(rng, values) for _ in range(15)])
+    w = _assert_eigenvalues_match_lapack(mats)
+    assert np.array_equal(w[0], values)
+    assert np.abs(w - values).max() <= 16 * np.finfo(float).eps * values.sum()
+
+
+def test_eigenvalue_only_path_reads_the_lower_triangle_and_leaves_it():
+    chunk = scatter_chunk(Spectrum(np.linspace(1.0, 0.1, 10)), 30, "wishart", seed=4, chunk_index=0)[:256]
+    kept = chunk.copy()
+    chunk.setflags(write=False)
+    w = _assert_eigenvalues_match_lapack(chunk)
+    assert np.array_equal(chunk, kept)
+    garbage = chunk.copy()
+    iu = np.triu_indices(10, 1)
+    garbage[:, iu[0], iu[1]] = np.random.default_rng(4).standard_normal((256, iu[0].size)) * 1e3
+    garbage[0, 0, 9], garbage[1, 2, 3] = np.nan, np.inf
+    assert np.array_equal(eigh_descending_batch(garbage, compute_vectors=False)[0], w)
+
+
+@pytest.mark.parametrize("p", [4, 10, 20])
+def test_eigenvalue_only_path_holds_one_copy_of_the_stack(p):
+    # the reduction's entries-first copy, reduced in place, plus its reflector,
+    # update and scratch columns and the eigenvalues, each (p, batch)
+    chunk = scatter_chunk(Spectrum(np.linspace(1.0, 0.1, p)), 2 * p, "wishart", seed=5, chunk_index=0)
+    tracemalloc.start()
+    try:
+        eigh_descending_batch(chunk, compute_vectors=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < chunk.nbytes + 5 * chunk.itemsize * p * len(chunk)
 
 
 def test_rejects_non_positive_definite():

@@ -16,6 +16,7 @@ from spectra_shrink import (
     ShrinkageWeights,
     Spectrum,
     bias_expansion,
+    check_conditions,
     classical_weights,
     compare_risks,
     dimension_experiment_for_spectrum,
@@ -254,13 +255,14 @@ def test_batch_losses_match_scalar_at_a_near_tie():
 
 
 @pytest.mark.parametrize("need_vectors", [False, True])
-@pytest.mark.parametrize("p", [3, 10])
+@pytest.mark.parametrize("p", [3, 4, 10, 20])
 @pytest.mark.parametrize("degeneracy", ["gap 1e-13", "condition 1e12"])
 def test_batch_rates_agree_with_scalar_decomposition_on_near_singular_draws(degeneracy, p, need_vectors):
     # The batched trace and diagonal checks accept every draw the scalar
     # decomposition accepts, and both give the same eigenvalues, rates and
-    # squared vector entries to a few ulps of the trace. p = 3 without
-    # vectors runs the closed form, the rest LAPACK.
+    # squared vector entries to a few ulps of the trace. Without vectors,
+    # p = 3 runs the closed form and other p the batched tridiagonal
+    # reduction; with vectors, LAPACK decomposes S itself.
     rng = np.random.default_rng(17)
     if degeneracy == "gap 1e-13":
         l = np.geomspace(2.0, 0.25, p)
@@ -463,14 +465,52 @@ def test_stein_haff_raises_on_tied_eigenvalues(monkeypatch):
 
 
 def test_pathwise_risk_difference_bound():
-    # the dominance proof makes this quantity non-positive draw by draw
-    spec = Spectrum((0.1,) * 10)
+    # The dominance proof makes G(beta) - G(1) - sum log beta negative draw by
+    # draw whenever the weights meet the three conditions. Criterion 4's grid
+    # (p = 4..20, n in {p, p + 7, p + 30}, every valid q) on three spectra:
+    # linear, sorted uniform, and one spike over ones. Each (p, n, spectrum)
+    # draws Wishart matrices as X'X, and every p's draws go through the
+    # eigenvalue-only batch path together.
+    # - Parity: the single-draw entropy_risk_difference_bound, on LAPACK's
+    #   eigenvalues of each case's first draw, equals the batched integrand.
+    # - Negative control: squaring the weights below one breaks condition 3
+    #   alone (sum 1/beta > p), and then some draw of every case with n > p has
+    #   a positive integrand. At n = p the small-q cases stay negative.
+    # First, 10,000 of the library's own Wishart draws at p = 10, n = 30,
+    # q = 1 and ten equal eigenvalues.
     w1 = family_weights(10, 30, 1)
-    betas = np.stack([w1.beta, np.ones(10)])
-    log_beta = np.sum(np.log(w1.beta))
-    l, d, _ = _batch_rates(_draws(spec, 30, "wishart", 37, 10000), need_vectors=False)
-    g = _g_batch(l, d, betas, 30)
-    assert (g[0] - g[1] - log_beta).max() <= 1e-10
+    l, d, _ = _batch_rates(_draws(Spectrum((0.1,) * 10), 30, "wishart", 37, 10000), need_vectors=False)
+    g = _g_batch(l, d, np.stack([w1.beta, np.ones(10)]), 30)
+    assert (g[0] - g[1] - np.sum(np.log(w1.beta))).max() <= 1e-10
+    rng = np.random.default_rng(13)
+    draws = 128
+    for p in range(4, 21):
+        spectra = (np.linspace(1.0, 1.0 / p, p), np.sort(rng.uniform(0.1, 1.0, p))[::-1], np.r_[10.0, np.ones(p - 1)])
+        cases = [(lam, n) for lam in spectra for n in (p, p + 7, p + 30)]
+        s = []
+        for lam, n in cases:
+            x = rng.standard_normal((draws, n, p)) * np.sqrt(lam)
+            s.append(np.swapaxes(x, 1, 2) @ x)
+        s = np.concatenate(s)
+        l, d, _ = _batch_rates(s, need_vectors=False)
+        for c, (lam, n) in enumerate(cases):
+            rows = slice(c * draws, (c + 1) * draws)
+            weights = [family_weights(p, n, q) for q in range(1, (p - 2) // 2 + 1)]
+            betas = np.stack([w.beta for w in weights])
+            g = _g_batch(l[rows], d[rows], np.vstack([np.ones(p), betas]), n)
+            bound = g[1:] - g[0] - np.log(betas).sum(axis=1)[:, None]
+            assert bound.max() < 0.0, (p, n, lam)
+            first = symmetric_eigendecompose(s[c * draws])
+            for w, batched in zip(weights, bound[:, 0]):
+                assert abs(entropy_risk_difference_bound(first, w, n) - batched) <= 1e-10 * abs(batched)
+            if n == p:
+                continue
+            broken = np.where(betas < 1.0, betas**2, betas)
+            for beta in broken:
+                report = check_conditions(ShrinkageWeights(beta, n))
+                assert report.c1_holds and report.c2_holds and not report.c3_holds
+            g_broken = _g_batch(l[rows], d[rows], broken, n)
+            assert np.all((g_broken - g[0] - np.log(broken).sum(axis=1)[:, None]).max(axis=1) > 0.0), (p, n, lam)
 
 
 def test_risk_difference_bound_single_sample():
