@@ -208,24 +208,19 @@ def entropy_risk_difference_bound(
 def bias_expansion(truth: Spectrum, n: int) -> np.ndarray:
     """First-order approximation of the expected sample contribution rates.
 
-    E(d_i) is the population rate plus n^-1 times
-    2 lambda_i (sum lambda_j^2) / T^3 - 2 lambda_i^2 / T^2
-    + (lambda_i / T) sum_{j != i} lambda_j / (lambda_i - lambda_j),
-    with T the spectrum total. Requires all eigenvalues distinct and, as
-    the sampler does, an integer n >= p.
+    E(d_i) is the population rate tau_i = lambda_i / sum lambda plus n^-1
+    times 2 tau_i (sum tau_j^2) - 2 tau_i^2
+    + tau_i sum_{j != i} tau_j / (tau_i - tau_j).
+    It is formed on tau, so it is scale-free and finite at any scale of the
+    spectrum. Requires all eigenvalues distinct and, as the sampler does,
+    an integer n >= p.
     """
     _check_dof(n, truth.p)
     lam = truth.values
     _check_distinct(lam, "eigenvalues")
-    total = lam.sum()
-    sumsq = np.sum(lam**2)
-    ratio = _gap_ratios(lam)
-    coeff = (
-        2.0 * lam * sumsq / total**3
-        - 2.0 * lam**2 / total**2
-        + (lam / total) * ratio.sum(axis=1)
-    )
-    return lam / total + coeff / n
+    tau = lam / lam.sum()
+    coeff = 2.0 * tau * np.sum(tau**2) - 2.0 * tau**2 + tau * _gap_ratios(tau).sum(axis=1)
+    return tau + coeff / n
 
 
 def _gap_ratios(lam: np.ndarray) -> np.ndarray:
@@ -449,8 +444,8 @@ def simulate_bias(
 ) -> BiasSimulation:
     """Monte Carlo means and standard errors of the sample rates.
 
-    Without ``control_variate`` each fold's rates are reduced as they are,
-    under either law: the cross-fit's control basis is empty. With
+    Without ``control_variate`` each fold's rates are reduced as they are:
+    the cross-fit's control basis is empty. With
     ``control_variate`` each draw's rates d are taken less their corrections
     c, the first- and second-order terms of their expansion less the
     second-order term's exact mean, and z = d - c is regressed on c_2..c_p
@@ -464,11 +459,11 @@ def simulate_bias(
     n = 30, 100, 200, 400 and 800 (7.0e-6 -> 2.6e-6 at n = 200). Below 10 rows
     a fold per fitted coefficient (2(p - 1) controls and an intercept, so
     never at p = 3, and from 220 replicates at p = 6) z is averaged
-    unfitted. Wishart only, with distinct population eigenvalues: a (nearly)
-    repeated one is refused by ``bias_expansion`` before any draw.
+    unfitted. Either law's chunk is an exact Wishart draw (see
+    ``sampling.scatter_chunk``), so the means are exact under both. The
+    population eigenvalues must be distinct: a (nearly) repeated one is
+    refused by ``bias_expansion`` before any draw.
     """
-    if sampling.parse_distribution(distribution) is not None and control_variate:
-        raise ValueError("the control-variate estimator requires Wishart sampling")
     lam = spectrum.values
     p = lam.size
     n_controls = 0
@@ -739,17 +734,18 @@ def compare_risks(
     Each loss and paired difference is regressed on a basis of functions of
     S alone, with coefficients cross-fitted on the even and odd replicates,
     each fold corrected with the other fold's, so the means stay unbiased.
-    The law and the count alone set the basis. Under Wishart sampling it
-    holds functions whose means are exactly zero for the sampler's scale
-    diag(lambda), lambda = ``spectrum.values`` (see ``_wishart_controls``): e_k = S_kk/(n lambda_k) - 1, S_ij^2/(n lambda_i
-    lambda_j) - 1 (i < j), e_k^2 - 2/n, e_i e_j (i < j), log det S less its
-    Bartlett mean, and tr S^3 over its Wishart mean, less 1: p^2 + p + 2
-    controls. At n >= p + 16, where tr S^-2 has a finite fourth moment,
-    tr S^-1 and tr S^-2 over their inverse-Wishart means, less 1, join them
-    (114 at p = 10, n = 30). The basis is empty, and the estimates plain,
+    The spectrum, n and the count alone set the basis. It holds functions
+    whose means are exactly zero for the sampler's scale diag(lambda),
+    lambda = ``spectrum.values``, under either law, since both draw exact
+    Wishart chunks (see ``_wishart_controls`` and ``sampling.scatter_chunk``):
+    e_k = S_kk/(n lambda_k) - 1, S_ij^2/(n lambda_i lambda_j) - 1 (i < j),
+    e_k^2 - 2/n, e_i e_j (i < j), log det S less its Bartlett mean, and
+    tr S^3 over its Wishart mean, less 1: p^2 + p + 2 controls. At
+    n >= p + 16, where tr S^-2 has a finite fourth moment, tr S^-1 and
+    tr S^-2 over their inverse-Wishart means, less 1, join them (114 at
+    p = 10, n = 30). The basis is empty, and the estimates plain,
     below 10 rows a fold per fitted coefficient (the controls and an
-    intercept: 2,300 replicates at p = 10 and n >= 26, 2,260 below) and for
-    elliptical draws, where the controls' means are not exact.
+    intercept: 2,300 replicates at p = 10 and n >= 26, 2,260 below).
     """
     if loss_kind not in ("entropy", "quadratic"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -760,8 +756,6 @@ def compare_risks(
     need_vectors = loss_kind == "entropy"
     trace_means = _trace_means(lam, n)
     n_controls = _fitted_controls(spectrum.p * spectrum.p + spectrum.p + 1 + trace_means.size, replicates)
-    if sampling.parse_distribution(distribution) is not None:
-        n_controls = 0
     log_det_mean = _log_det_mean(lam, n) if n_controls else None
 
     def stat(s, l, d, q):
@@ -851,12 +845,11 @@ def invariance_check(
 
     The two samples come from independent streams under the same seed. The
     rate distribution is the same for every member of the elliptical family,
-    so equality should be accepted coordinate by coordinate. The sampler
-    draws an elliptical-t matrix as a Bartlett Wishart draw times one mixing
-    scale, and the rates are scale-free, so this KS compares two Bartlett
+    so equality should be accepted coordinate by coordinate. An elliptical-t
+    chunk is the Bartlett Wishart draw X'X of the t stream, without its
+    mixing scale, which no rate reads, so this KS compares two Bartlett
     streams: it checks the streams' independence and the engine, not the
-    sampler's law, which the sampling tests compare with an n x p data
-    matrix draw.
+    law, which the sampling tests compare with an n x p data matrix draw.
     """
     elliptical = f"t:{nu}"
     sampling.parse_distribution(elliptical)  # refuse a bad nu before any draw

@@ -7,11 +7,12 @@ are requested, the evaluation order, or the worker count. Both laws take
 one path: a chunk's Bartlett variates are stored in its own entries-first
 stack, where each S_ij is one contiguous column across the chunk, and S is
 built there in place, entry by entry at every p, by one call over all its
-rows. No data matrix is materialised. A law picks only the stream, the row
-block its variates are drawn in, and the mix: the elliptical-t law is a
-Wishart draw X'X times a single chi-square mixing variable shared by the
-whole matrix, which is what makes the matrix law elliptically contoured
-rather than a stack of independent heavy-tailed rows.
+rows. No data matrix is materialised. A law picks only the stream and the
+row block its variates are drawn in. An elliptical-t matrix is a Wishart
+draw X'X times one chi-square mixing scale nu / w shared by the whole
+matrix, which makes its law elliptically contoured; the scale moves no
+rate, eigenvector or decision, whose law is the same for every member of
+the family, so no output reads it, and a t chunk is the X'X of its stream.
 """
 
 from __future__ import annotations
@@ -143,31 +144,27 @@ def scatter_chunk(
     """One full chunk of scatter matrices, shape (CHUNK_SIZE, p, p).
 
     Replicate k lives at row k % CHUNK_SIZE of chunk k // CHUNK_SIZE. Both
-    laws have scale diag(spectrum); a Wishart draw has E[S] = n diag(spectrum),
-    and an elliptical-t draw is a Wishart draw times nu / w, w ~ chi2(nu),
-    drawn after its variates, so it has E[S] = n nu / (nu - 2) diag(spectrum)
-    and the same law of contribution rates. Every chunk is entries-first
-    (strides (8, 8 p CHUNK_SIZE, 8 CHUNK_SIZE)), so each entry s[:, i, j] is
-    one contiguous column, and S is built there in place. No draw holds an
-    n x p data matrix. Besides the chunk, a Wishart chunk holds its
-    p(p + 1)/2 variates a row, drawn in one block, and an elliptical-t chunk
-    one block of them, under _ELLIPTICAL_BUDGET (one row's when that is
-    larger), so its time and memory do not grow with n. The build adds two
-    columns.
+    laws draw Bartlett Wishart matrices with scale diag(spectrum), so
+    E[S] = n diag(spectrum), each law on its own stream. The elliptical-t
+    law's matrix is (nu / w) X'X, w ~ chi2(nu), and a t chunk is its X'X:
+    the mix moves no scale-free value, so every nu draws the same chunk.
+    Every chunk is entries-first (strides (8, 8 p CHUNK_SIZE,
+    8 CHUNK_SIZE)), so each entry s[:, i, j] is one contiguous column, and
+    S is built there in place. No draw holds an n x p data matrix. Besides
+    the chunk, a Wishart chunk holds its p(p + 1)/2 variates a row, drawn in
+    one block, and an elliptical-t chunk one block of them, under
+    _ELLIPTICAL_BUDGET (one row's when that is larger), so its time and
+    memory do not grow with n. The build adds two columns.
     """
     p = spectrum.p
     _check_dof(n, p)
-    nu = parse_distribution(distribution)
-    if nu is None:
+    if parse_distribution(distribution) is None:
         tag, block = _TAG_WISHART, CHUNK_SIZE
     else:
         fit = _ELLIPTICAL_BUDGET // (8 * (p * (p + 1) // 2 + 2 * p * p))
         tag, block = _TAG_ELLIPTICAL, min(CHUNK_SIZE, 1 << max(fit.bit_length() - 1, 0))
-    gen = _generator(seed, tag, chunk_index)
-    s = _draw_bartlett(gen, int(n), p, block)
+    s = _draw_bartlett(_generator(seed, tag, chunk_index), int(n), p, block)
     _build_wishart(s, spectrum.values)
-    if nu is not None:
-        s *= (nu / gen.chisquare(float(nu), CHUNK_SIZE))[:, None, None]
     return s
 
 

@@ -224,6 +224,24 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert _read(a) == _read(b)
 
 
+def test_every_t_law_prints_the_same_bytes(tmp_path):
+    # a t chunk is its stream's Wishart draw X'X, without the chi-square mix
+    # that no output reads, so nu picks no draw: bias, risk above the control
+    # basis's floor (2,300 replicates at p = 10, n = 30) and dimension print
+    # the same bytes under t:3 and t:9
+    for argv in (
+        ["bias", "--spectrum", "0.5,0.3,0.2", "--n", "20", "--reps", "500"],
+        ["risk", "--spectrum", "table2:18", "--n", "30", "--reps", "2300"],
+        ["dimension", "--case", "1", "--n", "30", "--reps", "500"],
+    ):
+        outs = []
+        for nu in (3, 9):
+            out = tmp_path / f"{argv[0]}-t{nu}.csv"
+            assert main(argv + ["--seed", "1", "--dist", f"t:{nu}", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], argv[0]
+
+
 # ---------------------------------------------------------------------------
 # validation and exit codes
 # ---------------------------------------------------------------------------

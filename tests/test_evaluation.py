@@ -345,8 +345,8 @@ def _fields(result):
 
 def test_batch_engines_do_not_depend_on_eigenvector_signs(monkeypatch):
     # p = 10, n = 30: 2,300 replicates is the least count that takes the
-    # control variates (checked below against the plain SEs); t:5 takes the
-    # empty control basis
+    # control variates (checked below against the plain SEs); t:5, at 300
+    # replicates, takes the empty control basis
     n = 30
     spec = Spectrum(np.linspace(1.0, 0.1, 10))
     w = [classical_weights(10, n), family_weights(10, n, 1), family_weights(10, n, 2)]
@@ -428,7 +428,7 @@ def test_p2_oracle_risks_have_converged():
 @pytest.mark.parametrize("loss_kind", ["entropy", "quadratic"])
 def test_risk_engine_matches_p2_oracle(loss_kind, distribution):
     # both laws give the rates and eigenvectors the same law, so the same
-    # exact risks; the Wishart run takes the control basis, the t run none
+    # exact risks; both runs take the control basis
     lam, n = (0.7, 0.3), 30
     w = [ShrinkageWeights((1.0, 1.0), dof=n), ShrinkageWeights((0.9, 1.1), dof=n)]
     exact = np.array([risk_means(lam, n, x.beta)[loss_kind == "quadratic"] for x in w])
@@ -513,6 +513,26 @@ def test_pathwise_risk_difference_bound():
             assert np.all((g_broken - g[0] - np.log(broken).sum(axis=1)[:, None]).max(axis=1) > 0.0), (p, n, lam)
 
 
+def test_entropy_risk_rows_meet_the_stein_haff_identity_draw_by_draw():
+    # The risk engine's entropy loss takes its trace against tau = lambda /
+    # sum lambda, and G estimates the trace against diag(lambda), the draws'
+    # scale, so per draw (tr_beta - tr_1) - sum(lambda) (G(beta) - G(1)),
+    # with tr_beta - tr_1 = L(beta) - L(1) + sum log beta, has mean exactly
+    # zero. On Table 2 rows 1, 5, 9 and 18 with the q1 and q2 weights this
+    # checks compare_risks' entropy path against G.
+    n, reps = 30, 3 * CHUNK_SIZE
+    betas = np.stack([np.ones(10)] + [family_weights(10, n, q).beta for q in (1, 2)])
+    for row in (1, 5, 9, 18):
+        spec = table2_spectrum(row)
+        lam = spec.values
+        l, d, q = _batch_rates(_draws(spec, n, "wishart", row, reps), need_vectors=True)
+        losses = _entropy_losses(d, q, betas, lam / lam.sum())
+        g = _g_batch(l, d, betas, n)
+        x = losses[1:] - losses[0] + np.log(betas[1:]).sum(axis=1)[:, None] - lam.sum() * (g[1:] - g[0])
+        z = x.mean(axis=1) / (x.std(axis=1, ddof=1) / np.sqrt(reps))
+        assert np.all(np.abs(z) < 4.0), (row, z)
+
+
 def test_risk_difference_bound_single_sample():
     rng = np.random.default_rng(41)
     a = rng.standard_normal((30, 10))
@@ -537,6 +557,18 @@ def test_bias_expansion_p3_hand_value():
     exp = bias_expansion(Spectrum((0.5, 0.3, 0.2)), 100)
     coeffs = np.array([0.963333333333, -0.102, -0.861333333333])
     np.testing.assert_allclose(exp, np.array([0.5, 0.3, 0.2]) + coeffs / 100, atol=1e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bias_expansion_is_scale_free():
+    # it is formed on tau = lambda / sum lambda, so it is finite and the same
+    # at every scale, also where lambda^2 or (sum lambda)^3 would overflow
+    # or underflow
+    base = np.array([0.5, 0.3, 0.2])
+    expected = bias_expansion(Spectrum(base), 20)
+    for exponent in (-300, -110, -50, 0, 50, 103, 200, 300):
+        got = bias_expansion(Spectrum(base * 10.0**exponent), 20)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0, err_msg=f"scale 1e{exponent}")
 
 
 def _separated(values):
@@ -989,24 +1021,22 @@ _LOSS_KINDS = pytest.mark.parametrize("loss_kind", ["entropy", "quadratic"])
 
 
 @_LOSS_KINDS
-@pytest.mark.parametrize("distribution, replicates", [("wishart", 459), ("t:5", 4096 + 123)])
-def test_risk_keeps_the_plain_estimator(distribution, replicates, loss_kind, monkeypatch):
+def test_risk_keeps_the_plain_estimator(loss_kind, monkeypatch):
     # below the floor of 10 rows a fold per fitted coefficient (p = 4,
     # n = 12: 22 controls and an intercept, 230 rows; 459 replicates leave
-    # the odd fold 229), and under the elliptical law, where the controls'
-    # means are not exact, the control basis is empty: the cross-fit then
+    # the odd fold 229) the control basis is empty: the cross-fit then
     # returns the plain means and SEs, and no control is computed; the loss
     # kind plays no part in the choice
-    spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31
+    spec, n, seed, replicates = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31, 459
     w = [classical_weights(4, n), family_weights(4, n, 1)]
-    plain_means, plain_ses = _plain_risk_moments(spec, n, loss_kind, distribution, seed, replicates, w)
+    plain_means, plain_ses = _plain_risk_moments(spec, n, loss_kind, "wishart", seed, replicates, w)
 
     def unused(*args):
         raise AssertionError("an empty control basis computes no control")
 
     monkeypatch.setattr(evaluation, "_log_det_mean", unused)
     monkeypatch.setattr(evaluation, "_wishart_controls", unused)
-    cmp = compare_risks(spec, n, w, loss_kind, distribution, replicates, seed=seed)
+    cmp = compare_risks(spec, n, w, loss_kind, "wishart", replicates, seed=seed)
     means, ses = _risk_moments(cmp)
     np.testing.assert_allclose(means, plain_means, rtol=1e-12, atol=0)
     np.testing.assert_allclose(ses, plain_ses, rtol=1e-12, atol=0)
@@ -1024,23 +1054,24 @@ def test_risk_control_variates_start_at_the_floor(loss_kind):
 
 
 @pytest.mark.parametrize(
-    "loss_kind, n, seeds",
+    "loss_kind, n, seeds, distribution",
     [
-        pytest.param("entropy", 12, 60, id="entropy"),
-        pytest.param("quadratic", 12, 60, id="quadratic"),
-        pytest.param("entropy", 20, 240, id="entropy-n20"),
-        pytest.param("quadratic", 20, 240, id="quadratic-n20"),
+        pytest.param("entropy", 12, 60, "wishart", id="entropy"),
+        pytest.param("quadratic", 12, 60, "wishart", id="quadratic"),
+        pytest.param("entropy", 20, 240, "wishart", id="entropy-n20"),
+        pytest.param("quadratic", 20, 240, "wishart", id="quadratic-n20"),
+        pytest.param("entropy", 20, 120, "t:5", id="entropy-n20-t5"),
     ],
 )
-def test_risk_control_variate_se_is_calibrated(loss_kind, n, seeds):
+def test_risk_control_variate_se_is_calibrated(loss_kind, n, seeds, distribution):
     # the spread of the cross-fitted means over seeds matches the reported
-    # SE, without the inverse traces (n = 12) and with them (n = 20 = p + 16);
-    # the ratio's own sampling SD is about 0.09 over 60 seeds and half that
-    # over 240
+    # SE, without the inverse traces (n = 12) and with them (n = 20 = p + 16),
+    # under either law; the ratio's own sampling SD is about 0.09 over 60
+    # seeds, 0.065 over 120 and 0.045 over 240
     spec = Spectrum((0.4, 0.3, 0.2, 0.1))
     w = [classical_weights(4, n), family_weights(4, n, 1)]
     runs = [
-        _risk_moments(compare_risks(spec, n, w, loss_kind, "wishart", 2000, seed=s))
+        _risk_moments(compare_risks(spec, n, w, loss_kind, distribution, 2000, seed=s))
         for s in range(seeds)
     ]
     means = np.array([m for m, _ in runs])
@@ -1081,17 +1112,20 @@ def test_log_det_mean_matches_scipy_digamma_sum(n):
 
 
 @pytest.mark.parametrize(
-    "spec, n, n_spectral",
+    "spec, n, n_spectral, distribution",
     [
-        pytest.param(Spectrum((0.4, 0.3, 0.2, 0.1)), 30, 3, id="p4"),
-        pytest.param(table2_spectrum(18), 30, 3, id="row18"),
-        pytest.param(table2_spectrum(18), 25, 1, id="row18-n25"),
+        pytest.param(Spectrum((0.4, 0.3, 0.2, 0.1)), 30, 3, "wishart", id="p4"),
+        pytest.param(table2_spectrum(18), 30, 3, "wishart", id="row18"),
+        pytest.param(table2_spectrum(18), 25, 1, "wishart", id="row18-n25"),
+        pytest.param(Spectrum((0.4, 0.3, 0.2, 0.1)), 30, 3, "t:5", id="p4-t5"),
+        pytest.param(table2_spectrum(18), 30, 3, "t:5", id="row18-t5"),
     ],
 )
-def test_wishart_controls_have_mean_zero(spec, n, n_spectral):
+def test_wishart_controls_have_mean_zero(spec, n, n_spectral, distribution):
     # every control, the products e_i e_j, log det S and the spectral traces
-    # included, averages to zero within 4 SEs over 40 chunks; tr S^-1 and
-    # tr S^-2 join tr S^3 only at n >= p + 16, so not at p = 10, n = 25
+    # included, averages to zero within 4 SEs over 40 chunks, under either
+    # law, whose chunks are both Wishart draws; tr S^-1 and tr S^-2 join
+    # tr S^3 only at n >= p + 16, so not at p = 10, n = 25
     lam = spec.values
     p = lam.size
     log_det_mean = evaluation._log_det_mean(lam, n)
@@ -1103,19 +1137,19 @@ def test_wishart_controls_have_mean_zero(spec, n, n_spectral):
         evaluation._wishart_controls(s, l, lam, n, log_det_mean, trace_means, controls)
         return controls
 
-    means, ses = evaluation._estimate(spec, n, "wishart", 40 * CHUNK_SIZE, 23, 2, False, 0, stat)
+    means, ses = evaluation._estimate(spec, n, distribution, 40 * CHUNK_SIZE, 23, 2, False, 0, stat)
     assert np.all(np.abs(means) < 4 * ses), np.abs(means / ses).max()
 
 
 def test_control_variate_agrees_and_tightens():
+    # both laws' chunks are exact Wishart draws, so the controls' means are exact under each
     spec = Spectrum((0.5, 0.3, 0.2))
-    plain = simulate_bias(spec, 100, "wishart", 50000, seed=29)
-    cv = simulate_bias(spec, 100, "wishart", 50000, seed=29, control_variate=True)
-    combined = np.sqrt(plain.std_errors**2 + cv.std_errors**2)
-    assert np.all(np.abs(plain.mean_rates - cv.mean_rates) < 5 * combined)
-    assert np.all(cv.std_errors < plain.std_errors)
-    with pytest.raises(ValueError, match="Wishart"):
-        simulate_bias(spec, 100, "t:5", 1000, seed=1, control_variate=True)
+    for distribution in ("wishart", "t:5"):
+        plain = simulate_bias(spec, 100, distribution, 50000, seed=29)
+        cv = simulate_bias(spec, 100, distribution, 50000, seed=29, control_variate=True)
+        combined = np.sqrt(plain.std_errors**2 + cv.std_errors**2)
+        assert np.all(np.abs(plain.mean_rates - cv.mean_rates) < 5 * combined)
+        assert np.all(cv.std_errors < plain.std_errors)
 
 
 def test_second_order_cv_tightens_first_order():

@@ -181,10 +181,8 @@ def test_wishart_chunk_is_entries_first(p, n):
 def test_chunk_matches_blockwise_bartlett_draw(p, n, distribution):
     # The stream contract of both laws' one path: row blocks of a size fixed
     # by the law and p alone, each its chi-squares and then its normals, built
-    # by the Wishart builder, then a t chunk's mixing draw. A Wishart chunk is
-    # one block on its own stream, with no mix.
-    nu = parse_distribution(distribution)
-    if nu is None:
+    # by the Wishart builder. A Wishart chunk is one block on its own stream.
+    if parse_distribution(distribution) is None:
         tag, block = _TAG_WISHART, CHUNK_SIZE
     else:
         tag, block = _TAG_ELLIPTICAL, {3: 1024, 10: 128, 20: 32}[p]
@@ -197,8 +195,6 @@ def test_chunk_matches_blockwise_bartlett_draw(p, n, distribution):
         normals = gen.standard_normal((block, p * (p - 1) // 2))
         blocks.append(_built(chi2, normals, spec.values))
     ref = np.concatenate(blocks)
-    if nu is not None:
-        ref *= (nu / gen.chisquare(float(nu), CHUNK_SIZE))[:, None, None]
     chunk = scatter_chunk(spec, n, distribution, seed=13, chunk_index=2)
     assert np.array_equal(chunk, ref)
     assert chunk.strides[0] == chunk.itemsize == 8
@@ -219,12 +215,15 @@ def _t_draws(spec, n, distribution, seed, reps):
 
 
 def test_elliptical_law_matches_the_data_matrix_reference():
-    # The sampler's Bartlett route against an n x p data matrix, drawn from
-    # another stream, by a two-sample KS test at 1 % on every rate and on
-    # two entries, and the first moment E[S_t] = n nu / (nu - 2) diag(values).
+    # A t chunk is the X'X of the law's matrix (nu / w) X'X. With nu / w
+    # applied, w drawn from a third stream, the sampler's Bartlett route is
+    # tested against an n x p data matrix, drawn from another stream, by a
+    # two-sample KS test at 1 % on every rate and on two entries; the chunk
+    # itself has the Wishart first moment E[S] = n diag(values), whatever nu.
     spec = Spectrum((0.4, 0.3, 0.2, 0.1))
     n, reps = 12, 20000
     s = _t_draws(spec, n, "t:5", 31, reps)
+    s *= (5 / np.random.default_rng(131).chisquare(5.0, reps))[:, None, None]
     ref = _data_matrix_t_draw(np.random.default_rng(31), spec.values, n, 5, reps)
     for a, b in ((s[:, 0, 0], ref[:, 0, 0]), (s[:, 1, 0], ref[:, 1, 0])):
         assert ks_2samp(a, b).pvalue > 0.01
@@ -233,10 +232,9 @@ def test_elliptical_law_matches_the_data_matrix_reference():
     ref_rates /= ref_rates.sum(axis=1, keepdims=True)
     for i in range(spec.p):
         assert ks_2samp(rates[:, i], ref_rates[:, i]).pvalue > 0.01
-    nu = 9
-    s = _t_draws(spec, n, f"t:{nu}", 32, reps)
+    s = _t_draws(spec, n, "t:9", 32, reps)
     se = s.std(axis=0, ddof=1) / np.sqrt(reps)
-    expected = n * nu / (nu - 2) * np.diag(spec.values)
+    expected = n * np.diag(spec.values)
     assert np.all(np.abs(s.mean(axis=0) - expected) < 3 * se)
 
 
