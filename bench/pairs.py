@@ -36,6 +36,13 @@ process, each on its own copy of the batch; the run keeps it as
 ``thread_probe`` and the summary gives each side's median ratio as
 ``thread_probe_ratio``. ``--jobs`` runs chunks on threads, so a thread ratio
 well above the process ratio means the kernel itself serialises its threads.
+A GIL probe times a kernel of 500 short numpy calls, multiplies of (9, 4096)
+columns, alone and on two threads of one process; the run keeps it as
+``gil_probe`` and the summary gives each side's median ratio as
+``gil_probe_ratio``. A p = 10 chunk's kernels make several hundred such
+calls, each of which hands the GIL back and takes it again, so a ratio near
+2 or above means the host's hand-off cost, not the arithmetic, bounds a
+``--jobs`` gain there.
 ``--reference K`` (a bare ``--reference`` is K = 1) keeps every reference
 report and gives, per acceptance criterion and README example, each side's
 median wall time over the K pairs and whether every run passed.
@@ -56,27 +63,31 @@ END_TO_END = {m["name"]: (m["better"], m["bound"]) for m in json.loads(
     (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
 
 
-#: The probes' kernel, run as ``python -c KERNEL SECONDS THREADS``: it warms
-#: up, says "ready", waits for a line on stdin, then runs the kernel for
-#: SECONDS on each of THREADS threads, each on its own copy of the batch, and
-#: prints the median time of one call over all of them. BLAS is pinned to one
-#: thread, as in perfbench/run.py, so two copies or two threads ask for two
-#: cores.
-PROBE_KERNEL = """
+#: The probes' script, run as ``python -c SCRIPT SECONDS THREADS``: it warms
+#: up its kernel, says "ready", waits for a line on stdin, then runs the kernel
+#: for SECONDS on each of THREADS threads, each on its own copy of the data,
+#: and prints the median time of one call over all of them. BLAS is pinned to
+#: one thread, as in perfbench/run.py, so two copies or two threads ask for
+#: two cores. ``{setup}`` makes the data, ``{call}`` is one timed call on it.
+PROBE_SCRIPT = """
 import statistics, sys, threading, time
 import numpy as np
-a = np.random.default_rng(0).standard_normal((4096, 10, 10))
-s = a @ a.transpose(0, 2, 1)
-np.linalg.eigh(s)
+def setup():
+    rng = np.random.default_rng(0)
+    {setup}
+    return data
+def kernel(data):
+    {call}
+kernel(setup())
 seconds, threads = float(sys.argv[1]), int(sys.argv[2])
-def run(times, s):
+def run(times, data):
     end = time.perf_counter() + seconds
     while not times or time.perf_counter() < end:
         t0 = time.perf_counter()
-        np.linalg.eigh(s)
+        kernel(data)
         times.append(time.perf_counter() - t0)
 times = [[] for _ in range(threads)]
-workers = [threading.Thread(target=run, args=(t, s.copy())) for t in times]
+workers = [threading.Thread(target=run, args=(t, setup())) for t in times]
 print("ready", flush=True)
 sys.stdin.readline()
 for w in workers:
@@ -85,17 +96,28 @@ for w in workers:
     w.join()
 print(statistics.median(x for t in times for x in t))
 """
+#: The parallelism and thread probes' kernel: one p = 10 batched eigensolve,
+#: a single long call that releases the GIL.
+EIGH_KERNEL = PROBE_SCRIPT.format(
+    setup="a = rng.standard_normal((4096, 10, 10)); data = a @ a.transpose(0, 2, 1)",
+    call="np.linalg.eigh(data)")
+#: The GIL probe's kernel: 500 multiplies of (9, 4096) columns, the size of a
+#: p = 10 chunk's kernel calls, so each thread takes and hands back the GIL
+#: 500 times a call.
+GIL_KERNEL = PROBE_SCRIPT.format(
+    setup="data = rng.standard_normal((3, 9, 4096))",
+    call="for _ in range(500): np.multiply(data[0], data[1], out=data[2])")
 PROBE_SECONDS = 1.0
 PIN_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def kernel_times(copies: int, seconds: float, threads: int = 1) -> list[float]:
-    """The probe kernel's median call time in each of ``copies`` processes started together.
+def kernel_times(copies: int, seconds: float, threads: int = 1, kernel: str = EIGH_KERNEL) -> list[float]:
+    """A probe kernel's median call time in each of ``copies`` processes started together.
 
     Each process runs the kernel on ``threads`` threads at once.
     """
     env = {**os.environ, **dict.fromkeys(PIN_VARS, "1")}
-    argv = [sys.executable, "-c", PROBE_KERNEL, str(seconds), str(threads)]
+    argv = [sys.executable, "-c", kernel, str(seconds), str(threads)]
     procs = [subprocess.Popen(argv, env=env, text=True, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
              for _ in range(copies)]
     for proc in procs:
@@ -117,11 +139,16 @@ def parallelism_probe(seconds: float = PROBE_SECONDS) -> dict:
     return {"alone_s": alone, "beside_s": beside, "ratio": beside / alone}
 
 
-def thread_probe(seconds: float = PROBE_SECONDS) -> dict:
-    """The probe kernel's time alone and on two threads of one process, and their ratio."""
-    (alone,) = kernel_times(1, seconds)
-    (beside,) = kernel_times(1, seconds, threads=2)
+def thread_probe(seconds: float = PROBE_SECONDS, kernel: str = EIGH_KERNEL) -> dict:
+    """A probe kernel's time alone and on two threads of one process, and their ratio."""
+    (alone,) = kernel_times(1, seconds, kernel=kernel)
+    (beside,) = kernel_times(1, seconds, threads=2, kernel=kernel)
     return {"alone_s": alone, "beside_s": beside, "ratio": beside / alone}
+
+
+def gil_probe(seconds: float = PROBE_SECONDS) -> dict:
+    """The GIL kernel's time alone and on two threads of one process, and their ratio."""
+    return thread_probe(seconds, GIL_KERNEL)
 
 
 def run_stdout(checkout: Path, argv: list[str]) -> str:
@@ -141,10 +168,10 @@ def median_or_none(values: list[float]) -> float | None:
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     argv = ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    probe, threaded = parallelism_probe(), thread_probe()
+    probe, threaded, gil = parallelism_probe(), thread_probe(), gil_probe()
     *_, report, result = map(json.loads, run_stdout(checkout, argv).splitlines())
     untraced = report["report"]["phases"][0]
-    return {"seed": seed, "trace": trace, "probe": probe, "thread_probe": threaded,
+    return {"seed": seed, "trace": trace, "probe": probe, "thread_probe": threaded, "gil_probe": gil,
             "environment": report["report"]["environment"],
             "determinism": report["report"]["determinism"], "result": result,
             # A threaded workload runs uncalibrated: its kernel_s is empty.
@@ -213,7 +240,7 @@ def summarise(pairs: list[dict]) -> dict:
     for name, values in raw.items():
         out[name] = {f"{side}_median": median_or_none(v) for side, v in values.items()}
     out["raw_kernel_s"]["verdict"] = kernel_verdict(**raw["raw_kernel_s"])
-    for probe in ("probe", "thread_probe"):
+    for probe in ("probe", "thread_probe", "gil_probe"):
         out[f"{probe}_ratio"] = {f"{side}_median": statistics.median(p[side][probe]["ratio"] for p in pairs)
                                  for side in ("base", "change")}
     return out

@@ -194,18 +194,23 @@ def _tridiagonal_band(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     elsewhere, so the eigenvalues of A are 2^k eig(T). 2^-k brings a matrix's
     largest entry into [1/2, 1), so no square below overflows or underflows,
     as LAPACK's own scaling ensures; scaling by a power of two is exact, so it
-    moves no bit of the eigenvalues of a matrix in ordinary range.
+    moves no bit of the eigenvalues of a matrix in ordinary range. The largest
+    entry in magnitude is the larger of the copy's max and its negated min,
+    one call each, and one multiply scales the copy.
 
     This is LAPACK's unblocked lower reduction (dsytd2; Golub & Van Loan,
     Matrix Computations, section 8.3), vectorised across the batch: it works
     on an entries-first copy of the lower triangle, where each entry is one
     contiguous column of the batch, and every step is a few numpy operations
-    on whole columns. Each sum is an explicit loop in a fixed order, so each
-    row's bits depend only on that row, whatever its place in the batch or the
-    input's layout. The input is read only in its lower triangle and is not
-    modified; the copy is reduced in place, and the stack returned is a view
-    of it, so besides the copy the reduction holds only a few (p, batch)
-    columns.
+    on whole columns. When chunks run on threads each of those calls takes
+    the GIL and hands it back, so the steps that only some rows need, the
+    fix-ups of an already-reduced column, run only when some row has one.
+    Each sum is an explicit loop in a fixed order, never ``np.add.reduce``,
+    which sums a lone column pairwise, so each row's bits depend only on that
+    row, whatever its place in the batch or the input's layout. The input is
+    read only in its lower triangle and is not modified; the copy is reduced
+    in place, and the stack returned is a view of it, so besides the copy the
+    reduction holds only a few (p, batch) columns.
 
     LAPACK's reduction of a dense matrix makes two level-2 BLAS calls a column
     for every matrix; on a tridiagonal every reflector is the identity and it
@@ -213,40 +218,41 @@ def _tridiagonal_band(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     across threads.
     """
     rows, p, _ = a.shape
-    lower = a.transpose(1, 2, 0)
-    largest = np.zeros(rows)
-    for i in range(p):
-        np.maximum(largest, np.abs(lower[i, : i + 1]).max(axis=0), out=largest)
-    exponent = np.clip(np.frexp(largest)[1], -1000, 1000)
-    scale = np.ldexp(1.0, -exponent)
     b = np.zeros((p, p, rows))
+    lower = a.transpose(1, 2, 0)
     for i in range(p):
-        np.multiply(lower[i, : i + 1], scale, out=b[i, : i + 1])
-    # v is the reflector (v[0] = 1), w the symmetric rank-2 update's other
-    # factor, t scratch for products; each holds one column per trailing row.
+        b[i, : i + 1] = lower[i, : i + 1]
+    largest = np.maximum(b.max(axis=(0, 1)), -b.min(axis=(0, 1)))
+    exponent = np.clip(np.frexp(largest)[1], -1000, 1000)
+    b *= np.ldexp(1.0, -exponent)
+    # v is the reflector, w the symmetric rank-2 update's other factor, t
+    # scratch for products; each holds one column per trailing row. Every
+    # reflector's leading entry is 1.
     v, w, t = np.empty((3, max(p - 1, 0), rows))
+    v[:1] = 1.0
     for i in range(p - 2):
         k = p - 1 - i
         x = b[i + 1 :, i]
         alpha = x[0]
-        # H = I - tau v v' maps x onto beta e1. A column with nothing below
-        # x[0] is already reduced: H = I, and every divisor is kept nonzero.
-        sq = np.multiply(x[1:], x[1:], out=t[: k - 1])
-        sigma = sq[0].copy()
+        # H = I - tau v v' maps x onto beta e1; sigma = |x[1:]|^2 is summed
+        # in t's first column.
+        sigma = np.multiply(x[1:], x[1:], out=t[: k - 1])[0]
         for r in range(1, k - 1):
-            sigma += sq[r]
+            sigma += t[r]
         flat = sigma == 0.0
         beta = np.sqrt(alpha * alpha + sigma)
         np.copysign(beta, alpha, out=beta)
         np.negative(beta, out=beta)
-        beta[flat] = alpha[flat]
-        den = np.where(flat, 1.0, beta)
         tau = np.subtract(beta, alpha)
-        tau /= den
-        np.subtract(alpha, beta, out=den)
-        den[flat] = 1.0
+        den = np.subtract(alpha, beta)
+        if flat.any():
+            # A column with nothing below x[0] is already reduced: H = I, and
+            # every divisor is kept nonzero.
+            beta[flat], tau[flat], den[flat] = alpha[flat], 0.0, 1.0
+            tau /= np.where(flat, 1.0, beta)
+        else:
+            tau /= beta
         vk, wk, tk = v[:k], w[:k], t[:k]
-        vk[0] = 1.0
         np.divide(x[1:], den, out=vk[1:])
         x[0] = beta
         x[1:] = 0.0
@@ -261,8 +267,8 @@ def _tridiagonal_band(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         wk *= tau
         # w -= (tau / 2)(w'v) v, then A -= v w' + w v' on the lower triangle.
         np.multiply(wk, vk, out=tk)
-        dot = tk[0].copy()
-        for r in range(1, k):
+        dot = np.add(tk[0], tk[1])
+        for r in range(2, k):
             dot += tk[r]
         dot *= tau
         dot *= -0.5

@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import fsum, log, sqrt
+from math import frexp, fsum, ldexp, log, sqrt
 from typing import ClassVar
 
 import numpy as np
@@ -637,15 +637,27 @@ def _log_det_mean(lam: np.ndarray, n: int) -> float:
 _INVERSE_TRACE_MIN_EXCESS = 16
 
 
+def _trace_unit(lam: np.ndarray) -> float:
+    """2^-k for 2^k the power of two at sum(lam), so that sum(lam) 2^-k lies in [1/2, 1).
+
+    The trace controls are formed on S and lambda times it, so no power of
+    them overflows or underflows at any spectrum scale. A power of two scales
+    exactly, so it moves no bit of a control at ordinary scales.
+    """
+    return ldexp(1.0, -frexp(float(lam.sum()))[1])
+
+
 def _trace_means(lam: np.ndarray, n: int) -> np.ndarray:
     """E[tr S^3], and at n >= p + 16 also E[tr S^-1] and E[tr S^-2], under Wishart(n, diag(lam)).
 
-    With t_j = tr Lambda^j, E[tr S^3] = n (n^2 + 3n + 4) t_3 + 3n(n + 1) t_1 t_2
-    + n t_1^3, which is n(n + 2)(n + 4) sigma^3 at p = 1; and with m = n - p
-    the inverse-Wishart moments are E[tr S^-1] = t_-1 / (m - 1) and
-    E[tr S^-2] = ((m - 1) t_-2 + t_-1^2) / (m (m - 1)(m - 3)) (Muirhead 1982,
-    section 3.2; von Rosen 1988).
+    Each is taken for S times ``_trace_unit(lam)``, that is for lambda times
+    it. With t_j = tr Lambda^j, E[tr S^3] = n (n^2 + 3n + 4) t_3 +
+    3n(n + 1) t_1 t_2 + n t_1^3, which is n(n + 2)(n + 4) sigma^3 at p = 1;
+    and with m = n - p the inverse-Wishart moments are E[tr S^-1] =
+    t_-1 / (m - 1) and E[tr S^-2] = ((m - 1) t_-2 + t_-1^2) / (m (m - 1)(m - 3))
+    (Muirhead 1982, section 3.2; von Rosen 1988).
     """
+    lam = lam * _trace_unit(lam)
     t1, t2, t3 = (fsum((lam**j).tolist()) for j in (1, 2, 3))
     cube = n * (n * n + 3 * n + 4) * t3 + 3 * n * (n + 1) * t1 * t2 + n * t1**3
     m = n - lam.size
@@ -672,8 +684,9 @@ def _wishart_controls(
     i < j (S_ii and S_jj are independent under a diagonal scale), then
     sum_k log l_k - ``log_det_mean`` from the eigenvalues l of S, i.e.
     log det S less its mean, then sum_k l_k^3 and, when ``trace_means`` has
-    three entries (n >= p + 16), sum_k 1/l_k and sum_k 1/l_k^2, each divided
-    by its mean from ``_trace_means``, less 1. S is an entries-first stack,
+    three entries (n >= p + 16), sum_k 1/l_k and sum_k 1/l_k^2, each formed
+    on l times ``_trace_unit(lam)`` and divided by its mean from
+    ``_trace_means``, less 1. S is an entries-first stack,
     as the Wishart sampler builds it, or a row slice of one, so each entry
     s[:, i, j] is one evenly strided column. The rows are written in place,
     and the spectral ones share one (rows, p) buffer: fresh chunk-sized
@@ -701,11 +714,15 @@ def _wishart_controls(
     buf = np.log(l)
     buf.sum(axis=1, out=log_det)
     log_det -= log_det_mean
-    np.multiply(l, l, out=buf)
+    unit = _trace_unit(lam)
+    np.multiply(l, unit, out=buf)
+    buf *= buf
     buf *= l
+    buf *= unit
     buf.sum(axis=1, out=traces[0])
     if trace_means.size > 1:
-        np.reciprocal(l, out=buf)
+        np.multiply(l, unit, out=buf)
+        np.reciprocal(buf, out=buf)
         buf.sum(axis=1, out=traces[1])
         buf *= buf
         buf.sum(axis=1, out=traces[2])

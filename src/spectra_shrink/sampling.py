@@ -6,13 +6,22 @@ replicate k depends only on the seed and k - never on how many replicates
 are requested, the evaluation order, or the worker count. Both laws take
 one path: a chunk's Bartlett variates are stored in its own entries-first
 stack, where each S_ij is one contiguous column across the chunk, and S is
-built there in place, entry by entry at every p, by one call over all its
+built there in place, row by row of S at every p, by one call over all its
 rows. No data matrix is materialised. A law picks only the stream and the
 row block its variates are drawn in. An elliptical-t matrix is a Wishart
 draw X'X times one chi-square mixing scale nu / w shared by the whole
 matrix, which makes its law elliptically contoured; the scale moves no
 rate, eigenvector or decision, whose law is the same for every member of
 the family, so no output reads it, and a t chunk is the X'X of its stream.
+
+Chunks run on threads (``map_chunks``), and every numpy call takes the GIL
+and hands it back, so a kernel's cost on two threads grows with its number
+of calls, not only with its arithmetic. The draw forms its slot indices once
+a chunk, not once a block, and the build forms all of a row's k-th products
+in one call, so it makes O(p^2) calls, not O(p^3). Each sum is still added
+term by term in a fixed order, never through ``np.add.reduce``: numpy sums a
+lone column pairwise, so a one-row stack would get other bits than the same
+row in a chunk.
 """
 
 from __future__ import annotations
@@ -79,16 +88,25 @@ def _generator(seed: int, tag: int, counter: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _store_bartlett(s: np.ndarray, chi2: np.ndarray, normals: np.ndarray) -> None:
+def _bartlett_slots(p: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Where _store_bartlett puts a row's variates: the diagonal, and (k, i) for each (i, k), k < i.
+
+    The entries (i, k) run in tril_indices order. A draw forms these once a
+    chunk, not once a block.
+    """
+    i, k = np.tril_indices(p, -1)
+    return np.arange(p), (k, i)
+
+
+def _store_bartlett(s: np.ndarray, chi2: np.ndarray, normals: np.ndarray, slots) -> None:
     """Store raw Bartlett variates in an entries-first stack, one matrix per row.
 
     Chi-square i goes to (i, i), and the normal of entry (i, k), k < i, in
     tril_indices order, to (k, i) above the diagonal, so row i of the factor
-    lies in column i of the upper triangle. _build_wishart reads them there.
+    lies in column i of the upper triangle. ``slots`` is
+    ``_bartlett_slots(p)``. _build_wishart reads the variates there.
     """
-    p = chi2.shape[1]
-    diag = np.arange(p)
-    i, k = np.tril_indices(p, -1)
+    diag, (k, i) = slots
     s[:, diag, diag] = chi2
     s[:, k, i] = normals
 
@@ -97,12 +115,19 @@ def _build_wishart(s: np.ndarray, values: np.ndarray) -> None:
     """Turn the Bartlett variates _store_bartlett left in s into S = B B', in place.
 
     B = L A with L = diag(sqrt(values)). The variates are scaled where they
-    lie, so B_ik is at (k, i) for every k <= i. Each S_ij = sum_{k <= j}
-    B_ik B_jk, i >= j, is then summed in ascending k and written to (i, j)
-    and (j, i), so S is exactly symmetric. Rows go from the last back, and
-    columns within a row from the last back: the slot (j, i) that S_ij takes
-    held B_ij, which no later entry reads. Besides s, the build holds two
-    columns. The sums can differ from a BLAS matmul by an ulp.
+    lie, so B_ik is at (k, i) for every k <= i. Row i of S, S_ij =
+    sum_{k <= j} B_ik B_jk for j <= i, is then summed in its slots (i, j),
+    term by term in ascending k: one call forms the k-th products B_ik B_jk
+    of every j from k to i, and one adds them to the row. The build's numpy
+    calls thus grow as p^2, not p^3, and fewer calls mean less waiting for the
+    GIL when chunks run on threads. No sum goes through ``np.add.reduce``:
+    numpy sums a lone column pairwise, so a one-row stack would get other bits
+    than the same row in a chunk. The slot of S_ii holds B_ii, so B_ii^2, its
+    last term, is formed first. After the row, one call mirrors S_ij, j < i,
+    to (j, i), where B_ij lay, so S is exactly symmetric. Rows go from the
+    last back: a row reads only the columns up to its own, and its mirror
+    writes only its own column. Besides s, the build holds p columns. The
+    sums can differ from a BLAS matmul by an ulp.
     """
     rows, p, _ = s.shape
     e = s.transpose(1, 2, 0)  # e[i, j] is entry (i, j)'s column
@@ -110,31 +135,34 @@ def _build_wishart(s: np.ndarray, values: np.ndarray) -> None:
     for i in range(p):
         np.sqrt(e[i, i], out=e[i, i])
         e[: i + 1, i] *= scale[i]
-    diagonal, product = np.empty(rows), np.empty(rows)
+    products, last = np.empty((p - 1, rows)), np.empty(rows)
     for i in reversed(range(p)):
-        for j in reversed(range(i + 1)):
-            # (i, j) below the diagonal holds no variate; S_ii is summed apart
-            # because its slot holds B_ii, its own last term
-            entry = e[i, j] if i > j else diagonal
-            np.multiply(e[0, i], e[0, j], out=entry)
-            for k in range(1, j + 1):
-                np.multiply(e[k, i], e[k, j], out=product)
-                entry += product
-            e[j, i] = entry
+        row = e[i, : i + 1]
+        if i > 0:
+            np.multiply(e[i, i], e[i, i], out=last)
+        np.multiply(e[0, : i + 1], e[0, i], out=row)
+        for k in range(1, i):
+            terms = np.multiply(e[k, k : i + 1], e[k, i], out=products[: i + 1 - k])
+            row[k:] += terms
+        if i > 0:
+            row[i] += last
+            e[:i, i] = row[:i]
 
 
 def _draw_bartlett(gen: np.random.Generator, n: int, p: int, block: int) -> np.ndarray:
     """A chunk's raw Bartlett variates for W_p(n, .), stored entries-first for _build_wishart.
 
     Rows are drawn ``block`` at a time, each block's chi-squares and then its
-    normals, so besides the chunk only one block of variates is held.
+    normals, so besides the chunk only one block of variates is held. The
+    slots they are stored in are formed once for all the blocks.
     """
     df = n - np.arange(p, dtype=np.float64)
+    slots = _bartlett_slots(p)
     s = np.empty((p, p, CHUNK_SIZE)).transpose(2, 0, 1)
     for start in range(0, CHUNK_SIZE, block):
         chi2 = gen.chisquare(df, size=(block, p))
         normals = gen.standard_normal((block, p * (p - 1) // 2))
-        _store_bartlett(s[start : start + block], chi2, normals)
+        _store_bartlett(s[start : start + block], chi2, normals, slots)
     return s
 
 
@@ -154,7 +182,7 @@ def scatter_chunk(
     the chunk, a Wishart chunk holds its p(p + 1)/2 variates a row, drawn in
     one block, and an elliptical-t chunk one block of them, under
     _ELLIPTICAL_BUDGET (one row's when that is larger), so its time and
-    memory do not grow with n. The build adds two columns.
+    memory do not grow with n. The build adds p columns.
     """
     p = spectrum.p
     _check_dof(n, p)

@@ -54,19 +54,23 @@ def test_reference_summary_refuses_unmatched_items():
         pairs.summarise_reference([{"base": _report("/srv/base", 1.0), "change": change}])
 
 
-def _run(scale, ratio, thread_ratio):
+def _probe(ratio):
+    return {"alone_s": 0.05, "beside_s": 0.05 * ratio, "ratio": ratio}
+
+
+def _run(scale, ratio, thread_ratio, gil_ratio):
     metrics = {name: {"value": scale} for name in pairs.END_TO_END}
     return {"result": {"metrics": metrics}, "raw_op_s": scale, "raw_kernel_s": None,
-            "probe": {"alone_s": 0.05, "beside_s": 0.05 * ratio, "ratio": ratio},
-            "thread_probe": {"alone_s": 0.05, "beside_s": 0.05 * thread_ratio, "ratio": thread_ratio}}
+            "probe": _probe(ratio), "thread_probe": _probe(thread_ratio), "gil_probe": _probe(gil_ratio)}
 
 
 def test_summary_keeps_each_side_median_probe_ratio():
-    ratios = ((1.0, 1.5), (1.2, 1.7), (1.9, 1.6))
-    runs = [{"base": _run(1.0, r, t), "change": _run(2.0, 2 * r, 2 * t)} for r, t in ratios]
+    ratios = ((1.0, 1.5, 2.9), (1.2, 1.7, 2.5), (1.9, 1.6, 2.7))
+    runs = [{"base": _run(1.0, r, t, g), "change": _run(2.0, 2 * r, 2 * t, 2 * g)} for r, t, g in ratios]
     summary = pairs.summarise(runs)
     assert summary["probe_ratio"] == {"base_median": 1.2, "change_median": 2.4}
     assert summary["thread_probe_ratio"] == {"base_median": 1.6, "change_median": 3.2}
+    assert summary["gil_probe_ratio"] == {"base_median": 2.7, "change_median": 5.4}
 
 
 def test_parallelism_probe_times_the_kernel_alone_and_beside_a_copy():
@@ -77,5 +81,11 @@ def test_parallelism_probe_times_the_kernel_alone_and_beside_a_copy():
 
 def test_thread_probe_times_the_kernel_alone_and_on_two_threads():
     probe = pairs.thread_probe(seconds=0.05)
+    assert probe["alone_s"] > 0 and probe["beside_s"] > 0
+    assert probe["ratio"] == probe["beside_s"] / probe["alone_s"]
+
+
+def test_gil_probe_times_many_short_calls_alone_and_on_two_threads():
+    probe = pairs.gil_probe(seconds=0.05)
     assert probe["alone_s"] > 0 and probe["beside_s"] > 0
     assert probe["ratio"] == probe["beside_s"] / probe["alone_s"]

@@ -170,9 +170,22 @@ def _rotated(rng, values):
 @pytest.mark.parametrize("p", [3, 10])
 @pytest.mark.parametrize("compute_vectors", [True, False])
 def test_batch_rows_match_single_matrix_calls(compute_vectors, p):
-    # per-row results must not depend on the batch they were decomposed in
+    # per-row results must not depend on the batch they were decomposed in,
+    # also where the batch mixes rows the reduction treats apart: diagonal
+    # and tridiagonal rows, whose Householder columns are already reduced
+    # (the fix-ups run only when some row has one), and negative definite and
+    # indefinite rows, whose largest entry in magnitude is negative (the
+    # scale is taken from one max and one min)
     rng = np.random.default_rng(5)
     mats = [_random_psd(rng, p) for _ in range(32)]
+    diagonal = rng.uniform(0.5, 2.0, p)
+    off = rng.standard_normal(p - 1)
+    mats[10:10] = [
+        np.diag(diagonal),
+        np.diag(4.0 + diagonal) + np.diag(off, -1) + np.diag(off, 1),
+        -_random_psd(rng, p),
+        _rotated(rng, np.linspace(-3.0, 1.0, p)),
+    ]
     if p == 3:
         # repeated eigenvalues: rows the closed form hands to LAPACK
         degenerate = [2.5 * np.eye(3), _rotated(rng, (2.0, 1.0, 1.0)), _rotated(rng, (2.0, 2.0, 1.0))]

@@ -1043,6 +1043,28 @@ def test_risk_keeps_the_plain_estimator(loss_kind, monkeypatch):
 
 
 @_LOSS_KINDS
+def test_risk_controls_are_scale_free(loss_kind):
+    # the trace controls and their means are formed on l and lambda over the
+    # power of two at sum lambda, so a spectrum past 1e103, where t_1^3
+    # overflowed, or below 1e-103, where E[tr S^3] underflowed to zero, gives
+    # the unit-scale risks; so do the inverse traces' means, bit for bit under
+    # a power-of-two scale, where 2^-400 would overflow lambda^-2
+    base, n, seed, replicates = np.array([6.0, 5.0, 4.0, 3.0, 2.0, 1.0]), 12, 1, 2000
+    w = [classical_weights(6, n), family_weights(6, n, 1)]
+    expected = _risk_moments(compare_risks(Spectrum(base), n, w, loss_kind, "wishart", replicates, seed=seed))
+    for exponent in (-110, 110):
+        got = _risk_moments(
+            compare_risks(Spectrum(base * 10.0**exponent), n, w, loss_kind, "wishart", replicates, seed=seed)
+        )
+        for g, e in zip(got, expected):
+            np.testing.assert_allclose(g, e, rtol=1e-12, atol=0, err_msg=f"scale 1e{exponent}")
+    means = evaluation._trace_means(base, 30)
+    assert means.size == 3
+    for k in (-400, 400):
+        assert np.array_equal(evaluation._trace_means(np.ldexp(base, k), 30), means)
+
+
+@_LOSS_KINDS
 def test_risk_control_variates_start_at_the_floor(loss_kind):
     # 460 replicates give both folds the 230 rows that p = 4 needs at n = 12
     spec, n, seed = Spectrum((0.4, 0.3, 0.2, 0.1)), 12, 31

@@ -119,14 +119,18 @@ def _bands(chunks):
             yield exponent.astype(np.int64)
 
 
-def _layer_digests(law, p) -> dict:
+#: Each layer's arrays, from a case's law, p and its two chunks.
+LAYERS = {
+    "chunk": lambda law, p, chunks: chunks,
+    "build": lambda law, p, chunks: _built_cuts(law, p),
+    "band": lambda law, p, chunks: _bands(chunks),
+    "eigenvalues": lambda law, p, chunks: (eigh_descending_batch(c, compute_vectors=False)[0] for c in chunks),
+}
+
+
+def _digests(law, p, layers) -> dict:
     chunks = _chunks(law, p)
-    return {
-        "chunk": _sha256(chunks),
-        "build": _sha256(_built_cuts(law, p)),
-        "band": _sha256(_bands(chunks)),
-        "eigenvalues": _sha256(eigh_descending_batch(c, compute_vectors=False)[0] for c in chunks),
-    }
+    return {layer: _sha256(LAYERS[layer](law, p, chunks)) for layer in layers}
 
 
 def _eigenvalue_pin_holds(p) -> bool:
@@ -147,25 +151,22 @@ CASES = [(law, p) for law in LAWS for p in (3, 10, 20)]
 
 @pytest.mark.parametrize("law, p", CASES)
 def test_layer_bits_are_pinned(law, p):
-    digests = _layer_digests(law, p)
-    for layer in ("chunk", "build", "band"):
-        assert digests[layer] == DIGESTS[law, p][layer], layer
+    for layer, digest in _digests(law, p, ("chunk", "build", "band")).items():
+        assert digest == DIGESTS[law, p][layer], layer
 
 
 @pytest.mark.parametrize("law, p", CASES)
 def test_eigenvalue_bits_are_pinned(law, p):
     if not _eigenvalue_pin_holds(p):
         pytest.skip(f"eigenvalue bits pinned under numpy {EIGENVALUE_NUMPY}" + (" with AVX-512" if p == 3 else ""))
-    chunks = _chunks(law, p)
-    digest = _sha256(eigh_descending_batch(c, compute_vectors=False)[0] for c in chunks)
-    assert digest == DIGESTS[law, p]["eigenvalues"]
+    assert _digests(law, p, ("eigenvalues",)) == {"eigenvalues": DIGESTS[law, p]["eigenvalues"]}
 
 
 if __name__ == "__main__":
     print("DIGESTS = {")
     for law, p in CASES:
         print(f'    ("{law}", {p}): {{')
-        for layer, digest in _layer_digests(law, p).items():
+        for layer, digest in _digests(law, p, LAYERS).items():
             print(f'        "{layer}": "{digest}",')
         print("    },")
     print("}")

@@ -75,7 +75,7 @@ def _built(chi2, normals, values):
     """S = B B' from Bartlett variates: stored in an entries-first stack, then built there."""
     rows, p = chi2.shape
     s = np.empty((p, p, rows)).transpose(2, 0, 1)
-    _store_bartlett(s, chi2, normals)
+    _store_bartlett(s, chi2, normals, sampling._bartlett_slots(p))
     _build_wishart(s, values)
     return s
 
@@ -272,7 +272,7 @@ def test_chunk_is_built_by_one_call(monkeypatch, p, distribution):
 @pytest.mark.parametrize("p", [3, 10, 20])
 def test_wishart_chunk_memory_is_its_variates(p):
     # Besides the chunk, a Wishart chunk holds its p(p + 1)/2 variates a row
-    # and the build's two columns, and no scaled copy of them.
+    # and the build's p columns, and no scaled copy of them.
     spec = Spectrum(np.linspace(1.0, 0.1, p))
     tracemalloc.start()
     try:
