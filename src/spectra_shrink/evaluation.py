@@ -462,8 +462,13 @@ def simulate_bias(
     unfitted. Either law's chunk is an exact Wishart draw (see
     ``sampling.scatter_chunk``), so the means are exact under both. The
     population eigenvalues must be distinct: a (nearly) repeated one is
-    refused by ``bias_expansion`` before any draw.
+    refused by ``bias_expansion`` before any draw. Every output is
+    scale-free, so the draws are taken at lambda times the power of four
+    that brings sum(lambda) into [1/2, 2): its square root, a power of two,
+    scales S exactly, and no power of lambda in the controls overflows or
+    underflows at any scale of the spectrum.
     """
+    spectrum = Spectrum(np.ldexp(spectrum.values, -2 * (frexp(float(spectrum.values.sum()))[1] // 2)))
     lam = spectrum.values
     p = lam.size
     n_controls = 0
@@ -863,10 +868,11 @@ def invariance_check(
     The two samples come from independent streams under the same seed. The
     rate distribution is the same for every member of the elliptical family,
     so equality should be accepted coordinate by coordinate. An elliptical-t
-    chunk is the Bartlett Wishart draw X'X of the t stream, without its
-    mixing scale, which no rate reads, so this KS compares two Bartlett
-    streams: it checks the streams' independence and the engine, not the
-    law, which the sampling tests compare with an n x p data matrix draw.
+    chunk is the Bartlett Wishart draw X'X of the t stream, drawn as a
+    Wishart chunk is, without its mixing scale, which no rate reads, so this
+    KS compares two Bartlett streams that differ only in their stream tag:
+    it checks the streams' independence and the engine, not the law, which
+    the sampling tests compare with an n x p data matrix draw.
     """
     elliptical = f"t:{nu}"
     sampling.parse_distribution(elliptical)  # refuse a bad nu before any draw

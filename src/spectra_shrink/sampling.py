@@ -4,11 +4,11 @@ Draws are organized in fixed-size chunks keyed by (seed, distribution,
 chunk index) through a Philox counter-based generator, so the draw for
 replicate k depends only on the seed and k - never on how many replicates
 are requested, the evaluation order, or the worker count. Both laws take
-one path: a chunk's Bartlett variates are stored in its own entries-first
-stack, where each S_ij is one contiguous column across the chunk, and S is
-built there in place, row by row of S at every p, by one call over all its
-rows. No data matrix is materialised. A law picks only the stream and the
-row block its variates are drawn in. An elliptical-t matrix is a Wishart
+one path: a chunk's Bartlett variates are drawn in one block, stored in its
+own entries-first stack, where each S_ij is one contiguous column across the
+chunk, and S is built there in place, row by row of S at every p, by one
+call over all its rows. No data matrix is materialised. A law picks only the
+stream its variates are drawn from. An elliptical-t matrix is a Wishart
 draw X'X times one chi-square mixing scale nu / w shared by the whole
 matrix, which makes its law elliptically contoured; the scale moves no
 rate, eigenvector or decision, whose law is the same for every member of
@@ -16,12 +16,12 @@ the family, so no output reads it, and a t chunk is the X'X of its stream.
 
 Chunks run on threads (``map_chunks``), and every numpy call takes the GIL
 and hands it back, so a kernel's cost on two threads grows with its number
-of calls, not only with its arithmetic. The draw forms its slot indices once
-a chunk, not once a block, and the build forms all of a row's k-th products
-in one call, so it makes O(p^2) calls, not O(p^3). Each sum is still added
-term by term in a fixed order, never through ``np.add.reduce``: numpy sums a
-lone column pairwise, so a one-row stack would get other bits than the same
-row in a chunk.
+of calls, not only with its arithmetic. The draw takes a chunk's variates
+in a few calls, and the build forms all of a row's k-th products in one
+call, so it makes O(p^2) calls, not O(p^3). Each sum is still added term
+by term in a fixed order, never through ``np.add.reduce``: numpy sums a
+lone column pairwise, so a one-row stack would get other bits than the
+same row in a chunk.
 """
 
 from __future__ import annotations
@@ -43,14 +43,6 @@ __all__ = [
 #: Replicates per stream chunk. Part of the stream contract: changing it
 #: changes which variates replicate k receives.
 CHUNK_SIZE = 4096
-
-#: Fixes the rows of an elliptical-t chunk's Bartlett draw block, and so is
-#: part of the stream contract: a change moves every t draw. The block is the
-#: largest power of two of rows, at least one and at most CHUNK_SIZE, for
-#: which the budget holds 8 (p(p + 1)/2 + 2 p^2) bytes a row; it depends on p
-#: only. It bounds no memory: the rule's 2 p^2 term counts no array the
-#: sampler holds.
-_ELLIPTICAL_BUDGET = 2**18
 
 _TAG_WISHART = 0
 _TAG_ELLIPTICAL = 1
@@ -88,25 +80,17 @@ def _generator(seed: int, tag: int, counter: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _bartlett_slots(p: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Where _store_bartlett puts a row's variates: the diagonal, and (k, i) for each (i, k), k < i.
-
-    The entries (i, k) run in tril_indices order. A draw forms these once a
-    chunk, not once a block.
-    """
-    i, k = np.tril_indices(p, -1)
-    return np.arange(p), (k, i)
-
-
-def _store_bartlett(s: np.ndarray, chi2: np.ndarray, normals: np.ndarray, slots) -> None:
+def _store_bartlett(s: np.ndarray, chi2: np.ndarray, normals: np.ndarray) -> None:
     """Store raw Bartlett variates in an entries-first stack, one matrix per row.
 
     Chi-square i goes to (i, i), and the normal of entry (i, k), k < i, in
     tril_indices order, to (k, i) above the diagonal, so row i of the factor
-    lies in column i of the upper triangle. ``slots`` is
-    ``_bartlett_slots(p)``. _build_wishart reads the variates there.
+    lies in column i of the upper triangle. _build_wishart reads the
+    variates there.
     """
-    diag, (k, i) = slots
+    p = s.shape[1]
+    i, k = np.tril_indices(p, -1)
+    diag = np.arange(p)
     s[:, diag, diag] = chi2
     s[:, k, i] = normals
 
@@ -149,20 +133,17 @@ def _build_wishart(s: np.ndarray, values: np.ndarray) -> None:
             e[:i, i] = row[:i]
 
 
-def _draw_bartlett(gen: np.random.Generator, n: int, p: int, block: int) -> np.ndarray:
+def _draw_bartlett(gen: np.random.Generator, n: int, p: int) -> np.ndarray:
     """A chunk's raw Bartlett variates for W_p(n, .), stored entries-first for _build_wishart.
 
-    Rows are drawn ``block`` at a time, each block's chi-squares and then its
-    normals, so besides the chunk only one block of variates is held. The
-    slots they are stored in are formed once for all the blocks.
+    The chunk is one block: all its rows' chi-squares, then all their
+    normals. Both laws draw it so; a law picks only the generator.
     """
     df = n - np.arange(p, dtype=np.float64)
-    slots = _bartlett_slots(p)
     s = np.empty((p, p, CHUNK_SIZE)).transpose(2, 0, 1)
-    for start in range(0, CHUNK_SIZE, block):
-        chi2 = gen.chisquare(df, size=(block, p))
-        normals = gen.standard_normal((block, p * (p - 1) // 2))
-        _store_bartlett(s[start : start + block], chi2, normals, slots)
+    chi2 = gen.chisquare(df, size=(CHUNK_SIZE, p))
+    normals = gen.standard_normal((CHUNK_SIZE, p * (p - 1) // 2))
+    _store_bartlett(s, chi2, normals)
     return s
 
 
@@ -178,20 +159,16 @@ def scatter_chunk(
     the mix moves no scale-free value, so every nu draws the same chunk.
     Every chunk is entries-first (strides (8, 8 p CHUNK_SIZE,
     8 CHUNK_SIZE)), so each entry s[:, i, j] is one contiguous column, and
-    S is built there in place. No draw holds an n x p data matrix. Besides
-    the chunk, a Wishart chunk holds its p(p + 1)/2 variates a row, drawn in
-    one block, and an elliptical-t chunk one block of them, under
-    _ELLIPTICAL_BUDGET (one row's when that is larger), so its time and
-    memory do not grow with n. The build adds p columns.
+    S is built there in place. A law picks only the stream: both draw the
+    chunk's variates as one block, and no draw holds an n x p data matrix.
+    Besides the chunk, a chunk of either law holds its p(p + 1)/2 variates
+    a row, so its time and memory do not grow with n. The build adds p
+    columns.
     """
     p = spectrum.p
     _check_dof(n, p)
-    if parse_distribution(distribution) is None:
-        tag, block = _TAG_WISHART, CHUNK_SIZE
-    else:
-        fit = _ELLIPTICAL_BUDGET // (8 * (p * (p + 1) // 2 + 2 * p * p))
-        tag, block = _TAG_ELLIPTICAL, min(CHUNK_SIZE, 1 << max(fit.bit_length() - 1, 0))
-    s = _draw_bartlett(_generator(seed, tag, chunk_index), int(n), p, block)
+    tag = _TAG_WISHART if parse_distribution(distribution) is None else _TAG_ELLIPTICAL
+    s = _draw_bartlett(_generator(seed, tag, chunk_index), int(n), p)
     _build_wishart(s, spectrum.values)
     return s
 

@@ -45,7 +45,7 @@ from spectra_shrink.evaluation import (
 )
 from spectra_shrink.sampling import CHUNK_SIZE, scatter_chunk
 
-from oracle_p2 import rate_mean, risk_means, stein_haff_means
+from oracle_p2 import control_means, rate_mean, risk_means, stein_haff_means
 
 
 def _draws(spec, n, distribution, seed, replicates):
@@ -422,6 +422,25 @@ def test_p2_oracle_risks_have_converged():
         coarse = risk_means((0.7, 0.3), 30, beta)
         finer = risk_means((0.7, 0.3), 30, beta, r_nodes=400, theta_nodes=512)
         assert np.max(np.abs(np.subtract(finer, coarse))) <= 1e-12
+
+
+def test_control_means_match_p2_oracle():
+    # the controls' exact means against the quadrature: the log det's
+    # Bartlett mean, the trace moments at the scale they are formed on,
+    # lambda times _trace_unit(lambda), with the inverse traces as n >= p + 16,
+    # and the third-order terms' means; doubling the nodes moves none of them
+    lam, n = np.array([0.7, 0.3]), 30
+    scaled = lam * evaluation._trace_unit(lam)
+
+    def oracle(**nodes):
+        at_lam = control_means(lam, n, **nodes)
+        return at_lam["log_det"], control_means(scaled, n, **nodes)["traces"], at_lam["third"]
+
+    engine = evaluation._log_det_mean(lam, n), evaluation._trace_means(lam, n), evaluation._third_order_means(lam, n)
+    assert engine[1].size == 3
+    for got, exact, finer in zip(engine, oracle(), oracle(r_nodes=400, theta_nodes=512)):
+        np.testing.assert_allclose(finer, exact, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("distribution", ["wishart", "t:5"])
@@ -1261,6 +1280,21 @@ def test_bias_control_variate_fits_from_the_floor(replicates, fitted):
     np.testing.assert_allclose(cv.mean_rates, values.mean(axis=0), rtol=1e-12, atol=0)
     se = values.std(axis=0, ddof=1) / np.sqrt(replicates)
     np.testing.assert_allclose(cv.std_errors, se, rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("control_variate", [False, True])
+def test_bias_is_scale_free(control_variate):
+    # the rates and the controls are scale-free, and the draws are taken at
+    # the spectrum times a power of four, so a spectrum at 1e110, where the
+    # controls' lambda^3 would overflow, or at 1e-110, where their sums
+    # would underflow, gives the unit-scale means and SEs, plain and fitted
+    base = np.array([0.5, 0.3, 0.2])
+    unit = simulate_bias(Spectrum(base), 200, "wishart", 4096, seed=1, control_variate=control_variate)
+    for scale in (1e110, 1e-110):
+        b = simulate_bias(Spectrum(base * scale), 200, "wishart", 4096, seed=1, control_variate=control_variate)
+        np.testing.assert_allclose(b.mean_rates, unit.mean_rates, rtol=1e-12, atol=0, err_msg=f"scale {scale}")
+        np.testing.assert_allclose(b.std_errors, unit.std_errors, rtol=1e-12, atol=0, err_msg=f"scale {scale}")
 
 
 def test_control_variate_refuses_tied_spectrum_before_sampling(monkeypatch):

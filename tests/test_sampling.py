@@ -17,7 +17,6 @@ from spectra_shrink import (
 from spectra_shrink import sampling
 from spectra_shrink.evaluation import sample_rates
 from spectra_shrink.sampling import (
-    _ELLIPTICAL_BUDGET,
     CHUNK_SIZE,
     _TAG_ELLIPTICAL,
     _TAG_WISHART,
@@ -75,7 +74,7 @@ def _built(chi2, normals, values):
     """S = B B' from Bartlett variates: stored in an entries-first stack, then built there."""
     rows, p = chi2.shape
     s = np.empty((p, p, rows)).transpose(2, 0, 1)
-    _store_bartlett(s, chi2, normals, sampling._bartlett_slots(p))
+    _store_bartlett(s, chi2, normals)
     _build_wishart(s, values)
     return s
 
@@ -179,22 +178,15 @@ def test_wishart_chunk_is_entries_first(p, n):
 @pytest.mark.parametrize("distribution", ["wishart", "t:5"])
 @pytest.mark.parametrize("p, n", [(3, 3), (10, 100), (20, 40)])
 def test_chunk_matches_blockwise_bartlett_draw(p, n, distribution):
-    # The stream contract of both laws' one path: row blocks of a size fixed
-    # by the law and p alone, each its chi-squares and then its normals, built
-    # by the Wishart builder. A Wishart chunk is one block on its own stream.
-    if parse_distribution(distribution) is None:
-        tag, block = _TAG_WISHART, CHUNK_SIZE
-    else:
-        tag, block = _TAG_ELLIPTICAL, {3: 1024, 10: 128, 20: 32}[p]
+    # The stream contract of both laws' one path: the chunk is one block,
+    # its chi-squares and then its normals, built by the Wishart builder. A
+    # law picks only the stream tag.
+    tag = _TAG_WISHART if parse_distribution(distribution) is None else _TAG_ELLIPTICAL
     spec = Spectrum(np.linspace(1.0, 0.1, p))
     gen = _generator(13, tag, 2)
-    df = n - np.arange(p, dtype=np.float64)
-    blocks = []
-    for _ in range(CHUNK_SIZE // block):
-        chi2 = gen.chisquare(df, size=(block, p))
-        normals = gen.standard_normal((block, p * (p - 1) // 2))
-        blocks.append(_built(chi2, normals, spec.values))
-    ref = np.concatenate(blocks)
+    chi2 = gen.chisquare(n - np.arange(p, dtype=np.float64), size=(CHUNK_SIZE, p))
+    normals = gen.standard_normal((CHUNK_SIZE, p * (p - 1) // 2))
+    ref = _built(chi2, normals, spec.values)
     chunk = scatter_chunk(spec, n, distribution, seed=13, chunk_index=2)
     assert np.array_equal(chunk, ref)
     assert chunk.strides[0] == chunk.itemsize == 8
@@ -238,26 +230,11 @@ def test_elliptical_law_matches_the_data_matrix_reference():
     assert np.all(np.abs(s.mean(axis=0) - expected) < 3 * se)
 
 
-@pytest.mark.parametrize("n", [100, 400, 2000, 100000])
-def test_elliptical_chunk_memory_is_bounded(n):
-    # A Bartlett block holds at most _ELLIPTICAL_BUDGET bytes, whatever n; a
-    # data-matrix draw would hold 31 MiB a chunk at n=100, and one
-    # replicate's n x p normals alone are 8 MB at n=100,000.
-    spec = Spectrum(np.linspace(1.0, 0.1, 10))
-    tracemalloc.start()
-    try:
-        out = scatter_chunk(spec, n, "t:5", seed=5, chunk_index=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < out.nbytes + 2 * _ELLIPTICAL_BUDGET
-
-
 @pytest.mark.parametrize("distribution", ["wishart", "t:5"])
 @pytest.mark.parametrize("p", [3, 10, 20])
 def test_chunk_is_built_by_one_call(monkeypatch, p, distribution):
-    # One build call, in place in the chunk's own stack, whatever the number
-    # of draw blocks, so a chunk's numpy calls do not grow with them.
+    # One build call over all the chunk's rows, in place in its own stack,
+    # under either law.
     built = []
 
     def build(s, *args):
@@ -269,14 +246,19 @@ def test_chunk_is_built_by_one_call(monkeypatch, p, distribution):
     assert len(built) == 1 and built[0] is chunk
 
 
+@pytest.mark.parametrize("distribution", ["wishart", "t:5"])
 @pytest.mark.parametrize("p", [3, 10, 20])
-def test_wishart_chunk_memory_is_its_variates(p):
-    # Besides the chunk, a Wishart chunk holds its p(p + 1)/2 variates a row
-    # and the build's p columns, and no scaled copy of them.
+@pytest.mark.parametrize("n", ["2p", 100, 100000])
+def test_wishart_chunk_memory_is_its_variates(n, p, distribution):
+    # Besides the chunk, a chunk of either law holds its p(p + 1)/2 variates
+    # a row and the build's p columns, and no scaled copy of them, whatever
+    # n: a data-matrix draw would hold 31 MiB a chunk at p = 10, n = 100, and
+    # one replicate's n x p normals alone are 8 MB at n = 100,000.
+    n = 2 * p if n == "2p" else n
     spec = Spectrum(np.linspace(1.0, 0.1, p))
     tracemalloc.start()
     try:
-        out = scatter_chunk(spec, 2 * p, "wishart", seed=5, chunk_index=0)
+        out = scatter_chunk(spec, n, distribution, seed=5, chunk_index=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
