@@ -157,7 +157,9 @@ def _eigvals_3x3_descending(a: np.ndarray) -> np.ndarray:
     non-increasing even when r is at rounding level. Near a repeated
     eigenvalue (|cos 3phi| close to 1) arccos amplifies rounding, so those
     rows, and any row with a non-finite cos 3phi, go to LAPACK; every row
-    then agrees with ``eigvalsh`` to about 1e-14 max|w|.
+    then agrees with ``eigvalsh`` to about 1e-14 max|w|. Past entries of about
+    1e102 det B overflows, and numpy warns before those rows go to LAPACK: no
+    engine draws such a stack (``evaluation._unit_scale``), but a direct call can.
     """
     a00, a11, a22 = a[:, 0, 0], a[:, 1, 1], a[:, 2, 2]
     a10, a20, a21 = a[:, 1, 0], a[:, 2, 0], a[:, 2, 1]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import ContributionRates, Spectrum
 from .estimators import ShrinkageWeights, _stack_betas
-from .evaluation import _run_chunks
+from .evaluation import _run_chunks, _unit_scale
 
 __all__ = [
     "DimensionCriterion",
@@ -102,24 +102,15 @@ def decide(rates: ContributionRates, criterion: DimensionCriterion) -> int:
     return int(_decisions(rates.rates[None, :], criterion)[0])
 
 
-def _cumulative_batch(rates: np.ndarray, t_star: float) -> np.ndarray:
-    cum = np.cumsum(rates, axis=1)
-    reached = cum >= t_star
-    dims = np.argmax(reached, axis=1) + 1
-    return np.where(reached.any(axis=1), dims, rates.shape[1]).astype(np.int64)
-
-
-def _relative_batch(rates: np.ndarray) -> np.ndarray:
-    p = rates.shape[1]
-    return (rates > 1.0 / p).sum(axis=1).astype(np.int64)
-
-
 def _decisions(rates: np.ndarray, criterion: DimensionCriterion) -> np.ndarray:
+    """The decided dimension of each rate vector along the last axis of ``rates``."""
+    p = rates.shape[-1]
     if criterion.kind == "cumulative":
-        return _cumulative_batch(rates, criterion.t_star)
+        reached = np.cumsum(rates, axis=-1) >= criterion.t_star
+        return np.where(reached.any(axis=-1), np.argmax(reached, axis=-1) + 1, p)
     if criterion.normalize:
-        rates = rates / rates.sum(axis=1, keepdims=True)
-    return _relative_batch(rates)
+        rates = rates / rates.sum(axis=-1, keepdims=True)
+    return (rates > 1.0 / p).sum(axis=-1)
 
 
 def _estimator_label(weights: ShrinkageWeights) -> str:
@@ -144,24 +135,27 @@ def dimension_experiment_for_spectrum(
     population rates of ``spectrum``; for a spiked case pass
     ``cases.spiked_case(k)``. Shrunk estimates are compared against 1/p as
     they are unless the relative criterion rescales them first
-    (``relative_criterion(normalize=True)``).
+    (``relative_criterion(normalize=True)``). The rates are scale-free, so
+    the draws are taken at unit scale (``_unit_scale``).
     """
     if not criteria:
         raise ValueError("need at least one criterion")
     p = spectrum.p
     betas = _stack_betas(estimators, p)
     population = spectrum.values / spectrum.values.sum()
+    offsets = (p + 1) * np.arange(len(estimators))[:, None]
 
     def stat(s, l, d, q):
-        counts = np.zeros((len(criteria), len(estimators), p + 1), dtype=np.int64)
-        for e, beta in enumerate(betas):
-            est = beta[None, :] * d
-            for c, criterion in enumerate(criteria):
-                dims = _decisions(est, criterion)
-                counts[c, e] = np.bincount(dims, minlength=p + 1)
+        # one pass a criterion decides every estimator; one bincount counts
+        # them all, estimator e's decisions offset by e (p + 1)
+        est = betas[:, None, :] * d
+        counts = np.empty((len(criteria), len(estimators), p + 1), dtype=np.int64)
+        for c, criterion in enumerate(criteria):
+            dims = (_decisions(est, criterion) + offsets).ravel()
+            counts[c] = np.bincount(dims, minlength=offsets.size * (p + 1)).reshape(-1, p + 1)
         return counts
 
-    totals = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, False, stat, np.add)
+    totals = _run_chunks(_unit_scale(spectrum), n, distribution, replicates, seed, jobs, False, stat, np.add)
 
     out = []
     for c, criterion in enumerate(criteria):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import frexp, fsum, ldexp, log, sqrt
+from math import frexp, fsum, log, sqrt
 from typing import ClassVar
 
 import numpy as np
@@ -413,6 +413,16 @@ def _estimate(spectrum, n, distribution, replicates, seed, jobs, need_vectors, n
     return _cross_fitted(merged, n_controls)
 
 
+def _unit_scale(spectrum: Spectrum) -> Spectrum:
+    """The spectrum times the power of four that brings sum(lambda) into [1/2, 2).
+
+    Every engine whose outputs are scale-free draws here, so no power of lambda
+    or l overflows or underflows. A power of four, because its square root, a
+    power of two, scales the Bartlett factor and S exactly: every rate keeps its bits.
+    """
+    return Spectrum(np.ldexp(spectrum.values, -2 * (frexp(float(spectrum.values.sum()))[1] // 2)))
+
+
 def sample_rates(
     spectrum: Spectrum,
     n: int,
@@ -424,10 +434,11 @@ def sample_rates(
     """Sample contribution-rate vectors, shape (replicates, p).
 
     The one engine whose result grows with ``replicates``: the KS test
-    needs every draw's rates.
+    needs every draw's rates. The rates are scale-free, so the draws are
+    taken at unit scale (``_unit_scale``).
     """
     parts = _run_chunks(
-        spectrum, n, distribution, replicates, seed, jobs, False,
+        _unit_scale(spectrum), n, distribution, replicates, seed, jobs, False,
         lambda s, l, d, q: [d], lambda a, b: a + b,
     )
     return np.concatenate(parts, axis=0)
@@ -463,12 +474,10 @@ def simulate_bias(
     ``sampling.scatter_chunk``), so the means are exact under both. The
     population eigenvalues must be distinct: a (nearly) repeated one is
     refused by ``bias_expansion`` before any draw. Every output is
-    scale-free, so the draws are taken at lambda times the power of four
-    that brings sum(lambda) into [1/2, 2): its square root, a power of two,
-    scales S exactly, and no power of lambda in the controls overflows or
-    underflows at any scale of the spectrum.
+    scale-free, so the draws are taken at unit scale (``_unit_scale``), and
+    the lambda that the controls are formed on is the unit-scale one.
     """
-    spectrum = Spectrum(np.ldexp(spectrum.values, -2 * (frexp(float(spectrum.values.sum()))[1] // 2)))
+    spectrum = _unit_scale(spectrum)
     lam = spectrum.values
     p = lam.size
     n_controls = 0
@@ -642,27 +651,16 @@ def _log_det_mean(lam: np.ndarray, n: int) -> float:
 _INVERSE_TRACE_MIN_EXCESS = 16
 
 
-def _trace_unit(lam: np.ndarray) -> float:
-    """2^-k for 2^k the power of two at sum(lam), so that sum(lam) 2^-k lies in [1/2, 1).
-
-    The trace controls are formed on S and lambda times it, so no power of
-    them overflows or underflows at any spectrum scale. A power of two scales
-    exactly, so it moves no bit of a control at ordinary scales.
-    """
-    return ldexp(1.0, -frexp(float(lam.sum()))[1])
-
-
 def _trace_means(lam: np.ndarray, n: int) -> np.ndarray:
     """E[tr S^3], and at n >= p + 16 also E[tr S^-1] and E[tr S^-2], under Wishart(n, diag(lam)).
 
-    Each is taken for S times ``_trace_unit(lam)``, that is for lambda times
-    it. With t_j = tr Lambda^j, E[tr S^3] = n (n^2 + 3n + 4) t_3 +
-    3n(n + 1) t_1 t_2 + n t_1^3, which is n(n + 2)(n + 4) sigma^3 at p = 1;
-    and with m = n - p the inverse-Wishart moments are E[tr S^-1] =
-    t_-1 / (m - 1) and E[tr S^-2] = ((m - 1) t_-2 + t_-1^2) / (m (m - 1)(m - 3))
+    Lambda is at unit scale (``_unit_scale``). With t_j = tr Lambda^j,
+    E[tr S^3] = n (n^2 + 3n + 4) t_3 + 3n(n + 1) t_1 t_2 + n t_1^3, which is
+    n(n + 2)(n + 4) sigma^3 at p = 1; and with m = n - p the inverse-Wishart
+    moments are E[tr S^-1] = t_-1 / (m - 1) and
+    E[tr S^-2] = ((m - 1) t_-2 + t_-1^2) / (m (m - 1)(m - 3))
     (Muirhead 1982, section 3.2; von Rosen 1988).
     """
-    lam = lam * _trace_unit(lam)
     t1, t2, t3 = (fsum((lam**j).tolist()) for j in (1, 2, 3))
     cube = n * (n * n + 3 * n + 4) * t3 + 3 * n * (n + 1) * t1 * t2 + n * t1**3
     m = n - lam.size
@@ -689,9 +687,9 @@ def _wishart_controls(
     i < j (S_ii and S_jj are independent under a diagonal scale), then
     sum_k log l_k - ``log_det_mean`` from the eigenvalues l of S, i.e.
     log det S less its mean, then sum_k l_k^3 and, when ``trace_means`` has
-    three entries (n >= p + 16), sum_k 1/l_k and sum_k 1/l_k^2, each formed
-    on l times ``_trace_unit(lam)`` and divided by its mean from
-    ``_trace_means``, less 1. S is an entries-first stack,
+    three entries (n >= p + 16), sum_k 1/l_k and sum_k 1/l_k^2, each divided
+    by its mean from ``_trace_means``, less 1; lambda, and so S and l, are at
+    unit scale (``_unit_scale``). S is an entries-first stack,
     as the Wishart sampler builds it, or a row slice of one, so each entry
     s[:, i, j] is one evenly strided column. The rows are written in place,
     and the spectral ones share one (rows, p) buffer: fresh chunk-sized
@@ -719,15 +717,11 @@ def _wishart_controls(
     buf = np.log(l)
     buf.sum(axis=1, out=log_det)
     log_det -= log_det_mean
-    unit = _trace_unit(lam)
-    np.multiply(l, unit, out=buf)
-    buf *= buf
+    np.multiply(l, l, out=buf)
     buf *= l
-    buf *= unit
     buf.sum(axis=1, out=traces[0])
     if trace_means.size > 1:
-        np.multiply(l, unit, out=buf)
-        np.reciprocal(buf, out=buf)
+        np.reciprocal(l, out=buf)
         buf.sum(axis=1, out=traces[1])
         buf *= buf
         buf.sum(axis=1, out=traces[2])
@@ -756,9 +750,10 @@ def compare_risks(
     Each loss and paired difference is regressed on a basis of functions of
     S alone, with coefficients cross-fitted on the even and odd replicates,
     each fold corrected with the other fold's, so the means stay unbiased.
-    The spectrum, n and the count alone set the basis. It holds functions
-    whose means are exactly zero for the sampler's scale diag(lambda),
-    lambda = ``spectrum.values``, under either law, since both draw exact
+    The spectrum, n and the count alone set the basis. Every output is
+    scale-free, so the draws are taken at unit scale (``_unit_scale``). The
+    basis holds functions whose means are exactly zero for that scale
+    diag(lambda), under either law, since both draw exact
     Wishart chunks (see ``_wishart_controls`` and ``sampling.scatter_chunk``):
     e_k = S_kk/(n lambda_k) - 1, S_ij^2/(n lambda_i lambda_j) - 1 (i < j),
     e_k^2 - 2/n, e_i e_j (i < j), log det S less its Bartlett mean, and
@@ -773,6 +768,7 @@ def compare_risks(
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     betas = _stack_betas(weights_list, spectrum.p)
     k = len(weights_list)
+    spectrum = _unit_scale(spectrum)
     lam = spectrum.values
     tau = lam / lam.sum()
     need_vectors = loss_kind == "entropy"

@@ -12,6 +12,8 @@ from spectra_shrink import (
     dimension_experiment_for_spectrum,
     family_weights,
     relative_criterion,
+    ShrinkageWeights,
+    Spectrum,
 )
 from spectra_shrink.cases import spiked_case
 from spectra_shrink.dimension import DimensionHistogram, _decisions
@@ -170,6 +172,25 @@ def test_experiment_determinism_across_jobs():
     h1 = dimension_experiment_for_spectrum(spectrum, 30, w, crits, 5000, seed=57, jobs=1)
     h4 = dimension_experiment_for_spectrum(spectrum, 30, w, crits, 5000, seed=57, jobs=4)
     assert np.array_equal(h1[0].counts, h4[0].counts)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_experiment_is_scale_free():
+    # the draws are taken at unit scale, so at 1e110, where the p = 3 closed
+    # form's det products overflowed, at 1e-110 and at 2^+-400 every
+    # histogram counts what it counts at the spectrum as given
+    base = np.array([0.5, 0.3, 0.2])
+    w = [classical_weights(3, 30), ShrinkageWeights(np.array([0.9, 1.0, 1.1]), 30)]
+    crits = [cumulative_criterion(0.8), relative_criterion(), relative_criterion(normalize=True)]
+
+    def counts(values):
+        hists = dimension_experiment_for_spectrum(Spectrum(values), 30, w, crits, 4096, seed=3)
+        return [h.counts for h in hists]
+
+    unit = counts(base)
+    for values in (base * 1e110, base * 1e-110, np.ldexp(base, 400), np.ldexp(base, -400)):
+        for got, expected in zip(counts(values), unit):
+            assert np.array_equal(got, expected), values
 
 
 def test_histogram_counts_every_replicate():

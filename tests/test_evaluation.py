@@ -426,15 +426,14 @@ def test_p2_oracle_risks_have_converged():
 
 def test_control_means_match_p2_oracle():
     # the controls' exact means against the quadrature: the log det's
-    # Bartlett mean, the trace moments at the scale they are formed on,
-    # lambda times _trace_unit(lambda), with the inverse traces as n >= p + 16,
-    # and the third-order terms' means; doubling the nodes moves none of them
+    # Bartlett mean, the trace moments, with the inverse traces as
+    # n >= p + 16, and the third-order terms' means, all at lambda itself,
+    # which the engines draw at unit scale; doubling the nodes moves none
     lam, n = np.array([0.7, 0.3]), 30
-    scaled = lam * evaluation._trace_unit(lam)
 
     def oracle(**nodes):
         at_lam = control_means(lam, n, **nodes)
-        return at_lam["log_det"], control_means(scaled, n, **nodes)["traces"], at_lam["third"]
+        return at_lam["log_det"], at_lam["traces"], at_lam["third"]
 
     engine = evaluation._log_det_mean(lam, n), evaluation._trace_means(lam, n), evaluation._third_order_means(lam, n)
     assert engine[1].size == 3
@@ -1063,11 +1062,11 @@ def test_risk_keeps_the_plain_estimator(loss_kind, monkeypatch):
 
 @_LOSS_KINDS
 def test_risk_controls_are_scale_free(loss_kind):
-    # the trace controls and their means are formed on l and lambda over the
-    # power of two at sum lambda, so a spectrum past 1e103, where t_1^3
-    # overflowed, or below 1e-103, where E[tr S^3] underflowed to zero, gives
-    # the unit-scale risks; so do the inverse traces' means, bit for bit under
-    # a power-of-two scale, where 2^-400 would overflow lambda^-2
+    # the draws, and so the trace controls and their means, are taken at
+    # unit scale, so a spectrum past 1e103, where t_1^3 overflowed, or below
+    # 1e-103, where E[tr S^3] underflowed to zero, gives the unit-scale
+    # risks; under 2^-400, where lambda^-2 would overflow, and 2^400, powers
+    # of four, the controls, their means and the fit keep every bit
     base, n, seed, replicates = np.array([6.0, 5.0, 4.0, 3.0, 2.0, 1.0]), 12, 1, 2000
     w = [classical_weights(6, n), family_weights(6, n, 1)]
     expected = _risk_moments(compare_risks(Spectrum(base), n, w, loss_kind, "wishart", replicates, seed=seed))
@@ -1077,10 +1076,13 @@ def test_risk_controls_are_scale_free(loss_kind):
         )
         for g, e in zip(got, expected):
             np.testing.assert_allclose(g, e, rtol=1e-12, atol=0, err_msg=f"scale 1e{exponent}")
-    means = evaluation._trace_means(base, 30)
-    assert means.size == 3
+    assert evaluation._trace_means(base, 30).size == 3
     for k in (-400, 400):
-        assert np.array_equal(evaluation._trace_means(np.ldexp(base, k), 30), means)
+        got = _risk_moments(
+            compare_risks(Spectrum(np.ldexp(base, k)), n, w, loss_kind, "wishart", replicates, seed=seed)
+        )
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e), f"scale 2^{k}"
 
 
 @_LOSS_KINDS
@@ -1295,6 +1297,23 @@ def test_bias_is_scale_free(control_variate):
         b = simulate_bias(Spectrum(base * scale), 200, "wishart", 4096, seed=1, control_variate=control_variate)
         np.testing.assert_allclose(b.mean_rates, unit.mean_rates, rtol=1e-12, atol=0, err_msg=f"scale {scale}")
         np.testing.assert_allclose(b.std_errors, unit.std_errors, rtol=1e-12, atol=0, err_msg=f"scale {scale}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "base", [np.array([0.5, 0.3, 0.2]), 3.0 * np.arange(10, 0, -1)], ids=["p3", "p10"]
+)
+def test_sample_rates_are_scale_free(base):
+    # the rates are drawn at unit scale, so at 1e110, where the p = 3 closed
+    # form's det products overflowed, and at 1e-110 they match the run at
+    # the spectrum as given, and at 2^400 and 2^-400, powers of four, keep
+    # every bit
+    unit = sample_rates(Spectrum(base), 200, "wishart", 4096, seed=1)
+    for scale in (1e110, 1e-110):
+        d = sample_rates(Spectrum(base * scale), 200, "wishart", 4096, seed=1)
+        np.testing.assert_allclose(d, unit, rtol=1e-12, atol=0, err_msg=f"scale {scale}")
+    for k in (-400, 400):
+        assert np.array_equal(sample_rates(Spectrum(np.ldexp(base, k)), 200, "wishart", 4096, seed=1), unit)
 
 
 def test_control_variate_refuses_tied_spectrum_before_sampling(monkeypatch):
