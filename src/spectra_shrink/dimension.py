@@ -136,12 +136,14 @@ def dimension_experiment_for_spectrum(
     ``cases.spiked_case(k)``. Shrunk estimates are compared against 1/p as
     they are unless the relative criterion rescales them first
     (``relative_criterion(normalize=True)``). The rates are scale-free, so
-    the draws are taken at unit scale (``_unit_scale``).
+    the draws are taken at unit scale (``_unit_scale``), and the population
+    rates are formed there too.
     """
     if not criteria:
         raise ValueError("need at least one criterion")
     p = spectrum.p
     betas = _stack_betas(estimators, p)
+    spectrum = _unit_scale(spectrum)
     population = spectrum.values / spectrum.values.sum()
     offsets = (p + 1) * np.arange(len(estimators))[:, None]
 
@@ -155,7 +157,7 @@ def dimension_experiment_for_spectrum(
             counts[c] = np.bincount(dims, minlength=offsets.size * (p + 1)).reshape(-1, p + 1)
         return counts
 
-    totals = _run_chunks(_unit_scale(spectrum), n, distribution, replicates, seed, jobs, False, stat, np.add)
+    totals = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, False, stat, np.add)
 
     out = []
     for c, criterion in enumerate(criteria):

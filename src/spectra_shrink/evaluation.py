@@ -211,12 +211,13 @@ def bias_expansion(truth: Spectrum, n: int) -> np.ndarray:
     E(d_i) is the population rate tau_i = lambda_i / sum lambda plus n^-1
     times 2 tau_i (sum tau_j^2) - 2 tau_i^2
     + tau_i sum_{j != i} tau_j / (tau_i - tau_j).
-    It is formed on tau, so it is scale-free and finite at any scale of the
-    spectrum. Requires all eigenvalues distinct and, as the sampler does,
+    It is formed on tau, taken from the unit-scale lambda (``_unit_scale``),
+    so it is scale-free and finite at any finite spectrum, also one whose sum
+    overflows. Requires all eigenvalues distinct and, as the sampler does,
     an integer n >= p.
     """
     _check_dof(n, truth.p)
-    lam = truth.values
+    lam = _unit_scale(truth).values
     _check_distinct(lam, "eigenvalues")
     tau = lam / lam.sum()
     coeff = 2.0 * tau * np.sum(tau**2) - 2.0 * tau**2 + tau * _gap_ratios(tau).sum(axis=1)
@@ -416,11 +417,17 @@ def _estimate(spectrum, n, distribution, replicates, seed, jobs, need_vectors, n
 def _unit_scale(spectrum: Spectrum) -> Spectrum:
     """The spectrum times the power of four that brings sum(lambda) into [1/2, 2).
 
-    Every engine whose outputs are scale-free draws here, so no power of lambda
-    or l overflows or underflows. A power of four, because its square root, a
-    power of two, scales the Bartlett factor and S exactly: every rate keeps its bits.
+    Every engine draws here, so no power of lambda or l overflows or
+    underflows. A power of four, because its square root, a power of two,
+    scales the Bartlett factor and S exactly: every rate keeps its bits. The
+    sum's exponent is read off lambda / 2^e, 2^e the leading eigenvalue's
+    binade, so a sum that overflows, though every lambda is finite, is no
+    exception.
     """
-    return Spectrum(np.ldexp(spectrum.values, -2 * (frexp(float(spectrum.values.sum()))[1] // 2)))
+    lam = spectrum.values
+    e = frexp(lam[0])[1]
+    e += frexp(float(np.ldexp(lam, -e).sum()))[1]
+    return Spectrum(np.ldexp(lam, -2 * (e // 2)))
 
 
 def sample_rates(
@@ -821,22 +828,28 @@ def simulate_stein_haff(
 ) -> list[SteinHaffCheck]:
     """Check E[tr(estimate Sigma^-1)] = E[G] empirically under Wishart draws.
 
-    Sigma is diag(spectrum), the draws' own scale, whatever the spectrum sums
-    to: G estimates the trace against it, not against its normalized rates.
-    One check per weight vector, all on the same draws: each chunk's traces
-    and G values are formed for every weight vector at once, and the
-    cross-fit's control basis is empty. A draw whose sample eigenvalues
-    ``stein_haff_G`` refuses (``_tied``) raises RuntimeError.
+    Sigma is diag(spectrum): G estimates the trace against it, not against
+    its normalized rates. The draws are taken at unit scale (``_unit_scale``),
+    the spectrum times 2^-k, and the traces against the unit-scale lambda.
+    The trace and G are homogeneous of degree -1 in the scale, so the means
+    and SEs are multiplied by 2^-k, an exact power of four, and come back in
+    the spectrum's units. One check per weight vector, all on the same
+    draws: each chunk's traces and G values are formed for every weight
+    vector at once, and the cross-fit's control basis is empty. A draw whose
+    sample eigenvalues ``stein_haff_G`` refuses (``_tied``) raises
+    RuntimeError.
     """
     betas = _stack_betas(weights_list, spectrum.p)
     k = len(weights_list)
+    unit = _unit_scale(spectrum)
+    shift = frexp(unit.values[0])[1] - frexp(spectrum.values[0])[1]
 
     def stat(s, l, d, q):
-        trace = _plugin_traces(d, q, betas, spectrum.values)
+        trace = _plugin_traces(d, q, betas, unit.values)
         g = _g_batch(l, d, betas, n)
         return np.concatenate([trace, g, trace - g])
 
-    means, ses = _estimate(spectrum, n, "wishart", replicates, seed, jobs, True, 0, stat)
+    means, ses = np.ldexp(_estimate(unit, n, "wishart", replicates, seed, jobs, True, 0, stat), shift)
     return [
         SteinHaffCheck(
             mean_trace=float(means[j]),

@@ -17,6 +17,10 @@ the diagonal of R' diag(lam)^-1 R.
 - G is sum_i (n + p + 1 - 2i - 2 d_i) / tr S, and its 1 / l1 is a Gamma
   integral: against l1^(n-1) exp(-l1 c / 2) it gives c / (2(n - 1)) times
   the integral without it.
+- The decided dimension. An estimate beta d is (beta1, beta2 r) / (1 + r),
+  so each dimension rule decides on r alone: its cells are intervals of r,
+  cut where an estimated rate crosses the cut-off t* (cumulative) or 1/2
+  (relative size).
 - The controls' exact means. Given (r, theta), l1 is Gamma(n, c / 2), so
   E[l1^k | r, theta] = Gamma(n + k) / Gamma(n) (2/c)^k and
   E[log l1 | r, theta] = psi(n) + log(2/c). log det S = 2 log l1 + log r and
@@ -28,9 +32,13 @@ What is left is a smooth integral over (r, theta). It is taken by
 Gauss-Jacobi in r, on x = 2r - 1 with alpha = 1 and beta = (n - 3)/2 for
 the weight (1 - r) r^((n-3)/2), times c^-n, and by the midpoint rule in
 theta, which converges geometrically for a smooth integrand of period pi.
+A dimension cell's indicator is not smooth in r, so the cells are taken by
+Gauss-Legendre on each r-interval between the cuts, with the weight
+r^((n-3)/2) (1 - r) in the integrand.
 """
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import digamma, poch, roots_jacobi
 
 
@@ -74,6 +82,43 @@ def risk_means(lam, n: int, beta, r_nodes: int = 200, theta_nodes: int = 256) ->
     entropy = trace - logdet - 2.0
     quadratic = (1.0 - beta[0] * d1 / tau[0]) ** 2 + (1.0 - beta[1] * d2 / tau[1]) ** 2
     return float((weight * entropy).sum()), float((weight * quadratic).sum())
+
+
+def _dimension(r: float, beta, t_star) -> int:
+    """The dimension that the cumulative rule at ``t_star``, or with None the relative rule, decides at r."""
+    d1, d2 = beta[0] / (1.0 + r), beta[1] * r / (1.0 + r)
+    if t_star is None:
+        return int(d1 > 0.5) + int(d2 > 0.5)
+    return 1 if d1 >= t_star else 2
+
+
+def dimension_probabilities(lam, n: int, beta, t_star=None, r_nodes: int = 200, theta_nodes: int = 256) -> np.ndarray:
+    """P(dimension = 0, 1, 2) for the estimate beta d under Wishart_2(n, diag(lam)).
+
+    The rule is the cumulative one at cut-off ``t_star``, or with None the
+    relative-size one, both as ``spectra_shrink.dimension`` decides them:
+    d1 >= t* gives 1, and each rate above 1/2 counts one. The cuts are
+    r = beta1 / t* - 1, or r = 2 beta1 - 1 and r = 1 / (2 beta2 - 1), those
+    inside (0, 1); each interval between them is one cell.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if t_star is None:
+        cuts = [2.0 * beta[0] - 1.0] + ([1.0 / (2.0 * beta[1] - 1.0)] if beta[1] > 0.5 else [])
+    else:
+        cuts = [beta[0] / t_star - 1.0]
+    edges = np.array([0.0] + sorted(x for x in cuts if 0.0 < x < 1.0) + [1.0])
+    x, w = leggauss(r_nodes)
+    half = np.diff(edges)[:, None] / 2.0
+    r = (edges[:-1, None] + half * (1.0 + x))[:, :, None]
+    theta = (np.arange(theta_nodes) + 0.5) * (np.pi / theta_nodes)
+    cos2, sin2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+    c = cos2 / lam[0] + sin2 / lam[1] + r * (sin2 / lam[0] + cos2 / lam[1])
+    log_f = (n - 3) / 2.0 * np.log(r) + np.log1p(-r) - n * np.log(c)
+    mass = (half * w * np.exp(log_f - log_f.max()).sum(axis=2)).sum(axis=1)
+    probs = np.zeros(3)
+    for lo, hi, m in zip(edges[:-1], edges[1:], mass):
+        probs[_dimension((lo + hi) / 2.0, beta, t_star)] += m
+    return probs / mass.sum()
 
 
 def _times(*polys):

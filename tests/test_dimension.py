@@ -18,6 +18,8 @@ from spectra_shrink import (
 from spectra_shrink.cases import spiked_case
 from spectra_shrink.dimension import DimensionHistogram, _decisions
 
+from oracle_p2 import dimension_probabilities
+
 
 def test_decide_cumulative_examples():
     case1 = ContributionRates((0.19,) * 5 + (0.01,) * 5)
@@ -176,21 +178,47 @@ def test_experiment_determinism_across_jobs():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_experiment_is_scale_free():
-    # the draws are taken at unit scale, so at 1e110, where the p = 3 closed
-    # form's det products overflowed, at 1e-110 and at 2^+-400 every
-    # histogram counts what it counts at the spectrum as given
+    # the draws and the population rates are taken at unit scale, so at
+    # 1e110, where the p = 3 closed form's det products overflowed, at
+    # 1e-110, at 2^+-400 and at 2^1024, where the sum overflows though every
+    # lambda is finite, every histogram counts what it counts at the
+    # spectrum as given, and names the same true dimension
     base = np.array([0.5, 0.3, 0.2])
     w = [classical_weights(3, 30), ShrinkageWeights(np.array([0.9, 1.0, 1.1]), 30)]
     crits = [cumulative_criterion(0.8), relative_criterion(), relative_criterion(normalize=True)]
 
     def counts(values):
         hists = dimension_experiment_for_spectrum(Spectrum(values), 30, w, crits, 4096, seed=3)
-        return [h.counts for h in hists]
+        return [h.counts for h in hists] + [h.true_dim for h in hists]
 
     unit = counts(base)
-    for values in (base * 1e110, base * 1e-110, np.ldexp(base, 400), np.ldexp(base, -400)):
+    for values in (base * 1e110, base * 1e-110, np.ldexp(base, 400), np.ldexp(base, -400), np.ldexp(base, 1024)):
         for got, expected in zip(counts(values), unit):
             assert np.array_equal(got, expected), values
+
+
+def test_p2_oracle_dimension_cells_have_converged():
+    # doubling the quadrature's nodes moves no exact cell probability
+    for beta in ((1.0, 1.0), (0.9, 1.1)):
+        for t_star in (0.8, None):
+            coarse = dimension_probabilities((0.7, 0.3), 30, beta, t_star)
+            finer = dimension_probabilities((0.7, 0.3), 30, beta, t_star, r_nodes=400, theta_nodes=512)
+            assert np.max(np.abs(finer - coarse)) <= 1e-12
+
+
+def test_experiment_matches_p2_oracle():
+    # at p = 2 each rule's decision is a threshold on r = l2 / l1, so every
+    # histogram cell has an exact probability; each count lies within 4
+    # binomial SEs of it, and a cell of probability 0 or 1 is met exactly
+    lam, n, replicates = (0.7, 0.3), 30, 200000
+    w = [classical_weights(2, n), ShrinkageWeights((0.9, 1.1), n)]
+    crits = [cumulative_criterion(0.8), relative_criterion()]
+    hists = dimension_experiment_for_spectrum(Spectrum(lam), n, w, crits, replicates, seed=0)
+    for h, (criterion, weights) in zip(hists, [(c, x) for c in crits for x in w], strict=True):
+        assert h.criterion == criterion
+        exact = dimension_probabilities(lam, n, weights.beta, criterion.t_star)
+        se = np.sqrt(replicates * exact * (1.0 - exact))
+        assert np.all(np.abs(h.counts - replicates * exact) <= 4.0 * se), (h.criterion.label(), h.counts, exact)
 
 
 def test_histogram_counts_every_replicate():

@@ -399,8 +399,31 @@ def test_p2_oracle_trace_equals_g(n):
         assert abs(finer[0] - trace) <= 1e-12 and abs(finer[1] - g) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stein_haff_is_scale_free():
+    # the trace and G are homogeneous of degree -1 in the scale, and the
+    # draws are taken at unit scale, so at 1e200, where the outputs' squares
+    # underflowed to SEs of 0, and at 1e-200, where they overflowed, every
+    # mean and SE is the unit-scale one times 1e-200 or 1e200; at 2^+-400
+    # and at 2^1024, where sum lambda overflows though every lambda is
+    # finite, all powers of four, it is the unit-scale one times 2^-k, bit
+    # for bit
+    base, n = np.array([0.5, 0.3, 0.2]), 10
+    w = [classical_weights(3, n), ShrinkageWeights(np.array([0.9, 1.0, 1.1]), n)]
+
+    def moments(values):
+        return np.array([astuple(c)[:-1] for c in simulate_stein_haff(Spectrum(values), n, w, 4096, seed=1)])
+
+    unit = moments(base)
+    for exponent in (-200, 200):
+        got = moments(base * 10.0**exponent)
+        np.testing.assert_allclose(got, unit * 10.0**-exponent, rtol=1e-12, atol=0, err_msg=f"scale 1e{exponent}")
+    for k in (-400, 400, 1024):
+        assert np.array_equal(moments(np.ldexp(base, k)), np.ldexp(unit, -k)), f"scale 2^{k}"
+
+
 def test_stein_haff_engine_matches_p2_oracle():
-    # the trace is taken against the draws' own scale diag(lam), as G is, so
+    # the trace is taken against the spectrum's own scale diag(lam), as G is, so
     # a spectrum that does not sum to one has the same identity
     for lam in ((0.7, 0.3), (1.4, 0.6)):
         trace, g = stein_haff_means(lam, 30)
@@ -581,12 +604,15 @@ def test_bias_expansion_p3_hand_value():
 def test_bias_expansion_is_scale_free():
     # it is formed on tau = lambda / sum lambda, so it is finite and the same
     # at every scale, also where lambda^2 or (sum lambda)^3 would overflow
-    # or underflow
+    # or underflow; tau is taken at unit scale, so at 2^1024, a power of
+    # four where sum lambda overflows though every lambda is finite, it
+    # keeps every bit
     base = np.array([0.5, 0.3, 0.2])
     expected = bias_expansion(Spectrum(base), 20)
     for exponent in (-300, -110, -50, 0, 50, 103, 200, 300):
         got = bias_expansion(Spectrum(base * 10.0**exponent), 20)
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0, err_msg=f"scale 1e{exponent}")
+    assert np.array_equal(bias_expansion(Spectrum(np.ldexp(base, 1024)), 20), expected)
 
 
 def _separated(values):
@@ -1065,7 +1091,8 @@ def test_risk_controls_are_scale_free(loss_kind):
     # the draws, and so the trace controls and their means, are taken at
     # unit scale, so a spectrum past 1e103, where t_1^3 overflowed, or below
     # 1e-103, where E[tr S^3] underflowed to zero, gives the unit-scale
-    # risks; under 2^-400, where lambda^-2 would overflow, and 2^400, powers
+    # risks; under 2^-400, where lambda^-2 would overflow, 2^400 and 2^1020,
+    # where sum lambda overflows though every lambda is finite, all powers
     # of four, the controls, their means and the fit keep every bit
     base, n, seed, replicates = np.array([6.0, 5.0, 4.0, 3.0, 2.0, 1.0]), 12, 1, 2000
     w = [classical_weights(6, n), family_weights(6, n, 1)]
@@ -1077,7 +1104,7 @@ def test_risk_controls_are_scale_free(loss_kind):
         for g, e in zip(got, expected):
             np.testing.assert_allclose(g, e, rtol=1e-12, atol=0, err_msg=f"scale 1e{exponent}")
     assert evaluation._trace_means(base, 30).size == 3
-    for k in (-400, 400):
+    for k in (-400, 400, 1020):
         got = _risk_moments(
             compare_risks(Spectrum(np.ldexp(base, k)), n, w, loss_kind, "wishart", replicates, seed=seed)
         )
@@ -1290,29 +1317,34 @@ def test_bias_is_scale_free(control_variate):
     # the rates and the controls are scale-free, and the draws are taken at
     # the spectrum times a power of four, so a spectrum at 1e110, where the
     # controls' lambda^3 would overflow, or at 1e-110, where their sums
-    # would underflow, gives the unit-scale means and SEs, plain and fitted
+    # would underflow, gives the unit-scale means and SEs, plain and fitted,
+    # and at 2^1024, a power of four where sum lambda overflows though every
+    # lambda is finite, the same bits
     base = np.array([0.5, 0.3, 0.2])
     unit = simulate_bias(Spectrum(base), 200, "wishart", 4096, seed=1, control_variate=control_variate)
     for scale in (1e110, 1e-110):
         b = simulate_bias(Spectrum(base * scale), 200, "wishart", 4096, seed=1, control_variate=control_variate)
         np.testing.assert_allclose(b.mean_rates, unit.mean_rates, rtol=1e-12, atol=0, err_msg=f"scale {scale}")
         np.testing.assert_allclose(b.std_errors, unit.std_errors, rtol=1e-12, atol=0, err_msg=f"scale {scale}")
+    b = simulate_bias(Spectrum(np.ldexp(base, 1024)), 200, "wishart", 4096, seed=1, control_variate=control_variate)
+    assert np.array_equal(b.mean_rates, unit.mean_rates) and np.array_equal(b.std_errors, unit.std_errors)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "base", [np.array([0.5, 0.3, 0.2]), 3.0 * np.arange(10, 0, -1)], ids=["p3", "p10"]
+    "base, overflow", [(np.array([0.5, 0.3, 0.2]), 1024), (3.0 * np.arange(10, 0, -1), 1018)], ids=["p3", "p10"]
 )
-def test_sample_rates_are_scale_free(base):
+def test_sample_rates_are_scale_free(base, overflow):
     # the rates are drawn at unit scale, so at 1e110, where the p = 3 closed
     # form's det products overflowed, and at 1e-110 they match the run at
     # the spectrum as given, and at 2^400 and 2^-400, powers of four, keep
-    # every bit
+    # every bit, and so at 2^overflow, the power of four where sum lambda
+    # overflows though every lambda is finite
     unit = sample_rates(Spectrum(base), 200, "wishart", 4096, seed=1)
     for scale in (1e110, 1e-110):
         d = sample_rates(Spectrum(base * scale), 200, "wishart", 4096, seed=1)
         np.testing.assert_allclose(d, unit, rtol=1e-12, atol=0, err_msg=f"scale {scale}")
-    for k in (-400, 400):
+    for k in (-400, 400, overflow):
         assert np.array_equal(sample_rates(Spectrum(np.ldexp(base, k)), 200, "wishart", 4096, seed=1), unit)
 
 
