@@ -5,9 +5,14 @@ in pairs that share a seed and run back to back, base first in odd pairs and
 change first in even ones, so that a drift in machine speed hits both sides
 alike. Optionally also runs ``perfbench/reference.py`` (the timed acceptance
 suite and README examples) in pairs, alternating the first side in the same
-way. Before the first pair, both checkouts' ``src`` and ``perfbench`` are
-byte-compiled afresh with the running interpreter, so that neither side
-starts faster for holding a bytecode cache the other lacks.
+way. Each side runs from a snapshot of its checkout in a temporary
+directory: the files git tracks, as they stand in the working tree, so
+uncommitted edits come along and untracked or ignored files (``__pycache__/``,
+``.perfbench-out/``) never do (see ``snapshot``). Before the first pair, both
+snapshots' ``src`` and ``perfbench`` are byte-compiled afresh with the
+running interpreter, so that neither side starts faster for holding a
+bytecode cache the other lacks. The document records each checkout and its
+git commit under ``sides``, since a snapshot holds no ``.git``.
 Writes one JSON document. Usage (stdlib only):
 
     python3 bench/pairs.py --base PARENT_DIR --change . \\
@@ -53,9 +58,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 #: Each end-to-end metric's better direction and bound, from the benchmark's declaration.
@@ -154,6 +161,43 @@ def gil_probe(seconds: float = PROBE_SECONDS) -> dict:
 def run_stdout(checkout: Path, argv: list[str]) -> str:
     return subprocess.run([sys.executable, *argv], cwd=checkout, capture_output=True,
                           text=True, check=True).stdout
+
+
+def git_top(checkout: Path) -> bool:
+    """Whether the checkout is the top directory of a git work tree."""
+    top = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=checkout,
+                         capture_output=True, text=True)
+    return top.returncode == 0 and Path(top.stdout.strip()).resolve() == checkout.resolve()
+
+
+def snapshot(checkout: Path, dest: Path) -> Path:
+    """Copy the checkout's git-tracked files, as they stand in its working tree, to ``dest``.
+
+    Uncommitted edits come along; untracked and ignored files never do, nor
+    does a tracked file deleted from the working tree. A working tree that
+    held ``__pycache__/`` and ``.perfbench-out/`` once timed 7.5 % slower
+    than a ``git archive`` of the same files, for a cause not found, so both
+    sides run from such copies. A directory that is not the top of a git
+    work tree, such as a ``git archive`` export, is copied whole.
+    """
+    if not git_top(checkout):
+        shutil.copytree(checkout, dest)
+        return dest
+    listed = subprocess.run(["git", "ls-files", "-z"], cwd=checkout, capture_output=True, check=True).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        source = checkout / name
+        if source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+    return dest
+
+
+def git_commit(checkout: Path) -> str | None:
+    """HEAD of the checkout, or None when it is not the top of a git work tree."""
+    if not git_top(checkout):
+        return None
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
+                          text=True, check=True).stdout.strip()
 
 
 def fresh_bytecode(checkout: Path) -> None:
@@ -312,10 +356,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.reference < 0:
         parser.error(f"--reference needs a pair count >= 0, got {args.reference}")
-    sides = {"base": args.base.resolve(), "change": args.change.resolve()}
-    for path in sides.values():
-        fresh_bytecode(path)
+    checkouts = {"base": args.base.resolve(), "change": args.change.resolve()}
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        sides = {side: snapshot(path, Path(tmp) / side) for side, path in checkouts.items()}
+        for path in sides.values():
+            fresh_bytecode(path)
+        doc = run_pairs(args, sides)
+    doc["sides"] = {side: {"checkout": str(path), "commit": git_commit(path)} for side, path in checkouts.items()}
+    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return 0
 
+
+def run_pairs(args: argparse.Namespace, sides: dict) -> dict:
+    """Every requested pair, run in the snapshots ``sides``, as the output document."""
     doc = {"seconds": args.seconds, "workloads": {}, "traced": {}}
     for key, trace, specs in (("workloads", 0, args.runs), ("traced", 1, args.traced)):
         for workload, k in parse_counts(specs):
@@ -336,8 +389,7 @@ def main(argv=None) -> int:
             print(f"reference pair {k} done", file=sys.stderr)
         doc["reference"] = {"pairs": pairs, "summary": summarise_reference(pairs)}
         doc["environment"] = pairs[0]["base"]["environment"]
-    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    return 0
+    return doc
 
 
 if __name__ == "__main__":

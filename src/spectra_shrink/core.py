@@ -16,6 +16,7 @@ LAPACK solves only tridiagonals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import frexp
 
 import numpy as np
 
@@ -77,6 +78,25 @@ def _readonly_matrix(values, name: str) -> np.ndarray:
     return arr
 
 
+def _unit_exponent(values: np.ndarray) -> int:
+    """The even k for which sum(values) / 2^k lies in [1/2, 2): the one unit-scale rule.
+
+    Every scale-free quantity is formed on values / 2^k: an engine's draws,
+    a decomposition's rates and checks, and the Stein-Haff G; so no sum,
+    norm or power of them overflows or underflows. The sum's exponent is read off
+    values / 2^e, 2^e the largest magnitude's binade, without forming the
+    sum itself, so a sum that overflows, though every value is finite, is no
+    exception. Scaling by a power of two is exact, so a value in normal range
+    keeps every bit; an even power, because its square root, a power of two,
+    scales a Bartlett factor, a scatter matrix and its eigenvectors exactly.
+    The values are meant to be positive (eigenvalues, or a positive definite
+    matrix's diagonal); for others k is still an even integer.
+    """
+    e = frexp(float(np.abs(values).max()))[1]
+    e += frexp(float(np.ldexp(values, -e).sum()))[1]
+    return 2 * (e // 2)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Ordered population eigenvalues (variance units), largest first.
@@ -119,7 +139,9 @@ class SampleDecomposition:
 
     ``eigenvalues`` are descending and positive, the columns of
     ``eigenvectors`` match the eigenvalue order, and ``rates`` are formed
-    here as the eigenvalues divided by their sum.
+    here as the eigenvalues divided by their sum, both at unit scale
+    (``_unit_exponent``), so a sum that overflows or underflows is no
+    exception.
     """
 
     eigenvalues: np.ndarray
@@ -135,7 +157,8 @@ class SampleDecomposition:
         ortho = np.abs(h.T @ h - np.eye(p)).max()
         if ortho > 1e-8:
             raise ValueError(f"eigenvector matrix is not orthogonal: max |H'H - I| = {ortho:.3e}")
-        d = l / l.sum()
+        u = np.ldexp(l, -_unit_exponent(l))
+        d = u / u.sum()
         d.setflags(write=False)
         object.__setattr__(self, "eigenvalues", l)
         object.__setattr__(self, "eigenvectors", h)
@@ -332,26 +355,41 @@ def symmetric_eigendecompose(matrix: np.ndarray) -> SampleDecomposition:
     entry (the first, on a tie) is made positive, which fixes the sign LAPACK
     leaves free. Raises if the matrix is not a finite, symmetric p x p array
     with p >= 2, is not positive definite, or does not reconstruct.
+
+    S is decomposed at unit scale, S / 2^k with k from its diagonal
+    (``_unit_exponent``; tr S is the eigenvalues' sum), and the symmetry,
+    positive-definite and reconstruction checks run there, so none of them
+    sums or norms at the caller's scale; l is 2^k times the unit-scale
+    eigenvalues. Every scaling is exact, so at ordinary scales no bit moves.
+    A positive definite matrix's diagonal is positive and holds its largest
+    entry; a matrix refused for that is not scaled at all.
     """
     s = _readonly_matrix(matrix, "scatter matrix")
-    scale = float(np.abs(s).max())
-    asym = float(np.abs(s - s.T).max())
-    if asym > _SYMMETRY_REL_TOL * max(scale, 1e-300):
+    diagonal = np.diag(s)
+    if not (diagonal.min() > 0.0 and np.abs(s).max() <= diagonal.max()):
         raise ValueError(
-            "scatter matrix is not symmetric: max |S - S'| = "
-            f"{asym:.3e} exceeds {_SYMMETRY_REL_TOL:.0e} * max|S| = "
-            f"{_SYMMETRY_REL_TOL * scale:.3e}"
+            "scatter matrix is not positive definite "
+            "(its diagonal must be positive and hold its largest entry)"
         )
-    w, v = eigh_descending_batch(s[None, :, :])
+    k = _unit_exponent(diagonal)
+    u = np.ldexp(s, -k)
+    scale = float(np.abs(u).max())
+    asym = float(np.abs(u - u.T).max())
+    if asym > _SYMMETRY_REL_TOL * scale:
+        raise ValueError(
+            "scatter matrix is not symmetric: max |S - S'| / max|S| = "
+            f"{asym / scale:.3e} exceeds {_SYMMETRY_REL_TOL:.0e}"
+        )
+    w, v = eigh_descending_batch(u[None, :, :])
     l, h = w[0], v[0]
     pivot = h[np.argmax(np.abs(h), axis=0), np.arange(h.shape[1])]
     h = h * np.where(pivot < 0.0, -1.0, 1.0)
     if np.any(l <= 0.0):
         raise ValueError(
             "scatter matrix is not positive definite "
-            f"(smallest eigenvalue {l.min():.3e})"
+            f"(smallest eigenvalue / trace = {l.min() / l.sum():.3e})"
         )
-    recon_err = np.linalg.norm((h * l) @ h.T - s) / max(np.linalg.norm(s), 1e-300)
-    if recon_err > 1e-8:
+    recon_err = np.linalg.norm((h * l) @ h.T - u) / np.linalg.norm(u)
+    if not recon_err <= 1e-8:
         raise RuntimeError(f"eigendecomposition failed to reconstruct input ({recon_err:.3e})")
-    return SampleDecomposition(eigenvalues=l, eigenvectors=h)
+    return SampleDecomposition(eigenvalues=np.ldexp(l, k), eigenvectors=h)

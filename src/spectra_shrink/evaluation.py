@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import frexp, fsum, log, sqrt
+from math import fsum, log, sqrt
 from typing import ClassVar
 
 import numpy as np
@@ -27,6 +27,7 @@ from .core import (
     Spectrum,
     _check_dof,
     _readonly_matrix,
+    _unit_exponent,
     eigh_descending_batch,
 )
 from .estimators import ShrinkageWeights, _stack_betas, classical_weights
@@ -122,7 +123,12 @@ def entropy_loss(estimate: np.ndarray, truth: np.ndarray) -> float:
     """tr(estimate truth^-1) - log det(estimate truth^-1) - p.
 
     Zero exactly when the estimate equals the truth; both matrices must be
-    positive definite.
+    positive definite. The value is no more accurate than the matrices'
+    conditioning allows: for a dense plug-in estimate H diag(beta d) H' of a
+    near-singular S (``plugin_covariance``) the error grows with cond(S), up
+    to about cond(S) * eps, and at n = p = 7 and cond S = 5.4e11 it was
+    1.3e-7 against a 60-digit reference. No engine takes this route: they
+    form the loss in the sample eigenbasis (``_entropy_losses``).
     """
     est = _readonly_matrix(estimate, "estimate")
     tru = _readonly_matrix(truth, "truth")
@@ -177,18 +183,22 @@ def stein_haff_G(decomp: SampleDecomposition, weights: ShrinkageWeights, n: int)
     For the plug-in estimate with weights beta this is
     (sum l)^-1 {2 sum_{i<j} (beta_i - beta_j) l_j / (l_i - l_j)
                 + sum_i (n + p + 1 - 2i - 2 d_i) beta_i}.
+    G is homogeneous of degree -1 in l, so it is formed, and the eigenvalues
+    tie-tested (``_tied``), at unit scale, on u = l / 2^k
+    (``_unit_exponent``), and G(l) is G(u) times 2^-k, an exact power of two.
     """
     l = decomp.eigenvalues
+    k = _unit_exponent(l)
+    u = np.ldexp(l, -k)
     d = decomp.rates
     beta = _stack_betas([weights], decomp.p)[0]
     p = l.size
-    total = float(l.sum())
-    _check_distinct(l, "sample eigenvalues")
+    _check_distinct(u, "sample eigenvalues")
     iu, ju = np.triu_indices(p, 1)
-    pair = np.sum((beta[iu] - beta[ju]) * l[ju] / (l[iu] - l[ju]))
+    pair = np.sum((beta[iu] - beta[ju]) * u[ju] / (u[iu] - u[ju]))
     i = np.arange(1, p + 1)
     linear = np.sum((n + p + 1.0 - 2 * i - 2 * d) * beta)
-    return float((2.0 * pair + linear) / total)
+    return float(np.ldexp((2.0 * pair + linear) / u.sum(), -k))
 
 
 def entropy_risk_difference_bound(
@@ -415,19 +425,14 @@ def _estimate(spectrum, n, distribution, replicates, seed, jobs, need_vectors, n
 
 
 def _unit_scale(spectrum: Spectrum) -> Spectrum:
-    """The spectrum times the power of four that brings sum(lambda) into [1/2, 2).
+    """The spectrum times 2^-k, the power of four that brings sum(lambda) into [1/2, 2).
 
     Every engine draws here, so no power of lambda or l overflows or
-    underflows. A power of four, because its square root, a power of two,
-    scales the Bartlett factor and S exactly: every rate keeps its bits. The
-    sum's exponent is read off lambda / 2^e, 2^e the leading eigenvalue's
-    binade, so a sum that overflows, though every lambda is finite, is no
-    exception.
+    underflows; k is ``core._unit_exponent``'s, read without forming the sum,
+    and its square root scales the Bartlett factor and S exactly: every rate
+    keeps its bits.
     """
-    lam = spectrum.values
-    e = frexp(lam[0])[1]
-    e += frexp(float(np.ldexp(lam, -e).sum()))[1]
-    return Spectrum(np.ldexp(lam, -2 * (e // 2)))
+    return Spectrum(np.ldexp(spectrum.values, -_unit_exponent(spectrum.values)))
 
 
 def sample_rates(
@@ -842,14 +847,14 @@ def simulate_stein_haff(
     betas = _stack_betas(weights_list, spectrum.p)
     k = len(weights_list)
     unit = _unit_scale(spectrum)
-    shift = frexp(unit.values[0])[1] - frexp(spectrum.values[0])[1]
+    exponent = _unit_exponent(spectrum.values)
 
     def stat(s, l, d, q):
         trace = _plugin_traces(d, q, betas, unit.values)
         g = _g_batch(l, d, betas, n)
         return np.concatenate([trace, g, trace - g])
 
-    means, ses = np.ldexp(_estimate(unit, n, "wishart", replicates, seed, jobs, True, 0, stat), shift)
+    means, ses = np.ldexp(_estimate(unit, n, "wishart", replicates, seed, jobs, True, 0, stat), -exponent)
     return [
         SteinHaffCheck(
             mean_trace=float(means[j]),

@@ -1,6 +1,7 @@
 """The reference summary of ``bench/pairs.py``: items paired by key, keys free of paths."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -89,3 +90,39 @@ def test_gil_probe_times_many_short_calls_alone_and_on_two_threads():
     probe = pairs.gil_probe(seconds=0.05)
     assert probe["alone_s"] > 0 and probe["beside_s"] > 0
     assert probe["ratio"] == probe["beside_s"] / probe["alone_s"]
+
+
+def _git(cwd, *argv):
+    subprocess.run(["git", *argv], cwd=cwd, check=True, capture_output=True)
+
+
+def test_snapshot_holds_tracked_working_tree_bytes_and_no_ignored_file(tmp_path):
+    # each side runs from its tracked files as they stand in the working
+    # tree: an uncommitted edit comes along, an ignored or untracked file
+    # or a tracked file deleted from the tree does not
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    _git(repo, "init", "-q")
+    (repo / ".gitignore").write_text("__pycache__/\n.perfbench-out/\n")
+    (repo / "src" / "m.py").write_text("x = 1\n")
+    (repo / "gone.txt").write_text("tracked, then deleted\n")
+    _git(repo, "add", ".gitignore", "src/m.py", "gone.txt")
+    (repo / "src" / "m.py").write_text("x = 2\n")
+    (repo / "gone.txt").unlink()
+    for ignored in ("src/__pycache__/m.cpython.pyc", ".perfbench-out/run.csv"):
+        (repo / ignored).parent.mkdir(parents=True, exist_ok=True)
+        (repo / ignored).write_bytes(b"left over")
+    (repo / "untracked.txt").write_text("not added\n")
+    copy = pairs.snapshot(repo.resolve(), tmp_path / "copy")
+    files = sorted(str(f.relative_to(copy)) for f in copy.rglob("*") if f.is_file())
+    assert files == [".gitignore", "src/m.py"]
+    assert (copy / "src" / "m.py").read_text() == "x = 2\n"
+
+
+def test_snapshot_copies_a_directory_outside_git_whole(tmp_path):
+    export = tmp_path / "export"
+    (export / "src").mkdir(parents=True)
+    (export / "src" / "m.py").write_text("x = 1\n")
+    copy = pairs.snapshot(export.resolve(), tmp_path / "copy")
+    assert (copy / "src" / "m.py").read_text() == "x = 1\n"
+    assert pairs.git_commit(export.resolve()) is None

@@ -12,6 +12,7 @@ from spectra_shrink import (
     eigh_descending_batch,
     symmetric_eigendecompose,
 )
+from spectra_shrink import core
 from spectra_shrink.cases import spiked_case
 from spectra_shrink.sampling import scatter_chunk
 
@@ -327,6 +328,72 @@ def test_eigenvalue_only_path_holds_one_copy_of_the_stack(p):
 def test_rejects_non_positive_definite():
     with pytest.raises(ValueError, match="positive definite"):
         symmetric_eigendecompose(np.diag([1.0, -2.0]))
+    # a positive diagonal that does not hold the largest entry is refused
+    # before S is scaled, where its off-diagonal entries could overflow
+    with pytest.raises(ValueError, match="positive definite"):
+        symmetric_eigendecompose(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ValueError, match="positive definite"):
+        symmetric_eigendecompose(np.array([[1e-300, 1e300], [1e300, 1e-300]]))
+
+
+#: A 3 x 3 scatter matrix with trace near one, and the diagonal whose trace
+#: overflows though every entry is finite.
+_UNIT_SCATTER = _random_psd(np.random.default_rng(5), 3) / 8.0
+_OVERFLOWING_DIAGONAL = np.array([8.5e307, 6.7e307, 4.5e307])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_decomposition_is_scale_free():
+    # S is decomposed at unit scale, S / 2^k with k from its trace, so at
+    # 2^+-1000 the rates and eigenvectors keep every bit and the eigenvalues
+    # are the unit-scale ones times 2^k; at a diagonal whose trace overflows
+    # the rates were (0, 0, 0), and at 1e-170 they are the unit-scale rates
+    unit = symmetric_eigendecompose(_UNIT_SCATTER)
+    for k in (-1000, 1000):
+        dec = symmetric_eigendecompose(np.ldexp(_UNIT_SCATTER, k))
+        assert np.array_equal(dec.rates, unit.rates), k
+        assert np.array_equal(dec.eigenvectors, unit.eigenvectors), k
+        assert np.array_equal(dec.eigenvalues, np.ldexp(unit.eigenvalues, k)), k
+    dec = symmetric_eigendecompose(np.diag(_OVERFLOWING_DIAGONAL))
+    assert np.array_equal(dec.eigenvalues, _OVERFLOWING_DIAGONAL)
+    np.testing.assert_allclose(dec.rates, [8.5 / 19.7, 6.7 / 19.7, 4.5 / 19.7], rtol=1e-15, atol=0)
+    tiny = symmetric_eigendecompose(1e-170 * _UNIT_SCATTER)
+    np.testing.assert_allclose(tiny.rates, unit.rates, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(tiny.eigenvalues, 1e-170 * unit.eigenvalues, rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "matrix", [_UNIT_SCATTER, 1e-170 * _UNIT_SCATTER, np.diag(_OVERFLOWING_DIAGONAL)],
+    ids=["unit", "1e-170", "overflowing-trace"],
+)
+def test_reconstruction_check_fails_on_a_wrong_pairing(monkeypatch, matrix):
+    # the check is taken at unit scale: at 1e-170 both Frobenius norms
+    # underflowed to 0, and at the overflowing trace both were inf, so a
+    # solve that paired each eigenvalue with another's eigenvector passed
+    solve = core.eigh_descending_batch
+
+    def mispaired(matrices, compute_vectors=True):
+        w, v = solve(matrices, compute_vectors)
+        return w, v[:, :, ::-1]
+
+    monkeypatch.setattr(core, "eigh_descending_batch", mispaired)
+    with pytest.raises(RuntimeError, match="failed to reconstruct"):
+        symmetric_eigendecompose(matrix)
+
+
+def test_reconstruction_check_fails_on_a_nan_residual(monkeypatch):
+    # a NaN residual compares false with every bound, so it must fail the
+    # check, not pass it
+    solve = core.eigh_descending_batch
+
+    def nan_eigenvalues(matrices, compute_vectors=True):
+        w, v = solve(matrices, compute_vectors)
+        return np.full_like(w, np.nan), v
+
+    monkeypatch.setattr(core, "eigh_descending_batch", nan_eigenvalues)
+    with pytest.raises(RuntimeError, match="failed to reconstruct"):
+        symmetric_eigendecompose(_UNIT_SCATTER)
 
 
 def test_batch_shape_validation():

@@ -409,26 +409,36 @@ def test_p2_oracle_trace_equals_g(n):
         assert abs(finer[0] - trace) <= 1e-12 and abs(finer[1] - g) <= 1e-12
 
 
+#: A fixed rotation, so that the scalar path decomposes a full matrix.
+_ROTATION = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))[0]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_stein_haff_is_scale_free():
+@pytest.mark.parametrize("path", ["engine", "scalar"])
+def test_stein_haff_is_scale_free(path):
     # the trace and G are homogeneous of degree -1 in the scale, and the
-    # draws are taken at unit scale, so at 1e200, where the outputs' squares
-    # underflowed to SEs of 0, and at 1e-200, where they overflowed, every
-    # mean and SE is the unit-scale one times 1e-200 or 1e200; at 2^+-400
-    # and at 2^1024, where sum lambda overflows though every lambda is
-    # finite, all powers of four, it is the unit-scale one times 2^-k, bit
-    # for bit
+    # engine's draws, like the scalar path's decomposition and G, are taken
+    # at unit scale, so at 1e200, where the outputs' squares underflowed to
+    # SEs of 0, and at 1e-200, where they overflowed, every mean and SE is
+    # the unit-scale one times 1e-200 or 1e200; at 2^+-400, at 2^+-1000 and
+    # at 2^1024, where sum lambda overflows though every lambda is finite,
+    # all powers of four, it is the unit-scale one times 2^-k, bit for bit.
+    # The scalar path takes G of the rotated diag(lambda): at 2^1024 its
+    # rates read (0, 0, 0) and G refused the three distinct eigenvalues
     base, n = np.array([0.5, 0.3, 0.2]), 10
     w = [classical_weights(3, n), ShrinkageWeights(np.array([0.9, 1.0, 1.1]), n)]
 
     def moments(values):
+        if path == "scalar":
+            dec = symmetric_eigendecompose((_ROTATION * values) @ _ROTATION.T)
+            return np.array([stein_haff_G(dec, weights, n) for weights in w])
         return np.array([astuple(c)[:-1] for c in simulate_stein_haff(Spectrum(values), n, w, 4096, seed=1)])
 
     unit = moments(base)
     for exponent in (-200, 200):
         got = moments(base * 10.0**exponent)
         np.testing.assert_allclose(got, unit * 10.0**-exponent, rtol=1e-12, atol=0, err_msg=f"scale 1e{exponent}")
-    for k in (-400, 400, 1024):
+    for k in (-1000, -400, 400, 1000, 1024):
         assert np.array_equal(moments(np.ldexp(base, k)), np.ldexp(unit, -k)), f"scale 2^{k}"
 
 
