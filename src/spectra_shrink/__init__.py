@@ -15,12 +15,11 @@ from .core import (
     symmetric_eigendecompose,
 )
 from .dimension import (
-    DimensionCriterion,
+    CumulativeCriterion,
     DimensionHistogram,
-    cumulative_criterion,
+    RelativeCriterion,
     decide,
     dimension_experiment_for_spectrum,
-    relative_criterion,
 )
 from .estimators import (
     ConditionReport,
@@ -83,10 +82,9 @@ __all__ = [
     "simulate_stein_haff",
     "sample_rates",
     "invariance_check",
-    "DimensionCriterion",
+    "CumulativeCriterion",
+    "RelativeCriterion",
     "DimensionHistogram",
-    "cumulative_criterion",
-    "relative_criterion",
     "decide",
     "dimension_experiment_for_spectrum",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cases, cli
 from .core import Spectrum
-from .dimension import cumulative_criterion, dimension_experiment_for_spectrum, relative_criterion
+from .dimension import CumulativeCriterion, RelativeCriterion, dimension_experiment_for_spectrum
 from .estimators import _compared_weights, check_conditions, condition2_family_bound, family_weights
 from .evaluation import bias_expansion, compare_risks, invariance_check, simulate_bias, simulate_stein_haff
 
@@ -180,10 +180,11 @@ def criterion_7_bias_expansion(jobs: int = 1) -> CriterionResult:
 def _histograms(case: int, n: int, jobs: int, seed: int):
     """Each histogram's share of replicates per decided dimension, keyed by (C1 or C2, estimator label)."""
     w = _compared_weights(10, n)
-    crits = [cumulative_criterion(0.8), relative_criterion()]
+    crits = [CumulativeCriterion(0.8), RelativeCriterion()]
     hists = dimension_experiment_for_spectrum(cases.spiked_case(case), n, w, crits, 10000, seed, jobs=jobs)
     return {
-        ("C1" if h.criterion.kind == "cumulative" else "C2", h.estimator_label): h.counts / h.replicates
+        ("C1" if isinstance(h.criterion, CumulativeCriterion) else "C2", h.estimator_label):
+            h.counts / h.replicates
         for h in hists
     }
 

@@ -25,10 +25,10 @@ import numpy as np
 from . import __version__, cases
 from .core import Spectrum
 from .dimension import (
+    CumulativeCriterion,
     DimensionHistogram,
-    cumulative_criterion,
+    RelativeCriterion,
     dimension_experiment_for_spectrum,
-    relative_criterion,
 )
 from .estimators import _compared_weights, check_conditions, classical_weights, family_weights
 from .evaluation import (
@@ -192,7 +192,7 @@ def _histogram_row(h: DimensionHistogram) -> list:
 def _run_dimension(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     spectrum = spec.resolve_spectrum()
     p = spectrum.p
-    criteria = [cumulative_criterion(spec.t_star), relative_criterion(spec.normalize_criterion2)]
+    criteria = [CumulativeCriterion(spec.t_star), RelativeCriterion(spec.normalize_criterion2)]
     hists = dimension_experiment_for_spectrum(
         spectrum,
         spec.n,

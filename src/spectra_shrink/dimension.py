@@ -17,51 +17,58 @@ from .estimators import ShrinkageWeights, _stack_betas
 from .evaluation import _run_chunks, _unit_scale
 
 __all__ = [
-    "DimensionCriterion",
+    "CumulativeCriterion",
+    "RelativeCriterion",
     "DimensionHistogram",
-    "cumulative_criterion",
-    "relative_criterion",
     "decide",
     "dimension_experiment_for_spectrum",
 ]
 
 
 @dataclass(frozen=True)
-class DimensionCriterion:
-    """A dimension rule: 'cumulative' with a cut-off, or 'relative'.
+class CumulativeCriterion:
+    """The cumulative-percentage rule: the smallest m whose leading rates sum to at least ``t_star``.
 
-    ``normalize`` makes the relative rule rescale each estimate to sum to
-    one before comparing it with 1/p; the cumulative rule takes no rescaling.
+    The comparison is inclusive. It decides p when even the full sum stays
+    below the cut-off, which can happen for shrunk (non-normalized)
+    estimates.
     """
 
-    kind: str
-    t_star: float | None = None
-    normalize: bool = False
+    t_star: float = 0.8
 
     def __post_init__(self) -> None:
-        if self.kind == "cumulative":
-            if self.t_star is None or not 0.0 < self.t_star < 1.0:
-                raise ValueError(f"cumulative criterion needs t* in (0, 1), got {self.t_star!r}")
-            if self.normalize:
-                raise ValueError("the cumulative criterion takes no rescaling")
-        elif self.kind == "relative":
-            if self.t_star is not None:
-                raise ValueError("the relative-size criterion takes no cut-off")
-        else:
-            raise ValueError(f"unknown criterion kind {self.kind!r}")
+        if not 0.0 < self.t_star < 1.0:
+            raise ValueError(f"cumulative criterion needs t* in (0, 1), got {self.t_star!r}")
 
     def label(self) -> str:
-        if self.kind == "cumulative":
-            return f"cumulative(t*={self.t_star:g})"
+        return f"cumulative(t*={self.t_star:g})"
+
+    def decisions(self, rates: np.ndarray) -> np.ndarray:
+        """The decided dimension of each rate vector along the last axis of ``rates``."""
+        reached = np.cumsum(rates, axis=-1) >= self.t_star
+        return np.where(reached.any(axis=-1), np.argmax(reached, axis=-1) + 1, rates.shape[-1])
+
+
+@dataclass(frozen=True)
+class RelativeCriterion:
+    """The relative-size rule: the number of rates strictly exceeding the uniform level 1/p.
+
+    ``normalize`` rescales each rate vector to sum to one first. Zero (a
+    degenerate decision) is possible only when no rate clears the level,
+    e.g. exactly uniform rates.
+    """
+
+    normalize: bool = False
+
+    def label(self) -> str:
         return "relative_size(normalized)" if self.normalize else "relative_size"
 
-
-def cumulative_criterion(t_star: float = 0.8) -> DimensionCriterion:
-    return DimensionCriterion(kind="cumulative", t_star=t_star)
-
-
-def relative_criterion(normalize: bool = False) -> DimensionCriterion:
-    return DimensionCriterion(kind="relative", normalize=normalize)
+    def decisions(self, rates: np.ndarray) -> np.ndarray:
+        """The decided dimension of each rate vector along the last axis of ``rates``."""
+        p = rates.shape[-1]
+        if self.normalize:
+            rates = rates / rates.sum(axis=-1, keepdims=True)
+        return (rates > 1.0 / p).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -74,7 +81,7 @@ class DimensionHistogram:
 
     counts: np.ndarray
     true_dim: int
-    criterion: DimensionCriterion
+    criterion: CumulativeCriterion | RelativeCriterion
     estimator_label: str
 
     def __post_init__(self) -> None:
@@ -89,28 +96,9 @@ class DimensionHistogram:
         return int(self.counts.sum())
 
 
-def decide(rates: ContributionRates, criterion: DimensionCriterion) -> int:
-    """The dimension ``criterion`` chooses for one vector of rates.
-
-    Cumulative: the smallest m whose leading rates sum to at least the
-    cut-off, or p when even the full sum stays below it, which can happen
-    for shrunk (non-normalized) estimates. Relative: the number of rates
-    strictly exceeding the uniform level 1/p, after rescaling the rates to
-    sum to one if the criterion normalizes; zero (a degenerate decision) is
-    possible only when no rate clears it, e.g. exactly uniform rates.
-    """
-    return int(_decisions(rates.rates[None, :], criterion)[0])
-
-
-def _decisions(rates: np.ndarray, criterion: DimensionCriterion) -> np.ndarray:
-    """The decided dimension of each rate vector along the last axis of ``rates``."""
-    p = rates.shape[-1]
-    if criterion.kind == "cumulative":
-        reached = np.cumsum(rates, axis=-1) >= criterion.t_star
-        return np.where(reached.any(axis=-1), np.argmax(reached, axis=-1) + 1, p)
-    if criterion.normalize:
-        rates = rates / rates.sum(axis=-1, keepdims=True)
-    return (rates > 1.0 / p).sum(axis=-1)
+def decide(rates: ContributionRates, criterion: CumulativeCriterion | RelativeCriterion) -> int:
+    """The dimension ``criterion`` chooses for one vector of rates, decided as a one-row batch."""
+    return int(criterion.decisions(rates.rates[None, :])[0])
 
 
 def _estimator_label(weights: ShrinkageWeights) -> str:
@@ -123,7 +111,7 @@ def dimension_experiment_for_spectrum(
     spectrum: Spectrum,
     n: int,
     estimators: list[ShrinkageWeights],
-    criteria: list[DimensionCriterion],
+    criteria: list[CumulativeCriterion | RelativeCriterion],
     replicates: int,
     seed: int,
     distribution: str = "wishart",
@@ -135,7 +123,7 @@ def dimension_experiment_for_spectrum(
     population rates of ``spectrum``; for a spiked case pass
     ``cases.spiked_case(k)``. Shrunk estimates are compared against 1/p as
     they are unless the relative criterion rescales them first
-    (``relative_criterion(normalize=True)``). The rates are scale-free, so
+    (``RelativeCriterion(normalize=True)``). The rates are scale-free, so
     the draws are taken at unit scale (``_unit_scale``), and the population
     rates are formed there too.
     """
@@ -153,7 +141,7 @@ def dimension_experiment_for_spectrum(
         est = betas[:, None, :] * d
         counts = np.empty((len(criteria), len(estimators), p + 1), dtype=np.int64)
         for c, criterion in enumerate(criteria):
-            dims = (_decisions(est, criterion) + offsets).ravel()
+            dims = (criterion.decisions(est) + offsets).ravel()
             counts[c] = np.bincount(dims, minlength=offsets.size * (p + 1)).reshape(-1, p + 1)
         return counts
 

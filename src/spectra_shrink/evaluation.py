@@ -12,7 +12,6 @@ are paired by construction.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import fsum, log, sqrt
@@ -309,30 +308,27 @@ def _run_chunks(
 
     Each chunk is sampled, decomposed into eigenvalues l, rates d and (with
     ``need_vectors``) squared eigenvector entries q, and reduced by
-    ``stat(s, l, d, q)``. Each reduction is folded into one running result,
-    ``result = fold(result, part)``, as soon as every earlier chunk's has
-    been, and that result is returned. Only the reductions of chunks that
-    finish ahead of an earlier one wait, so what is held grows with the
-    number of chunks only if the fold's result does, and the order of the
-    folds, hence the result, does not depend on the workers. Every engine
-    runs through here, so the replicate floor is checked here, before the
-    first draw.
+    ``stat(s, l, d, q)``. A chunk's worker returns a commit that folds its
+    reduction into one running result, ``result = fold(result, part)``, and
+    that result is returned. ``sampling.map_chunks`` runs the commits on the
+    calling thread in chunk order, so the order of the folds, hence the
+    result, does not depend on the workers, and no more reductions wait
+    than the chunks it has queued. Every engine runs through here, so the
+    replicate floor is checked here, before the first draw.
     """
     _check_replicates(replicates)
-    lock, pending = threading.Lock(), {}
-    next_chunk, result = 0, None
+    result = None
 
     def worker(c):
-        nonlocal next_chunk, result
         s = sampling.scatter_chunk(spectrum, n, distribution, seed, c)
         s = s[: replicates - c * sampling.CHUNK_SIZE]
         part = stat(s, *_batch_rates(s, need_vectors))
-        with lock:
-            pending[c] = part
-            while next_chunk in pending:
-                part = pending.pop(next_chunk)
-                result = part if next_chunk == 0 else fold(result, part)
-                next_chunk += 1
+
+        def commit():
+            nonlocal result
+            result = part if c == 0 else fold(result, part)
+
+        return commit
 
     sampling.map_chunks(worker, -(-replicates // sampling.CHUNK_SIZE), jobs)
     return result

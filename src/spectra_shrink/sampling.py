@@ -174,27 +174,33 @@ def scatter_chunk(
 
 
 def map_chunks(worker, n_chunks: int, jobs: int = 1) -> None:
-    """Call ``worker`` on chunk indices 0..n_chunks-1; its return value is dropped.
+    """Call ``worker`` on chunk indices 0..n_chunks-1, and each chunk's commit in chunk order.
 
-    With jobs > 1 the chunks run on a thread pool, at most 2 * jobs of them
-    queued at once, waited for in chunk order; the first exception a worker
-    raises, in chunk order, is raised and the chunks still queued cancelled.
+    ``worker(i)`` returns chunk i's commit, a callable that takes no
+    arguments. Every commit runs on the calling thread, chunk i's after
+    chunk i - 1's, so what the commits fold is folded in chunk order for any
+    ``jobs``. With jobs > 1 the workers run on a thread pool, at most
+    2 * jobs of them queued at once, waited for in chunk order; the first
+    exception a worker raises, in chunk order, is raised and the chunks
+    still queued cancelled.
     """
+    if not isinstance(jobs, (int, np.integer)):
+        raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     if jobs == 1 or n_chunks <= 1:
         for i in range(n_chunks):
-            worker(i)
+            worker(i)()
         return
     queued = deque()
     with ThreadPoolExecutor(max_workers=min(jobs, n_chunks)) as pool:
         try:
             for i in range(n_chunks):
                 if len(queued) == 2 * jobs:
-                    queued.popleft().result()
+                    queued.popleft().result()()
                 queued.append(pool.submit(worker, i))
             while queued:
-                queued.popleft().result()
+                queued.popleft().result()()
         finally:
             for future in queued:
                 future.cancel()

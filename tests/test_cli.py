@@ -69,9 +69,10 @@ def test_public_names_are_pinned():
         "BiasSimulation",
         "ConditionReport",
         "ContributionRates",
-        "DimensionCriterion",
+        "CumulativeCriterion",
         "DimensionHistogram",
         "InvarianceReport",
+        "RelativeCriterion",
         "RiskComparison",
         "SampleDecomposition",
         "ShrinkageWeights",
@@ -83,7 +84,6 @@ def test_public_names_are_pinned():
         "classical_weights",
         "compare_risks",
         "condition2_family_bound",
-        "cumulative_criterion",
         "decide",
         "dimension_experiment_for_spectrum",
         "eigh_descending_batch",
@@ -94,7 +94,6 @@ def test_public_names_are_pinned():
         "parse_distribution",
         "plugin_covariance",
         "quadratic_loss",
-        "relative_criterion",
         "sample_rates",
         "scatter_chunk",
         "shrink_estimate",

@@ -12,6 +12,7 @@ from scipy.special import digamma
 from spectra_shrink import (
     ContributionRates,
     InvarianceReport,
+    RelativeCriterion,
     SampleDecomposition,
     ShrinkageWeights,
     Spectrum,
@@ -25,7 +26,6 @@ from spectra_shrink import (
     family_weights,
     invariance_check,
     quadratic_loss,
-    relative_criterion,
     sample_rates,
     shrink_estimate,
     simulate_bias,
@@ -179,7 +179,7 @@ def test_weight_length_has_one_owner(monkeypatch):
         lambda: stein_haff_G(decomp, w[0], 30),
         lambda: compare_risks(spectrum, 30, w, "entropy", "wishart", 1000, seed=0),
         lambda: simulate_stein_haff(spectrum, 30, w, 1000, seed=0),
-        lambda: dimension_experiment_for_spectrum(spectrum, 30, w, [relative_criterion()], 1000, seed=0),
+        lambda: dimension_experiment_for_spectrum(spectrum, 30, w, [RelativeCriterion()], 1000, seed=0),
     ):
         with pytest.raises(ValueError) as info:
             call()
@@ -711,7 +711,7 @@ def test_replicate_floor_enforced():
             simulate_stein_haff(spec, 10, [classical_weights(2, 10)], reps, seed=0)
         with pytest.raises(ValueError, match=message):
             dimension_experiment_for_spectrum(
-                spec, 10, [classical_weights(2, 10)], [relative_criterion()], reps, seed=0
+                spec, 10, [classical_weights(2, 10)], [RelativeCriterion()], reps, seed=0
             )
 
 

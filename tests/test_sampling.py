@@ -1,4 +1,6 @@
 import hashlib
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -313,7 +315,7 @@ def test_map_chunks_queues_a_bounded_window():
     # unfinished one, so the queue does not grow with the number of chunks
     tracemalloc.start()
     try:
-        map_chunks(lambda i: None, 5000, jobs=2)
+        map_chunks(lambda i: lambda: None, 5000, jobs=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -327,8 +329,36 @@ def test_map_chunks_raises_the_first_failure_in_chunk_order():
         ran.append(i)
         if i in (3, 5):
             raise ValueError(f"chunk {i} failed")
+        return lambda: None
 
     with pytest.raises(ValueError, match="chunk 3 failed"):
         map_chunks(worker, 1000, jobs=2)
     # nothing past chunk 3's window of 2 * jobs runs: the rest were never submitted
     assert max(ran) < 3 + 2 * 2
+
+
+def test_map_chunks_commits_on_the_calling_thread_in_chunk_order():
+    # chunk i's worker sleeps longer the smaller i is, so the workers finish
+    # out of order; each returns its commit, and every commit runs on the
+    # calling thread, in chunk order
+    finished, committed = [], []
+
+    def worker(i):
+        time.sleep(0.02 * (8 - i))
+        finished.append(i)
+        return lambda: committed.append((i, threading.get_ident()))
+
+    map_chunks(worker, 8, jobs=2)
+    assert finished != sorted(finished)
+    assert committed == [(i, threading.get_ident()) for i in range(8)]
+
+
+@pytest.mark.parametrize("jobs", [1.5, 2.5, np.float64(2.0)])
+def test_map_chunks_refuses_a_non_integer_jobs(jobs):
+    # refused before any chunk runs, as an engine's replicate count is
+    ran = []
+    with pytest.raises(ValueError, match="jobs must be an integer"):
+        map_chunks(lambda i: ran.append(i), 8, jobs)
+    assert ran == []
+    with pytest.raises(ValueError, match="jobs must be an integer"):
+        simulate_bias(Spectrum((0.5, 0.5)), 10, "wishart", 100, seed=0, jobs=jobs)
