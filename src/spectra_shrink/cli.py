@@ -32,6 +32,7 @@ from .dimension import (
 )
 from .estimators import _compared_weights, check_conditions, classical_weights, family_weights
 from .evaluation import (
+    _unit_scale,
     bias_expansion,
     compare_risks,
     invariance_check,
@@ -63,21 +64,16 @@ class ExperimentSpec:
     out: str | None = None
     jobs: int = 1
 
-    def resolve_spectrum(self) -> Spectrum:
-        if self.kind == "risk" and self.table2:
-            raise ValueError("a table2 risk run spans multiple spectra")
-        if self.case is not None:
-            return cases.spiked_case(self.case)
-        if self.spectrum is None:
-            raise ValueError("no spectrum given; pass --spectrum (or --case for dimension runs)")
-        return Spectrum(self.spectrum)
+    def validate(self) -> list[Spectrum]:
+        """Check the CLI's own policy and return the spectra the run covers.
 
-    def validate(self) -> None:
-        """Check the CLI's own policy; each library call checks its own inputs.
-
-        Seed, jobs, replicates, distribution, t*, nu, n >= p and q are
-        refused by the library function that uses them, before its first draw.
-        A law other than Wishart is refused here for the two kinds whose
+        A run takes one spectrum source: ``--case k`` gives
+        ``cases.spiked_case(k)``, ``--spectrum`` its values, and a risk run's
+        ``--table2`` the 18 tabulated rows; two sources are refused. The
+        returned list is what the runner covers, so each run resolves its
+        spectra once. Seed, jobs, replicates, distribution, t*, nu, n >= p and
+        q are refused by the library function that uses them, before its first
+        draw. A law other than Wishart is refused here for the two kinds whose
         engine takes none, so that it is not silently ignored.
         """
         if self.kind not in _RUNNERS:
@@ -89,10 +85,16 @@ class ExperimentSpec:
         if (self.spectrum is not None) + (self.case is not None) + self.table2 > 1:
             raise ValueError("give one spectrum source: --spectrum, --case or --table2")
         if self.kind == "risk" and self.table2:
-            return  # every tabulated risk spectrum has p = 10
-        p = self.resolve_spectrum().p
-        if self.kind == "risk" and p < 6:
+            spectra = [Spectrum(values) for values in cases.TABLE2_SPECTRA]
+        elif self.case is not None:
+            spectra = [cases.spiked_case(self.case)]
+        elif self.spectrum is not None:
+            spectra = [Spectrum(self.spectrum)]
+        else:
+            raise ValueError("no spectrum given; pass --spectrum (or --case for dimension runs)")
+        if self.kind == "risk" and min(s.p for s in spectra) < 6:
             raise ValueError("risk runs compare the q=1 and q=2 estimators and need p >= 6")
+        return spectra
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentSpec)}
@@ -139,8 +141,8 @@ def _emit(text: str, summary: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_bias(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
-    spectrum = spec.resolve_spectrum()
+def _run_bias(spec: ExperimentSpec, spectra: list[Spectrum]) -> tuple[list[str], list[list]]:
+    (spectrum,) = spectra
     sim = simulate_bias(
         spectrum, spec.n, spec.distribution, spec.replicates, spec.seed, spec.jobs
     )
@@ -167,14 +169,11 @@ def _risk_row(spectrum: Spectrum, spec: ExperimentSpec) -> list:
         spec.seed,
         spec.jobs,
     )
-    return list(spectrum.values) + list(cmp.mean_losses) + list(cmp.std_errors)
+    lam = _unit_scale(spectrum).values  # tau as compare_risks forms it: finite at any scale
+    return list(lam / lam.sum()) + list(cmp.mean_losses) + list(cmp.std_errors)
 
 
-def _run_risk(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
-    if spec.table2:
-        spectra = [Spectrum(values) for values in cases.TABLE2_SPECTRA]
-    else:
-        spectra = [spec.resolve_spectrum()]
+def _run_risk(spec: ExperimentSpec, spectra: list[Spectrum]) -> tuple[list[str], list[list]]:
     p = spectra[0].p
     header = (
         [f"tau{i}" for i in range(1, p + 1)]
@@ -189,8 +188,8 @@ def _histogram_row(h: DimensionHistogram) -> list:
     return [h.criterion.label(), h.estimator_label, h.true_dim] + list(h.counts)
 
 
-def _run_dimension(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
-    spectrum = spec.resolve_spectrum()
+def _run_dimension(spec: ExperimentSpec, spectra: list[Spectrum]) -> tuple[list[str], list[list]]:
+    (spectrum,) = spectra
     p = spectrum.p
     criteria = [CumulativeCriterion(spec.t_star), RelativeCriterion(spec.normalize_criterion2)]
     hists = dimension_experiment_for_spectrum(
@@ -207,8 +206,8 @@ def _run_dimension(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     return header, [_histogram_row(h) for h in hists]
 
 
-def _run_invariance(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
-    spectrum = spec.resolve_spectrum()
+def _run_invariance(spec: ExperimentSpec, spectra: list[Spectrum]) -> tuple[list[str], list[list]]:
+    (spectrum,) = spectra
     report = invariance_check(
         spectrum, spec.n, spec.nu, spec.replicates, spec.seed, spec.jobs
     )
@@ -226,8 +225,8 @@ def _run_invariance(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _run_stein_haff(spec: ExperimentSpec) -> tuple[list[str], list[list]]:
-    spectrum = spec.resolve_spectrum()
+def _run_stein_haff(spec: ExperimentSpec, spectra: list[Spectrum]) -> tuple[list[str], list[list]]:
+    (spectrum,) = spectra
     p = spectrum.p
     weights = [classical_weights(p, spec.n)]
     labels = ["beta0"]
@@ -272,8 +271,7 @@ _RUNNERS = {
 
 def run(spec: ExperimentSpec) -> int:
     """Validate and execute one experiment, writing its CSV artifact."""
-    spec.validate()
-    header, rows = _RUNNERS[spec.kind](spec)
+    header, rows = _RUNNERS[spec.kind](spec, spec.validate())
     text = _render_csv(header, rows, f"seed={spec.seed}, reps={spec.replicates}")
     dest = spec.out if spec.out is not None else "stdout"
     summary = (

@@ -169,6 +169,25 @@ def test_risk_table2_full(tmp_path):
     assert len(lines) == 1 + 18 + 1
 
 
+def test_risk_table_prints_contribution_rates(capsys):
+    # tau is lambda / sum(lambda), the rates the risks are measured against
+    assert main(["risk", "--spectrum", "case:1", "--reps", "200", "--seed", "1"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[:10] == ["0.19"] * 5 + ["0.01"] * 5
+
+
+def test_a_run_resolves_its_spectra_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return spiked_case(k)
+
+    monkeypatch.setattr(cli.cases, "spiked_case", counted)
+    assert main(["dimension", "--case", "1", "--reps", "200"]) == 0
+    assert calls == [1]
+
+
 def test_dimension_csv(tmp_path):
     out = tmp_path / "dim.csv"
     assert main(["dimension", "--case", "1", "--n", "30", "--reps", "300", "--seed", "9",
@@ -406,6 +425,34 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert main(["bias", "--spectrum", "0.6,0.4", "--n", "12", "--reps", "200",
                  "--seed", "3", "--out", str(out2)]) == 0
     assert "# seed=3," in _read(out2)
+
+
+def test_validate_returns_the_spectra_of_its_one_source():
+    table2 = ExperimentSpec(kind="risk", table2=True).validate()
+    assert [tuple(s.values) for s in table2] == list(TABLE2_SPECTRA)
+    (case,) = ExperimentSpec(kind="dimension", case=3).validate()
+    assert case.values.tolist() == spiked_case(3).values.tolist()
+    (given,) = ExperimentSpec(kind="bias", spectrum=(0.6, 0.4)).validate()
+    assert given.values.tolist() == [0.6, 0.4]
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (ExperimentSpec(kind="risk", spectrum=(0.6, 0.4), table2=True),
+         "give one spectrum source: --spectrum, --case or --table2"),
+        (ExperimentSpec(kind="dimension", spectrum=(0.6, 0.4), case=1),
+         "give one spectrum source: --spectrum, --case or --table2"),
+        (ExperimentSpec(kind="bias", table2=True),
+         "no spectrum given; pass --spectrum (or --case for dimension runs)"),
+        (ExperimentSpec(kind="risk", spectrum=(0.5, 0.3, 0.2)),
+         "risk runs compare the q=1 and q=2 estimators and need p >= 6"),
+    ],
+)
+def test_validate_refusals(spec, message):
+    with pytest.raises(ValueError) as info:
+        spec.validate()
+    assert str(info.value) == message
 
 
 def test_experiment_spec_validates_before_sampling(monkeypatch):
