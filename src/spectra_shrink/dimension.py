@@ -135,7 +135,7 @@ def dimension_experiment_for_spectrum(
     population = spectrum.values / spectrum.values.sum()
     offsets = (p + 1) * np.arange(len(estimators))[:, None]
 
-    def stat(s, l, d, q):
+    def stat(s, l, d, u):
         # one pass a criterion decides every estimator; one bincount counts
         # them all, estimator e's decisions offset by e (p + 1)
         est = betas[:, None, :] * d
@@ -145,7 +145,7 @@ def dimension_experiment_for_spectrum(
             counts[c] = np.bincount(dims, minlength=offsets.size * (p + 1)).reshape(-1, p + 1)
         return counts
 
-    totals = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, False, stat, np.add)
+    totals = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, None, stat, np.add)
 
     out = []
     for c, criterion in enumerate(criteria):

@@ -56,6 +56,10 @@ EIGENGAP_REL_TOL = 1e-12
 #: trace that the batched engines accept; a correct solve leaves ~1e-15.
 _TRACE_REL_TOL = 1e-10
 
+#: Bytes of eigenvectors, 8 p^2 a row, that ``_batch_rates`` decomposes at a
+#: time on the vector path: 327 rows at p = 10, 81 at p = 20.
+_VECTOR_BLOCK_BYTES = 256 * 1024
+
 
 @dataclass(frozen=True)
 class RiskComparison:
@@ -247,25 +251,47 @@ def _gap_ratios(lam: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _batch_rates(s: np.ndarray, need_vectors: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Eigenvalues l, rates and (optionally) squared eigenvector entries q = v * v of a chunk.
+def _batch_rates(s: np.ndarray, x: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Eigenvalues l, rates d and, given weights x, u = x @ (v * v) of a chunk, shape (rows, p).
 
-    ``eigh_descending_batch`` decomposes the chunk: with vectors, LAPACK on
-    each S; without, the 3 x 3 closed form at p = 3 and otherwise LAPACK on
-    the tridiagonals that the batched Householder reduction leaves. The
-    engines read no eigenvector sign, so none can depend on one. Each
-    row is checked against the diagonal of S, a few vector operations: a
-    non-positive eigenvalue raises, and so does an eigenvalue sum that
-    departs from tr S, or a diagonal sum_k l_k q_jk that departs from S_jj,
-    by more than ``_TRACE_REL_TOL`` of the trace. The first gap is read off
+    u_rk = sum_j x_j v_rjk^2 is all the engines read of the eigenvectors v.
+    Without x, ``eigh_descending_batch`` decomposes the chunk in one call:
+    the 3 x 3 closed form at p = 3 and otherwise LAPACK on the tridiagonals
+    that the batched Householder reduction leaves. With x, LAPACK decomposes
+    each S, in row blocks of ``_VECTOR_BLOCK_BYTES`` of vectors, and each
+    block's v, q = v * v and u are formed before the next block's: no v or q
+    the size of the chunk is held. Every step acts row by row, so a row's
+    bits do not depend on the blocks. The engines read no eigenvector sign,
+    so none can depend on one. Each row is checked against the diagonal of
+    S, a few vector operations: a non-positive eigenvalue raises, and so
+    does an eigenvalue sum that departs from tr S, or a diagonal
+    sum_k l_k q_jk that departs from S_jj, by more than ``_TRACE_REL_TOL``
+    of the trace, in that order. The first gap is read off
     |sum w - tr S| / sum w = |1 - tr S / sum w| at the extremes of the ratio.
     """
-    w, v = eigh_descending_batch(s, compute_vectors=need_vectors)
+    diag = np.diagonal(s, axis1=1, axis2=2)
+    trace = diag.sum(axis=1)
+    u = None
+    if x is None:
+        w = eigh_descending_batch(s, compute_vectors=False)[0]
+    else:
+        rows, p = diag.shape
+        # w takes the layout eigh gives a whole chunk, a descending view of
+        # ascending rows, so every sum over it below keeps its bits
+        w = np.empty((rows, p))[:, ::-1]
+        u = np.empty((rows, p))
+        step = max(1, _VECTOR_BLOCK_BYTES // (8 * p * p))
+        spread = []
+        for lo in range(0, rows, step):
+            block = slice(lo, lo + step)
+            w[block], v = eigh_descending_batch(s[block])
+            q = v * v
+            np.matmul(x, q, out=u[block])
+            gap = (q @ w[block][:, :, None])[:, :, 0] - diag[block]
+            spread.append((np.abs(gap, out=gap) / trace[block, None]).max())
     if np.any(w[:, -1] <= 0.0):
         raise RuntimeError("sampled scatter matrix with a non-positive eigenvalue")
     total = w.sum(axis=1)
-    diag = np.diagonal(s, axis1=1, axis2=2)
-    trace = diag.sum(axis=1)
     ratio = trace / total
     worst = max(ratio.max() - 1.0, 1.0 - ratio.min())
     if not worst <= _TRACE_REL_TOL:  # also catches a NaN
@@ -273,16 +299,14 @@ def _batch_rates(s: np.ndarray, need_vectors: bool) -> tuple[np.ndarray, np.ndar
             f"eigenvalue sum departs from the trace by {worst:.1e} relative "
             f"(tolerance {_TRACE_REL_TOL:.0e}); the batched eigensolver failed"
         )
-    q = v * v if need_vectors else None
-    if need_vectors:
-        gap = (q @ w[:, :, None])[:, :, 0] - diag
-        worst = (np.abs(gap, out=gap) / trace[:, None]).max()
+    if u is not None:
+        worst = np.max(spread)  # a NaN in any block propagates
         if not worst <= _TRACE_REL_TOL:
             raise RuntimeError(
                 f"eigenvectors reconstruct diag S only to {worst:.1e} of the trace "
                 f"(tolerance {_TRACE_REL_TOL:.0e}); the batched eigensolver failed"
             )
-    return w, w / total[:, None], q
+    return w, w / total[:, None], u
 
 
 def _check_replicates(replicates) -> None:
@@ -300,15 +324,16 @@ def _run_chunks(
     replicates: int,
     seed: int,
     jobs: int,
-    need_vectors: bool,
+    x: np.ndarray | None,
     stat,
     fold,
 ):
     """Fold the reductions of the first ``replicates`` draws, chunk by chunk, in chunk order.
 
-    Each chunk is sampled, decomposed into eigenvalues l, rates d and (with
-    ``need_vectors``) squared eigenvector entries q, and reduced by
-    ``stat(s, l, d, q)``. A chunk's worker returns a commit that folds its
+    Each chunk is sampled, decomposed into eigenvalues l, rates d and (given
+    weights x, else None) u = x @ (v * v), one row a draw, the eigenvectors v
+    taken in row blocks (``_batch_rates``), and reduced by
+    ``stat(s, l, d, u)``. A chunk's worker returns a commit that folds its
     reduction into one running result, ``result = fold(result, part)``, and
     that result is returned. ``sampling.map_chunks`` runs the commits on the
     calling thread in chunk order, so the order of the folds, hence the
@@ -322,7 +347,7 @@ def _run_chunks(
     def worker(c):
         s = sampling.scatter_chunk(spectrum, n, distribution, seed, c)
         s = s[: replicates - c * sampling.CHUNK_SIZE]
-        part = stat(s, *_batch_rates(s, need_vectors))
+        part = stat(s, *_batch_rates(s, x))
 
         def commit():
             nonlocal result
@@ -399,23 +424,24 @@ def _cross_fitted(folds: tuple, n_controls: int) -> tuple[np.ndarray, np.ndarray
     return mean, np.sqrt(np.diagonal(m) / (count - 1)) / sqrt(count)
 
 
-def _estimate(spectrum, n, distribution, replicates, seed, jobs, need_vectors, n_controls, stat):
+def _estimate(spectrum, n, distribution, replicates, seed, jobs, x, n_controls, stat):
     """Every moment engine's means and SEs: the parity-fold cross-fit of ``stat``'s rows.
 
-    ``stat(s, l, d, q)`` runs on each parity fold (even, then odd replicates)
-    of every chunk and returns a fresh C-contiguous (k, rows) array, the
+    ``stat(s, l, d, u)`` runs on each parity fold (even, then odd replicates)
+    of every chunk, u = x @ (v * v) or None as in ``_run_chunks``, so it
+    holds no eigenvectors, and returns a fresh C-contiguous (k, rows) array, the
     ``n_controls`` controls, each of mean exactly zero, first. The folds'
     (count, mean, co-moments) merge fold by fold in chunk order, and each
     fold is corrected with the other's fit, so no draw is corrected with a
     fit it took part in; with no controls the estimates are plain.
     """
 
-    def folds(s, l, d, q):
+    def folds(s, l, d, u):
         return tuple(
-            _comoments(stat(s[f::2], l[f::2], d[f::2], None if q is None else q[f::2])) for f in (0, 1)
+            _comoments(stat(s[f::2], l[f::2], d[f::2], None if u is None else u[f::2])) for f in (0, 1)
         )
 
-    merged = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, need_vectors, folds,
+    merged = _run_chunks(spectrum, n, distribution, replicates, seed, jobs, x, folds,
                          lambda a, b: tuple(map(_combine, a, b)))
     return _cross_fitted(merged, n_controls)
 
@@ -446,8 +472,8 @@ def sample_rates(
     taken at unit scale (``_unit_scale``).
     """
     parts = _run_chunks(
-        _unit_scale(spectrum), n, distribution, replicates, seed, jobs, False,
-        lambda s, l, d, q: [d], lambda a, b: a + b,
+        _unit_scale(spectrum), n, distribution, replicates, seed, jobs, None,
+        lambda s, l, d, u: [d], lambda a, b: a + b,
     )
     return np.concatenate(parts, axis=0)
 
@@ -494,7 +520,7 @@ def simulate_bias(
         offset = np.concatenate([second, _third_order_means(lam, n)])
         n_controls = _fitted_controls(2 * (p - 1), replicates)
 
-    def stat(s, l, d, q):
+    def stat(s, l, d, u):
         if not control_variate:
             return d.T.copy()
         c = np.empty((2 * p, s.shape[0]))
@@ -506,7 +532,7 @@ def simulate_bias(
         np.subtract(d.T, c[:p], out=x[n_controls:])
         return x
 
-    mean, se = _estimate(spectrum, n, distribution, replicates, seed, jobs, False, n_controls, stat)
+    mean, se = _estimate(spectrum, n, distribution, replicates, seed, jobs, None, n_controls, stat)
     return BiasSimulation(mean_rates=mean, std_errors=se, replicates=replicates)
 
 
@@ -609,20 +635,20 @@ def _third_order_means(lam: np.ndarray, n: int) -> np.ndarray:
     return lam * coeff / (n * n * total)
 
 
-def _plugin_traces(d: np.ndarray, q: np.ndarray, betas: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def _plugin_traces(d: np.ndarray, u: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """tr(V diag(beta d) V' diag(tau)^-1) per weight vector, shape (n_weights, rows).
 
-    u_rk = sum_j q_rjk / tau_j, q_rjk = v_rjk^2, is formed once and shared by every weight vector.
+    u_rk = sum_j v_rjk^2 / tau_j is ``_batch_rates``' u for x = 1 / tau,
+    formed once and shared by every weight vector.
     """
-    u = (1.0 / tau) @ q
     return betas @ (d * u).T
 
 
-def _entropy_losses(d: np.ndarray, q: np.ndarray, betas: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Entropy losses of plug-in estimates, shape (n_weights, rows)."""
+def _entropy_losses(d: np.ndarray, u: np.ndarray, betas: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Entropy losses of plug-in estimates, shape (n_weights, rows), u as in ``_plugin_traces``."""
     # V is orthogonal, so log det(estimate truth^-1) = sum log beta + sum log d - sum log tau.
     logdet = np.log(betas).sum(axis=1)[:, None] + np.log(d).sum(axis=1) - np.log(tau).sum()
-    return _plugin_traces(d, q, betas, tau) - logdet - tau.size
+    return _plugin_traces(d, u, betas) - logdet - tau.size
 
 
 def _quadratic_losses(d: np.ndarray, betas: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -751,7 +777,10 @@ def compare_risks(
 
     The truth is the spectrum normalized to unit trace; entropy losses are
     evaluated on the plug-in covariance estimates, quadratic losses on the
-    weighted rates directly. The first weights act as the baseline for the
+    weighted rates directly. An entropy loss reads the eigenvectors only
+    through u_k = sum_j v_jk^2 / tau_j, which the runner forms in row blocks
+    of vectors (``_batch_rates``), so no eigenvector array the size of a
+    chunk is held. The first weights act as the baseline for the
     paired difference statistics, whose moments are streamed alongside the
     losses' own: a difference's SE cannot be recovered from the row moments.
 
@@ -779,21 +808,22 @@ def compare_risks(
     spectrum = _unit_scale(spectrum)
     lam = spectrum.values
     tau = lam / lam.sum()
-    need_vectors = loss_kind == "entropy"
+    entropy = loss_kind == "entropy"
     trace_means = _trace_means(lam, n)
     n_controls = _fitted_controls(spectrum.p * spectrum.p + spectrum.p + 1 + trace_means.size, replicates)
     log_det_mean = _log_det_mean(lam, n) if n_controls else None
 
-    def stat(s, l, d, q):
+    def stat(s, l, d, u):
         x = np.empty((n_controls + 2 * k - 1, s.shape[0]))
         if n_controls:
             _wishart_controls(s, l, lam, n, log_det_mean, trace_means, x[:n_controls])
         losses = x[n_controls : n_controls + k]
-        losses[:] = _entropy_losses(d, q, betas, tau) if need_vectors else _quadratic_losses(d, betas, tau)
+        losses[:] = _entropy_losses(d, u, betas, tau) if entropy else _quadratic_losses(d, betas, tau)
         np.subtract(losses[1:], losses[0], out=x[n_controls + k :])
         return x
 
-    means, ses = _estimate(spectrum, n, distribution, replicates, seed, jobs, need_vectors, n_controls, stat)
+    inverse_tau = 1.0 / tau if entropy else None
+    means, ses = _estimate(spectrum, n, distribution, replicates, seed, jobs, inverse_tau, n_controls, stat)
     return RiskComparison(
         mean_losses=means[:k],
         std_errors=ses[:k],
@@ -836,21 +866,25 @@ def simulate_stein_haff(
     and SEs are multiplied by 2^-k, an exact power of four, and come back in
     the spectrum's units. One check per weight vector, all on the same
     draws: each chunk's traces and G values are formed for every weight
-    vector at once, and the cross-fit's control basis is empty. A draw whose
-    sample eigenvalues ``stein_haff_G`` refuses (``_tied``) raises
-    RuntimeError.
+    vector at once, from u_k = sum_j v_jk^2 / lambda_j, which the runner
+    forms in row blocks of eigenvectors (``_batch_rates``), so no eigenvector
+    array the size of a chunk is held; the cross-fit's control basis is
+    empty. A draw whose sample eigenvalues ``stein_haff_G`` refuses
+    (``_tied``) raises RuntimeError.
     """
     betas = _stack_betas(weights_list, spectrum.p)
     k = len(weights_list)
     unit = _unit_scale(spectrum)
     exponent = _unit_exponent(spectrum.values)
 
-    def stat(s, l, d, q):
-        trace = _plugin_traces(d, q, betas, unit.values)
+    def stat(s, l, d, u):
+        trace = _plugin_traces(d, u, betas)
         g = _g_batch(l, d, betas, n)
         return np.concatenate([trace, g, trace - g])
 
-    means, ses = np.ldexp(_estimate(unit, n, "wishart", replicates, seed, jobs, True, 0, stat), -exponent)
+    means, ses = np.ldexp(
+        _estimate(unit, n, "wishart", replicates, seed, jobs, 1.0 / unit.values, 0, stat), -exponent
+    )
     return [
         SteinHaffCheck(
             mean_trace=float(means[j]),

@@ -221,8 +221,8 @@ def _assert_batch_losses_match_scalar(s, tau, n):
     p = tau.size
     weights = [classical_weights(p, n), family_weights(p, n, 1), _zigzag_weights(p, n)]
     betas = np.stack([w.beta for w in weights])
-    _, d, q = _batch_rates(s, need_vectors=True)
-    entropy = _entropy_losses(d, q, betas, tau)
+    _, d, u = _batch_rates(s, 1.0 / tau)
+    entropy = _entropy_losses(d, u, betas, tau)
     quadratic = _quadratic_losses(d, betas, tau)
     truth = ContributionRates(tau)
     for r in range(s.shape[0]):
@@ -272,7 +272,8 @@ def test_batch_rates_agree_with_scalar_decomposition_on_near_singular_draws(dege
     # decomposition accepts, and both give the same eigenvalues, rates and
     # squared vector entries to a few ulps of the trace. Without vectors,
     # p = 3 runs the closed form and other p the batched tridiagonal
-    # reduction; with vectors, LAPACK decomposes S itself.
+    # reduction; with vectors, LAPACK decomposes S itself, and the weights
+    # x = e_j make u row j of v * v, so every squared entry is compared.
     rng = np.random.default_rng(17)
     if degeneracy == "gap 1e-13":
         l = np.geomspace(2.0, 0.25, p)
@@ -282,22 +283,23 @@ def test_batch_rates_agree_with_scalar_decomposition_on_near_singular_draws(dege
     rotations = [np.linalg.qr(rng.standard_normal((p, p)))[0] for _ in range(32)]
     s = np.stack([(h * l) @ h.T for h in rotations])
     s = (s + s.transpose(0, 2, 1)) / 2.0
-    w, d, q = _batch_rates(s, need_vectors)
+    scalars = [symmetric_eigendecompose(m) for m in s]
     tol = 16 * np.finfo(float).eps
-    for k, m in enumerate(s):
-        scalar = symmetric_eigendecompose(m)
-        total = scalar.eigenvalues.sum()
-        assert np.abs(w[k] - scalar.eigenvalues).max() <= tol * total
-        assert np.abs(d[k] - scalar.eigenvalues / total).max() <= tol
-        if need_vectors:
-            assert np.abs(q[k] - scalar.eigenvectors**2).max() <= tol
+    for j, x in enumerate(np.eye(p) if need_vectors else [None]):
+        w, d, u = _batch_rates(s, x)
+        for k, scalar in enumerate(scalars):
+            total = scalar.eigenvalues.sum()
+            assert np.abs(w[k] - scalar.eigenvalues).max() <= tol * total
+            assert np.abs(d[k] - scalar.eigenvalues / total).max() <= tol
+            if need_vectors:
+                assert np.abs(u[k] - scalar.eigenvectors[j] ** 2).max() <= tol
 
 
 def test_batch_rates_rejects_non_positive_eigenvalue():
     # positive trace, negative eigenvalue: the trace alone would let it through
     s = np.stack([np.eye(2), np.diag([1.0, -0.5])])
     with pytest.raises(RuntimeError, match="non-positive eigenvalue"):
-        _batch_rates(s, need_vectors=False)
+        _batch_rates(s, None)
 
 
 @pytest.mark.parametrize("p, need_vectors", [(3, False), (4, True)])
@@ -305,7 +307,8 @@ def test_batch_rates_checks_eigenvalue_sum_against_trace(p, need_vectors, monkey
     # p = 3 without vectors runs the closed form, p = 4 with vectors LAPACK
     spec = Spectrum(np.linspace(1.0, 0.5, p))
     s = scatter_chunk(spec, 20, "wishart", seed=3, chunk_index=0)[:200]
-    _batch_rates(s, need_vectors)  # the unperturbed solve passes
+    x = np.ones(p) if need_vectors else None
+    _batch_rates(s, x)  # the unperturbed solve passes
     solve = evaluation.eigh_descending_batch
 
     def perturbed(a, compute_vectors=True):
@@ -316,37 +319,85 @@ def test_batch_rates_checks_eigenvalue_sum_against_trace(p, need_vectors, monkey
 
     monkeypatch.setattr(evaluation, "eigh_descending_batch", perturbed)
     with pytest.raises(RuntimeError, match="eigenvalue sum departs from the trace"):
-        _batch_rates(s, need_vectors)
+        _batch_rates(s, x)
     # the CLI reports it as a numerical failure
     monkeypatch.setattr(sampling, "scatter_chunk", lambda *args: s.copy())
     argv = ["bias", "--spectrum", ",".join(map(str, spec.values)), "--n", "20", "--reps", "200"]
     assert main(argv) == 4
 
 
-def test_batch_rates_checks_eigenvectors_against_diagonal(monkeypatch):
+@pytest.mark.parametrize("rows, row", [(200, 7), (CHUNK_SIZE, 3000)])
+def test_batch_rates_checks_eigenvectors_against_diagonal(monkeypatch, rows, row):
     # S_jj = sum_k l_k v_jk^2 for every row; one perturbed vector entry
-    # leaves the eigenvalues, hence the trace check, untouched
+    # leaves the eigenvalues, hence the trace check, untouched. In a full
+    # p = 4 chunk, row 3,000 lies past the first block of vectors.
     spec = Spectrum(np.linspace(1.0, 0.5, 4))
-    s = scatter_chunk(spec, 20, "wishart", seed=3, chunk_index=0)[:200]
-    _batch_rates(s, need_vectors=True)  # the unperturbed solve passes
+    s = scatter_chunk(spec, 20, "wishart", seed=3, chunk_index=0)[:rows]
+    step = evaluation._VECTOR_BLOCK_BYTES // (8 * 4 * 4)
+    assert rows <= step or row >= step
+    _batch_rates(s, np.ones(4))  # the unperturbed solve passes
     solve = evaluation.eigh_descending_batch
 
     def perturbed(a, compute_vectors=True):
         w, v = solve(a, compute_vectors)
         if v is not None:
             v = v.copy()
-            v[7, 2, 0] *= 1.0 + 1e-6
+            # the block's rows that are the chunk's row ``row``
+            v[(a == s[row]).all(axis=(1, 2)), 2, 0] *= 1.0 + 1e-6
         return w, v
 
     monkeypatch.setattr(evaluation, "eigh_descending_batch", perturbed)
     with pytest.raises(RuntimeError, match="eigenvectors reconstruct diag S only to"):
-        _batch_rates(s, need_vectors=True)
-    _batch_rates(s, need_vectors=False)  # the eigenvalue path reads no vectors
+        _batch_rates(s, np.ones(4))
+    _batch_rates(s, None)  # the eigenvalue path reads no vectors
     # the CLI reports it as a numerical failure; stein-haff is the command
     # whose engine reads eigenvectors (risk runs quadratic losses)
     monkeypatch.setattr(sampling, "scatter_chunk", lambda *args: s.copy())
-    argv = ["stein-haff", "--spectrum", ",".join(map(str, spec.values)), "--n", "20", "--reps", "200"]
+    argv = ["stein-haff", "--spectrum", ",".join(map(str, spec.values)), "--n", "20", "--reps", str(rows)]
     assert main(argv) == 4
+
+
+@pytest.mark.parametrize("p", [4, 10])
+def test_vector_blocks_keep_every_bit(monkeypatch, p):
+    # The vector path decomposes a chunk in row blocks; 7-row blocks and
+    # one block a chunk give the same bits, on a partial last chunk of one
+    # row and of 123 rows, under both laws and on one and two threads.
+    n = p + 8
+    spec = Spectrum(np.linspace(1.0, 0.1, p))
+    w = [classical_weights(p, n), family_weights(p, n, 1)]
+
+    def runs():
+        out = []
+        for replicates, jobs in ((4097, 1), (8315, 2), (4097, 2), (8315, 1)):
+            for distribution in ("wishart", "t:5"):
+                cmp = compare_risks(spec, n, w, "entropy", distribution, replicates, seed=11, jobs=jobs)
+                out.append(np.concatenate(_risk_moments(cmp)))
+            checks = simulate_stein_haff(spec, n, w, replicates, seed=11, jobs=jobs)
+            out.append(np.array([astuple(check) for check in checks]))
+        return out
+
+    bits = []
+    for rows in (7, CHUNK_SIZE):
+        monkeypatch.setattr(evaluation, "_VECTOR_BLOCK_BYTES", rows * 8 * p * p)
+        bits.append(runs())
+    assert all(np.array_equal(a, b) for a, b in zip(*bits, strict=True))
+
+
+def test_vector_path_memory_is_a_block():
+    # At p = 20 a chunk is 12.5 MiB; the vector path holds one block's v and
+    # v * v, and the chunk's (rows, p) outputs, not a chunk-sized v or q
+    p = 20
+    spec = Spectrum(np.linspace(1.0, 0.1, p))
+    s = scatter_chunk(spec, 40, "wishart", seed=5, chunk_index=0)
+    x = 1.0 / spec.values
+    _batch_rates(s, x)
+    tracemalloc.start()
+    try:
+        _batch_rates(s, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < s.nbytes / 4, peak / s.nbytes
 
 
 def _fields(result):
@@ -540,7 +591,7 @@ def test_pathwise_risk_difference_bound():
     # First, 10,000 of the library's own Wishart draws at p = 10, n = 30,
     # q = 1 and ten equal eigenvalues.
     w1 = family_weights(10, 30, 1)
-    l, d, _ = _batch_rates(_draws(Spectrum((0.1,) * 10), 30, "wishart", 37, 10000), need_vectors=False)
+    l, d, _ = _batch_rates(_draws(Spectrum((0.1,) * 10), 30, "wishart", 37, 10000), None)
     g = _g_batch(l, d, np.stack([w1.beta, np.ones(10)]), 30)
     assert (g[0] - g[1] - np.sum(np.log(w1.beta))).max() <= 1e-10
     rng = np.random.default_rng(13)
@@ -553,7 +604,7 @@ def test_pathwise_risk_difference_bound():
             x = rng.standard_normal((draws, n, p)) * np.sqrt(lam)
             s.append(np.swapaxes(x, 1, 2) @ x)
         s = np.concatenate(s)
-        l, d, _ = _batch_rates(s, need_vectors=False)
+        l, d, _ = _batch_rates(s, None)
         for c, (lam, n) in enumerate(cases):
             rows = slice(c * draws, (c + 1) * draws)
             weights = [family_weights(p, n, q) for q in range(1, (p - 2) // 2 + 1)]
@@ -586,8 +637,9 @@ def test_entropy_risk_rows_meet_the_stein_haff_identity_draw_by_draw():
     for row in (1, 5, 9, 18):
         spec = table2_spectrum(row)
         lam = spec.values
-        l, d, q = _batch_rates(_draws(spec, n, "wishart", row, reps), need_vectors=True)
-        losses = _entropy_losses(d, q, betas, lam / lam.sum())
+        tau = lam / lam.sum()
+        l, d, u = _batch_rates(_draws(spec, n, "wishart", row, reps), 1.0 / tau)
+        losses = _entropy_losses(d, u, betas, tau)
         g = _g_batch(l, d, betas, n)
         x = losses[1:] - losses[0] + np.log(betas[1:]).sum(axis=1)[:, None] - lam.sum() * (g[1:] - g[0])
         z = x.mean(axis=1) / (x.std(axis=1, ddof=1) / np.sqrt(reps))
@@ -800,14 +852,14 @@ def test_fold_takes_the_chunks_in_order(monkeypatch):
     monkeypatch.setattr(sampling, "scatter_chunk", first_chunk_last)
     spec, n, seed = Spectrum((0.5, 0.3, 0.2)), 10, 3
     args = (spec, n, "wishart", 4 * CHUNK_SIZE, seed)
-    stat = lambda s, l, d, q: [float(s[0, 0, 0])]  # noqa: E731
+    stat = lambda s, l, d, u: [float(s[0, 0, 0])]  # noqa: E731
     fold = lambda a, b: a + b  # noqa: E731
     fail_at = None
-    folded = evaluation._run_chunks(*args, 3, False, stat, fold)
+    folded = evaluation._run_chunks(*args, 3, None, stat, fold)
     assert folded == [float(sample(spec, n, "wishart", seed, c)[0, 0, 0]) for c in range(4)]
     fail_at = 1
     with pytest.raises(RuntimeError, match="chunk failed"):
-        evaluation._run_chunks(*args, 3, False, stat, fold)
+        evaluation._run_chunks(*args, 3, None, stat, fold)
 
 
 def _risks_at_row1(loss):
@@ -842,9 +894,9 @@ def test_reduce_memory_is_one_fold(monkeypatch, engine, k):
             cache["s"] = sample(spectrum, n, distribution, seed, chunk)
         return cache["s"]
 
-    def rates(s, need_vectors):
+    def rates(s, x):
         if "rates" not in cache:
-            cache["rates"] = decompose(s, need_vectors)
+            cache["rates"] = decompose(s, x)
         return cache["rates"]
 
     monkeypatch.setattr(sampling, "scatter_chunk", one_chunk)
@@ -1001,15 +1053,18 @@ def _streamed_and_per_replicate(engine, replicates):
     weights = [classical_weights(4, n), family_weights(4, n, 1)]
     betas = np.stack([w.beta for w in weights])
     tau = spec.values / spec.values.sum()
-    l, d, q = _batch_rates(_draws(spec, n, "wishart", seed, replicates), True)
+    s = _draws(spec, n, "wishart", seed, replicates)
+    l, d, u = _batch_rates(s, 1.0 / tau)
     if engine == "stein-haff":
-        # the diagonal of V diag(beta d) V' is sum_j v_ij^2 beta_j d_j
+        # the diagonal of V diag(beta d) V' is sum_j v_ij^2 beta_j d_j; the
+        # weights e_i make u row i of v * v
+        q = np.stack([_batch_rates(s, x)[2] for x in np.eye(spec.p)], axis=1)
         trace = np.einsum("rij,wrj,i->wr", q, betas[:, None, :] * d, 1.0 / tau)
         g = _g_batch(l, d, betas, n)
         values = np.concatenate([trace, g, trace - g]).T
     else:
         if engine == "entropy":
-            losses = _entropy_losses(d, q, betas, tau)
+            losses = _entropy_losses(d, u, betas, tau)
         else:
             losses = _quadratic_losses(d, betas, tau)
         values = np.concatenate([losses, losses[1:] - losses[0]]).T
@@ -1067,9 +1122,10 @@ def _plain_risk_moments(spec, n, loss_kind, distribution, seed, replicates, weig
     """
     betas = np.stack([w.beta for w in weights])
     tau = spec.values / spec.values.sum()
-    _, d, q = _batch_rates(_draws(spec, n, distribution, seed, replicates), loss_kind == "entropy")
+    x = 1.0 / tau if loss_kind == "entropy" else None
+    _, d, u = _batch_rates(_draws(spec, n, distribution, seed, replicates), x)
     if loss_kind == "entropy":
-        losses = _entropy_losses(d, q, betas, tau)
+        losses = _entropy_losses(d, u, betas, tau)
     else:
         losses = _quadratic_losses(d, betas, tau)
     values = np.concatenate([losses, losses[1:] - losses[0]])
@@ -1222,12 +1278,12 @@ def test_wishart_controls_have_mean_zero(spec, n, n_spectral, distribution):
     trace_means = evaluation._trace_means(lam, n)
     assert trace_means.size == n_spectral
 
-    def stat(s, l, d, q):
+    def stat(s, l, d, u):
         controls = np.empty((p * p + p + 1 + n_spectral, s.shape[0]))
         evaluation._wishart_controls(s, l, lam, n, log_det_mean, trace_means, controls)
         return controls
 
-    means, ses = evaluation._estimate(spec, n, distribution, 40 * CHUNK_SIZE, 23, 2, False, 0, stat)
+    means, ses = evaluation._estimate(spec, n, distribution, 40 * CHUNK_SIZE, 23, 2, None, 0, stat)
     assert np.all(np.abs(means) < 4 * ses), np.abs(means / ses).max()
 
 
@@ -1305,13 +1361,13 @@ def test_bias_corrections_have_mean_zero_and_sum_to_zero(spec, n):
     offset = np.concatenate([bias_expansion(spec, n) - lam / lam.sum(), evaluation._third_order_means(lam, n)])
     worst_sum = []
 
-    def stat(s, l, d, q):
+    def stat(s, l, d, u):
         c = np.empty((2 * p, s.shape[0]))
         evaluation._bias_corrections(s, lam, n, offset, c)
         worst_sum.append(max(np.abs(c[:p].sum(axis=0)).max(), np.abs(c[p:].sum(axis=0)).max()))
         return c
 
-    means, ses = evaluation._estimate(spec, n, "wishart", 40 * CHUNK_SIZE, 23, 2, False, 0, stat)
+    means, ses = evaluation._estimate(spec, n, "wishart", 40 * CHUNK_SIZE, 23, 2, None, 0, stat)
     assert np.all(np.abs(means) < 4 * ses), np.abs(means / ses).max()
     assert max(worst_sum) < 1e-14
 
