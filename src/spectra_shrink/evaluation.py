@@ -371,7 +371,7 @@ def _comoments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     k, rows = values.shape
     if not rows:
         return 0, np.zeros(k), np.zeros((k, k))
-    mean = values.mean(axis=1)
+    mean = np.add.reduce(values, axis=1) / rows  # the arithmetic of values.mean(axis=1)
     values -= mean[:, None]
     return rows, mean, values @ values.T
 
@@ -493,19 +493,24 @@ def simulate_bias(
     the cross-fit's control basis is empty. With
     ``control_variate`` each draw's rates d are taken less their corrections
     c, the first- and second-order terms of their expansion less the
-    second-order term's exact mean, and z = d - c is regressed on c_2..c_p
-    and on the third-order terms t_2..t_p, each less its exact mean (see
-    ``_bias_corrections``), with coefficients cross-fitted on the parity
-    folds, so the means stay unbiased. c_1 and t_1 are left out because the
-    c_i, and the t_i, sum to zero exactly. The remainder left after the
-    second-order term falls like n^-3/2, so the t_i matter most at large n:
-    at p = 3, (0.5, 0.3, 0.2), the worst coordinate's per-replicate variance
-    is 1.15x, 1.6x, 2.7x, 5.4x and 11x below the fit on c_2..c_p alone at
-    n = 30, 100, 200, 400 and 800 (7.0e-6 -> 2.6e-6 at n = 200). Below 10 rows
-    a fold per fitted coefficient (2(p - 1) controls and an intercept, so
-    never at p = 3, and from 220 replicates at p = 6) z is averaged
-    unfitted. Either law's chunk is an exact Wishart draw (see
-    ``sampling.scatter_chunk``), so the means are exact under both. The
+    second-order term's exact mean, and z = d - c is regressed on c_2..c_p,
+    on the third-order terms t_2..t_p, each less its exact mean (see
+    ``_bias_corrections``), and on the diagonal rows of the Wishart basis,
+    e_k = S_kk/(n lambda_k) - 1, e_k^2 - 2/n and e_i e_j for i < j
+    (``_diagonal_controls``): 2(p - 1) + 2p + p(p - 1)/2 controls, 13 at
+    p = 3. The coefficients are cross-fitted on the parity folds, so the
+    means stay unbiased. c_1 and t_1 are left out because the c_i, and the
+    t_i, sum to zero exactly. The remainder left after the second-order
+    term falls like n^-3/2, so the t_i matter most at large n, and the
+    diagonal rows most at small n: at p = 3, (0.5, 0.3, 0.2), the worst
+    coordinate's per-replicate variance is 2.0x, 2.5x, 3.8x, 7.4x and 15x
+    below the fit on c_2..c_p alone at n = 30, 100, 200, 400 and 800
+    (7.1e-6 -> 1.9e-6 at n = 200), of which the diagonal rows give 1.7x,
+    1.5x, 1.4x, 1.4x and 1.4x. Below 10 rows a fold per fitted coefficient
+    (the controls and an intercept, so below 280 replicates at p = 3, 760
+    at p = 6 and 1,680 at p = 10) z is averaged unfitted. Either law's
+    chunk is an exact Wishart draw (see ``sampling.scatter_chunk``), so the
+    controls' means are exact under both. The
     population eigenvalues must be distinct: a (nearly) repeated one is
     refused by ``bias_expansion`` before any draw. Every output is
     scale-free, so the draws are taken at unit scale (``_unit_scale``), and
@@ -518,7 +523,7 @@ def simulate_bias(
     if control_variate:
         second = bias_expansion(spectrum, n) - lam / lam.sum()
         offset = np.concatenate([second, _third_order_means(lam, n)])
-        n_controls = _fitted_controls(2 * (p - 1), replicates)
+        n_controls = _fitted_controls(2 * (p - 1) + 2 * p + p * (p - 1) // 2, replicates)
 
     def stat(s, l, d, u):
         if not control_variate:
@@ -528,7 +533,8 @@ def simulate_bias(
         x = np.empty((n_controls + p, s.shape[0]))
         if n_controls:
             x[: p - 1] = c[1:p]
-            x[p - 1 : n_controls] = c[p + 1 :]
+            x[p - 1 : 2 * p - 2] = c[p + 1 :]
+            _diagonal_controls(s, lam, n, *np.split(x[2 * p - 2 : n_controls], [p, 2 * p]))
         np.subtract(d.T, c[:p], out=x[n_controls:])
         return x
 
@@ -704,6 +710,30 @@ def _trace_means(lam: np.ndarray, n: int) -> np.ndarray:
     return np.array([cube, r1 / (m - 1), ((m - 1) * r2 + r1 * r1) / (m * (m - 1) * (m - 3))])
 
 
+def _diagonal_controls(
+    s: np.ndarray, lam: np.ndarray, n: int, diag: np.ndarray, square: np.ndarray, product: np.ndarray
+) -> None:
+    """Write the diagonal rows of the Wishart basis into the three row blocks given.
+
+    ``diag`` gets e_k = S_kk/(n lam_k) - 1, ``square`` e_k^2 - 2/n and
+    ``product`` e_i e_j for i < j, in triu order: p, p and p(p - 1)/2 rows.
+    Under Wishart(n, diag(lam)) S_kk/lam_k is chi2_n, so e_k has mean 0 and
+    variance 2/n, and S_ii and S_jj are independent (Muirhead 1982,
+    section 3.2): every row has mean exactly zero. S is an entries-first
+    stack, or a row slice of one, so each S_kk is one evenly strided column,
+    read in place; each row is written in place.
+    """
+    p = lam.size
+    np.multiply(np.diagonal(s, axis1=1, axis2=2).T, (1.0 / (n * lam))[:, None], out=diag)
+    diag -= 1.0
+    np.multiply(diag, diag, out=square)
+    square -= 2.0 / n
+    start = 0
+    for i in range(p - 1):  # the pairs (i, j > i), in triu order
+        np.multiply(diag[i + 1 :], diag[i], out=product[start : start + p - 1 - i])
+        start += p - 1 - i
+
+
 def _wishart_controls(
     s: np.ndarray,
     l: np.ndarray,
@@ -718,7 +748,8 @@ def _wishart_controls(
     There are p^2 + p + 1 + ``trace_means.size`` of them (114 at p = 10,
     n = 30), one a row of ``out``: e_k = S_kk/(n lam_k) - 1, then
     S_ij^2/(n lam_i lam_j) - 1 for i < j, then e_k^2 - 2/n, then e_i e_j for
-    i < j (S_ii and S_jj are independent under a diagonal scale), then
+    i < j (S_ii and S_jj are independent under a diagonal scale), the
+    e_k, e_k^2 and e_i e_j rows written by ``_diagonal_controls``, then
     sum_k log l_k - ``log_det_mean`` from the eigenvalues l of S, i.e.
     log det S less its mean, then sum_k l_k^3 and, when ``trace_means`` has
     three entries (n >= p + 16), sum_k 1/l_k and sum_k 1/l_k^2, each divided
@@ -731,23 +762,13 @@ def _wishart_controls(
     """
     p = lam.size
     t = s.transpose(1, 2, 0)  # each t[i, j] is the (rows,) column s[:, i, j]
-    k = np.arange(p)
     iu, ju = np.triu_indices(p, 1)
     m = iu.size
-    diag, pair, square = out[:p], out[p : p + m], out[p + m : 2 * p + m]
-    product, log_det = out[2 * p + m : 2 * p + 2 * m], out[2 * p + 2 * m]
-    traces = out[2 * p + 2 * m + 1 :]
-    np.multiply(t[k, k], (1.0 / (n * lam))[:, None], out=diag)
-    diag -= 1.0
+    pair, log_det, traces = out[p : p + m], out[2 * p + 2 * m], out[2 * p + 2 * m + 1 :]
+    _diagonal_controls(s, lam, n, out[:p], out[p + m : 2 * p + m], out[2 * p + m : 2 * p + 2 * m])
     np.square(t[iu, ju], out=pair)
     pair *= (1.0 / (n * lam[iu] * lam[ju]))[:, None]
     pair -= 1.0
-    np.multiply(diag, diag, out=square)
-    square -= 2.0 / n
-    start = 0
-    for i in range(p - 1):  # the pairs (i, j > i), in triu order
-        np.multiply(diag[i + 1 :], diag[i], out=product[start : start + p - 1 - i])
-        start += p - 1 - i
     buf = np.log(l)
     buf.sum(axis=1, out=log_det)
     log_det -= log_det_mean

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,11 +89,18 @@ def _store_bartlett(s: np.ndarray, chi2: np.ndarray, normals: np.ndarray) -> Non
     lies in column i of the upper triangle. _build_wishart reads the
     variates there.
     """
-    p = s.shape[1]
-    i, k = np.tril_indices(p, -1)
-    diag = np.arange(p)
+    i, k, diag = _bartlett_slots(s.shape[1])
     s[:, diag, diag] = chi2
     s[:, k, i] = normals
+
+
+@lru_cache(maxsize=None)
+def _bartlett_slots(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.tril_indices(p, -1)`` and ``np.arange(p)``, the slots _store_bartlett fills, built once per p."""
+    slots = (*np.tril_indices(p, -1), np.arange(p))
+    for index in slots:
+        index.setflags(write=False)
+    return slots
 
 
 def _build_wishart(s: np.ndarray, values: np.ndarray) -> None:

@@ -873,10 +873,11 @@ def _risks_at_row1(loss):
         # 114 controls, 3 losses and 2 differences at p = 10, n = 30
         pytest.param(_risks_at_row1("entropy"), 119, id="entropy"),
         pytest.param(_risks_at_row1("quadratic"), 119, id="quadratic"),
-        # c_2, c_3, t_2, t_3 and 3 rates
+        # c_2, c_3, t_2, t_3, the 9 diagonal rows e_k, e_k^2 - 2/n and
+        # e_i e_j, and 3 rates
         pytest.param(
             lambda: simulate_bias(Spectrum((0.5, 0.3, 0.2)), 200, "wishart", CHUNK_SIZE, 1, control_variate=True),
-            7,
+            16,
             id="bias-cv",
         ),
     ],
@@ -960,6 +961,29 @@ def _bias_controls(spec, n, seed, replicates):
     return d, c, third - evaluation._third_order_means(lam, n)
 
 
+def _diagonal_columns(s, lam, n):
+    """The diagonal rows of the Wishart basis of draws s, each (replicates, k).
+
+    e_k = S_kk/(n lambda_k) - 1, e_k^2 - 2/n, and e_i e_j for i < j in triu order.
+    """
+    e = np.diagonal(s, axis1=1, axis2=2) / (n * lam) - 1.0
+    iu, ju = np.triu_indices(lam.size, 1)
+    return e, e**2 - 2.0 / n, e[:, iu] * e[:, ju]
+
+
+def _bias_basis(spec, n, seed, replicates):
+    """Per-replicate rates d, corrections c and the control basis of the bias control variate.
+
+    The basis is the one ``simulate_bias(control_variate=True)`` fits on:
+    c_2..c_p and t_2..t_p of ``_bias_controls``, then the diagonal rows of
+    the Wishart basis (``_diagonal_columns``), rebuilt from scatter_chunk;
+    shape (replicates, 2(p - 1) + 2p + p(p - 1)/2).
+    """
+    d, c, t = _bias_controls(spec, n, seed, replicates)
+    s = _draws(spec, n, "wishart", seed, replicates)
+    return d, c, np.hstack([c[:, 1:], t[:, 1:], *_diagonal_columns(s, spec.values, n)])
+
+
 def _cross_fitted(spec, n, seed, replicates, y):
     """Per-replicate outputs y, shape (replicates, k), less their control-variate fit.
 
@@ -980,7 +1004,7 @@ def _cross_fitted(spec, n, seed, replicates, y):
     lam = spec.values
     p = lam.size
     s = _draws(spec, n, "wishart", seed, replicates)
-    diag = np.diagonal(s, axis1=1, axis2=2) / (n * lam) - 1.0
+    diag, square, product = _diagonal_columns(s, lam, n)
     iu, ju = np.triu_indices(p, 1)
     pair = s[:, iu, ju] ** 2 / (n * np.outer(lam, lam)[iu, ju]) - 1.0
     log_det_mean = np.log(lam).sum() + p * np.log(2.0) + digamma((n - np.arange(p)) / 2).sum()
@@ -993,7 +1017,7 @@ def _cross_fitted(spec, n, seed, replicates, y):
         + n * (n - 1) * (n - 2) * t3
     )
     cube = (l**3).sum(axis=1) / cube_mean - 1.0
-    columns = [diag, pair, diag**2 - 2.0 / n, diag[:, iu] * diag[:, ju], log_det[:, None], cube[:, None]]
+    columns = [diag, pair, square, product, log_det[:, None], cube[:, None]]
     m = n - p
     if m >= 16:
         inv = np.diag(1.0 / lam)
@@ -1025,8 +1049,8 @@ def _streamed_and_per_replicate(engine, replicates):
 
     The values, shape (replicates, k), are rebuilt here from scatter_chunk:
     the sample rates for simulate_bias, with the control variate less
-    their cross-fitted fit on the corrections c_2..c_p and the third-order
-    terms t_2..t_p of ``_bias_controls``; the loss rows
+    their cross-fitted fit on the corrections c_2..c_p, the third-order
+    terms t_2..t_p and the diagonal rows of ``_bias_basis``; the loss rows
     and the paired differences for compare_risks, less their cross-fitted
     control-variate fit for either loss; and the trace, G and
     trace - G for each weight vector for simulate_stein_haff. The "bias-p3"
@@ -1045,8 +1069,8 @@ def _streamed_and_per_replicate(engine, replicates):
         control_variate = engine == "bias-p3-cv"
         sim = simulate_bias(spec, n, distribution, replicates, seed=seed, control_variate=control_variate)
         if control_variate:
-            d, c, t = _bias_controls(spec, n, seed, replicates)
-            values = _parity_fitted(np.hstack([c[:, 1:], t[:, 1:]]), d)
+            d, _, basis = _bias_basis(spec, n, seed, replicates)
+            values = _parity_fitted(basis, d)
         else:
             values = sample_rates(spec, n, distribution, replicates, seed)
         return sim.mean_rates, sim.std_errors, values
@@ -1107,7 +1131,9 @@ def test_streamed_bias_moments_match_concatenated_rates(engine, replicates, monk
         def unused(*args):
             raise AssertionError("an empty control basis computes no control")
 
-        for name in ("_bias_corrections", "_third_order_means", "_wishart_controls", "_log_det_mean"):
+        for name in (
+            "_bias_corrections", "_third_order_means", "_diagonal_controls", "_wishart_controls", "_log_det_mean",
+        ):
             monkeypatch.setattr(evaluation, name, unused)
     means, ses, values = _streamed_and_per_replicate(engine, replicates)
     np.testing.assert_allclose(means, values.mean(axis=0), rtol=1e-12, atol=0)
@@ -1265,13 +1291,17 @@ def test_log_det_mean_matches_scipy_digamma_sum(n):
         pytest.param(table2_spectrum(18), 25, 1, "wishart", id="row18-n25"),
         pytest.param(Spectrum((0.4, 0.3, 0.2, 0.1)), 30, 3, "t:5", id="p4-t5"),
         pytest.param(table2_spectrum(18), 30, 3, "t:5", id="row18-t5"),
+        pytest.param(Spectrum((0.5, 0.3, 0.2)), 200, 3, "wishart", id="p3-n200"),
+        pytest.param(Spectrum((0.5, 0.3, 0.2)), 200, 3, "t:5", id="p3-n200-t5"),
     ],
 )
 def test_wishart_controls_have_mean_zero(spec, n, n_spectral, distribution):
     # every control, the products e_i e_j, log det S and the spectral traces
     # included, averages to zero within 4 SEs over 40 chunks, under either
     # law, whose chunks are both Wishart draws; tr S^-1 and tr S^-2 join
-    # tr S^3 only at n >= p + 16, so not at p = 10, n = 25
+    # tr S^3 only at n >= p + 16, so not at p = 10, n = 25; criterion 7's
+    # p = 3 spectrum at n = 200 checks the diagonal rows that the bias
+    # control variate fits (``_diagonal_controls``) where it runs
     lam = spec.values
     p = lam.size
     log_det_mean = evaluation._log_det_mean(lam, n)
@@ -1336,6 +1366,18 @@ def test_third_order_controls_cut_the_second_order_fit(n, factor):
     assert (cv.std_errors**2 * replicates).max() < factor * second_order
 
 
+@pytest.mark.parametrize("n, factor", [(30, 0.7), (200, 0.8), (400, 0.8)])
+def test_diagonal_controls_cut_the_expansion_fit(n, factor):
+    # the diagonal rows of the Wishart basis, e_k, e_k^2 - 2/n and e_i e_j,
+    # cut the worst per-replicate variance left by the fit on c_2..c_p and
+    # t_2..t_p alone, most where the expansion's remainder is large (n = 30)
+    spec, seed, replicates = Spectrum((0.5, 0.3, 0.2)), 5, 16 * CHUNK_SIZE
+    d, c, t = _bias_controls(spec, n, seed, replicates)
+    expansion_only = _parity_fitted(np.hstack([c[:, 1:], t[:, 1:]]), d).var(axis=0, ddof=1).max()
+    cv = simulate_bias(spec, n, "wishart", replicates, seed=seed, control_variate=True)
+    assert (cv.std_errors**2 * replicates).max() < factor * expansion_only
+
+
 @pytest.mark.parametrize("n", [30, 200])
 def test_bias_control_variate_se_is_calibrated(n):
     # the spread of the cross-fitted means over seeds matches the reported
@@ -1372,15 +1414,16 @@ def test_bias_corrections_have_mean_zero_and_sum_to_zero(spec, n):
     assert max(worst_sum) < 1e-14
 
 
-@pytest.mark.parametrize("replicates, fitted", [(219, False), (220, True)])
+@pytest.mark.parametrize("replicates, fitted", [(759, False), (760, True)])
 def test_bias_control_variate_fits_from_the_floor(replicates, fitted):
-    # p = 6 fits c_2..c_6, t_2..t_6 and an intercept, 110 rows a fold: 219
-    # replicates leave the odd fold 109, and the corrected rates z = d - c
-    # are averaged unfitted; 220 cross-fit them, as the rates less the fit
-    # on c_2..c_6 and t_2..t_6
+    # p = 6 fits 37 controls, c_2..c_6, t_2..t_6 and the 27 diagonal rows,
+    # and an intercept, 380 rows a fold: 759 replicates leave the odd fold
+    # 379, and the corrected rates z = d - c are averaged unfitted; 760
+    # cross-fit them, as the rates less the fit on that basis
     spec, n, seed = Spectrum((0.3, 0.25, 0.18, 0.12, 0.1, 0.05)), 20, 13
-    d, c, t = _bias_controls(spec, n, seed, replicates)
-    values = _parity_fitted(np.hstack([c[:, 1:], t[:, 1:]]), d) if fitted else d - c
+    d, c, basis = _bias_basis(spec, n, seed, replicates)
+    assert basis.shape[1] == 37
+    values = _parity_fitted(basis, d) if fitted else d - c
     cv = simulate_bias(spec, n, "wishart", replicates, seed=seed, control_variate=True)
     np.testing.assert_allclose(cv.mean_rates, values.mean(axis=0), rtol=1e-12, atol=0)
     se = values.std(axis=0, ddof=1) / np.sqrt(replicates)
