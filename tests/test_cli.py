@@ -471,12 +471,16 @@ def test_experiment_spec_validates_before_sampling(monkeypatch):
 # start-up cost
 # ---------------------------------------------------------------------------
 
-# Runs in a fresh interpreter: after each step it records whether
-# scipy.stats (about a second to import) has been loaded.
+# Runs in a fresh interpreter: after each command, and after the entropy
+# risks on the control-variate path (2,300 replicates at p = 10, n = 30),
+# whose log-det control needs digamma values, it records the scipy modules
+# that have been loaded.
 _COLD_START = """
 import json, sys
 sys.path.insert(0, {src!r})
 import spectra_shrink, spectra_shrink.cli as cli
+from spectra_shrink import classical_weights, compare_risks, family_weights
+from spectra_shrink.cases import table2_spectrum
 out = {out!r}
 steps = [
     ("import", None),
@@ -487,49 +491,34 @@ steps = [
     ("stein-haff", ["stein-haff", "--spectrum", "table2:5", "--reps", "200"]),
     ("invariance", ["invariance", "--spectrum", "0.4,0.3,0.2,0.1", "--n", "15", "--reps", "200"]),
 ]
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 loaded = {{}}
 for name, argv in steps:
     if argv is not None:
         extra = [] if name == "weights" else ["--out", out]
         assert cli.main(argv + extra) == 0, name
-    loaded[name] = "scipy.stats" in sys.modules
+    loaded[name] = scipy_modules()
+w = [classical_weights(10, 30), family_weights(10, 30, 1)]
+compare_risks(table2_spectrum(18), 30, w, "entropy", "wishart", 2300, seed=1)
+loaded["entropy-control-variates"] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
-# Runs in a fresh interpreter: the entropy risks on the control-variate path
-# (2,300 replicates at p = 10, n = 30), whose log-det control needs digamma
-# values.
-_ENTROPY_RISK = """
-import json, sys
-sys.path.insert(0, {src!r})
-from spectra_shrink import classical_weights, compare_risks, family_weights
-from spectra_shrink.cases import table2_spectrum
-w = [classical_weights(10, 30), family_weights(10, 30, 1)]
-compare_risks(table2_spectrum(18), 30, w, "entropy", "wishart", 2300, seed=1)
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
-"""
-
-
-def test_entropy_control_variates_load_no_scipy():
-    src = Path(spectra_shrink.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", _ENTROPY_RISK.format(src=str(src))],
-                          capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
-
-
-def test_cold_start_loads_scipy_stats_only_for_invariance(tmp_path):
+def test_cold_start_loads_no_scipy(tmp_path):
     src = Path(spectra_shrink.__file__).resolve().parents[1]
     code = _COLD_START.format(src=str(src), out=str(tmp_path / "out.csv"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == {
-        "import": False,
-        "weights": False,
-        "bias": False,
-        "risk": False,
-        "dimension": False,
-        "stein-haff": False,
-        "invariance": True,
+        "import": [],
+        "weights": [],
+        "bias": [],
+        "risk": [],
+        "dimension": [],
+        "stein-haff": [],
+        "invariance": [],
+        "entropy-control-variates": [],
     }

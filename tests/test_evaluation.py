@@ -1,13 +1,14 @@
 import time
 import tracemalloc
 from dataclasses import astuple
-from math import fsum, log, sqrt
+from math import comb, fsum, log, sqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma
+from scipy.stats import ks_2samp
 
 from spectra_shrink import (
     ContributionRates,
@@ -40,6 +41,7 @@ from spectra_shrink.evaluation import (
     _batch_rates,
     _entropy_losses,
     _g_batch,
+    _ks_equal_sizes,
     _quadratic_losses,
 )
 from spectra_shrink.sampling import CHUNK_SIZE, scatter_chunk
@@ -804,6 +806,32 @@ def test_invariance_report_tests_at_one_percent(replicates):
     for name, value in (("alpha", 0.05), ("critical_value", 0.1)):
         with pytest.raises(TypeError, match=name):
             InvarianceReport(statistics=stats, p_values=stats, replicates=replicates, **{name: value})
+
+
+@pytest.mark.parametrize("decimals", [None, 2])
+@pytest.mark.parametrize("n", [300, 5000, 20_000])
+def test_ks_matches_scipy_exact(n, decimals):
+    # 20,000 is above the 10,000 at which ks_2samp's default mode turns
+    # asymptotic; rounding to 2 decimals makes ties within and across samples
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    if decimals is not None:
+        x, y = np.round(x, decimals), np.round(y, decimals)
+    stat, pvalue = _ks_equal_sizes(x, y)
+    ref = ks_2samp(x, y, method="exact")
+    assert stat == ref.statistic
+    assert pvalue == pytest.approx(ref.pvalue, rel=1e-10)
+
+
+def test_ks_edge_cases():
+    x = np.linspace(0.0, 1.0, 300)
+    assert _ks_equal_sizes(x, x[::-1].copy()) == (0.0, 1.0)
+    # disjoint samples: only the two extreme paths reach D = 1
+    stat, pvalue = _ks_equal_sizes(x, x + 2.0)
+    ref = ks_2samp(x, x + 2.0, method="exact")
+    assert stat == ref.statistic == 1.0
+    assert pvalue == pytest.approx(2.0 / comb(600, 300), rel=1e-10)
+    assert pvalue == pytest.approx(ref.pvalue, rel=1e-10)
 
 
 def test_stacking_needs_a_weight_vector():
