@@ -36,6 +36,10 @@ it in another process; the run keeps both times and their ratio as
 ``probe``, and the summary gives each side's median ratio as
 ``probe_ratio``. A ratio near 1 means the machine ran the two copies on two
 cores; near 2, that they shared one, so a ``--jobs 2`` claim cannot show.
+For a threaded workload (``workload.jobs`` above 1 in its report) the
+summary's ``probe_gate`` marks each pair whose probe ratio exceeds
+``PROBE_GATE`` (1.5) on either side and gives the metrics' verdicts on the
+unmarked pairs alone, beside the verdicts on all pairs (see ``probe_gate``).
 A thread probe then times the same kernel alone and on two threads of one
 process, each on its own copy of the batch; the run keeps it as
 ``thread_probe`` and the summary gives each side's median ratio as
@@ -115,6 +119,10 @@ GIL_KERNEL = PROBE_SCRIPT.format(
     setup="data = rng.standard_normal((3, 9, 4096))",
     call="for _ in range(500): np.multiply(data[0], data[1], out=data[2])")
 PROBE_SECONDS = 1.0
+#: The process-probe ratio above which a pair of a threaded workload is
+#: marked: its two processes did not get two cores, so a ``--jobs`` gain
+#: could not show in it.
+PROBE_GATE = 1.5
 PIN_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -216,7 +224,7 @@ def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: 
     *_, report, result = map(json.loads, run_stdout(checkout, argv).splitlines())
     untraced = report["report"]["phases"][0]
     return {"seed": seed, "trace": trace, "probe": probe, "thread_probe": threaded, "gil_probe": gil,
-            "environment": report["report"]["environment"],
+            "environment": report["report"]["environment"], "workload": report["report"]["workload"],
             "determinism": report["report"]["determinism"], "result": result,
             # A threaded workload runs uncalibrated: its kernel_s is empty.
             "raw_op_s": median_or_none(untraced["op_s"]),
@@ -268,8 +276,11 @@ def kernel_verdict(base: list[float], change: list[float]) -> str:
     return "shifted" if abs(statistics.median(change) - median) > q3 - q1 else "steady"
 
 
-def summarise(pairs: list[dict]) -> dict:
+def metric_summaries(pairs: list[dict]) -> dict:
+    """Per end-to-end metric over ``pairs``: each side's median and IQR, the change's wins, a verdict."""
     out = {}
+    if not pairs:
+        return out
     for metric, (better, bound) in END_TO_END.items():
         base = [p["base"]["result"]["metrics"][metric]["value"] for p in pairs]
         change = [p["change"]["result"]["metrics"][metric]["value"] for p in pairs]
@@ -279,6 +290,27 @@ def summarise(pairs: list[dict]) -> dict:
                                "change_median": cq[1], "change_iqr": cq[2] - cq[0],
                                "change_wins": wins, "pairs": len(pairs)}
         entry["verdict"] = verdict(entry, bound, base, change)
+    return out
+
+
+def probe_gate(pairs: list[dict]) -> dict | None:
+    """The pairs of a threaded workload that ran without two cores, and the verdicts without them.
+
+    None unless the workload runs on more than one thread (``workload.jobs``
+    in its report). Otherwise ``marked`` lists, counted from 1, each pair
+    whose process-probe ratio exceeds ``PROBE_GATE`` on either side, and
+    ``unmarked`` holds ``metric_summaries`` of the other pairs; fewer than
+    10 of them leave every verdict there "unresolved".
+    """
+    if all(p[side]["workload"]["jobs"] <= 1 for p in pairs for side in ("base", "change")):
+        return None
+    marked = [max(p["base"]["probe"]["ratio"], p["change"]["probe"]["ratio"]) > PROBE_GATE for p in pairs]
+    return {"ratio_above": PROBE_GATE, "marked": [k for k, m in enumerate(marked, 1) if m],
+            "unmarked": metric_summaries([p for p, m in zip(pairs, marked) if not m])}
+
+
+def summarise(pairs: list[dict]) -> dict:
+    out = metric_summaries(pairs)
     raw = {name: {side: [p[side][name] for p in pairs if p[side][name] is not None]
                   for side in ("base", "change")} for name in ("raw_op_s", "raw_kernel_s")}
     for name, values in raw.items():
@@ -287,6 +319,9 @@ def summarise(pairs: list[dict]) -> dict:
     for probe in ("probe", "thread_probe", "gil_probe"):
         out[f"{probe}_ratio"] = {f"{side}_median": statistics.median(p[side][probe]["ratio"] for p in pairs)
                                  for side in ("base", "change")}
+    gate = probe_gate(pairs)
+    if gate is not None:
+        out["probe_gate"] = gate
     return out
 
 

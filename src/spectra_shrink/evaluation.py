@@ -494,21 +494,25 @@ def simulate_bias(
     ``control_variate`` each draw's rates d are taken less their corrections
     c, the first- and second-order terms of their expansion less the
     second-order term's exact mean, and z = d - c is regressed on c_2..c_p,
-    on the third-order terms t_2..t_p, each less its exact mean (see
-    ``_bias_corrections``), and on the diagonal rows of the Wishart basis,
-    e_k = S_kk/(n lambda_k) - 1, e_k^2 - 2/n and e_i e_j for i < j
-    (``_diagonal_controls``): 2(p - 1) + 2p + p(p - 1)/2 controls, 13 at
-    p = 3. The coefficients are cross-fitted on the parity folds, so the
-    means stay unbiased. c_1 and t_1 are left out because the c_i, and the
-    t_i, sum to zero exactly. The remainder left after the second-order
-    term falls like n^-3/2, so the t_i matter most at large n, and the
-    diagonal rows most at small n: at p = 3, (0.5, 0.3, 0.2), the worst
-    coordinate's per-replicate variance is 2.0x, 2.5x, 3.8x, 7.4x and 15x
-    below the fit on c_2..c_p alone at n = 30, 100, 200, 400 and 800
-    (7.1e-6 -> 1.9e-6 at n = 200), of which the diagonal rows give 1.7x,
-    1.5x, 1.4x, 1.4x and 1.4x. Below 10 rows a fold per fitted coefficient
-    (the controls and an intercept, so below 280 replicates at p = 3, 760
-    at p = 6 and 1,680 at p = 10) z is averaged unfitted. Either law's
+    on the third- and fourth-order terms t_2..t_p and r_2..r_p, each less
+    its exact mean (see ``_bias_corrections``), and on the diagonal rows of
+    the Wishart basis, e_k = S_kk/(n lambda_k) - 1, e_k^2 - 2/n and e_i e_j
+    for i < j (``_diagonal_controls``): 3(p - 1) + 2p + p(p - 1)/2
+    controls, 15 at p = 3. The coefficients are cross-fitted on the parity
+    folds, so the means stay unbiased. c_1, t_1 and r_1 are left out
+    because the c_i, the t_i and the r_i each sum to zero exactly. The
+    remainder left after the second-order term falls like n^-3/2 and the
+    one after the third like n^-2, so the t_i and r_i matter most at large
+    n, and the diagonal rows most at small n: at p = 3, (0.5, 0.3, 0.2),
+    the fit without the r_i leaves the worst coordinate's per-replicate
+    variance 2.0x, 2.5x, 3.8x, 7.4x and 15x below the fit on c_2..c_p
+    alone at n = 30, 100, 200, 400 and 800 (7.1e-6 -> 1.9e-6 at n = 200),
+    of which the diagonal rows give 1.7x, 1.5x, 1.4x, 1.4x and 1.4x, and
+    the r_i take it to 0.97x, 0.82x, 0.60x, 0.32x and 0.15x of that
+    (1.86e-6 -> 1.11e-6 at n = 200, 1.13e-7 -> 3.59e-8 at n = 400; 2^20
+    replicates, seed 5). Below 10 rows a fold per fitted coefficient (the
+    controls and an intercept, so below 320 replicates at p = 3, 860 at
+    p = 6 and 1,860 at p = 10) z is averaged unfitted. Either law's
     chunk is an exact Wishart draw (see ``sampling.scatter_chunk``), so the
     controls' means are exact under both. The
     population eigenvalues must be distinct: a (nearly) repeated one is
@@ -522,99 +526,215 @@ def simulate_bias(
     n_controls = 0
     if control_variate:
         second = bias_expansion(spectrum, n) - lam / lam.sum()
-        offset = np.concatenate([second, _third_order_means(lam, n)])
-        n_controls = _fitted_controls(2 * (p - 1) + 2 * p + p * (p - 1) // 2, replicates)
+        offset = np.concatenate([second, _third_order_means(lam, n), _fourth_order_means(lam, n)])
+        plan = _expansion_plan(lam, n)
+        n_controls = _fitted_controls(3 * (p - 1) + 2 * p + p * (p - 1) // 2, replicates)
 
     def stat(s, l, d, u):
         if not control_variate:
             return d.T.copy()
-        c = np.empty((2 * p, s.shape[0]))
-        _bias_corrections(s, lam, n, offset, c)
-        x = np.empty((n_controls + p, s.shape[0]))
+        # rows c_1, t_1, r_1, ..., c_p, t_p, r_p, the diagonal rows and
+        # z = d - c, then what else the corrections need as scratch: the
+        # controls follow r_1, and below the floor z is all that is kept
+        start, stop = (3, 3 + n_controls) if n_controls else (3 * p, 3 * p)
+        x = np.empty((max(stop + p, _correction_rows(p)), s.shape[0]))
+        _bias_corrections(s, lam, n, offset, plan, x)
         if n_controls:
-            x[: p - 1] = c[1:p]
-            x[p - 1 : 2 * p - 2] = c[p + 1 :]
-            _diagonal_controls(s, lam, n, *np.split(x[2 * p - 2 : n_controls], [p, 2 * p]))
-        np.subtract(d.T, c[:p], out=x[n_controls:])
-        return x
+            _diagonal_controls(s, lam, n, *np.split(x[3 * p : stop], [p, 2 * p]))
+        np.subtract(d.T, x[: 3 * p : 3], out=x[stop : stop + p])
+        return x[start : stop + p]
 
     mean, se = _estimate(spectrum, n, distribution, replicates, seed, jobs, None, n_controls, stat)
     return BiasSimulation(mean_rates=mean, std_errors=se, replicates=replicates)
 
 
-def _bias_corrections(
-    s: np.ndarray, lam: np.ndarray, n: int, offset: np.ndarray, out: np.ndarray
-) -> None:
-    """Write each draw's rate corrections c_i and third-order terms t_i, one a row of ``out``.
+def _expansion_plan(lam: np.ndarray, n: int) -> tuple:
+    """The constants of ``_bias_corrections`` at (lambda, n), formed once an engine call.
 
-    With E = S/n - Lambda, T = sum lambda, u = tr E / T and
-    g_ij = 1/(lambda_i - lambda_j), the eigenvalue l_i/n of S/n is lambda_i
-    + E_ii + a2_i + a3_i + ... (Rayleigh-Schroedinger), where
-    a2_i = sum_{j != i} g_ij E_ij^2 and a3_i = sum_{j, k != i} g_ij g_ik
-    E_ij E_jk E_ki - E_ii sum_{j != i} g_ij^2 E_ij^2, and the rate is
-    d_i = (l_i/n) / (T (1 + u)). Dividing by 1 + u makes each order's term
-    that order's eigenvalue term over T less u times the order below:
-    L_i = (E_ii - lambda_i u)/T (zero mean), then a2_i/T - u L_i, then
-    t_i = (a3_i - a2_i u + E_ii u^2 - lambda_i u^3)/T. The first p rows of
-    ``out`` are c_i = L_i plus the second-order term, the last p the t_i,
-    each less its exact Wishart mean in ``offset``, so every row has mean
-    exactly zero: the second-order term's is ``bias_expansion - lambda / T``,
-    as E[E_ij^2] = lambda_i lambda_j / n off the diagonal, Var E_ii =
-    2 lambda_i^2 / n and the diagonal entries are uncorrelated, and the
-    third's is ``_third_order_means``. The l_i sum to tr S, so the a2_i,
-    and the a3_i, sum to zero, and so do the c_i and the t_i in each draw.
-    S is an entries-first stack, so every s[:, i, j] is one evenly strided
-    column; each S_ii, tr S and S_ij^2 is formed once for all three orders,
-    and each row in place on (rows,) vectors.
+    With g_ij = 1/(lambda_i - lambda_j), T = sum lambda and the pairs
+    (i, j), i < j, in triu order: ``pairs`` lists each pair's (i, j) and the
+    factors that turn S_ij^2 into B_ij = g_ij E_ij^2/T and S_jj - S_ii into
+    e_ij - 1 = g_ij (E_jj - E_ii) - 1; ``sign`` (p, pairs) is +1 at
+    (i, (i, j)) and -1 at (j, (i, j)); ``weight``
+    (p, pairs) is T g_ij at both ends of (i, j). Each triple is its indices,
+    its pairs' positions and the (2p, 7) coefficients of its rows in
+    t_1, r_1, ..., t_p, r_p (see ``_bias_corrections``); each set of four
+    indices is its indices and the (p,) coefficients of its 4-cycles in the
+    r_i.
     """
     p = lam.size
     total = lam.sum()
-    c, t = out[:p], out[p:]
+    g = 1.0 / (lam[:, None] - lam[None, :] + np.eye(p)) - np.eye(p)
+    iu, ju = np.triu_indices(p, 1)
+    m = iu.size
+    sign = np.zeros((p, m))
+    sign[iu, np.arange(m)] = 1.0
+    sign[ju, np.arange(m)] = -1.0
+    weight = np.abs(sign) * (total * g[iu, ju])
+    pairs = list(zip(iu.tolist(), ju.tolist()))
+    position = {pair: k for k, pair in enumerate(pairs)}
+    triples = []
+    for indices in combinations(range(p), 3):
+        own = list(combinations(indices, 2))  # (i, j), (i, k), (j, k)
+        products = list(combinations(range(3), 2))  # the rows B_ij B_ik, B_ij B_jk, B_ik B_jk
+        coeff = np.zeros((2 * p, 7))
+        for x in indices:
+            y, z = (o for o in indices if o != x)
+            gg = g[x, y] * g[x, z]
+            coeff[2 * x, 0] = 2.0 * gg / (n**3 * total)
+            for o in (y, z):
+                xo = own.index(tuple(sorted((x, o))))
+                coeff[2 * x + 1, 4 + xo] = 2.0 * gg / (n**3 * total)
+                # B_xo seen from x is pair (x, o)'s B, less when o < x
+                coeff[2 * x + 1, 1 + products.index(tuple(sorted((xo, own.index((y, z))))))] = (
+                    total * gg / g[y, z] * (1.0 if x < o else -1.0)
+                )
+        triples.append((indices, tuple(position[q] for q in own), coeff))
+    quads = []
+    for indices in combinations(range(p), 4):
+        coeff = np.zeros(p)
+        for x in indices:
+            coeff[x] = 2.0 * np.prod([g[x, o] for o in indices if o != x]) / (n**4 * total)
+        quads.append((indices, coeff))
+    scaled = [(i, j, g[i, j] / (n * n * total), g[i, j] / n) for i, j in pairs]
+    return scaled, sign, weight, triples, quads
+
+
+def _correction_rows(p: int) -> int:
+    """The rows of ``_bias_corrections``' ``out``: 3p results, then its scratch."""
+    m = p * (p - 1) // 2
+    return 3 * p + 2 * m + max(m, 7) + 2 * p + 1
+
+
+def _bias_corrections(
+    s: np.ndarray, lam: np.ndarray, n: int, offset: np.ndarray, plan: tuple, out: np.ndarray
+) -> None:
+    """Write each draw's rate corrections c_i and third- and fourth-order terms t_i and r_i into ``out``.
+
+    With E = S/n - Lambda, T = sum lambda, u = tr E / T and
+    g_ij = 1/(lambda_i - lambda_j), the eigenvalue l_i/n of S/n is lambda_i
+    + E_ii + a2_i + a3_i + a4_i + ... (Rayleigh-Schroedinger; Lawley 1956),
+    where, every sum over indices other than i,
+    a2_i = sum_j g_ij E_ij^2,
+    a3_i = sum_{j, k} g_ij g_ik E_ij E_jk E_ki - E_ii sum_j g_ij^2 E_ij^2,
+    a4_i = sum_k g_ik v_k^2 - a2_i sum_j g_ij^2 E_ij^2
+    - 2 E_ii sum_j g_ij w_j v_j + E_ii^2 sum_j g_ij^3 E_ij^2,
+    with w_j = g_ij E_ij and v = E_oo w over the indices o != i; the rate is
+    d_i = (l_i/n) / (T (1 + u)). Dividing by 1 + u makes each order's term
+    that order's eigenvalue term over T less u times the order below:
+    L_i = (E_ii - lambda_i u)/T (zero mean), then a2_i/T - u L_i, then
+    t_i = (a3_i - a2_i u + E_ii u^2 - lambda_i u^3)/T, then r_i = a4_i/T -
+    u t_i. ``out`` has at least ``_correction_rows(p)`` rows: its first 3p
+    get c_1, t_1, r_1, ..., c_p, t_p, r_p, c_i = L_i plus the second-order
+    term, each less its exact Wishart mean in ``offset``, which lists the
+    c_i, then the t_i, then the r_i, and the rest are its scratch, so it
+    allocates nothing the size of the rows. Every result row has mean
+    exactly zero: the second-order term's
+    is ``bias_expansion - lambda / T``, as E[E_ij^2] = lambda_i lambda_j / n
+    off the diagonal, Var E_ii = 2 lambda_i^2 / n and the diagonal entries
+    are uncorrelated, the third's ``_third_order_means`` and the fourth's
+    ``_fourth_order_means``. The l_i sum to tr S, so each order's a_i sum to
+    zero, and so do the c_i, the t_i and the r_i in each draw. Through r_i
+    the rates' residual is O(|E|^5): at S/n = Lambda + eps H it falls about
+    32-fold a halving of eps. ``simulate_bias`` fits on all but the first
+    of each, with the diagonal rows 15 controls at p = 3, where the r_i take
+    the worst per-replicate variance of the fit without them to 0.60x at
+    n = 200 and 0.32x at n = 400, for (0.5, 0.3, 0.2).
+
+    The sums are taken over sets of indices. With B_ij = g_ij E_ij^2/T
+    (B_ji = -B_ij) and e_ij = g_ij (E_jj - E_ii) (e_ji = e_ij), a pair adds
+    B_ij e_ij to a3_i/T and B_ij e_ij^2 to a4_i/T; a triple {i, j, k} adds
+    2 g_ij g_ik h/T to a3_i, h = E_ij E_jk E_ki, and g_ij g_ik (T B_jk/g_jk
+    (B_ij + B_ik) + 2 (e_ij + e_ik) h/T) to a4_i/T; four indices add
+    2 g_ij g_ik g_il/T times the sum of their three 4-cycles to a4_i/T; and
+    a4_i/T has -T (a2_i/T) sum_j g_ij B_ij. A pair's B, e and B e, and a
+    triple's h, B products and h e, are rows of one block each, and every
+    sum of them over indices is a small matrix product with ``plan``
+    (``_expansion_plan``). S is an entries-first stack, so every s[:, i, j]
+    is one evenly strided column, read in place; tr S and each S_ij^2 and
+    triple product are formed once for every order.
+    """
+    pairs, sign, weight, triples, quads = plan
+    p, m = sign.shape
+    total = lam.sum()
+    scratch = out[3 * p : _correction_rows(p)]
+    out = out[: 3 * p].reshape(p, 3, -1)
+    c, t, r = out[:, 0], out[:, 1], out[:, 2]
+    # The scratch rows: each pair's B, e and B e (whose rows, once spent,
+    # start a triple's seven), then two (rows,) vectors a index, then u.
+    big_b, e, be = scratch[:m], scratch[m : 2 * m], scratch[2 * m : 3 * m]
+    triple = scratch[2 * m : 2 * m + 7]
+    work = scratch[-2 * p - 1 : -1].reshape(p, 2, -1)
+    buf, a2 = work[:, 0], work[:, 1]  # a2 is a2_i / T
+    u = scratch[-1]
     # With a = tr S / (nT) = 1 + u, L_i = (S_ii - n lambda_i a)/(nT), so
     # L_i (1 - u) = (S_ii - n lambda_i a) w with w = (2 - a)/(nT), and
-    # L_i u^2 = (S_ii - n lambda_i a) v with v = (a - 1)^2/(nT).
-    a = s[:, 0, 0].copy()
+    # L_i u^2 = (S_ii - n lambda_i a) v with v = u^2/(nT).
+    a, w, v = triple[:3]
+    np.copyto(a, s[:, 0, 0])
     for i in range(1, p):
         a += s[:, i, i]
     a *= 1.0 / (n * total)
-    w = a * (-1.0 / (n * total))
+    np.subtract(a, 1.0, out=u)
+    np.multiply(a, -1.0 / (n * total), out=w)
     w += 2.0 / (n * total)
-    v = a - 1.0
-    v *= v
+    np.multiply(u, u, out=v)
     v *= 1.0 / (n * total)
     for i in range(p):
         np.multiply(a, n * lam[i], out=c[i])
         np.subtract(s[:, i, i], c[i], out=c[i])
         np.multiply(c[i], v, out=t[i])
         c[i] *= w
-        c[i] -= offset[i]
-        t[i] -= offset[p + i]
-    # The pair (i, j) adds g_ij E_ij^2 / T = S_ij^2 times a coefficient (buf)
-    # to a2_i / T and minus it to a2_j / T. Its terms in a3_i and -a2_i u
-    # add buf (g_ij (E_jj - E_ii) - u) = buf ((S_jj - S_ii)/(n (lambda_i -
-    # lambda_j)) + 2 - a) to t_i, and the same with the sign flipped to t_j.
-    two_less_a = np.subtract(2.0, a, out=a)
-    buf, h = np.empty_like(a), v  # v is spent
-    for i in range(p):
-        for j in range(i + 1, p):
-            np.multiply(s[:, i, j], s[:, i, j], out=buf)
-            buf *= 1.0 / (n * n * total * (lam[i] - lam[j]))
-            c[i] += buf
-            c[j] -= buf
-            np.subtract(s[:, j, j], s[:, i, i], out=h)
-            h *= 1.0 / (n * (lam[i] - lam[j]))
-            h += two_less_a
-            h *= buf
-            t[i] += h
-            t[j] -= h
-    # The triple i < j < k adds 2 g_ij g_ik E_ij E_jk E_ki / T to t_i, and
-    # likewise to t_j and t_k: the terms of a3 with j != k.
-    for i, j, k in combinations(range(p), 3):
+    for k, (i, j, to_b, to_e) in enumerate(pairs):
+        np.multiply(s[:, i, j], s[:, i, j], out=big_b[k])
+        big_b[k] *= to_b
+        np.subtract(s[:, j, j], s[:, i, i], out=e[k])
+        e[k] *= to_e
+    e += 1.0
+    np.multiply(big_b, e, out=be)
+    np.matmul(sign, big_b, out=a2)
+    c += a2
+    np.matmul(sign, be, out=buf)
+    t += buf
+    be *= e
+    np.matmul(sign, be, out=r)
+    np.matmul(weight, big_b, out=buf)
+    buf *= a2
+    r -= buf
+    a2 *= u
+    t -= a2
+    # each triple's h = S_ij S_jk S_ki, its pairs' B products and h e
+    h = triple[0]
+    for (i, j, k), (ij, ik, jk), coeff in triples:
         np.multiply(s[:, i, j], s[:, j, k], out=h)
         h *= s[:, i, k]
-        for x, y, z in ((i, j, k), (j, i, k), (k, i, j)):
-            np.multiply(h, 2.0 / (n**3 * total * (lam[x] - lam[y]) * (lam[x] - lam[z])), out=buf)
-            t[x] += buf
+        np.multiply(big_b[ij], big_b[ik], out=triple[1])
+        np.multiply(big_b[ij], big_b[jk], out=triple[2])
+        np.multiply(big_b[ik], big_b[jk], out=triple[3])
+        np.multiply(e[ij], h, out=triple[4])
+        np.multiply(e[ik], h, out=triple[5])
+        np.multiply(e[jk], h, out=triple[6])
+        np.matmul(coeff, triple, out=work.reshape(2 * p, -1))
+        out[:, 1:] += work
+    cycles, other = triple[:2]
+    for (i, j, k, l), coeff in quads:
+        np.multiply(s[:, i, j], s[:, j, k], out=cycles)  # i j k l
+        cycles *= s[:, k, l]
+        cycles *= s[:, i, l]
+        np.multiply(s[:, i, j], s[:, j, l], out=other)  # i j l k
+        other *= s[:, k, l]
+        other *= s[:, i, k]
+        cycles += other
+        np.multiply(s[:, i, k], s[:, j, k], out=other)  # i k j l
+        other *= s[:, j, l]
+        other *= s[:, i, l]
+        cycles += other
+        np.multiply(coeff[:, None], cycles, out=buf)
+        r += buf
+    np.multiply(t, u, out=buf)
+    r -= buf
+    for k in range(3):  # a (p, rows) view, not all of out: no ufunc buffer
+        out[:, k] -= offset[k * p : (k + 1) * p, None]
 
 
 def _third_order_means(lam: np.ndarray, n: int) -> np.ndarray:
@@ -639,6 +759,52 @@ def _third_order_means(lam: np.ndarray, n: int) -> np.ndarray:
         - 8.0 * np.sum(lam**3) / total**3
     )
     return lam * coeff / (n * n * total)
+
+
+def _fourth_order_means(lam: np.ndarray, n: int) -> np.ndarray:
+    """E[r_i] under Wishart(n, diag(lam)), r_i the fourth-order term of ``_bias_corrections``.
+
+    r_i is quartic in E, the mean of n independent Y = x x' - Lambda, so its
+    mean is A_i/n^2 + (K_i - A_i)/n^3: a product of four entries of E has
+    mean ((n - 1)/n^3) times the sum over the three pairings of the factors
+    of their one-observation covariances, plus n^-3 times its one-
+    observation fourth moment. So A_i is E[r_i] at a Gaussian symmetric E
+    with Cov(E_ab, E_cd) = lambda_a lambda_b (delta_ac delta_bd + delta_ad
+    delta_bc), and K_i is E[r_i] at E = Y, where every term is a polynomial
+    in the independent x_k^2 ~ lambda_k chi2_1. With r_ij = lambda_j g_ij
+    (r_ii = 0), R_i = sum_j r_ij, R2_i = sum_j r_ij^2, R3_i = sum_j r_ij^3,
+    m1_i = sum_j r_ij lambda_j, m2_i = sum_j r_ij lambda_j^2,
+    q_i = sum_j r_ij^2 lambda_j and t_k = sum_j lambda_j^k,
+    T A_i / lambda_i = 2 R_i - R_i^2 + 2 R2_i + R3_i
+    + (2/T)(lambda_i R_i + m1_i) + 2 t_2 R_i / T^2 - 12 t_2 lambda_i / T^3
+    + 12 t_2^2 / T^4, and
+    T K_i / lambda_i = R_i^3 - 3 R_i R2_i + 5 R3_i - 7 R_i^2 + 10 R2_i
+    + 10 R_i - (2 lambda_i R_i^2 - 12 lambda_i R2_i - 10 lambda_i R_i
+    + 4 R_i m1_i + 6 q_i)/T + (8 lambda_i^2 R_i + 2 t_2 R_i
+    + 8 lambda_i m1_i + 8 m2_i)/T^2 - (48 lambda_i^3 + 12 lambda_i t_2)/T^3
+    + (48 t_4 + 12 t_2^2)/T^4. The lambda must be distinct, as
+    ``bias_expansion`` checks.
+    """
+    total = lam.sum()
+    r = _gap_ratios(lam)
+    big_r, r2, r3 = ((r**k).sum(axis=1) for k in (1, 2, 3))
+    m1, m2, q = r @ lam, r @ lam**2, r**2 @ lam
+    t2, t4 = np.sum(lam**2), np.sum(lam**4)
+    pair = (
+        2.0 * big_r - big_r**2 + 2.0 * r2 + r3
+        + (2.0 / total) * (lam * big_r + m1)
+        + 2.0 * t2 * big_r / total**2
+        - 12.0 * t2 * lam / total**3
+        + 12.0 * t2**2 / total**4
+    )
+    single = (
+        big_r**3 - 3.0 * big_r * r2 + 5.0 * r3 - 7.0 * big_r**2 + 10.0 * r2 + 10.0 * big_r
+        - (2.0 * lam * big_r**2 - 12.0 * lam * r2 - 10.0 * lam * big_r + 4.0 * big_r * m1 + 6.0 * q) / total
+        + (8.0 * lam**2 * big_r + 2.0 * t2 * big_r + 8.0 * lam * m1 + 8.0 * m2) / total**2
+        - (48.0 * lam**3 + 12.0 * lam * t2) / total**3
+        + (48.0 * t4 + 12.0 * t2**2) / total**4
+    )
+    return lam * (pair / n**2 + (single - pair) / n**3) / total
 
 
 def _plugin_traces(d: np.ndarray, u: np.ndarray, betas: np.ndarray) -> np.ndarray:

@@ -59,9 +59,9 @@ def _probe(ratio):
     return {"alone_s": 0.05, "beside_s": 0.05 * ratio, "ratio": ratio}
 
 
-def _run(scale, ratio, thread_ratio, gil_ratio):
+def _run(scale, ratio, thread_ratio, gil_ratio, jobs=1):
     metrics = {name: {"value": scale} for name in pairs.END_TO_END}
-    return {"result": {"metrics": metrics}, "raw_op_s": scale, "raw_kernel_s": None,
+    return {"result": {"metrics": metrics}, "raw_op_s": scale, "raw_kernel_s": None, "workload": {"jobs": jobs},
             "probe": _probe(ratio), "thread_probe": _probe(thread_ratio), "gil_probe": _probe(gil_ratio)}
 
 
@@ -72,6 +72,53 @@ def test_summary_keeps_each_side_median_probe_ratio():
     assert summary["probe_ratio"] == {"base_median": 1.2, "change_median": 2.4}
     assert summary["thread_probe_ratio"] == {"base_median": 1.6, "change_median": 3.2}
     assert summary["gil_probe_ratio"] == {"base_median": 2.7, "change_median": 5.4}
+
+
+def _threaded_pairs(jobs):
+    # 13 pairs: in pairs 3, 7 and 11 one side's process probe read 1.8 (the
+    # two copies shared a core) and the change lost every metric; in the
+    # other ten both sides read 1.0 to 1.5 and the change won every metric
+    out = []
+    for k in range(1, 14):
+        marked = k in (3, 7, 11)
+        base_ratio, change_ratio = (1.8, 1.1) if k == 3 else (1.0, 1.8) if marked else (1.5, 1.0 + k / 100)
+        values = {metric: (1.0 + k / 1000, (0.5 if marked else 2.0) if better == "higher" else (2.0 if marked else 0.5))
+                  for metric, (better, _) in pairs.END_TO_END.items()}
+        runs = {}
+        for side, ratio in (("base", base_ratio), ("change", change_ratio)):
+            run = runs[side] = _run(1.0, ratio, 1.0, 1.0, jobs)
+            for metric, (base, change) in values.items():
+                run["result"]["metrics"][metric]["value"] = base if side == "base" else change
+        out.append(runs)
+    return out
+
+
+def test_probe_gate_gives_threaded_verdicts_on_the_unmarked_pairs():
+    summary = pairs.summarise(_threaded_pairs(jobs=2))
+    gate = summary["probe_gate"]
+    assert gate["ratio_above"] == 1.5
+    assert gate["marked"] == [3, 7, 11]
+    for metric in pairs.END_TO_END:
+        # on all 13 pairs the change won 10, short of 9 in 10
+        assert summary[metric]["pairs"] == 13 and summary[metric]["change_wins"] == 10
+        assert summary[metric]["verdict"] != "better"
+        assert gate["unmarked"][metric]["pairs"] == 10
+        assert gate["unmarked"][metric]["change_wins"] == 10
+        assert gate["unmarked"][metric]["verdict"] == "better"
+
+
+def test_probe_gate_leaves_fewer_than_ten_unmarked_pairs_unresolved():
+    runs = _threaded_pairs(jobs=2)[:10]
+    gate = pairs.summarise(runs)["probe_gate"]
+    assert gate["marked"] == [3, 7]
+    assert {entry["verdict"] for entry in gate["unmarked"].values()} == {"unresolved"}
+    for run in runs:
+        run["change"]["probe"] = _probe(2.0)
+    assert pairs.summarise(runs)["probe_gate"]["unmarked"] == {}
+
+
+def test_probe_gate_skips_a_single_threaded_workload():
+    assert "probe_gate" not in pairs.summarise(_threaded_pairs(jobs=1))
 
 
 def test_parallelism_probe_times_the_kernel_alone_and_beside_a_copy():

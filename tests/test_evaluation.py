@@ -46,6 +46,7 @@ from spectra_shrink.evaluation import (
 )
 from spectra_shrink.sampling import CHUNK_SIZE, scatter_chunk
 
+from oracle_moments import rate_term_means
 from oracle_p2 import control_means, rate_mean, risk_means, stein_haff_means
 
 
@@ -942,15 +943,18 @@ def test_reduce_memory_is_one_fold(monkeypatch, engine, k):
 
 
 def _expansion_terms(spec, n, seed, replicates):
-    """Per-replicate rates and the first-, second- and third-order terms of their expansion.
+    """Per-replicate rates and the first- to fourth-order terms of their expansion.
 
     Rebuilt from scatter_chunk with E = S/n - Lambda, t = tr E, T the
-    spectrum total, u = t/T and g_ij = 1/(lambda_i - lambda_j): the
-    first-order term is E_ii/T - lambda_i t/T^2; the second-order term is
-    Q_i/T - u times the first, with Q_i the sum over j != i of g_ij E_ij^2;
-    and the third-order term is (R_i - Q_i u + E_ii u^2 - lambda_i u^3)/T,
-    with R_i the sum over j, k != i of g_ij g_ik E_ij E_jk E_ki less E_ii
-    times the sum over j != i of g_ij^2 E_ij^2. All four are (replicates, p).
+    spectrum total, u = t/T and g_ij = 1/(lambda_i - lambda_j), per index i
+    with every sum over the indices o other than i, w_o = g_io E_io and
+    v = E_oo w: the first-order term is E_ii/T - lambda_i t/T^2; the
+    second-order term is Q_i/T - u times the first, with Q_i = sum_o g_io
+    E_io^2; the third-order term is (R_i - Q_i u + E_ii u^2 - lambda_i u^3)/T,
+    with R_i = sum_o g_io E_io v_o - E_ii sum_o g_io^2 E_io^2; and the
+    fourth-order term is (F_i - R_i u + Q_i u^2 - E_ii u^3 + lambda_i u^4)/T,
+    with F_i = sum_o g_io v_o^2 - Q_i sum_o g_io^2 E_io^2 - 2 E_ii sum_o
+    g_io w_o v_o + E_ii^2 sum_o g_io^3 E_io^2. All five are (replicates, p).
     """
     lam, total = spec.values, spec.values.sum()
     p = lam.size
@@ -959,34 +963,40 @@ def _expansion_terms(spec, n, seed, replicates):
     t = diag.sum(axis=1)
     u = (t / total)[:, None]
     first = diag / total - np.outer(t, lam) / total**2
-    q = np.zeros_like(first)
-    r = np.zeros_like(first)
+    q, r, f = (np.zeros_like(first) for _ in range(3))
     for i in range(p):
-        for j in range(p):
-            if j == i:
-                continue
-            g_ij = 1.0 / (lam[i] - lam[j])
-            q[:, i] += g_ij * e[:, i, j] ** 2
-            r[:, i] -= e[:, i, i] * g_ij**2 * e[:, i, j] ** 2
-            for k in range(p):
-                if k != i:
-                    r[:, i] += g_ij / (lam[i] - lam[k]) * e[:, i, j] * e[:, j, k] * e[:, k, i]
+        o = [j for j in range(p) if j != i]
+        g = 1.0 / (lam[i] - lam[o])
+        row = e[:, i, o]
+        w = g * row
+        v = np.einsum("rkl,rl->rk", e[:, o][:, :, o], w)
+        q[:, i] = (g * row**2).sum(axis=1)
+        square = (g**2 * row**2).sum(axis=1)
+        r[:, i] = (w * v).sum(axis=1) - e[:, i, i] * square
+        f[:, i] = (
+            (g * v**2).sum(axis=1)
+            - q[:, i] * square
+            - 2.0 * e[:, i, i] * (g * w * v).sum(axis=1)
+            + e[:, i, i] ** 2 * (g**3 * row**2).sum(axis=1)
+        )
     second = q / total - first * u
     third = (r - q * u + diag * u**2 - lam * u**3) / total
-    return sample_rates(spec, n, "wishart", replicates, seed), first, second, third
+    fourth = (f - r * u + q * u**2 - diag * u**3 + lam * u**4) / total
+    return sample_rates(spec, n, "wishart", replicates, seed), first, second, third, fourth
 
 
 def _bias_controls(spec, n, seed, replicates):
-    """Per-replicate rates d, corrections c and third-order terms t, each (replicates, p).
+    """Per-replicate rates d, corrections c and third- and fourth-order terms t and r, each (replicates, p).
 
     c is the first- plus the second-order term less the second's exact mean
-    (bias_expansion - lambda / T), and t the third-order term less its
-    exact mean, as ``simulate_bias(control_variate=True)`` forms them.
+    (bias_expansion - lambda / T), and t and r the third- and fourth-order
+    terms less their exact means, as ``simulate_bias(control_variate=True)``
+    forms them.
     """
-    d, first, second, third = _expansion_terms(spec, n, seed, replicates)
+    d, first, second, third, fourth = _expansion_terms(spec, n, seed, replicates)
     lam = spec.values
     c = first + second - (bias_expansion(spec, n) - lam / lam.sum())
-    return d, c, third - evaluation._third_order_means(lam, n)
+    return d, c, third - evaluation._third_order_means(lam, n), fourth - evaluation._fourth_order_means(lam, n)
 
 
 def _diagonal_columns(s, lam, n):
@@ -1003,13 +1013,13 @@ def _bias_basis(spec, n, seed, replicates):
     """Per-replicate rates d, corrections c and the control basis of the bias control variate.
 
     The basis is the one ``simulate_bias(control_variate=True)`` fits on:
-    c_2..c_p and t_2..t_p of ``_bias_controls``, then the diagonal rows of
-    the Wishart basis (``_diagonal_columns``), rebuilt from scatter_chunk;
-    shape (replicates, 2(p - 1) + 2p + p(p - 1)/2).
+    c_2..c_p, t_2..t_p and r_2..r_p of ``_bias_controls``, then the
+    diagonal rows of the Wishart basis (``_diagonal_columns``), rebuilt from
+    scatter_chunk; shape (replicates, 3(p - 1) + 2p + p(p - 1)/2).
     """
-    d, c, t = _bias_controls(spec, n, seed, replicates)
+    d, c, t, r = _bias_controls(spec, n, seed, replicates)
     s = _draws(spec, n, "wishart", seed, replicates)
-    return d, c, np.hstack([c[:, 1:], t[:, 1:], *_diagonal_columns(s, spec.values, n)])
+    return d, c, np.hstack([c[:, 1:], t[:, 1:], r[:, 1:], *_diagonal_columns(s, spec.values, n)])
 
 
 def _cross_fitted(spec, n, seed, replicates, y):
@@ -1077,8 +1087,9 @@ def _streamed_and_per_replicate(engine, replicates):
 
     The values, shape (replicates, k), are rebuilt here from scatter_chunk:
     the sample rates for simulate_bias, with the control variate less
-    their cross-fitted fit on the corrections c_2..c_p, the third-order
-    terms t_2..t_p and the diagonal rows of ``_bias_basis``; the loss rows
+    their cross-fitted fit on the corrections c_2..c_p, the third- and
+    fourth-order terms t_2..t_p and r_2..r_p and the diagonal rows of
+    ``_bias_basis``; the loss rows
     and the paired differences for compare_risks, less their cross-fitted
     control-variate fit for either loss; and the trace, G and
     trace - G for each weight vector for simulate_stein_haff. The "bias-p3"
@@ -1160,7 +1171,8 @@ def test_streamed_bias_moments_match_concatenated_rates(engine, replicates, monk
             raise AssertionError("an empty control basis computes no control")
 
         for name in (
-            "_bias_corrections", "_third_order_means", "_diagonal_controls", "_wishart_controls", "_log_det_mean",
+            "_bias_corrections", "_expansion_plan", "_third_order_means", "_fourth_order_means",
+            "_diagonal_controls", "_wishart_controls", "_log_det_mean",
         ):
             monkeypatch.setattr(evaluation, name, unused)
     means, ses, values = _streamed_and_per_replicate(engine, replicates)
@@ -1388,7 +1400,7 @@ def test_third_order_controls_cut_the_second_order_fit(n, factor):
     # the fit on c_2..c_p alone where the expansion converges (n = 200, 400),
     # and do not raise it where the remainder is large (n = 30)
     spec, seed, replicates = Spectrum((0.5, 0.3, 0.2)), 5, 16 * CHUNK_SIZE
-    d, c, _ = _bias_controls(spec, n, seed, replicates)
+    d, c, *_ = _bias_controls(spec, n, seed, replicates)
     second_order = _parity_fitted(c[:, 1:], d).var(axis=0, ddof=1).max()
     cv = simulate_bias(spec, n, "wishart", replicates, seed=seed, control_variate=True)
     assert (cv.std_errors**2 * replicates).max() < factor * second_order
@@ -1400,10 +1412,26 @@ def test_diagonal_controls_cut_the_expansion_fit(n, factor):
     # cut the worst per-replicate variance left by the fit on c_2..c_p and
     # t_2..t_p alone, most where the expansion's remainder is large (n = 30)
     spec, seed, replicates = Spectrum((0.5, 0.3, 0.2)), 5, 16 * CHUNK_SIZE
-    d, c, t = _bias_controls(spec, n, seed, replicates)
+    d, c, t, _ = _bias_controls(spec, n, seed, replicates)
     expansion_only = _parity_fitted(np.hstack([c[:, 1:], t[:, 1:]]), d).var(axis=0, ddof=1).max()
     cv = simulate_bias(spec, n, "wishart", replicates, seed=seed, control_variate=True)
     assert (cv.std_errors**2 * replicates).max() < factor * expansion_only
+
+
+@pytest.mark.parametrize("n, factor", [(200, 0.75), (400, 0.5)])
+def test_fourth_order_controls_cut_the_thirteen_row_fit(n, factor):
+    # r_2..r_p cut the worst per-replicate variance left by the fit on
+    # c_2..c_p, t_2..t_p and the diagonal rows below 0.75x at n = 200 and
+    # below 0.5x at n = 400 (about 0.56x and 0.35x at seed 5), since the
+    # remainder after the third-order term falls like n^-2
+    spec, seed, replicates = Spectrum((0.5, 0.3, 0.2)), 5, 16 * CHUNK_SIZE
+    d, c, t, _ = _bias_controls(spec, n, seed, replicates)
+    s = _draws(spec, n, "wishart", seed, replicates)
+    basis = np.hstack([c[:, 1:], t[:, 1:], *_diagonal_columns(s, spec.values, n)])
+    assert basis.shape[1] == 13
+    thirteen = _parity_fitted(basis, d).var(axis=0, ddof=1).max()
+    cv = simulate_bias(spec, n, "wishart", replicates, seed=seed, control_variate=True)
+    assert (cv.std_errors**2 * replicates).max() < factor * thirteen
 
 
 @pytest.mark.parametrize("n", [30, 200])
@@ -1422,35 +1450,89 @@ def test_bias_control_variate_se_is_calibrated(n):
 @pytest.mark.parametrize("spec", [Spectrum((0.5, 0.3, 0.2)), Spectrum((0.4, 0.3, 0.2, 0.1))], ids=["p3", "p4"])
 @pytest.mark.parametrize("n", [30, 200])
 def test_bias_corrections_have_mean_zero_and_sum_to_zero(spec, n):
-    # every coordinate's correction c_i and third-order term t_i averages to
-    # zero within 4 SEs over 40 chunks, and each draw's c_i, each of order
-    # 0.1, sum to zero to rounding, as do its t_i, which is why the engine
-    # fits on all but the first of each
+    # every coordinate's correction c_i and third- and fourth-order terms
+    # t_i and r_i average to zero within 4 SEs over 40 chunks, and each
+    # draw's c_i, each of order 0.1, sum to zero to rounding, as do its t_i
+    # and its r_i, which is why the engine fits on all but the first of each
     lam = spec.values
     p = lam.size
-    offset = np.concatenate([bias_expansion(spec, n) - lam / lam.sum(), evaluation._third_order_means(lam, n)])
+    offset = np.concatenate([
+        bias_expansion(spec, n) - lam / lam.sum(),
+        evaluation._third_order_means(lam, n),
+        evaluation._fourth_order_means(lam, n),
+    ])
+    plan = evaluation._expansion_plan(lam, n)
     worst_sum = []
 
     def stat(s, l, d, u):
-        c = np.empty((2 * p, s.shape[0]))
-        evaluation._bias_corrections(s, lam, n, offset, c)
-        worst_sum.append(max(np.abs(c[:p].sum(axis=0)).max(), np.abs(c[p:].sum(axis=0)).max()))
-        return c
+        out = np.empty((evaluation._correction_rows(p), s.shape[0]))
+        evaluation._bias_corrections(s, lam, n, offset, plan, out)
+        c = out[: 3 * p].reshape(p, 3, -1)
+        worst_sum.append(np.abs(c.sum(axis=0)).max())
+        return c.reshape(3 * p, -1)
 
     means, ses = evaluation._estimate(spec, n, "wishart", 40 * CHUNK_SIZE, 23, 2, None, 0, stat)
     assert np.all(np.abs(means) < 4 * ses), np.abs(means / ses).max()
     assert max(worst_sum) < 1e-14
 
 
-@pytest.mark.parametrize("replicates, fitted", [(759, False), (760, True)])
+@pytest.mark.parametrize(
+    "values",
+    [(0.5, 0.3, 0.2), (0.4, 0.3, 0.2, 0.1), (0.35, 0.25, 0.2, 0.12, 0.08)],
+    ids=["p3", "p4", "p5"],
+)
+@pytest.mark.parametrize("n", [30, 200])
+def test_expansion_term_means_match_the_enumerated_oracle(values, n):
+    # the closed forms of E[t_i] and E[r_i] are the sums over the set
+    # partitions of each product's factors into observation blocks, with
+    # each block's moment from Isserlis' theorem (tests/oracle_moments.py)
+    lam = np.array(values)
+    third, fourth = rate_term_means(lam, n)
+    np.testing.assert_allclose(evaluation._third_order_means(lam, n), third, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(evaluation._fourth_order_means(lam, n), fourth, rtol=1e-12, atol=0)
+
+
+def test_fourth_order_means_hand_values():
+    lam = np.array([0.5, 0.3, 0.2])
+    np.testing.assert_allclose(
+        evaluation._fourth_order_means(lam, 200), [1.66199910e-4, 7.46482350e-5, -2.40848145e-4], rtol=1e-8
+    )
+    np.testing.assert_allclose(evaluation._fourth_order_means(lam, 30), [7.90333e-3, 3.96615e-3, -1.186948e-2], rtol=1e-6)
+
+
+@pytest.mark.parametrize("values", [(0.5, 0.3, 0.2), (0.4, 0.3, 0.2, 0.1, 0.05)], ids=["p3", "p5"])
+def test_rate_expansion_residual_is_fifth_order(values):
+    # at S/n = Lambda + eps H, the rates less lambda/T and c_i + t_i + r_i
+    # (offsets zero) leave an O(eps^5) residual, so halving eps divides it
+    # by about 32; without r_i the residual is O(eps^4), divided by about 16
+    lam, n = np.array(values), 50
+    p = lam.size
+    h = np.random.default_rng(1).standard_normal((p, p))
+    h += h.T
+    plan = evaluation._expansion_plan(lam, n)
+    residuals = []
+    for eps in (1e-2, 5e-3, 2.5e-3):
+        s = n * (np.diag(lam) + eps * h)[None]
+        out = np.empty((evaluation._correction_rows(p), 1))
+        evaluation._bias_corrections(s, lam, n, np.zeros(3 * p), plan, out)
+        c, t, r = out[: 3 * p, 0].reshape(p, 3).T
+        l = np.linalg.eigvalsh(s[0])[::-1]
+        left = l / l.sum() - lam / lam.sum() - c - t
+        residuals.append((np.abs(left).max(), np.abs(left - r).max()))
+    third, fourth = np.array(residuals).T
+    assert np.all((third[:-1] / third[1:] > 12) & (third[:-1] / third[1:] < 20)), third
+    assert np.all((fourth[:-1] / fourth[1:] > 24) & (fourth[:-1] / fourth[1:] < 40)), fourth
+
+
+@pytest.mark.parametrize("replicates, fitted", [(859, False), (860, True)])
 def test_bias_control_variate_fits_from_the_floor(replicates, fitted):
-    # p = 6 fits 37 controls, c_2..c_6, t_2..t_6 and the 27 diagonal rows,
-    # and an intercept, 380 rows a fold: 759 replicates leave the odd fold
-    # 379, and the corrected rates z = d - c are averaged unfitted; 760
-    # cross-fit them, as the rates less the fit on that basis
+    # p = 6 fits 42 controls, c_2..c_6, t_2..t_6, r_2..r_6 and the 27
+    # diagonal rows, and an intercept, 430 rows a fold: 859 replicates leave
+    # the odd fold 429, and the corrected rates z = d - c are averaged
+    # unfitted; 860 cross-fit them, as the rates less the fit on that basis
     spec, n, seed = Spectrum((0.3, 0.25, 0.18, 0.12, 0.1, 0.05)), 20, 13
     d, c, basis = _bias_basis(spec, n, seed, replicates)
-    assert basis.shape[1] == 37
+    assert basis.shape[1] == 42
     values = _parity_fitted(basis, d) if fitted else d - c
     cv = simulate_bias(spec, n, "wishart", replicates, seed=seed, control_variate=True)
     np.testing.assert_allclose(cv.mean_rates, values.mean(axis=0), rtol=1e-12, atol=0)
